@@ -9,6 +9,20 @@ along for objective-aware solvers.
 
 Pure profiles are int arrays of shape (n,), mixed profiles row-stochastic
 float arrays of shape (n, m).
+
+A utility evaluator is any object with three methods, each taking float
+arrays and returning u_i(a, s) for every action a:
+
+- ``value_matrix(s)``: s of shape (d,), returns (n, m), row i for player i;
+- ``values_for_player(i, s)``: s of shape (d,), returns (m,), equal to row i
+  of ``value_matrix(s)``; the per-player replay helpers use it, because a
+  player replays from their own data only;
+- ``values_at(S)``: S of shape (n, m, d), returns (n, m) whose entry (i, a)
+  is u_i(a, S[i, a]), each player and action at its own aggregator point.
+  The exact oracles use it to evaluate every deviation in one pass.
+
+``validate_for_game(game)`` is optional; ``kind``, ``to_params`` and
+``from_params`` serve JSON round trips.
 """
 
 from __future__ import annotations
@@ -34,9 +48,9 @@ __all__ = [
     "utility_matrix",
     "utility_values",
     "abr_set",
-    "abr_regret_at",
     "abr_profile",
     "regret",
+    "sample_action",
     "sample_profile",
     "translate_checks",
     "as_pure_profile",
@@ -74,6 +88,9 @@ class LinearUtility:
 
     def values_for_player(self, i: int, s: np.ndarray) -> np.ndarray:
         return self.c[i] + self.w[i] @ s
+
+    def values_at(self, S: np.ndarray) -> np.ndarray:
+        return self.c + (self.w * S).sum(axis=2)
 
     def validate_for_game(self, game: "AggregativeGame") -> None:
         if self.c.shape != (game.n, game.m) or self.w.shape != (game.n, game.m, game.d):
@@ -134,6 +151,24 @@ class TableUtility:
     def values_for_player(self, i: int, s: np.ndarray) -> np.ndarray:
         return self._interp(self.values[i], s)
 
+    def values_at(self, S: np.ndarray) -> np.ndarray:
+        # the same trailing-axis reduction as _interp, with an own node pair
+        # and weight per (player, action)
+        g = self.grid
+        c = np.clip(S, g[0], g[-1])  # (n, m, d)
+        hi = np.clip(np.searchsorted(g, c, side="right"), 1, len(g) - 1)
+        lo = hi - 1
+        t = (c - g[lo]) / (g[hi] - g[lo])
+        out = self.values
+        for k in range(S.shape[2] - 1, -1, -1):
+            # out is (n, m) + (G,) * (k + 1); pick along its last axis per entry
+            idx = (slice(None), slice(None), k) + (None,) * (k + 1)
+            w = t[idx][..., 0]
+            below = np.take_along_axis(out, lo[idx], axis=-1)[..., 0]
+            above = np.take_along_axis(out, hi[idx], axis=-1)[..., 0]
+            out = (1.0 - w) * below + w * above
+        return out
+
     def validate_for_game(self, game: "AggregativeGame") -> None:
         G = len(self.grid)
         if G < 2 or np.any(np.diff(self.grid) <= 0):
@@ -185,6 +220,10 @@ class ThresholdUtility:
         diff = (float(s[0]) - self.thresholds[i]) / 2.0
         return np.array([diff, -diff])
 
+    def values_at(self, S: np.ndarray) -> np.ndarray:
+        diff = (S[:, :, 0] - self.thresholds[:, None]) / 2.0
+        return np.stack([diff[:, 0], -diff[:, 1]], axis=1)
+
     def validate_for_game(self, game: "AggregativeGame") -> None:
         if game.d != 1 or game.m != 2:
             raise ParameterError("threshold utilities need d = 1 and m = 2")
@@ -200,6 +239,8 @@ class ThresholdUtility:
     def from_params(cls, params: dict) -> "ThresholdUtility":
         return cls(thresholds=np.asarray(params["thresholds"]))
 
+
+_EVALUATOR_METHODS = ("value_matrix", "values_for_player", "values_at")
 
 _EVALUATORS = {
     "linear": LinearUtility,
@@ -266,8 +307,9 @@ class AggregativeGame:
             object.__setattr__(self, "loss", loss)
         spread = self.gamma * float((f.max(axis=2) - f.min(axis=2)).max())
         object.__setattr__(self, "_gamma_eff", spread)
-        if self.utility is None or not hasattr(self.utility, "value_matrix"):
-            raise ParameterError("utility evaluator with a value_matrix method required")
+        missing = [m for m in _EVALUATOR_METHODS if not callable(getattr(self.utility, m, None))]
+        if missing:
+            raise ParameterError(f"utility evaluator lacks the method(s) {', '.join(missing)}")
         if hasattr(self.utility, "validate_for_game"):
             self.utility.validate_for_game(self)
         self._spot_check_utility()
@@ -368,11 +410,6 @@ def abr_set(game: AggregativeGame, i: int, s, eta: float) -> np.ndarray:
     vals = utility_values(game, i, s)
     return np.flatnonzero(vals >= vals.max() - eta)
 
-def abr_regret_at(game: AggregativeGame, i: int, action: int, s) -> float:
-    """How far `action` falls short of the best response at fixed aggregator s."""
-    vals = utility_values(game, i, s)
-    return float(vals.max() - vals[int(action)])
-
 
 def abr_profile(game: AggregativeGame, s, tie_break: str = "lowest") -> np.ndarray:
     """Every player's exact best response to a fixed aggregator value.
@@ -402,25 +439,29 @@ def regret(game: AggregativeGame, x) -> RegretReport:
     """Exact best-deviation regret, accounting for the deviator's own shift.
 
     A deviation by player i from x_i to a moves the aggregator to
-    s + gamma * (f_i(a) - f_i(x_i)); the gain is evaluated there.
+    s + gamma * (f_i(a) - f_i(x_i)); the gain is evaluated there, for every
+    (player, action) pair in one ``values_at`` call.
     """
     x = as_pure_profile(game, x)
     s = aggregator(game, x)
-    per = np.empty(game.n)
-    for i in range(game.n):
-        fi = game.f[i]  # (d, m)
-        here = utility_values(game, i, s)
-        base = float(here[x[i]])
-        best = base
-        for a in range(game.m):
-            if a == x[i]:
-                continue
-            s_dev = s + game.gamma * (fi[:, a] - fi[:, x[i]])
-            cand = float(utility_values(game, i, s_dev)[a])
-            if cand > best:
-                best = cand
-        per[i] = best - base
+    rows = np.arange(game.n)
+    f = game.f.transpose(0, 2, 1)  # (n, m, d)
+    S = s + game.gamma * (f - f[rows, x][:, None, :])
+    S[rows, x] = s
+    vals = np.asarray(game.utility.values_at(S), dtype=float)
+    per = vals.max(axis=1) - vals[rows, x]
     return RegretReport(per_player=per, max_regret=float(per.max()))
+
+
+def sample_action(row: np.ndarray, src: NoiseSource) -> int:
+    """Inverse-CDF draw of one action from a probability row.
+
+    Uses the single uniform draw of ``src``; the last cumulative weight is
+    pinned to 1 so roundoff never pushes the draw past the final action.
+    """
+    cum = np.cumsum(row)
+    cum[-1] = 1.0
+    return int(np.searchsorted(cum, src.uniform(), side="left"))
 
 
 def sample_profile(game: AggregativeGame, p, src: NoiseSource) -> np.ndarray:
@@ -430,13 +471,7 @@ def sample_profile(game: AggregativeGame, p, src: NoiseSource) -> np.ndarray:
     party holding the public seed can re-derive exactly their own sample.
     """
     p = as_mixed_profile(game, p)
-    x = np.empty(game.n, dtype=np.int64)
-    for i in range(game.n):
-        u = src.child(i).uniform()
-        cum = np.cumsum(p[i])
-        cum[-1] = 1.0
-        x[i] = int(np.searchsorted(cum, u, side="left"))
-    return x
+    return np.array([sample_action(p[i], src.child(i)) for i in range(game.n)], dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -371,7 +371,7 @@ def _run_one(config: ExperimentConfig, game, src: NoiseSource) -> dict:
                 row["loss"] = profile_loss(game, res.profile)
     elif algo == "npresl":
         res = npresl(game, zeta=p["zeta"], alpha=p["alpha"], beta=p["beta"], src=src)
-        row["bound"] = 4.0 * p["alpha"] + 2.0 * game.gamma + 2.0 * res.sampling_slack
+        row["bound"] = res.nash_bound
         if res.aborted:
             row["abort"] = 1
         else:

@@ -29,6 +29,7 @@ from .game_core import (
     abr_set,
     aggregator,
     as_pure_profile,
+    utility_matrix,
     utility_values,
 )
 
@@ -450,16 +451,14 @@ def s_extremes(qgame: QuasiAggregativeGame, s: float, xi: float) -> Extremes:
     Per player, the most and least aggregator-increasing action (by their
     declared order) among those within xi of their best response to s.
     """
-    base = qgame.base
-    n, m = base.n, base.m
-    x_max = np.empty(n, dtype=np.int64)
-    x_min = np.empty(n, dtype=np.int64)
-    s_arr = np.array([float(s)])
-    for i in range(n):
-        allowed = set(abr_set(base, i, s_arr, xi).tolist())
-        ranked = [a for a in qgame.action_order[i].tolist() if a in allowed]
-        x_max[i] = ranked[0]
-        x_min[i] = ranked[-1]
+    if xi < 0:
+        raise ParameterError("xi must be nonnegative")
+    vals = utility_matrix(qgame.base, np.array([float(s)]))
+    allowed = vals >= vals.max(axis=1, keepdims=True) - xi
+    ranked = np.take_along_axis(allowed, qgame.action_order, axis=1)
+    rows = np.arange(qgame.n)
+    x_max = qgame.action_order[rows, np.argmax(ranked, axis=1)]
+    x_min = qgame.action_order[rows, qgame.m - 1 - np.argmax(ranked[:, ::-1], axis=1)]
     return Extremes(
         s_min=qgame.s_of(x_min), s_max=qgame.s_of(x_max), x_min=x_min, x_max=x_max
     )

@@ -30,6 +30,7 @@ from .dp_core import (
 )
 from .game_core import (
     AggregativeGame,
+    sample_action,
     sample_profile,
     utility_values,
 )
@@ -320,10 +321,7 @@ def replay_presl_player(
     p_row = replay_mw_player(
         np.stack(rows, axis=0), support_row, result.mw_params, result.mw_transcript
     )
-    u = src.child("sample").child(i).uniform()
-    cum = np.cumsum(p_row)
-    cum[-1] = 1.0
-    return int(np.searchsorted(cum, u, side="left"))
+    return sample_action(p_row, src.child("sample").child(i))
 
 
 @dataclass
@@ -334,19 +332,36 @@ class NpreslResult:
     alpha: float
     zeta: float
     beta: float
+    xi: float
+    lp_tol: float
+    gamma_eff: float
+    sampling_slack: float
     profile: Optional[np.ndarray] = None
     p_bar: Optional[np.ndarray] = None
     s_hat: Optional[np.ndarray] = None
     y_star: Optional[float] = None
     witness_loss: Optional[float] = None
     feasible_points: int = 0
-    sampling_slack: float = 0.0
 
     @property
     def loss_bound_slack(self) -> float:
         """The sweep's loss exceeds the best zeta-equilibrium's by at most
         1.1 alpha + this sampling slack (with probability 1 - beta)."""
         return self.sampling_slack
+
+    @property
+    def nash_bound(self) -> float:
+        """Regret level of the sampled profile: xi + 2 (alpha + lp_tol +
+        sampling_slack) + gamma_eff, with probability 1 - beta.
+
+        Every sampled action lies within xi = zeta + gamma + 2 alpha of its
+        best response to s_hat. The witness keeps |S(p) - s_hat| <= alpha +
+        lp_tol and sampling moves the aggregator by at most sampling_slack,
+        so each payoff moves by at most that drift on either side of the
+        comparison; the deviator's own shift adds gamma_eff.
+        """
+        drift = self.alpha + self.lp_tol + self.sampling_slack
+        return self.xi + 2.0 * drift + self.gamma_eff
 
 
 def npresl(
@@ -408,22 +423,21 @@ def npresl(
             best = (w_loss, s_hat, hi, witness_hi)
 
     slack = math.sqrt(game.n * game.gamma**2 / 2.0 * math.log((2.0 * game.d + 2.0) / beta))
+    constants = dict(
+        alpha=alpha, zeta=zeta, beta=beta, xi=xi, lp_tol=tol, gamma_eff=game.gamma_eff,
+        sampling_slack=slack,
+    )
     if best is None:
-        return NpreslResult(
-            aborted=True, alpha=alpha, zeta=zeta, beta=beta, sampling_slack=slack
-        )
+        return NpreslResult(aborted=True, **constants)
     w_loss, s_hat, y_star, witness = best
     profile = sample_profile(game, witness, src.child("sample"))
     return NpreslResult(
         aborted=False,
-        alpha=alpha,
-        zeta=zeta,
-        beta=beta,
+        **constants,
         profile=profile,
         p_bar=witness,
         s_hat=s_hat,
         y_star=float(y_star),
         witness_loss=w_loss,
         feasible_points=feasible,
-        sampling_slack=slack,
     )

@@ -18,7 +18,7 @@ from privagg.harness import (
     run_experiment,
 )
 from privagg.onedim import QuasiAggregativeGame, make_optin_game
-from privagg.presl import BudgetError
+from privagg.presl import BudgetError, existence_bound
 
 from conftest import (
     JUMP_ALPHA,
@@ -339,6 +339,26 @@ def test_run_experiment_lp_solvers(tmp_path):
 
     with pytest.raises(ParameterError):
         run_experiment(threshold_config(tmp_path, algorithm="simplex", trials=1))
+
+
+def test_npresl_reported_bound_includes_zeta(tmp_path):
+    # the grid-small shape: loss-carrying linear game, zeta at the existence
+    # bound; this seed's sampled profile has regret 1.456, above
+    # 4 alpha + 2 gamma + 2 sampling_slack = 1.287, a bound that leaves out zeta
+    n, gamma, alpha, beta = 5, 0.1, 0.12, 0.1
+    cfg = threshold_config(
+        tmp_path,
+        algorithm="npresl",
+        game={"kind": "linear", "n": n, "gamma": gamma},
+        params={"zeta": existence_bound(n, 2, gamma), "alpha": alpha, "beta": beta},
+        trials=1,
+        seed=20,
+        label="npresl-zeta",
+    )
+    row = run_experiment(cfg).rows[0]
+    slack = np.sqrt(n * gamma**2 / 2 * np.log(4.0 / beta))
+    assert row["regret"] > 4 * alpha + 2 * gamma + 2 * slack
+    assert row["regret"] <= row["bound"]
 
 
 def test_experiment_config_from_json():

@@ -14,7 +14,7 @@ import pytest
 
 from privagg.dp_core import NoiseSource, ParameterError
 from privagg.game_core import LinearUtility, abr_profile, abr_set, regret
-from privagg.harness import brute_force_equilibria
+from privagg.harness import brute_force_equilibria, generate
 from privagg.onedim import (
     PSummResult,
     QualitySpec,
@@ -40,6 +40,7 @@ from conftest import (
     crowd_averse_game,
     jump_game,
     naive_utility,
+    per_player_extremes,
 )
 
 OFF = NoiseSource.NOISE_OFF
@@ -377,6 +378,47 @@ def test_s_extremes_threshold_example():
     wide = s_extremes(q, 0.5, 2.0)
     assert wide.s_max == pytest.approx(1.0)
     assert wide.s_min == pytest.approx(0.0)
+
+
+def extremes_cases():
+    """Threshold and linear scalar games, m = 2-4, default and shuffled orders."""
+    rng = np.random.Generator(np.random.PCG64(640))
+    for seed in range(3):
+        yield optin(12, rng.uniform(0, 1, 12))
+        for m in (2, 3, 4):
+            base = generate("linear", 641 + 10 * seed + m, n=10, m=m, d=1)
+            yield QuasiAggregativeGame(base=base)
+            order = np.argsort(rng.uniform(size=(base.n, m)), axis=1)
+            yield QuasiAggregativeGame(base=base, action_order=order)
+
+
+def test_s_extremes_matches_per_player_reference():
+    for q in extremes_cases():
+        for s in np.linspace(-q.W, q.W, 7):
+            for xi in (0.0, 0.01, 0.2):
+                e = s_extremes(q, float(s), xi)
+                x_min, x_max = per_player_extremes(q, s, xi)
+                assert np.array_equal(e.x_min, x_min)
+                assert np.array_equal(e.x_max, x_max)
+                assert e.x_min.dtype == e.x_max.dtype == np.int64
+                assert e.s_min == q.s_of(x_min) and e.s_max == q.s_of(x_max)
+
+
+def test_s_extremes_ties_and_negative_xi():
+    # player 1 sits exactly at their threshold: both actions tie at xi = 0
+    q = optin(3, [0.2, 0.5, 0.8])
+    e = s_extremes(q, 0.5, 0.0)
+    assert np.array_equal(e.x_max, [0, 0, 1])
+    assert np.array_equal(e.x_min, [0, 1, 1])
+    # s-independent utilities tie all three actions; the declared order
+    # alone decides the first (x_max) and the last (x_min)
+    g = build_quiet(n=2, m=3, d=1, gamma=0.2, W=1.0, f=np.ones((2, 1, 3)),
+                    utility=LinearUtility(np.zeros((2, 3)), np.zeros((2, 3, 1))))
+    order = np.array([[2, 0, 1], [1, 2, 0]])
+    e = s_extremes(QuasiAggregativeGame(base=g, action_order=order), 0.0, 0.0)
+    assert e.x_max.tolist() == [2, 1] and e.x_min.tolist() == [1, 0]
+    with pytest.raises(ParameterError):
+        s_extremes(q, 0.5, -1e-9)
 
 
 def test_s_extremes_bracket_every_supported_profile():

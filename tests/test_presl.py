@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from privagg.dp_core import NoiseSource, ParameterError
-from privagg.game_core import LinearUtility, utility_values
+from privagg.game_core import LinearUtility, regret, utility_values
 from privagg.harness import brute_force_equilibria, generate, profile_loss
 from privagg.presl import (
     BudgetError,
@@ -260,6 +260,21 @@ def test_npresl_tracks_brute_force_optimum():
         # bisection lands within alpha/10 of the least feasible level and the
         # witness's loss margin adds at most alpha + tol on top of it
         assert res.witness_loss <= opt + 1.1 * alpha + 2 * alpha / 10
+
+
+def test_npresl_nash_bound_is_the_construction_bound():
+    alpha, beta = 0.12, 0.1
+    for seed, n in ((19, 4), (20, 5), (0, 6)):
+        g = generate("linear", 650 + seed, n=n, m=2, d=1, gamma=0.1)
+        zeta = existence_bound(n, 2, 0.1)
+        res = npresl(g, zeta=zeta, alpha=alpha, beta=beta, src=NoiseSource(seed))
+        assert not res.aborted
+        xi = zeta + g.gamma + 2 * alpha
+        assert res.xi == xi and res.lp_tol == alpha / 10
+        assert res.nash_bound == pytest.approx(
+            xi + 2 * (alpha + alpha / 10 + res.sampling_slack) + g.gamma_eff, rel=1e-15
+        )
+        assert regret(g, res.profile).max_regret <= res.nash_bound
 
 
 def test_npresl_loss_is_monotone_in_zeta():
