@@ -10,16 +10,15 @@ along for objective-aware solvers.
 Pure profiles are int arrays of shape (n,), mixed profiles row-stochastic
 float arrays of shape (n, m).
 
-A utility evaluator is any object with three methods, each taking float
-arrays and returning u_i(a, s) for every action a:
+A utility evaluator is any object with two methods, each taking a float
+aggregator value s of shape (d,) and returning u_i(a, s) for every action a:
 
-- ``value_matrix(s)``: s of shape (d,), returns (n, m), row i for player i;
-- ``values_for_player(i, s)``: s of shape (d,), returns (m,), equal to row i
-  of ``value_matrix(s)``; the per-player replay helpers use it, because a
-  player replays from their own data only;
-- ``values_at(S)``: S of shape (n, m, d), returns (n, m) whose entry (i, a)
-  is u_i(a, S[i, a]), each player and action at its own aggregator point.
-  The exact oracles use it to evaluate every deviation in one pass.
+- ``value_matrix(s)``: returns (n, m), row i for player i; best responses at
+  a fixed aggregator read it;
+- ``values_for_player(i, s)``: returns (m,), equal to row i of
+  ``value_matrix(s)``; ``regret`` evaluates each deviation through it, and
+  so do the per-player replay helpers, because a player replays from their
+  own data only.
 
 ``validate_for_game(game)`` is optional; ``kind``, ``to_params`` and
 ``from_params`` serve JSON round trips.
@@ -89,9 +88,6 @@ class LinearUtility:
     def values_for_player(self, i: int, s: np.ndarray) -> np.ndarray:
         return self.c[i] + self.w[i] @ s
 
-    def values_at(self, S: np.ndarray) -> np.ndarray:
-        return self.c + (self.w * S).sum(axis=2)
-
     def validate_for_game(self, game: "AggregativeGame") -> None:
         if self.c.shape != (game.n, game.m) or self.w.shape != (game.n, game.m, game.d):
             raise ParameterError("linear utility coefficient shapes do not match the game")
@@ -151,24 +147,6 @@ class TableUtility:
     def values_for_player(self, i: int, s: np.ndarray) -> np.ndarray:
         return self._interp(self.values[i], s)
 
-    def values_at(self, S: np.ndarray) -> np.ndarray:
-        # the same trailing-axis reduction as _interp, with an own node pair
-        # and weight per (player, action)
-        g = self.grid
-        c = np.clip(S, g[0], g[-1])  # (n, m, d)
-        hi = np.clip(np.searchsorted(g, c, side="right"), 1, len(g) - 1)
-        lo = hi - 1
-        t = (c - g[lo]) / (g[hi] - g[lo])
-        out = self.values
-        for k in range(S.shape[2] - 1, -1, -1):
-            # out is (n, m) + (G,) * (k + 1); pick along its last axis per entry
-            idx = (slice(None), slice(None), k) + (None,) * (k + 1)
-            w = t[idx][..., 0]
-            below = np.take_along_axis(out, lo[idx], axis=-1)[..., 0]
-            above = np.take_along_axis(out, hi[idx], axis=-1)[..., 0]
-            out = (1.0 - w) * below + w * above
-        return out
-
     def validate_for_game(self, game: "AggregativeGame") -> None:
         G = len(self.grid)
         if G < 2 or np.any(np.diff(self.grid) <= 0):
@@ -220,10 +198,6 @@ class ThresholdUtility:
         diff = (float(s[0]) - self.thresholds[i]) / 2.0
         return np.array([diff, -diff])
 
-    def values_at(self, S: np.ndarray) -> np.ndarray:
-        diff = (S[:, :, 0] - self.thresholds[:, None]) / 2.0
-        return np.stack([diff[:, 0], -diff[:, 1]], axis=1)
-
     def validate_for_game(self, game: "AggregativeGame") -> None:
         if game.d != 1 or game.m != 2:
             raise ParameterError("threshold utilities need d = 1 and m = 2")
@@ -240,7 +214,7 @@ class ThresholdUtility:
         return cls(thresholds=np.asarray(params["thresholds"]))
 
 
-_EVALUATOR_METHODS = ("value_matrix", "values_for_player", "values_at")
+_EVALUATOR_METHODS = ("value_matrix", "values_for_player")
 
 _EVALUATORS = {
     "linear": LinearUtility,
@@ -439,17 +413,24 @@ def regret(game: AggregativeGame, x) -> RegretReport:
     """Exact best-deviation regret, accounting for the deviator's own shift.
 
     A deviation by player i from x_i to a moves the aggregator to
-    s + gamma * (f_i(a) - f_i(x_i)); the gain is evaluated there, for every
-    (player, action) pair in one ``values_at`` call.
+    s + gamma * (f_i(a) - f_i(x_i)); the gain is evaluated there.
     """
     x = as_pure_profile(game, x)
     s = aggregator(game, x)
-    rows = np.arange(game.n)
-    f = game.f.transpose(0, 2, 1)  # (n, m, d)
-    S = s + game.gamma * (f - f[rows, x][:, None, :])
-    S[rows, x] = s
-    vals = np.asarray(game.utility.values_at(S), dtype=float)
-    per = vals.max(axis=1) - vals[rows, x]
+    per = np.empty(game.n)
+    for i in range(game.n):
+        fi = game.f[i]  # (d, m)
+        here = utility_values(game, i, s)
+        base = float(here[x[i]])
+        best = base
+        for a in range(game.m):
+            if a == x[i]:
+                continue
+            s_dev = s + game.gamma * (fi[:, a] - fi[:, x[i]])
+            cand = float(utility_values(game, i, s_dev)[a])
+            if cand > best:
+                best = cand
+        per[i] = best - base
     return RegretReport(per_player=per, max_regret=float(per.max()))
 
 

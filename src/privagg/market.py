@@ -160,10 +160,6 @@ class MarketUtility:
         pay = self.portfolios @ self._prices(s)
         return (self.valuations[i] - pay) / (2.0 * self.d)
 
-    def values_at(self, S: np.ndarray) -> np.ndarray:
-        pay = (self.portfolios * self._prices(S)).sum(axis=2)  # (n, m)
-        return (self.valuations - pay) / (2.0 * self.d)
-
     def validate_for_game(self, game: AggregativeGame) -> None:
         if game.m != 3**self.d or game.d != self.d:
             raise ParameterError("market utility dimensions do not match the game")

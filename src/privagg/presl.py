@@ -332,36 +332,20 @@ class NpreslResult:
     alpha: float
     zeta: float
     beta: float
-    xi: float
-    lp_tol: float
-    gamma_eff: float
-    sampling_slack: float
+    nash_bound: float  # regret of the sampled profile, w.p. 1 - beta
     profile: Optional[np.ndarray] = None
     p_bar: Optional[np.ndarray] = None
     s_hat: Optional[np.ndarray] = None
     y_star: Optional[float] = None
     witness_loss: Optional[float] = None
     feasible_points: int = 0
+    sampling_slack: float = 0.0
 
     @property
     def loss_bound_slack(self) -> float:
         """The sweep's loss exceeds the best zeta-equilibrium's by at most
         1.1 alpha + this sampling slack (with probability 1 - beta)."""
         return self.sampling_slack
-
-    @property
-    def nash_bound(self) -> float:
-        """Regret level of the sampled profile: xi + 2 (alpha + lp_tol +
-        sampling_slack) + gamma_eff, with probability 1 - beta.
-
-        Every sampled action lies within xi = zeta + gamma + 2 alpha of its
-        best response to s_hat. The witness keeps |S(p) - s_hat| <= alpha +
-        lp_tol and sampling moves the aggregator by at most sampling_slack,
-        so each payoff moves by at most that drift on either side of the
-        comparison; the deviator's own shift adds gamma_eff.
-        """
-        drift = self.alpha + self.lp_tol + self.sampling_slack
-        return self.xi + 2.0 * drift + self.gamma_eff
 
 
 def npresl(
@@ -423,21 +407,29 @@ def npresl(
             best = (w_loss, s_hat, hi, witness_hi)
 
     slack = math.sqrt(game.n * game.gamma**2 / 2.0 * math.log((2.0 * game.d + 2.0) / beta))
-    constants = dict(
-        alpha=alpha, zeta=zeta, beta=beta, xi=xi, lp_tol=tol, gamma_eff=game.gamma_eff,
-        sampling_slack=slack,
-    )
+    # Every sampled action lies within xi of its best response to s_hat. The
+    # witness keeps |S(p) - s_hat| <= alpha + tol and sampling moves the
+    # aggregator by at most slack, so each payoff moves by at most that drift
+    # on either side of the comparison; the deviator's own shift adds gamma_eff.
+    bound = xi + 2.0 * (alpha + tol + slack) + game.gamma_eff
     if best is None:
-        return NpreslResult(aborted=True, **constants)
+        return NpreslResult(
+            aborted=True, alpha=alpha, zeta=zeta, beta=beta, nash_bound=bound,
+            sampling_slack=slack,
+        )
     w_loss, s_hat, y_star, witness = best
     profile = sample_profile(game, witness, src.child("sample"))
     return NpreslResult(
         aborted=False,
-        **constants,
+        alpha=alpha,
+        zeta=zeta,
+        beta=beta,
+        nash_bound=bound,
         profile=profile,
         p_bar=witness,
         s_hat=s_hat,
         y_star=float(y_star),
         witness_loss=w_loss,
         feasible_points=feasible,
+        sampling_slack=slack,
     )

@@ -14,14 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from privagg.game_core import (
-    AggregativeGame,
-    LinearUtility,
-    TableUtility,
-    abr_set,
-    aggregator,
-    utility_values,
-)
+from privagg.game_core import AggregativeGame, LinearUtility, abr_set, utility_values
 
 
 def build_quiet(*args, **kwargs):
@@ -98,23 +91,6 @@ def naive_regret(game, x):
     return gains
 
 
-def per_player_regret(game, x):
-    """Deviation gains one player and one action at a time, each through the
-    evaluator's per-player method (the route the replay helpers take)."""
-    s = aggregator(game, x)
-    gains = np.empty(game.n)
-    for i in range(game.n):
-        fi = game.f[i]
-        base = float(utility_values(game, i, s)[x[i]])
-        best = base
-        for a in range(game.m):
-            if a != x[i]:
-                s_dev = s + game.gamma * (fi[:, a] - fi[:, x[i]])
-                best = max(best, float(utility_values(game, i, s_dev)[a]))
-        gains[i] = best - base
-    return gains
-
-
 def per_player_extremes(qgame, s, xi):
     """(x_min, x_max): per player, the last and first action in their declared
     order among those within xi of their best response to s."""
@@ -156,29 +132,6 @@ def crowd_averse_game(n, threshold, gamma, spread2=False):
     return build_quiet(
         n=n, m=2, d=1, gamma=gamma, W=max(1.0, gamma * n), f=f,
         utility=LinearUtility(c=c, w=w),
-    )
-
-
-def random_table_game(seed, n, m, d, gamma=0.1):
-    """Table-utility game with random piecewise-linear payoffs on [-1, 1]^d.
-
-    Each table is a sum of per-axis random walks plus a small node-wise
-    jitter. Per-axis slopes stay below 0.3/d + 0.2, so the sup-norm
-    Lipschitz screen holds for d <= 3; n * gamma must stay below 1.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    grid = np.linspace(-1.0, 1.0, 5)
-    step = grid[1] - grid[0]
-    values = np.zeros((n, m) + (len(grid),) * d)
-    for k in range(d):
-        walk = np.cumsum(rng.uniform(-step, step, size=(n, m, len(grid))), axis=2)
-        walk = 0.6 * walk / np.maximum(1.0, np.abs(walk).max(axis=2, keepdims=True))
-        shape = (n, m) + tuple(len(grid) if j == k else 1 for j in range(d))
-        values = values + walk.reshape(shape) / (2 * d)
-    values = values + rng.uniform(-0.05, 0.05, size=values.shape)
-    f = rng.uniform(-1.0, 1.0, size=(n, d, m))
-    return build_quiet(
-        n=n, m=m, d=d, gamma=gamma, W=1.0, f=f, utility=TableUtility(grid, values)
     )
 
 

@@ -42,8 +42,6 @@ from conftest import (
     naive_expected_aggregator,
     naive_regret,
     naive_utility,
-    per_player_regret,
-    random_table_game,
 )
 
 
@@ -234,59 +232,6 @@ def test_regret_matches_loop_oracle():
         assert mine.max_regret == pytest.approx(float(np.max(theirs)), abs=1e-12)
 
 
-EVERY_KIND = {
-    "linear-d1": lambda: generate("linear", 610, n=7, m=3, d=1),
-    "linear-d2": lambda: generate("linear", 611, n=7, m=3, d=2),
-    "table-d1": lambda: random_table_game(612, n=6, m=3, d=1),
-    "table-d2": lambda: random_table_game(613, n=6, m=3, d=2),
-    "threshold": lambda: generate("threshold", 614, n=9).base,
-    "market-d1": lambda: to_aggregative(generate("market", 615, n=12, d=1, lam=4.0)),
-    "market-d2": lambda: to_aggregative(generate("market", 616, n=8, d=2, lam=4.0)),
-}
-
-
-def assert_same_values(game, mine, ref):
-    """Bit-equal for a scalar aggregator; within 1e-12 once sums over
-    coordinates may round in another order."""
-    if game.d == 1:
-        assert np.array_equal(mine, ref)
-    else:
-        assert np.allclose(mine, ref, rtol=0.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("kind", sorted(EVERY_KIND))
-def test_regret_matches_per_player_reference(kind):
-    g = EVERY_KIND[kind]()
-    rng = np.random.Generator(np.random.PCG64(620))
-    for _ in range(20):
-        x = rng.integers(0, g.m, size=g.n)
-        rep = regret(g, x)
-        ref = per_player_regret(g, x)
-        assert_same_values(g, rep.per_player, ref)
-        assert_same_values(g, rep.max_regret, ref.max())
-
-
-@pytest.mark.parametrize("kind", sorted(EVERY_KIND))
-def test_values_at_broadcast_equals_value_matrix(kind):
-    g = EVERY_KIND[kind]()
-    rng = np.random.Generator(np.random.PCG64(621))
-    points = rng.uniform(-1.2 * g.W, 1.2 * g.W, size=(10, g.d))
-    for s in np.vstack([points, np.zeros(g.d), np.full(g.d, g.W)]):
-        got = g.utility.values_at(np.broadcast_to(s, (g.n, g.m, g.d)))
-        assert got.shape == (g.n, g.m)
-        assert_same_values(g, got, g.utility.value_matrix(s))
-
-
-def test_values_at_reads_one_point_per_entry():
-    g = random_table_game(622, n=4, m=3, d=2)
-    rng = np.random.Generator(np.random.PCG64(623))
-    S = rng.uniform(-1.0, 1.0, size=(g.n, g.m, g.d))
-    got = g.utility.values_at(S)
-    for i in range(g.n):
-        for a in range(g.m):
-            assert got[i, a] == g.utility.values_for_player(i, S[i, a])[a]
-
-
 def test_regret_at_exact_fixed_point_is_within_gamma_eff():
     # V(2/3) = 2/3 exactly for these thresholds, so the best-response
     # profile at that aggregator value is a gamma_eff-Nash
@@ -448,7 +393,7 @@ def test_utility_screens_reject_bad_evaluators():
 
 def test_construction_rejects_incomplete_evaluators():
     full = LinearUtility(np.zeros((2, 2)), np.zeros((2, 2, 1)))
-    methods = ("value_matrix", "values_for_player", "values_at")
+    methods = ("value_matrix", "values_for_player")
     for dropped in methods:
         partial = SimpleNamespace(
             **{name: getattr(full, name) for name in methods if name != dropped}
