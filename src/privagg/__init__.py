@@ -13,12 +13,13 @@ from .dp_core import (
     ScoredOutcomeSet,
     SparseSession,
     StateError,
+    check_finite,
     compose_adaptive,
     exp_mechanism_accuracy_bound,
     exponential_mechanism,
+    first_below,
     laplace_sample,
     sparse_accuracy_bound,
-    sparse_answer,
 )
 from .game_core import (
     AggregativeGame,

@@ -30,7 +30,7 @@ from .harness import (
     profile_loss,
     run_experiment,
 )
-from .lp_core import DistMWParams, FeasibilityLP, distmw_solve
+from .lp_core import DegenerateError, DistMWParams, FeasibilityLP, distmw_solve
 from .market import (
     MarketGame,
     corollary_eta,
@@ -225,12 +225,15 @@ def cmd_market_sim(args) -> int:
 def cmd_distmw_solve(args) -> int:
     with open(args.lp) as fh:
         payload = json.load(fh)
-    lp = FeasibilityLP(
-        gamma=payload["gamma"],
-        cons_f=np.asarray(payload["cons_f"]),
-        cons_b=np.asarray(payload["cons_b"]),
-        supports=np.asarray(payload["supports"], dtype=bool),
-    )
+    try:
+        lp = FeasibilityLP(
+            gamma=payload["gamma"],
+            cons_f=np.asarray(payload["cons_f"]),
+            cons_b=np.asarray(payload["cons_b"]),
+            supports=np.asarray(payload["supports"], dtype=bool),
+        )
+    except KeyError as exc:
+        raise ParameterError(f"LP JSON missing field {exc}") from None
     n, m = lp.shape
     params = DistMWParams(
         epsilon=args.epsilon, delta=args.delta, alpha=args.alpha, beta=args.beta,
@@ -414,10 +417,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ParameterError, BudgetError) as exc:
-        log.error("%s", exc)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (ParameterError, BudgetError, DegenerateError, json.JSONDecodeError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_ERROR
 

@@ -7,6 +7,11 @@ deliberately boring: one seeded uniform stream per NoiseSource, inverse-CDF
 Laplace sampling, and a noise_off mode that turns every mechanism into its
 deterministic counterpart (Laplace draws become 0, the exponential mechanism
 becomes a lowest-index argmax) without touching the uniform stream.
+
+Every private scan in the solvers is ``first_below(session, items, query)``:
+it streams query(item) through a one-shot SparseSession and stops at the first
+below answer (AboveThreshold, Dwork & Roth 2014, Alg. 1). Items are pulled
+lazily, so nothing past the hit is generated or evaluated.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,8 +31,9 @@ __all__ = [
     "SparseAnswer",
     "ScoredOutcomeSet",
     "PrivacyLedger",
+    "check_finite",
     "laplace_sample",
-    "sparse_answer",
+    "first_below",
     "sparse_accuracy_bound",
     "exponential_mechanism",
     "exp_mechanism_accuracy_bound",
@@ -41,6 +47,14 @@ class ParameterError(ValueError):
 
 class StateError(RuntimeError):
     """Raised when a stateful mechanism is driven past its lifecycle."""
+
+
+def check_finite(**values: float) -> None:
+    """Raise ParameterError unless every named value is finite: a NaN or inf
+    budget passes every ``> 0`` test and would switch the noise off."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 def _label_to_int(label) -> int:
@@ -103,6 +117,7 @@ def laplace_sample(b: float, src: NoiseSource) -> float:
     """
     if src.noise_off:
         return 0.0
+    check_finite(scale=b)
     if b <= 0:
         raise ParameterError(f"Laplace scale must be positive, got {b}")
     u = src.uniform()
@@ -143,6 +158,7 @@ class SparseSession:
             raise ParameterError("budget c must be a positive integer")
         if epsilon <= 0:
             raise ParameterError("epsilon must be positive")
+        check_finite(sensitivity=sensitivity, threshold=threshold, epsilon=epsilon)
         self.sensitivity = float(sensitivity)
         self.threshold = float(threshold)
         self.budget = int(budget)
@@ -171,9 +187,15 @@ class SparseSession:
         return SparseAnswer(below=False)
 
 
-def sparse_answer(session: SparseSession, query_value: float) -> SparseAnswer:
-    """Stream one query through a SparseSession."""
-    return session.answer(query_value)
+def first_below(session: SparseSession, items: Iterable, query: Callable) -> tuple:
+    """(item, answer, asked) at the first below answer to query(item), or
+    (None, None, asked) after every item was asked without one."""
+    asked = 0
+    for asked, item in enumerate(items, 1):
+        answer = session.answer(query(item))
+        if answer.below:
+            return item, answer, asked
+    return None, None, asked
 
 
 def sparse_accuracy_bound(
@@ -222,6 +244,7 @@ def exponential_mechanism(oset: ScoredOutcomeSet, epsilon: float, src: NoiseSour
     """
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
+    check_finite(epsilon=epsilon)
     scores = oset.scores
     if src.noise_off:
         return oset.outcomes[int(np.argmax(scores))]

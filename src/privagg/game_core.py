@@ -27,6 +27,7 @@ aggregator value s of shape (d,) and returning u_i(a, s) for every action a:
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -44,6 +45,7 @@ __all__ = [
     "TranslationReport",
     "aggregator",
     "expected_aggregator",
+    "grid_steps",
     "utility_matrix",
     "utility_values",
     "abr_set",
@@ -365,6 +367,12 @@ def expected_aggregator(game: AggregativeGame, p) -> np.ndarray:
     """S(p) = gamma * sum_i <f_i, p_i>, linear in the mixed profile."""
     p = as_mixed_profile(game, p)
     return game.gamma * np.einsum("ikj,ij->k", game.f, p)
+
+
+def grid_steps(W: float, alpha: float) -> int:
+    """Half-width K of the alpha-grids k * alpha, k in [-K, K); the 1e-12 keeps
+    W = 0.27, alpha = 0.03 (ratio 9.000000000000002) at K = 9."""
+    return math.ceil(W / alpha - 1e-12)
 
 
 def utility_matrix(game: AggregativeGame, s) -> np.ndarray:

@@ -146,6 +146,8 @@ class DeviationSpec:
         self.true_types = np.asarray(self.true_types, dtype=float)
         if not (0 <= self.player < len(self.true_types)):
             raise ParameterError("player index out of range")
+        if self.runs < 1:
+            raise ParameterError("need at least one run")
         if self.make_game is None:
             self.make_game = lambda types: make_optin_game(len(types), types)
 
@@ -213,7 +215,7 @@ def deviation_test(spec: DeviationSpec) -> DeviationReport:
         u_true = _mediated_payoff(truthful, spec.player, res_true, spec.fallback_action)
         u_dev = _mediated_payoff(truthful, spec.player, res_dev, spec.fallback_action)
         gains[r] = u_dev - u_true
-    accuracy = 10.0 * spec.alpha + 2.0 * truthful.gamma
+    accuracy = res_true.approx_bound(truthful.gamma)
     eta = accuracy + 2.0 * (2.0 * spec.epsilon + spec.beta + 0.0)
     return DeviationReport(gains=gains, eta=eta, accuracy=accuracy)
 

@@ -30,6 +30,7 @@ from .dp_core import (
     ParameterError,
     PrivacyLedger,
     ScoredOutcomeSet,
+    check_finite,
     exponential_mechanism,
 )
 from .game_core import AggregativeGame, utility_matrix
@@ -121,6 +122,7 @@ class DistMWParams:
     eta: float = field(init=False)
 
     def __post_init__(self):
+        check_finite(epsilon=self.epsilon, alpha=self.alpha)
         if self.epsilon <= 0 or not (0 < self.delta < 1) or not (0 < self.beta < 1):
             raise ParameterError("need epsilon > 0, delta in (0,1), beta in (0,1)")
         if self.alpha <= 0 or self.gamma <= 0 or self.n < 1 or self.m < 1:

@@ -17,11 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .dp_core import NoiseSource, ParameterError, PrivacyLedger, SparseSession
+from .dp_core import (
+    NoiseSource,
+    ParameterError,
+    PrivacyLedger,
+    SparseSession,
+    check_finite,
+    first_below,
+)
 from .game_core import (
     AggregativeGame,
     ThresholdUtility,
@@ -29,6 +37,7 @@ from .game_core import (
     abr_set,
     aggregator,
     as_pure_profile,
+    grid_steps,
     utility_matrix,
     utility_values,
 )
@@ -224,6 +233,7 @@ def psummnash(
     alpha + gamma/2 of the crossing point. Each stage spends epsilon/3
     through its own one-shot sparse session.
     """
+    check_finite(epsilon=epsilon, alpha=alpha)
     floor = psummnash_accuracy_floor(qgame, epsilon, beta)
     if alpha < floor:
         raise ParameterError(
@@ -231,9 +241,9 @@ def psummnash(
             f"for epsilon = {epsilon}"
         )
     gamma = qgame.gamma
-    w_snap = alpha * math.ceil(qgame.W / alpha - 1e-12)
-    K = int(round(w_snap / alpha))
+    K = grid_steps(qgame.W, alpha)
     ledger = PrivacyLedger()
+    result = partial(PSummResult, alpha=alpha, epsilon=epsilon, beta=beta, ledger=ledger)
     memo: dict[int, float] = {}
 
     def v_at(k: int) -> float:
@@ -241,62 +251,45 @@ def psummnash(
             memo[k] = V(qgame, k * alpha)
         return memo[k]
 
+    def session(stream: str, charge: str, threshold: float) -> SparseSession:
+        ledger.add(charge, epsilon / 3.0, 0.0)
+        return SparseSession(gamma, threshold, 1, epsilon / 3.0, src.child(stream))
+
     # stage 1: grid points that already summarize themselves
-    s1 = SparseSession(gamma, 4.0 * alpha, 1, epsilon / 3.0, src.child("stage1"))
-    ledger.add("grid-fixed-point", epsilon / 3.0, 0.0)
-    asked1 = 0
-    for k in range(-K, K):
-        ans = s1.answer(abs(v_at(k) - k * alpha))
-        asked1 += 1
-        if ans.below:
-            profile = abr_profile(qgame.base, np.array([k * alpha]))
-            return PSummResult(
-                aborted=False, stage=1, alpha=alpha, epsilon=epsilon, beta=beta,
-                ledger=ledger, profile=profile, k_hit=k, noisy_value=ans.value,
-                queries=(asked1, 0, 0),
-            )
+    s1 = session("stage1", "grid-fixed-point", 4.0 * alpha)
+    k, ans, asked1 = first_below(s1, range(-K, K), lambda k: abs(v_at(k) - k * alpha))
+    if k is not None:
+        profile = abr_profile(qgame.base, np.array([k * alpha]))
+        return result(
+            aborted=False, stage=1, profile=profile, k_hit=k, noisy_value=ans.value,
+            queries=(asked1, 0, 0),
+        )
 
     # stage 2: locate a downward crossing of V across one grid step
-    s2 = SparseSession(gamma, -4.0 * alpha, 1, epsilon / 3.0, src.child("stage2"))
-    ledger.add("crossing-scan", epsilon / 3.0, 0.0)
-    asked2 = 0
-    bracket = None
-    noisy2 = None
-    for k in range(-K + 1, K):
+    def crossing_gap(k: int) -> float:
         gap_hi = max(min(0.0, k * alpha - v_at(k - 1)), -2.0 * alpha)
         gap_lo = max(min(0.0, v_at(k) - k * alpha), -3.0 * alpha)
-        ans = s2.answer(gap_hi + gap_lo)
-        asked2 += 1
-        if ans.below:
-            bracket = k
-            noisy2 = ans.value
-            break
+        return gap_hi + gap_lo
+
+    s2 = session("stage2", "crossing-scan", -4.0 * alpha)
+    bracket, _, asked2 = first_below(s2, range(-K + 1, K), crossing_gap)
     if bracket is None:
-        return PSummResult(
-            aborted=True, stage=None, alpha=alpha, epsilon=epsilon, beta=beta,
-            ledger=ledger, queries=(asked1, asked2, 0),
-        )
+        return result(aborted=True, stage=None, queries=(asked1, asked2, 0))
 
     # stage 3: walk between the bracketing best-response profiles
     hi = abr_profile(qgame.base, np.array([bracket * alpha]))
     lo = abr_profile(qgame.base, np.array([(bracket - 1) * alpha]))
     walk = smooth_walk(qgame, hi, lo)
     s_vals = _walk_aggregators(qgame, walk)
-    s3 = SparseSession(gamma, alpha + gamma / 2.0, 1, epsilon / 3.0, src.child("stage3"))
-    ledger.add("walk-scan", epsilon / 3.0, 0.0)
-    asked3 = 0
-    for j in range(qgame.n + 1):
-        ans = s3.answer(abs(float(s_vals[j]) - bracket * alpha))
-        asked3 += 1
-        if ans.below:
-            return PSummResult(
-                aborted=False, stage=3, alpha=alpha, epsilon=epsilon, beta=beta,
-                ledger=ledger, profile=walk[j], bracket=bracket, walk_j=j,
-                noisy_value=ans.value, queries=(asked1, asked2, asked3),
-            )
-    return PSummResult(
-        aborted=True, stage=None, alpha=alpha, epsilon=epsilon, beta=beta,
-        ledger=ledger, bracket=bracket, queries=(asked1, asked2, asked3),
+    s3 = session("stage3", "walk-scan", alpha + gamma / 2.0)
+    j, ans, asked3 = first_below(
+        s3, range(qgame.n + 1), lambda j: abs(float(s_vals[j]) - bracket * alpha)
+    )
+    if j is None:
+        return result(aborted=True, stage=None, bracket=bracket, queries=(asked1, asked2, asked3))
+    return result(
+        aborted=False, stage=3, profile=walk[j], bracket=bracket, walk_j=j,
+        noisy_value=ans.value, queries=(asked1, asked2, asked3),
     )
 
 
@@ -387,13 +380,13 @@ class SelectionParams:
     grid: np.ndarray = field(init=False)  # visit order, quality descending
 
     def __post_init__(self):
+        check_finite(epsilon=self.epsilon, alpha=self.alpha, zeta=self.zeta)
         if self.epsilon <= 0 or self.alpha <= 0 or not (0 < self.beta < 1):
             raise ParameterError("need epsilon > 0, alpha > 0, beta in (0, 1)")
         if self.zeta < 4.0 * self.gamma:
             raise ParameterError("selection needs zeta >= 4 gamma")
         object.__setattr__(self, "xi", 2.0 * self.alpha + self.gamma + self.zeta)
-        w_snap = self.alpha * math.ceil(self.W / self.alpha - 1e-12)
-        K = int(round(w_snap / self.alpha))
+        K = grid_steps(self.W, self.alpha)
         values = np.arange(-K, K) * self.alpha
         scores = np.array([self.quality.fn(float(s)) for s in values])
         if np.max(np.abs(np.diff(scores))) > self.quality.lam * self.alpha + 1e-9:
@@ -502,75 +495,57 @@ def select_equilibrium(
     alpha = params.alpha
     eps4 = params.epsilon / 4.0
     ledger = PrivacyLedger()
+    grid = params.grid.tolist()
     memo: dict[int, Extremes] = {}
 
     def ext(idx: int) -> Extremes:
         if idx not in memo:
-            memo[idx] = s_extremes(qgame, float(params.grid[idx]), params.xi)
+            memo[idx] = s_extremes(qgame, grid[idx], params.xi)
         return memo[idx]
 
-    best = None  # (rank, profile, branch, s_star, walk_j, noisy)
+    def session(stream: str, threshold: float) -> SparseSession:
+        ledger.add(f"{stream}-scan", eps4, 0.0)
+        return SparseSession(gamma, threshold, 1, eps4, src.child(stream))
 
-    def consider(rank, profile, branch, s_star, walk_j, noisy):
-        nonlocal best
-        if best is None or rank < best[0]:
-            best = (rank, profile, branch, s_star, walk_j, noisy)
+    points = range(len(grid))
+    hits = []  # (rank, profile, branch, walk_j, noisy), in branch order
 
-    grid_size = len(params.grid)
+    sess = session("optimistic", 3.0 * alpha)
+    idx, ans, asked_a = first_below(sess, points, lambda i: abs(ext(i).s_max - grid[i]))
+    if idx is not None:
+        hits.append((idx, ext(idx).x_max, "optimistic", None, ans.value))
 
-    sess_a = SparseSession(gamma, 3.0 * alpha, 1, eps4, src.child("optimistic"))
-    ledger.add("optimistic-scan", eps4, 0.0)
-    asked_a = 0
-    for idx in range(grid_size):
-        e = ext(idx)
-        ans = sess_a.answer(abs(e.s_max - float(params.grid[idx])))
-        asked_a += 1
-        if ans.below:
-            consider(idx, e.x_max, "optimistic", float(params.grid[idx]), None, ans.value)
-            break
+    sess = session("pessimistic", 3.0 * alpha)
+    idx, ans, asked_b = first_below(sess, points, lambda i: abs(ext(i).s_min - grid[i]))
+    if idx is not None:
+        hits.append((idx, ext(idx).x_min, "pessimistic", None, ans.value))
 
-    sess_b = SparseSession(gamma, 3.0 * alpha, 1, eps4, src.child("pessimistic"))
-    ledger.add("pessimistic-scan", eps4, 0.0)
-    asked_b = 0
-    for idx in range(grid_size):
-        e = ext(idx)
-        ans = sess_b.answer(abs(e.s_min - float(params.grid[idx])))
-        asked_b += 1
-        if ans.below:
-            consider(idx, e.x_min, "pessimistic", float(params.grid[idx]), None, ans.value)
-            break
+    def straddle_gap(i: int) -> float:
+        gap_lo = max(min(ext(i).s_min - grid[i], 0.0), -2.0 * alpha)
+        gap_hi = max(min(grid[i] - ext(i).s_max, 0.0), -2.0 * alpha)
+        return gap_lo + gap_hi
 
-    sess_c = SparseSession(gamma, -3.0 * alpha, 1, eps4, src.child("straddle"))
-    ledger.add("straddle-scan", eps4, 0.0)
-    sess_d = SparseSession(gamma, alpha + gamma / 2.0, 1, eps4, src.child("walk"))
-    ledger.add("walk-scan", eps4, 0.0)
-    asked_c = 0
+    # the walk is charged up front, whether or not it runs
+    sess_c, sess_d = session("straddle", -3.0 * alpha), session("walk", alpha + gamma / 2.0)
+    idx, _, asked_c = first_below(sess_c, points, straddle_gap)
     asked_d = 0
-    for idx in range(grid_size):
-        e = ext(idx)
-        s_val = float(params.grid[idx])
-        gap_lo = max(min(e.s_min - s_val, 0.0), -2.0 * alpha)
-        gap_hi = max(min(s_val - e.s_max, 0.0), -2.0 * alpha)
-        ans = sess_c.answer(gap_lo + gap_hi)
-        asked_c += 1
-        if ans.below:
-            walk = smooth_walk(qgame, e.x_max, e.x_min)
-            s_vals = _walk_aggregators(qgame, walk)
-            for j in range(qgame.n + 1):
-                ans_d = sess_d.answer(abs(float(s_vals[j]) - s_val))
-                asked_d += 1
-                if ans_d.below:
-                    consider(idx, walk[j], "walk", s_val, j, ans_d.value)
-                    break
-            break
+    if idx is not None:
+        walk = smooth_walk(qgame, ext(idx).x_max, ext(idx).x_min)
+        s_vals = _walk_aggregators(qgame, walk)
+        j, ans, asked_d = first_below(
+            sess_d, range(qgame.n + 1), lambda j: abs(float(s_vals[j]) - grid[idx])
+        )
+        if j is not None:
+            hits.append((idx, walk[j], "walk", j, ans.value))
 
     queries = (asked_a, asked_b, asked_c, asked_d)
-    if best is None:
+    if not hits:
         return SelectResult(aborted=True, params=params, ledger=ledger, queries=queries)
-    rank, profile, branch, s_star, walk_j, noisy = best
+    # the best-ranked hit wins; on a tie the earlier branch does
+    rank, profile, branch, walk_j, noisy = min(hits, key=lambda hit: hit[0])
     return SelectResult(
         aborted=False, params=params, ledger=ledger, profile=profile, branch=branch,
-        s_star=s_star, rank=rank, walk_j=walk_j, noisy_value=noisy, queries=queries,
+        s_star=grid[rank], rank=rank, walk_j=walk_j, noisy_value=noisy, queries=queries,
     )
 
 

@@ -27,9 +27,12 @@ from .dp_core import (
     ParameterError,
     PrivacyLedger,
     SparseSession,
+    check_finite,
+    first_below,
 )
 from .game_core import (
     AggregativeGame,
+    grid_steps,
     sample_action,
     sample_profile,
     utility_values,
@@ -71,16 +74,17 @@ def existence_bound(n: int, m: int, gamma: float) -> float:
     return gamma * math.sqrt(8.0 * n * math.log(2.0 * m * n))
 
 
-def sampling_deviation_bound(n: int, gamma: float, d: int, beta: float) -> float:
-    """Concentration radius sqrt(n gamma^2 / 2 * ln(2d / beta)).
+def sampling_deviation_bound(n: int, gamma: float, k: int, beta: float) -> float:
+    """Concentration radius sqrt(n gamma^2 / 2 * ln(k / beta)).
 
     A profile sampled independently from a mixed profile lands within this
-    sup-norm distance of the expected aggregator except with probability
-    beta (bounded differences, one union bound over coordinates).
+    distance of the expected aggregator on all k one-sided events (k = 2d
+    for the sup norm) except with probability beta (bounded differences,
+    one union bound over the k events).
     """
-    if n < 1 or d < 1 or gamma <= 0 or not (0 < beta < 1):
+    if n < 1 or k < 1 or gamma <= 0 or not (0 < beta < 1):
         raise ParameterError("bad concentration parameters")
-    return math.sqrt(n * gamma**2 / 2.0 * math.log(2.0 * d / beta))
+    return math.sqrt(n * gamma**2 / 2.0 * math.log(k / beta))
 
 
 def presl_e1(game: AggregativeGame, epsilon: float, beta: float) -> float:
@@ -104,7 +108,7 @@ def presl_e2(game: AggregativeGame, epsilon: float, delta: float, beta: float) -
 
 def presl_e3(game: AggregativeGame, beta: float) -> float:
     """Sampling slack sqrt(n gamma^2 / 2 * ln((6d+6)/beta))."""
-    return math.sqrt(game.n * game.gamma**2 / 2.0 * math.log((6.0 * game.d + 6.0) / beta))
+    return sampling_deviation_bound(game.n, game.gamma, 6 * game.d + 6, beta)
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,7 @@ class PreslParams:
     has_loss: bool = True
 
     def __post_init__(self):
+        check_finite(epsilon=self.epsilon, zeta=self.zeta)
         if self.epsilon <= 0 or not (0 < self.delta < 1) or not (0 < self.beta < 1):
             raise ParameterError("need epsilon > 0 and delta, beta in (0, 1)")
         if self.zeta < 0:
@@ -142,17 +147,8 @@ class PreslParams:
                 f"zeta = {self.zeta:.4g} is below the existence threshold "
                 f"{threshold:.4g}; the search may come back empty"
             )
-        e1 = (100.0 * self.gamma / self.epsilon) * (
-            (self.d + 1) * math.log(2.0 * self.W) * math.log(self.n)
-            + math.log(6.0 / self.beta)
-        )
-        inner = (
-            (self.n * self.gamma**2 / self.epsilon)
-            * math.log(3.0 * self.d / self.beta)
-            * math.log(self.n)
-            * math.sqrt(math.log(self.m) * math.log(1.0 / self.delta))
-        )
-        e2 = 100.0 * math.sqrt(inner)
+        e1 = presl_e1(self, self.epsilon, self.beta)  # params carry the game's shape
+        e2 = presl_e2(self, self.epsilon, self.delta, self.beta)
         alpha = e1 + e2
         if alpha <= 0:
             raise ParameterError("accuracy constants collapsed; need W > 1/2 and n > 1")
@@ -160,9 +156,9 @@ class PreslParams:
         object.__setattr__(self, "e2", e2)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "xi", self.gamma + self.zeta + 2.0 * alpha)
-        w_snap = alpha * math.ceil(self.W / alpha - 1e-12)
-        object.__setattr__(self, "w_snap", w_snap)
-        object.__setattr__(self, "x_count_per_axis", int(round(2.0 * w_snap / alpha)))
+        K = grid_steps(self.W, alpha)
+        object.__setattr__(self, "w_snap", alpha * K)
+        object.__setattr__(self, "x_count_per_axis", 2 * K)
         y_count = int(math.floor(self.n * self.gamma / alpha + 1e-12)) + 1 if self.has_loss else 1
         object.__setattr__(self, "y_count", y_count)
         object.__setattr__(self, "lp_tol", min(alpha, e1) / 100.0)
@@ -258,19 +254,16 @@ def presl(game: AggregativeGame, params: PreslParams, src: NoiseSource) -> Presl
         src=src.child("sparse"),
     )
     ledger.add("grid-scan", params.epsilon, 0.0)
-    hit = None
-    asked = 0
-    for index, (y, s) in enumerate(query_order(params)):
+
+    def lp_value(item) -> float:
+        _, (y, s) = item
         y_arg = y if params.has_loss else None
-        q = exact_lp_min(game, s, y_arg, params.xi, params.lp_tol).value
-        ans = session.answer(q)
-        asked += 1
-        if ans.below:
-            hit = (index, y, s, ans.value)
-            break
+        return exact_lp_min(game, s, y_arg, params.xi, params.lp_tol).value
+
+    hit, ans, asked = first_below(session, enumerate(query_order(params)), lp_value)
     if hit is None:
         return PreslResult(aborted=True, params=params, ledger=ledger, queries_asked=asked)
-    hit_index, hit_y, hit_s, noisy_value = hit
+    hit_index, (hit_y, hit_s) = hit
 
     slack = params.alpha + 2.0 * params.e1
     lp = build_slack_lp(game, hit_s, hit_y if params.has_loss else None, params.xi, slack)
@@ -291,7 +284,7 @@ def presl(game: AggregativeGame, params: PreslParams, src: NoiseSource) -> Presl
         hit_y=hit_y,
         hit_s=hit_s,
         hit_index=hit_index,
-        noisy_value=noisy_value,
+        noisy_value=ans.value,
         mw_transcript=mw.transcript,
         mw_params=mw_params,
     )
@@ -339,13 +332,8 @@ class NpreslResult:
     y_star: Optional[float] = None
     witness_loss: Optional[float] = None
     feasible_points: int = 0
+    # loss over the best zeta-equilibrium's is <= 1.1 alpha + this, w.p. 1 - beta
     sampling_slack: float = 0.0
-
-    @property
-    def loss_bound_slack(self) -> float:
-        """The sweep's loss exceeds the best zeta-equilibrium's by at most
-        1.1 alpha + this sampling slack (with probability 1 - beta)."""
-        return self.sampling_slack
 
 
 def npresl(
@@ -367,15 +355,15 @@ def npresl(
     """
     if game.loss is None:
         raise ParameterError("the sweep minimizes game.loss, which this game lacks")
+    check_finite(zeta=zeta, alpha=alpha)
     if alpha <= 0 or zeta < 0 or not (0 < beta < 1):
         raise ParameterError("need alpha > 0, zeta >= 0, beta in (0, 1)")
     tol = lp_tol if lp_tol is not None else alpha / 10.0
     xi = zeta + game.gamma + 2.0 * alpha
-    w_snap = alpha * math.ceil(game.W / alpha - 1e-12)
-    count = int(round(2.0 * w_snap / alpha))
-    if count**game.d > grid_budget:
-        raise BudgetError(f"grid holds {count ** game.d} points, over {grid_budget}")
-    axis = np.arange(count) * alpha - w_snap
+    K = grid_steps(game.W, alpha)
+    if (2 * K) ** game.d > grid_budget:
+        raise BudgetError(f"grid holds {(2 * K) ** game.d} points, over {grid_budget}")
+    axis = np.arange(2 * K) * alpha - alpha * K
     loss_cap = game.n * game.gamma
 
     best = None  # (witness_loss, s_hat, y_star, witness)
@@ -406,7 +394,7 @@ def npresl(
         if best is None or w_loss < best[0]:
             best = (w_loss, s_hat, hi, witness_hi)
 
-    slack = math.sqrt(game.n * game.gamma**2 / 2.0 * math.log((2.0 * game.d + 2.0) / beta))
+    slack = sampling_deviation_bound(game.n, game.gamma, 2 * game.d + 2, beta)
     # Every sampled action lies within xi of its best response to s_hat. The
     # witness keeps |S(p) - s_hat| <= alpha + tol and sampling moves the
     # aggregator by at most slack, so each payoff moves by at most that drift

@@ -60,13 +60,35 @@ def test_psummnash_abort_exits_two(tmp_path):
     assert payload["queries"] == [68, 37, 11]
 
 
-def test_error_paths_exit_one(tmp_path, threshold_game):
+def test_error_paths_exit_one(tmp_path, threshold_game, capsys):
     # alpha below the admissible floor for this epsilon
     assert run_cli("psummnash", "--game", threshold_game, "--epsilon", 1,
                    "--alpha", 0.05) == 1
     # missing game file
     assert run_cli("psummnash", "--game", tmp_path / "nope.json",
                    "--epsilon", 2000, "--alpha", 0.05) == 1
+
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    no_cons_f = tmp_path / "no_cons_f.json"
+    no_cons_f.write_text(json.dumps(
+        {"gamma": 0.1, "cons_b": [0.0], "supports": [[True, True]]}))
+    empty_support = tmp_path / "empty_support.json"
+    empty_support.write_text(json.dumps(
+        {"gamma": 0.1, "cons_f": [[[1.0, 0.0], [0.0, 1.0]]], "cons_b": [0.0],
+         "supports": [[True, False], [False, False]]}))
+    lp_flags = ("--epsilon", 1, "--delta", 0.1, "--alpha", 0.5)
+    cases = [
+        # non-finite budgets passed every "> 0" check and ran without noise
+        ("psummnash", "--game", threshold_game, "--epsilon", "nan", "--alpha", 0.05),
+        ("psummnash", "--game", threshold_game, "--epsilon", "inf", "--alpha", 0.05),
+        ("bench", "--config", malformed),
+        ("distmw-solve", "--lp", no_cons_f, *lp_flags),
+        ("distmw-solve", "--lp", empty_support, *lp_flags),
+    ]
+    for argv in cases:
+        assert run_cli(*argv) == 1, argv
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_select_quality_flags(tmp_path, threshold_game):

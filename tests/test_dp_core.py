@@ -14,12 +14,13 @@ from privagg.dp_core import (
     ScoredOutcomeSet,
     SparseSession,
     StateError,
+    check_finite,
     compose_adaptive,
     exp_mechanism_accuracy_bound,
     exponential_mechanism,
+    first_below,
     laplace_sample,
     sparse_accuracy_bound,
-    sparse_answer,
 )
 
 
@@ -116,7 +117,7 @@ def test_sparse_noise_off_stream_and_halt():
     sess = SparseSession(sensitivity=1.0, threshold=2.0, budget=1, epsilon=0.5, src=src)
     first = sess.answer(5.0)
     assert not first.below and first.value is None
-    second = sparse_answer(sess, 1.0)
+    second = sess.answer(1.0)
     assert second.below and second.value == 1.0
     assert sess.halted
     with pytest.raises(StateError):
@@ -160,6 +161,84 @@ def test_sparse_below_rate_at_threshold_is_half():
         if sess.answer(0.0).below:
             hits += 1
     assert abs(hits / trials - 0.5) < 0.02
+
+
+def test_first_below_returns_the_first_hit():
+    src = NoiseSource(0, NoiseSource.NOISE_OFF)
+    sess = SparseSession(1.0, 0.0, 1, 1.0, src)
+    items = ["a", "b", "c", "d"]
+    values = {"a": 2.0, "b": 1.0, "c": -1.0, "d": -5.0}
+    item, answer, asked = first_below(sess, items, values.__getitem__)
+    assert (item, answer.below, answer.value, asked) == ("c", True, -1.0, 3)
+    assert sess.halted
+
+
+def test_first_below_miss_asks_every_query():
+    src = NoiseSource(0, NoiseSource.NOISE_OFF)
+    sess = SparseSession(1.0, 0.0, 1, 1.0, src)
+    asked_values = []
+
+    def query(x):
+        asked_values.append(x)
+        return x
+
+    items = [3.0, 1.0, 0.5, 2.0]
+    assert first_below(sess, items, query) == (None, None, len(items))
+    assert asked_values == items
+    assert not sess.halted
+
+
+def test_first_below_is_lazy():
+    # the generator raises once advanced past the hit, and the query
+    # records every call: an eager scan trips either check
+    src = NoiseSource(0, NoiseSource.NOISE_OFF)
+    sess = SparseSession(1.0, 0.0, 1, 1.0, src)
+    queried = []
+
+    def items():
+        yield from (4.0, 3.0, -1.0)
+        raise AssertionError("advanced past the hit")
+
+    def query(x):
+        queried.append(x)
+        return x
+
+    item, answer, asked = first_below(sess, items(), query)
+    assert (item, asked) == (-1.0, 3)
+    assert queried == [4.0, 3.0, -1.0]
+
+
+def test_first_below_matches_a_hand_loop_under_noise():
+    root = NoiseSource(77)
+    values = np.linspace(3.0, -3.0, 25)
+    for t in range(50):
+        sess = SparseSession(1.0, 0.0, 1, 2.0, root.child(t))
+        item, answer, asked = first_below(sess, range(len(values)), lambda i: values[i])
+        ref = SparseSession(1.0, 0.0, 1, 2.0, root.child(t))
+        for j, v in enumerate(values):
+            ans = ref.answer(v)
+            if ans.below:
+                assert (item, answer.value, asked) == (j, ans.value, j + 1)
+                break
+        else:
+            assert (item, answer, asked) == (None, None, len(values))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_budgets_are_rejected(bad):
+    with pytest.raises(ParameterError):
+        check_finite(epsilon=bad)
+    check_finite(epsilon=1.0, delta=0.0)
+    src = NoiseSource(0)
+    with pytest.raises(ParameterError):
+        SparseSession(1.0, 0.0, 1, bad, src)
+    with pytest.raises(ParameterError):
+        SparseSession(bad, 0.0, 1, 1.0, src)
+    with pytest.raises(ParameterError):
+        laplace_sample(bad, src)
+    oset = ScoredOutcomeSet(["a", "b"], [0.0, 1.0], 1.0)
+    with pytest.raises(ParameterError):
+        exponential_mechanism(oset, bad, src)
 
 
 def test_sparse_accuracy_bound_frozen_value():

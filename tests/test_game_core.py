@@ -22,6 +22,7 @@ from privagg.game_core import (
     expected_aggregator,
     game_from_json,
     game_to_json,
+    grid_steps,
     load_game,
     regret,
     sample_action,
@@ -152,6 +153,17 @@ def test_expected_aggregator_linear_in_each_row():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "W, alpha, K",
+    [(1.0, 0.1, 10), (0.3, 0.1, 3), (0.27, 0.03, 9), (2.1, 0.3, 7), (1.05, 0.1, 11),
+     (1.0, 1.0, 1), (0.5, 2.0, 1)],
+)
+def test_grid_steps_snaps_float_multiples(W, alpha, K):
+    # 0.27 / 0.03 is 9.000000000000002 in floats: a plain ceil would give 10
+    assert grid_steps(W, alpha) == K
+    assert (K - 1) * alpha < W <= K * alpha + 1e-12
+
+
 def test_abr_set_constant_and_unique():
     g = constant_game(n=2, m=4)
     assert list(abr_set(g, 0, np.zeros(1), 0.0)) == [0, 1, 2, 3]
@@ -277,7 +289,7 @@ def test_sample_action_is_the_per_player_draw():
 def test_sample_profile_concentration():
     n, d = 50, 2
     beta = 0.05
-    t = sampling_deviation_bound(n, 0.02, d, beta)
+    t = sampling_deviation_bound(n, 0.02, 2 * d, beta)
     assert t == pytest.approx(0.2093329079402921, rel=1e-15)
 
     rng = np.random.Generator(np.random.PCG64(61))

@@ -136,6 +136,15 @@ def test_most_violated_single_and_errors():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_distmw_params_reject_non_finite(bad):
+    for key in ("epsilon", "alpha"):
+        kwargs = dict(epsilon=1.0, delta=0.01, alpha=0.2, beta=0.1, n=2, m=2, gamma=0.3)
+        kwargs[key] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            DistMWParams(**kwargs)
+
+
 def test_distmw_params_derivations():
     prm = DistMWParams(epsilon=1.0, delta=0.01, alpha=0.2, beta=0.1,
                        n=2, m=2, gamma=0.3)

@@ -199,6 +199,22 @@ def test_psummnash_rejects_alpha_below_floor():
         psummnash(q, epsilon=1.0, alpha=0.05, beta=0.05, src=NoiseSource(0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_budgets_are_rejected(bad):
+    # nan and inf pass every "> 0" test; unchecked, they ran without noise
+    q = optin(20, np.linspace(0, 1, 20))
+    with pytest.raises(ParameterError, match="finite"):
+        psummnash(q, epsilon=bad, alpha=0.05, beta=0.05, src=NoiseSource(0))
+    with pytest.raises(ParameterError, match="finite"):
+        psummnash(q, epsilon=2000.0, alpha=bad, beta=0.05, src=NoiseSource(0))
+    quality = QualitySpec.linear(1.0)
+    for key in ("epsilon", "alpha", "zeta"):
+        kwargs = dict(zeta=0.4, epsilon=100.0, alpha=0.1, beta=0.05)
+        kwargs[key] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            SelectionParams(quality=quality, gamma=0.05, W=1.0, n=20, **kwargs)
+
+
 def test_monotone_games_finish_in_stage_one():
     rng = np.random.Generator(np.random.PCG64(17))
     for trial in range(10):

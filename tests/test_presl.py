@@ -83,7 +83,7 @@ def test_error_terms_frozen_values():
         45.59183141735056, rel=1e-15
     )
     assert presl_e3(g, 0.05) == pytest.approx(0.11705382227144476, rel=1e-15)
-    assert sampling_deviation_bound(200, 1.0 / 200, 1, 0.05) == pytest.approx(
+    assert sampling_deviation_bound(200, 1.0 / 200, 2, 0.05) == pytest.approx(
         math.sqrt(200 * (1 / 200) ** 2 / 2 * math.log(2 / 0.05)), rel=1e-15
     )
 
@@ -103,6 +103,21 @@ def test_params_derivations_on_reference_game():
     assert prm.x_count_per_axis == 2
     assert prm.y_count == 1
     assert prm.n_queries == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_inputs_are_rejected(bad):
+    g = positive_flow_game()
+    for key in ("epsilon", "zeta"):
+        kwargs = dict(FAST, zeta=1.0)
+        kwargs[key] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            PreslParams.for_game(g, **kwargs)
+    lin = generate("linear", 0, n=4, gamma=0.1)
+    with pytest.raises(ParameterError, match="finite"):
+        npresl(lin, zeta=bad, alpha=0.2, beta=0.1, src=NoiseSource(0))
+    with pytest.raises(ParameterError, match="finite"):
+        npresl(lin, zeta=1.0, alpha=bad, beta=0.1, src=NoiseSource(0))
 
 
 def test_params_validation_and_warnings():
