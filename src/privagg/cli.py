@@ -15,38 +15,20 @@ import sys
 import numpy as np
 
 from .dp_core import NoiseSource, ParameterError
-from .game_core import (
-    aggregator,
-    load_game,
-    regret,
-    save_game,
-    translate_checks,
-)
+from .game_core import aggregator, load_game, save_game, translate_checks
 from .harness import (
     DeviationSpec,
     ExperimentConfig,
     deviation_test,
+    game_view,
     generate,
-    profile_loss,
     run_experiment,
+    score,
+    solve,
 )
 from .lp_core import DegenerateError, DistMWParams, FeasibilityLP, distmw_solve
-from .market import (
-    MarketGame,
-    corollary_eta,
-    from_aggregative,
-    market_maker_loss,
-    market_zeta,
-    to_aggregative,
-)
-from .onedim import (
-    QualitySpec,
-    QuasiAggregativeGame,
-    SelectionParams,
-    psummnash,
-    select_equilibrium,
-)
-from .presl import BudgetError, PreslParams, npresl, presl
+from .market import corollary_eta, from_aggregative, market_maker_loss, market_zeta
+from .presl import BudgetError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -71,122 +53,38 @@ def _emit(args, payload: dict) -> None:
         print(text)
 
 
-def _profile_payload(game, profile) -> dict:
-    rep = regret(game, profile)
-    payload = {
-        "profile": [int(a) for a in profile],
-        "regret": rep.max_regret,
-        "aggregator": aggregator(game, profile).tolist(),
-    }
-    if game.loss is not None:
-        payload["loss"] = profile_loss(game, profile)
-    return payload
-
-
 def cmd_gen_game(args) -> int:
     params = {}
     for key in ("n", "m", "d", "gamma", "lam", "W"):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
-    game = generate(args.kind, seed=args.seed, **params)
-    if isinstance(game, QuasiAggregativeGame):
-        game = game.base
-    elif isinstance(game, MarketGame):
-        game = to_aggregative(game)
-    save_game(game, args.out)
+    save_game(game_view(generate(args.kind, seed=args.seed, **params)), args.out)
     log.info("wrote %s", args.out)
     return EXIT_OK
 
 
-def cmd_presl(args) -> int:
-    game = load_game(args.game)
-    params = PreslParams.for_game(
-        game, zeta=args.zeta, epsilon=args.epsilon, delta=args.delta, beta=args.beta
-    )
-    res = presl(game, params, _src(args))
-    if res.aborted:
-        _emit(args, {"aborted": True, "queries": res.queries_asked, "alpha": params.alpha})
-        return EXIT_ABORT
-    payload = _profile_payload(game, res.profile)
-    payload.update(
-        {
-            "aborted": False,
-            "alpha": params.alpha,
-            "bound": params.nash_bound,
-            "hit_y": res.hit_y,
-            "hit_s": res.hit_s.tolist(),
-            "queries": res.queries_asked,
+def cmd_solve(args) -> int:
+    """presl, npresl, psummnash and select: one ``harness.SOLVERS`` entry."""
+    params = vars(args)
+    if args.command == "select":
+        params["quality"] = {
+            "kind": args.quality_kind, "target": args.quality_target,
+            "lam": args.quality_lam, "slope": args.quality_slope,
         }
-    )
-    _emit(args, payload)
-    return EXIT_OK
-
-
-def cmd_npresl(args) -> int:
-    game = load_game(args.game)
-    res = npresl(game, zeta=args.zeta, alpha=args.alpha, beta=args.beta, src=_src(args))
-    if res.aborted:
-        _emit(args, {"aborted": True, "alpha": args.alpha})
+    out = solve(args.command, load_game(args.game), params, _src(args))
+    if out.aborted:
+        _emit(args, {"aborted": True, **out.fields})
         return EXIT_ABORT
-    payload = _profile_payload(game, res.profile)
-    payload.update(
-        {
-            "aborted": False,
-            "s_hat": res.s_hat.tolist(),
-            "y_star": res.y_star,
-            "witness_loss": res.witness_loss,
-            "feasible_points": res.feasible_points,
-        }
-    )
-    _emit(args, payload)
-    return EXIT_OK
-
-
-def cmd_psummnash(args) -> int:
-    qgame = QuasiAggregativeGame(load_game(args.game))
-    res = psummnash(qgame, args.epsilon, args.alpha, args.beta, _src(args))
-    if res.aborted:
-        _emit(args, {"aborted": True, "queries": list(res.queries)})
-        return EXIT_ABORT
-    payload = _profile_payload(qgame.base, res.profile)
-    payload.update(
-        {
-            "aborted": False,
-            "stage": res.stage,
-            "bound": res.approx_bound(qgame.gamma),
-            "queries": list(res.queries),
-        }
-    )
-    _emit(args, payload)
-    return EXIT_OK
-
-
-def cmd_select(args) -> int:
-    qgame = QuasiAggregativeGame(load_game(args.game))
-    if args.quality_kind == "peak":
-        quality = QualitySpec.peak(args.quality_target, args.quality_lam)
-    else:
-        quality = QualitySpec.linear(args.quality_slope)
-    params = SelectionParams.for_game(
-        qgame, zeta=args.zeta, epsilon=args.epsilon, alpha=args.alpha,
-        beta=args.beta, quality=quality,
-    )
-    res = select_equilibrium(qgame, params, _src(args))
-    if res.aborted:
-        _emit(args, {"aborted": True, "queries": list(res.queries)})
-        return EXIT_ABORT
-    payload = _profile_payload(qgame.base, res.profile)
-    payload.update(
-        {
-            "aborted": False,
-            "branch": res.branch,
-            "s_star": res.s_star,
-            "quality": res.quality_value,
-            "bound": params.approx_bound,
-        }
-    )
-    _emit(args, payload)
+    max_regret, loss = score(out.game, out.profile)
+    payload = {
+        "profile": [int(a) for a in out.profile],
+        "regret": max_regret,
+        "aggregator": aggregator(out.game, out.profile).tolist(),
+    }
+    if loss is not None:
+        payload["loss"] = loss
+    _emit(args, {**payload, "aborted": False, **out.fields})
     return EXIT_OK
 
 
@@ -342,21 +240,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--beta", type=float, default=0.05)
-    p.set_defaults(func=cmd_presl)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("npresl", parents=[common], help="exact grid-sweep counterpart")
     p.add_argument("--game", required=True)
     p.add_argument("--zeta", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, default=0.05)
-    p.set_defaults(func=cmd_npresl)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("psummnash", parents=[common], help="scalar summarization solver")
     p.add_argument("--game", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, default=0.05)
-    p.set_defaults(func=cmd_psummnash)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("select", parents=[common], help="quality-ordered selection")
     p.add_argument("--game", required=True)
@@ -368,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quality-target", type=float, default=0.0)
     p.add_argument("--quality-lam", type=float, default=1.0)
     p.add_argument("--quality-slope", type=float, default=1.0)
-    p.set_defaults(func=cmd_select)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("market-sim", parents=[common], help="market maker loss simulation")
     p.add_argument("--game", help="market game JSON (overrides generator flags)")

@@ -371,8 +371,9 @@ def expected_aggregator(game: AggregativeGame, p) -> np.ndarray:
 
 def grid_steps(W: float, alpha: float) -> int:
     """Half-width K of the alpha-grids k * alpha, k in [-K, K); the 1e-12 keeps
-    W = 0.27, alpha = 0.03 (ratio 9.000000000000002) at K = 9."""
-    return math.ceil(W / alpha - 1e-12)
+    W = 0.27, alpha = 0.03 (ratio 9.000000000000002) at K = 9, and K >= 1
+    keeps a grid whose step dwarfs W from coming out empty."""
+    return max(1, math.ceil(W / alpha - 1e-12))
 
 
 def utility_matrix(game: AggregativeGame, s) -> np.ndarray:
@@ -393,17 +394,12 @@ def abr_set(game: AggregativeGame, i: int, s, eta: float) -> np.ndarray:
     return np.flatnonzero(vals >= vals.max() - eta)
 
 
-def abr_profile(game: AggregativeGame, s, tie_break: str = "lowest") -> np.ndarray:
+def abr_profile(game: AggregativeGame, s) -> np.ndarray:
     """Every player's exact best response to a fixed aggregator value.
 
-    Ties resolve to the lowest action index by default ("highest" flips it).
+    Ties resolve to the lowest action index.
     """
-    vals = utility_matrix(game, s)
-    if tie_break == "lowest":
-        return np.argmax(vals, axis=1).astype(np.int64)
-    if tie_break == "highest":
-        return (game.m - 1 - np.argmax(vals[:, ::-1], axis=1)).astype(np.int64)
-    raise ParameterError(f"unknown tie_break {tie_break!r}")
+    return np.argmax(utility_matrix(game, s), axis=1).astype(np.int64)
 
 
 @dataclass(frozen=True)

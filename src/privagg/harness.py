@@ -3,7 +3,8 @@
 Everything here is non-private tooling around the solvers: reference
 enumeration of equilibria for small games, seeded game generators for each
 supported family, a common-random-numbers misreport experiment for the
-mediator view, and a batch runner that writes one CSV row per trial plus a
+mediator view, the solver table ``SOLVERS`` that the CLI and the batch
+runner share, and a batch runner that writes one CSV row per trial plus a
 JSON summary. Timing lands in the last CSV column only, so byte comparison
 of everything before it is deterministic for a fixed seed.
 """
@@ -47,11 +48,16 @@ __all__ = [
     "DeviationReport",
     "ExperimentConfig",
     "ExperimentResult",
+    "Outcome",
+    "SOLVERS",
     "brute_force_equilibria",
     "profile_loss",
     "deviation_test",
+    "game_view",
     "generate",
     "run_experiment",
+    "score",
+    "solve",
 ]
 
 ENUM_BUDGET = 10**6
@@ -291,6 +297,153 @@ def generate(kind: str, seed: int, **params):
 
 
 # ---------------------------------------------------------------------------
+# solver table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """One solver run as the CLI and the batch runner publish it.
+
+    ``fields`` are the solver's own published fields, in payload order, for
+    the success or the abort case. ``profile`` is None on an abort; distmw
+    never has one and reports ``margin``, the worst LP margin at its average
+    iterate, instead.
+    """
+
+    game: AggregativeGame  # the game the profile is scored on
+    bound: float
+    profile: Optional[np.ndarray]
+    fields: dict
+    quality: Optional[float] = None
+    margin: Optional[float] = None
+
+    @property
+    def aborted(self) -> bool:
+        return self.profile is None and self.margin is None
+
+
+def game_view(game) -> AggregativeGame:
+    """The AggregativeGame behind a generator's quasi or market game."""
+    if isinstance(game, QuasiAggregativeGame):
+        return game.base
+    if isinstance(game, MarketGame):
+        return to_aggregative(game)
+    return game
+
+
+def _need(params: dict, *keys: str) -> list:
+    for key in keys:
+        if key not in params:
+            raise ParameterError(f"params lack {key!r}")
+    return [params[key] for key in keys]
+
+
+def _presl(game, params: dict, src: NoiseSource) -> Outcome:
+    game = game_view(game)
+    zeta, epsilon, delta, beta = _need(params, "zeta", "epsilon", "delta", "beta")
+    pp = PreslParams.for_game(game, zeta=zeta, epsilon=epsilon, delta=delta, beta=beta)
+    res = presl(game, pp, src)
+    if res.aborted:
+        fields = {"queries": res.queries_asked, "alpha": pp.alpha}
+    else:
+        fields = {
+            "alpha": pp.alpha, "bound": pp.nash_bound, "hit_y": res.hit_y,
+            "hit_s": res.hit_s.tolist(), "queries": res.queries_asked,
+        }
+    return Outcome(game, pp.nash_bound, res.profile, fields)
+
+
+def _npresl(game, params: dict, src: NoiseSource) -> Outcome:
+    game = game_view(game)
+    zeta, alpha, beta = _need(params, "zeta", "alpha", "beta")
+    res = npresl(game, zeta=zeta, alpha=alpha, beta=beta, src=src)
+    if res.aborted:
+        fields = {"alpha": alpha}
+    else:
+        fields = {
+            "s_hat": res.s_hat.tolist(), "y_star": res.y_star,
+            "witness_loss": res.witness_loss, "feasible_points": res.feasible_points,
+            "bound": res.nash_bound,
+        }
+    return Outcome(game, res.nash_bound, res.profile, fields)
+
+
+def _psummnash(game, params: dict, src: NoiseSource) -> Outcome:
+    qgame = QuasiAggregativeGame(game_view(game))
+    epsilon, alpha, beta = _need(params, "epsilon", "alpha", "beta")
+    res = psummnash(qgame, epsilon, alpha, beta, src)
+    bound = res.approx_bound(qgame.gamma)
+    if res.aborted:
+        fields = {"queries": list(res.queries)}
+    else:
+        fields = {"stage": res.stage, "bound": bound, "queries": list(res.queries)}
+    return Outcome(qgame.base, bound, res.profile, fields)
+
+
+def _select(game, params: dict, src: NoiseSource) -> Outcome:
+    qgame = QuasiAggregativeGame(game_view(game))
+    zeta, epsilon, alpha, beta, quality = _need(
+        params, "zeta", "epsilon", "alpha", "beta", "quality"
+    )
+    sp = SelectionParams.for_game(
+        qgame, zeta=zeta, epsilon=epsilon, alpha=alpha, beta=beta,
+        quality=QualitySpec.from_json(quality),
+    )
+    res = select_equilibrium(qgame, sp, src)
+    if res.aborted:
+        fields = {"queries": list(res.queries)}
+    else:
+        fields = {
+            "branch": res.branch, "s_star": res.s_star,
+            "quality": res.quality_value, "bound": sp.approx_bound,
+        }
+    return Outcome(qgame.base, sp.approx_bound, res.profile, fields, quality=res.quality_value)
+
+
+def _distmw(game, params: dict, src: NoiseSource) -> Outcome:
+    """The private LP dynamics alone, on the slack LP around the uniform
+    profile's aggregator with support width xi (default 2.0)."""
+    game = game_view(game)
+    epsilon, delta, alpha, beta = _need(params, "epsilon", "delta", "alpha", "beta")
+    p_uniform = np.full((game.n, game.m), 1.0 / game.m)
+    s_hat = expected_aggregator(game, p_uniform)
+    lp = build_slack_lp(game, s_hat, None, xi=params.get("xi", 2.0), slack=alpha)
+    mw_params = DistMWParams.for_game(
+        game, epsilon=epsilon, delta=delta, alpha=alpha, beta=beta,
+    )
+    res = distmw_solve(lp, mw_params, src)
+    bound = mw_accuracy_bound(
+        game.n, game.m, game.gamma, epsilon, delta, lp.n_constraints, beta,
+    )
+    return Outcome(game, bound, None, {}, margin=float(np.max(lp.margins(res.p_bar))))
+
+
+# Each entry takes (game, params, src): any generator's game, a dict holding
+# at least the keys it reads, and the run's noise source.
+SOLVERS: dict[str, Callable[[object, dict, NoiseSource], Outcome]] = {
+    "presl": _presl,
+    "npresl": _npresl,
+    "psummnash": _psummnash,
+    "select": _select,
+    "distmw": _distmw,
+}
+
+
+def solve(algorithm: str, game, params: dict, src: NoiseSource) -> Outcome:
+    """Run one table entry by name."""
+    if algorithm not in SOLVERS:
+        raise ParameterError(f"unknown algorithm {algorithm!r}")
+    return SOLVERS[algorithm](game, params, src)
+
+
+def score(game: AggregativeGame, profile) -> tuple[float, Optional[float]]:
+    """Exact max regret of a profile and, when the game has a loss, L(x)."""
+    loss = profile_loss(game, profile) if game.loss is not None else None
+    return regret(game, profile).max_regret, loss
+
+
+# ---------------------------------------------------------------------------
 # batch experiments
 # ---------------------------------------------------------------------------
 
@@ -301,9 +454,9 @@ _CSV_FIELDS = ["trial", "seed", "regret", "bound", "loss", "quality", "abort", "
 class ExperimentConfig:
     """One batch: a solver, a game source, trial count, and solver knobs.
 
-    ``game`` either names a generator ({"kind": ..., <params>}) or points at
-    a JSON file ({"path": ...}). ``params`` carries the solver arguments
-    (zeta / epsilon / delta / alpha / beta / quality as applicable).
+    ``algorithm`` is a key of ``SOLVERS``. ``game`` either names a
+    generator ({"kind": ..., <params>}) or points at a JSON file
+    ({"path": ...}). ``params`` carries the keys that solver reads.
     """
 
     algorithm: str
@@ -322,6 +475,9 @@ class ExperimentConfig:
         extra = set(payload) - known
         if extra:
             raise ParameterError(f"unknown config fields: {sorted(extra)}")
+        missing = {"algorithm", "game"} - set(payload)
+        if missing:
+            raise ParameterError(f"config lacks fields: {sorted(missing)}")
         return cls(**payload)
 
 
@@ -347,78 +503,20 @@ def _make_trial_game(config: ExperimentConfig, trial_seed: int):
 
         return load_game(config.game["path"])
     spec = dict(config.game)
+    if "kind" not in spec:
+        raise ParameterError("game needs a 'kind' or a 'path'")
     kind = spec.pop("kind")
     return generate(kind, seed=trial_seed, **spec)
 
 
 def _run_one(config: ExperimentConfig, game, src: NoiseSource) -> dict:
-    p = config.params
-    algo = config.algorithm
-    row = {"regret": None, "bound": None, "loss": None, "quality": None, "abort": 0}
-    if algo in ("presl", "npresl", "distmw") and isinstance(game, QuasiAggregativeGame):
-        game = game.base
-    if algo == "presl":
-        if isinstance(game, MarketGame):
-            game = to_aggregative(game)
-        params = PreslParams.for_game(
-            game, zeta=p["zeta"], epsilon=p["epsilon"], delta=p["delta"], beta=p["beta"],
-        )
-        res = presl(game, params, src)
-        row["bound"] = params.nash_bound
-        if res.aborted:
-            row["abort"] = 1
-        else:
-            row["regret"] = regret(game, res.profile).max_regret
-            if game.loss is not None:
-                row["loss"] = profile_loss(game, res.profile)
-    elif algo == "npresl":
-        res = npresl(game, zeta=p["zeta"], alpha=p["alpha"], beta=p["beta"], src=src)
-        row["bound"] = res.nash_bound
-        if res.aborted:
-            row["abort"] = 1
-        else:
-            row["regret"] = regret(game, res.profile).max_regret
-            row["loss"] = profile_loss(game, res.profile)
-    elif algo == "psummnash":
-        qgame = game if isinstance(game, QuasiAggregativeGame) else QuasiAggregativeGame(game)
-        res = psummnash(qgame, p["epsilon"], p["alpha"], p["beta"], src)
-        row["bound"] = res.approx_bound(qgame.gamma)
-        if res.aborted:
-            row["abort"] = 1
-        else:
-            row["regret"] = regret(qgame.base, res.profile).max_regret
-    elif algo == "select":
-        qgame = game if isinstance(game, QuasiAggregativeGame) else QuasiAggregativeGame(game)
-        quality = QualitySpec.from_json(p["quality"])
-        params = SelectionParams.for_game(
-            qgame, zeta=p["zeta"], epsilon=p["epsilon"], alpha=p["alpha"],
-            beta=p["beta"], quality=quality,
-        )
-        res = select_equilibrium(qgame, params, src)
-        row["bound"] = params.approx_bound
-        if res.aborted:
-            row["abort"] = 1
-        else:
-            row["regret"] = regret(qgame.base, res.profile).max_regret
-            row["quality"] = res.quality_value
-    elif algo == "distmw":
-        if isinstance(game, MarketGame):
-            game = to_aggregative(game)
-        alpha = p["alpha"]
-        p_uniform = np.full((game.n, game.m), 1.0 / game.m)
-        s_hat = expected_aggregator(game, p_uniform)
-        lp = build_slack_lp(game, s_hat, None, xi=p.get("xi", 2.0), slack=alpha)
-        mw_params = DistMWParams.for_game(
-            game, epsilon=p["epsilon"], delta=p["delta"], alpha=alpha, beta=p["beta"],
-        )
-        res = distmw_solve(lp, mw_params, src)
-        row["regret"] = float(np.max(lp.margins(res.p_bar)))
-        row["bound"] = mw_accuracy_bound(
-            game.n, game.m, game.gamma, p["epsilon"], p["delta"],
-            lp.n_constraints, p["beta"],
-        )
-    else:
-        raise ParameterError(f"unknown algorithm {algo!r}")
+    out = solve(config.algorithm, game, config.params, src)
+    row = {
+        "regret": out.margin, "bound": out.bound, "loss": None,
+        "quality": out.quality, "abort": int(out.aborted),
+    }
+    if out.profile is not None:
+        row["regret"], row["loss"] = score(out.game, out.profile)
     return row
 
 

@@ -169,28 +169,16 @@ def _mw_round(p, rows, eta, support):
 
 
 def most_violated(
-    lp: FeasibilityLP,
-    p: np.ndarray,
-    mode: str = "exact",
-    eps0: Optional[float] = None,
-    src: Optional[NoiseSource] = None,
+    lp: FeasibilityLP, p: np.ndarray, eps0: float, src: NoiseSource
 ) -> tuple[int, float]:
     """Pick a most violated constraint; returns (index, true margin).
 
-    "exact" takes the lowest-index argmax of the margins. "exp" runs the
-    exponential mechanism with sensitivity gamma at budget eps0 (and therefore
-    also reduces to the exact argmax under a noise_off source).
+    Runs the exponential mechanism on the margins with sensitivity gamma at
+    budget eps0; under a noise_off source that is the lowest-index argmax.
     """
     margins = lp.margins(p)
-    if mode == "exact":
-        k = int(np.argmax(margins))
-    elif mode == "exp":
-        if eps0 is None or src is None:
-            raise ParameterError("exp mode needs eps0 and a noise source")
-        oset = ScoredOutcomeSet(range(lp.n_constraints), margins, sensitivity=lp.gamma)
-        k = int(exponential_mechanism(oset, eps0, src))
-    else:
-        raise ParameterError(f"unknown selection mode {mode!r}")
+    oset = ScoredOutcomeSet(range(lp.n_constraints), margins, sensitivity=lp.gamma)
+    k = int(exponential_mechanism(oset, eps0, src))
     return k, float(margins[k])
 
 
@@ -222,7 +210,7 @@ def distmw_solve(lp: FeasibilityLP, params: DistMWParams, src: NoiseSource) -> D
     ledger = PrivacyLedger()
     for _ in range(params.T):
         accum += p
-        k, _ = most_violated(lp, p, mode="exp", eps0=params.eps0, src=src)
+        k, _ = most_violated(lp, p, params.eps0, src)
         ledger.add("constraint-select", params.eps0, 0.0)
         transcript.append(k)
         p = _mw_round(p, lp.cons_f[k], params.eta, mask)
@@ -328,7 +316,6 @@ def exact_lp_min(
     y_hat: Optional[float],
     xi: float,
     tol: float,
-    max_rounds: Optional[int] = None,
 ) -> ExactLPResult:
     """Deterministic min-max margin of the slack-0 LP at (s_hat, y_hat).
 
@@ -351,7 +338,7 @@ def exact_lp_min(
         math.ceil(2.0 * log_m),
         math.ceil(2.0 * (game.gamma * n) ** 2 * log_m / tol**2),
     )
-    cap = max_rounds if max_rounds is not None else 8 * t_theory
+    cap = 8 * t_theory
     eta = math.sqrt(2.0 * log_m / t_theory)
 
     p = lp.uniform_start()

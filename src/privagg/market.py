@@ -14,7 +14,6 @@ all-sell and index (3^d - 1) / 2 is all-out.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,8 +35,6 @@ __all__ = [
     "from_aggregative",
     "corollary_eta",
     "market_zeta",
-    "market_to_json",
-    "market_from_json",
 ]
 
 _RANGE_TOL = 1e-9
@@ -219,23 +216,3 @@ def market_zeta(n: int, lam: float, d: int) -> float:
     if n < 1 or d < 1 or lam <= 0:
         raise ParameterError("need n >= 1, d >= 1, lambda > 0")
     return math.sqrt(8.0 * n * d * math.log(3.0 * n)) / lam
-
-
-def market_to_json(game: MarketGame) -> str:
-    return json.dumps(
-        {"n": game.n, "d": game.d, "lambda": game.lam, "valuations": game.valuations.tolist()},
-        indent=1,
-    )
-
-
-def market_from_json(text: str) -> MarketGame:
-    try:
-        payload = json.loads(text)
-        return MarketGame(
-            n=payload["n"], d=payload["d"], lam=payload["lambda"],
-            valuations=np.asarray(payload["valuations"]),
-        )
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"malformed market JSON: {exc}") from None
-    except KeyError as exc:
-        raise ParameterError(f"market JSON missing field {exc}") from None

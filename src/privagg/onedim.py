@@ -184,6 +184,14 @@ def _walk_aggregators(qgame: QuasiAggregativeGame, walk: np.ndarray) -> np.ndarr
     return s
 
 
+def _check_budget(epsilon: float, alpha: float, beta: float) -> None:
+    """The range check both scalar solvers run before their accuracy floor,
+    which divides by epsilon and by beta."""
+    check_finite(epsilon=epsilon, alpha=alpha)
+    if epsilon <= 0 or alpha <= 0 or not (0 < beta < 1):
+        raise ParameterError("need epsilon > 0, alpha > 0, beta in (0, 1)")
+
+
 def psummnash_accuracy_floor(qgame: QuasiAggregativeGame, epsilon: float, beta: float) -> float:
     """Smallest admissible grid step: 100 gamma (ln(2Wn) + ln(6/beta)) / eps."""
     return (
@@ -233,7 +241,7 @@ def psummnash(
     alpha + gamma/2 of the crossing point. Each stage spends epsilon/3
     through its own one-shot sparse session.
     """
-    check_finite(epsilon=epsilon, alpha=alpha)
+    _check_budget(epsilon, alpha, beta)
     floor = psummnash_accuracy_floor(qgame, epsilon, beta)
     if alpha < floor:
         raise ParameterError(
@@ -347,10 +355,13 @@ class QualitySpec:
     @classmethod
     def from_json(cls, payload: dict) -> "QualitySpec":
         kind = payload.get("kind")
-        if kind == "peak":
-            return cls.peak(float(payload["target"]), float(payload.get("lam", 1.0)))
-        if kind == "linear":
-            return cls.linear(float(payload["slope"]))
+        try:
+            if kind == "peak":
+                return cls.peak(float(payload["target"]), float(payload.get("lam", 1.0)))
+            if kind == "linear":
+                return cls.linear(float(payload["slope"]))
+        except KeyError as exc:
+            raise ParameterError(f"{kind} quality lacks {exc}") from None
         raise ParameterError(f"unknown quality kind {kind!r}")
 
 
@@ -380,9 +391,8 @@ class SelectionParams:
     grid: np.ndarray = field(init=False)  # visit order, quality descending
 
     def __post_init__(self):
-        check_finite(epsilon=self.epsilon, alpha=self.alpha, zeta=self.zeta)
-        if self.epsilon <= 0 or self.alpha <= 0 or not (0 < self.beta < 1):
-            raise ParameterError("need epsilon > 0, alpha > 0, beta in (0, 1)")
+        _check_budget(self.epsilon, self.alpha, self.beta)
+        check_finite(zeta=self.zeta)
         if self.zeta < 4.0 * self.gamma:
             raise ParameterError("selection needs zeta >= 4 gamma")
         object.__setattr__(self, "xi", 2.0 * self.alpha + self.gamma + self.zeta)
@@ -407,6 +417,7 @@ class SelectionParams:
         beta: float,
         quality: QualitySpec,
     ) -> "SelectionParams":
+        _check_budget(epsilon, alpha, beta)
         floor = selection_accuracy_floor(qgame, epsilon, beta)
         if alpha < floor:
             raise ParameterError(

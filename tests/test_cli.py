@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privagg.cli import main
 from privagg.game_core import load_game, save_game
@@ -78,11 +80,29 @@ def test_error_paths_exit_one(tmp_path, threshold_game, capsys):
         {"gamma": 0.1, "cons_f": [[[1.0, 0.0], [0.0, 1.0]]], "cons_b": [0.0],
          "supports": [[True, False], [False, False]]}))
     lp_flags = ("--epsilon", 1, "--delta", 0.1, "--alpha", 0.5)
+    psumm = ("psummnash", "--game", threshold_game)
+    bench_base = {"algorithm": "psummnash", "game": {"kind": "threshold", "n": 25},
+                  "params": {"epsilon": 2000.0, "alpha": 0.05, "beta": 0.05},
+                  "trials": 1, "out_dir": str(tmp_path)}
+    configs = {
+        "no_beta": dict(bench_base, params={"epsilon": 2000.0, "alpha": 0.05}),
+        "no_kind": dict(bench_base, game={"n": 25}),
+        "npresl_market": dict(bench_base, algorithm="npresl", game={"kind": "market"},
+                              params={"zeta": 1.0, "alpha": 0.12, "beta": 0.1}),
+    }
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     cases = [
         # non-finite budgets passed every "> 0" check and ran without noise
-        ("psummnash", "--game", threshold_game, "--epsilon", "nan", "--alpha", 0.05),
-        ("psummnash", "--game", threshold_game, "--epsilon", "inf", "--alpha", 0.05),
+        (*psumm, "--epsilon", "nan", "--alpha", 0.05),
+        (*psumm, "--epsilon", "inf", "--alpha", 0.05),
+        # the accuracy floor divided by epsilon and beta before any range check
+        (*psumm, "--epsilon", 0, "--alpha", 0.05),
+        (*psumm, "--epsilon", 2000, "--alpha", 0.05, "--beta", 0),
+        ("select", "--game", threshold_game, "--zeta", 0.2, "--epsilon", 0, "--alpha", 0.05),
+        (*psumm, "--epsilon", 2000, "--alpha", 0.05, "--beta", 2, "--no-noise"),
         ("bench", "--config", malformed),
+        *(("bench", "--config", tmp_path / f"{name}.json") for name in configs),
         ("distmw-solve", "--lp", no_cons_f, *lp_flags),
         ("distmw-solve", "--lp", empty_support, *lp_flags),
     ]
@@ -123,6 +143,8 @@ def test_presl_and_npresl_commands(tmp_path):
     payload2 = json.loads(out2.read_text())
     assert payload2["feasible_points"] >= 1
     assert payload2["witness_loss"] >= 0.0
+    assert list(payload2)[-1] == "bound"
+    assert payload2["regret"] <= payload2["bound"]
 
 
 def test_distmw_solve_command(tmp_path):
@@ -212,3 +234,131 @@ def test_bench_exit_two_when_every_trial_aborts(tmp_path, capsys):
     assert run_cli("bench", "--config", cfg) == 2
     summary = json.loads(capsys.readouterr().out)
     assert summary["aborts"] == 2
+
+
+SOLVER_FLAGS = {
+    "presl": {"zeta": 1.0, "epsilon": 150.0, "delta": 0.05, "beta": 0.3},
+    "npresl": {"zeta": 1.0, "alpha": 0.12, "beta": 0.05},
+    "psummnash": {"epsilon": 2000.0, "alpha": 0.05, "beta": 0.05},
+    "select": {"zeta": 0.2, "epsilon": 3000.0, "alpha": 0.05, "beta": 0.05},
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(SOLVER_FLAGS))
+def test_cli_and_bench_report_the_same_bound(tmp_path, capsys, algorithm):
+    game_path = tmp_path / "lin.json"
+    save_game(generate("linear", 2, n=10, gamma=0.05), game_path)
+    flags = SOLVER_FLAGS[algorithm]
+    argv = [algorithm, "--game", game_path, "--no-noise"]
+    for key, value in flags.items():
+        argv += [f"--{key}", value]
+    assert run_cli(*argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+
+    params = dict(flags)
+    if algorithm == "select":
+        params["quality"] = {"kind": "peak", "target": 0.0, "lam": 1.0}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "algorithm": algorithm, "game": {"path": str(game_path)}, "params": params,
+        "trials": 1, "noise": False, "out_dir": str(tmp_path),
+    }))
+    assert run_cli("bench", "--config", cfg) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert payload["bound"] == summary["bound"]
+    assert payload["regret"] <= payload["bound"] + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# fuzzed inputs: any exit code of the CLI's three, never a traceback
+# ---------------------------------------------------------------------------
+
+
+def exit_code(argv) -> int:
+    """main()'s exit code; argparse rejections exit through SystemExit."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    save_game(generate("threshold", 3, n=25).base, root / "game.json")
+    return root
+
+
+ODD_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -1.0, 2.0, 1e-300]),
+)
+
+
+def budget(lo: float, hi: float):
+    """Mostly an admissible value, sometimes any float at all."""
+    return st.one_of(st.floats(lo, hi), st.floats(lo, hi), ODD_FLOAT)
+
+
+# alpha >= 0.01 keeps the 25-player game's grid at <= 200 points: the scalar
+# solvers have no grid budget
+ALPHA = st.one_of(
+    st.floats(min_value=0.01, max_value=0.5),
+    st.floats(min_value=0.01, allow_nan=False, allow_infinity=True),
+    st.sampled_from([1e13]),  # a step so wide the grid came out empty
+)
+
+
+def kept(draw) -> bool:
+    """Keep a flag or key four times in five."""
+    return draw(st.sampled_from([True, True, True, True, False]))
+
+
+@st.composite
+def solver_argv(draw, game_path):
+    command = draw(st.sampled_from(["psummnash", "select"]))
+    flags = {"--epsilon": draw(budget(1e3, 1e6)), "--alpha": draw(ALPHA),
+             "--beta": draw(budget(1e-3, 0.5))}
+    if command == "select":
+        flags["--zeta"] = draw(budget(0.16, 5.0))
+        flags["--quality-kind"] = draw(st.sampled_from(["peak", "linear"]))
+        for key in ("--quality-target", "--quality-lam", "--quality-slope"):
+            flags[key] = draw(budget(0.0, 2.0))
+    argv = [command, "--game", game_path, "--seed", draw(st.integers(0, 3))]
+    if draw(st.booleans()):
+        argv.append("--no-noise")
+    # --flag=value, so that argparse reads "-inf" as a value, not a flag
+    argv += [f"{key}={value}" for key, value in flags.items() if kept(draw)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzz_solver_argv_never_tracebacks(fuzz_dir, data):
+    argv = data.draw(solver_argv(fuzz_dir / "game.json"))
+    assert exit_code(argv) in (0, 1, 2)
+
+
+def drop_some(draw, mapping: dict) -> dict:
+    return {k: v for k, v in mapping.items() if kept(draw)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzz_bench_config_never_tracebacks(fuzz_dir, data):
+    algorithm = data.draw(st.sampled_from(["psummnash", "select"]))
+    quality = {"kind": data.draw(st.sampled_from(["peak", "linear", "median"])),
+               "target": 0.3, "lam": 1.0, "slope": 1.0}
+    params = {"zeta": 0.2, "epsilon": 3000.0, "alpha": data.draw(ALPHA), "beta": 0.05,
+              "quality": drop_some(data.draw, quality)}
+    game = data.draw(st.sampled_from([
+        {"kind": "threshold", "n": 25}, {"kind": "market", "n": 25, "d": 1},
+        {"path": str(fuzz_dir / "game.json")}, {"n": 25},
+    ]))
+    config = {"algorithm": algorithm, "game": game, "params": drop_some(data.draw, params),
+              "trials": 1, "noise": data.draw(st.booleans())}
+    config = drop_some(data.draw, config)
+    config["out_dir"] = str(fuzz_dir)
+    path = fuzz_dir / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert exit_code(["bench", "--config", path]) in (0, 1, 2)

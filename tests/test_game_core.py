@@ -156,7 +156,7 @@ def test_expected_aggregator_linear_in_each_row():
 @pytest.mark.parametrize(
     "W, alpha, K",
     [(1.0, 0.1, 10), (0.3, 0.1, 3), (0.27, 0.03, 9), (2.1, 0.3, 7), (1.05, 0.1, 11),
-     (1.0, 1.0, 1), (0.5, 2.0, 1)],
+     (1.0, 1.0, 1), (0.5, 2.0, 1), (1.0, 1e13, 1)],
 )
 def test_grid_steps_snaps_float_multiples(W, alpha, K):
     # 0.27 / 0.03 is 9.000000000000002 in floats: a plain ceil would give 10
@@ -201,13 +201,6 @@ def test_abr_profile_tie_break_and_slopes():
             assert vals[x[i]] == pytest.approx(vals.max(), abs=1e-12)
             # lowest index among maximizers
             assert x[i] == int(np.argmax(vals > vals.max() - 1e-15))
-
-
-def test_abr_profile_highest_tie_break():
-    g = constant_game(n=2, m=3)
-    assert np.all(abr_profile(g, np.zeros(1), tie_break="highest") == 2)
-    with pytest.raises(ParameterError):
-        abr_profile(g, np.zeros(1), tie_break="median")
 
 
 def test_abr_profile_market_matches_enumeration():

@@ -6,13 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from privagg.dp_core import ParameterError
+from privagg.dp_core import NoiseSource, ParameterError
 from privagg.game_core import LinearUtility, save_game
 from privagg.harness import (
+    SOLVERS,
     DeviationSpec,
     ExperimentConfig,
     brute_force_equilibria,
     deviation_test,
+    game_view,
     generate,
     profile_loss,
     run_experiment,
@@ -359,6 +361,70 @@ def test_npresl_reported_bound_includes_zeta(tmp_path):
     slack = np.sqrt(n * gamma**2 / 2 * np.log(4.0 / beta))
     assert row["regret"] > 4 * alpha + 2 * gamma + 2 * slack
     assert row["regret"] <= row["bound"]
+
+
+def test_scalar_solvers_fill_loss_on_loss_carrying_games(tmp_path):
+    for algorithm, params in [
+        ("psummnash", {"epsilon": 2000.0, "alpha": 0.05, "beta": 0.05}),
+        ("select", {"zeta": 0.2, "epsilon": 3000.0, "alpha": 0.05, "beta": 0.05,
+                    "quality": {"kind": "peak", "target": 0.0}}),
+    ]:
+        cfg = threshold_config(
+            tmp_path, algorithm=algorithm, game={"kind": "linear", "n": 10, "gamma": 0.05},
+            params=params, trials=2, label=algorithm,
+        )
+        res = run_experiment(cfg)
+        assert res.summary["aborts"] == 0
+        for row in res.rows:
+            game = generate("linear", row["seed"], n=10, gamma=0.05)
+            x = SOLVERS[algorithm](game, params, NoiseSource(row["seed"], NoiseSource.NOISE_OFF)).profile
+            assert row["loss"] == profile_loss(game, x)
+
+
+def test_every_solver_takes_a_market(tmp_path):
+    market = {"kind": "market", "n": 20, "d": 1}
+    for algorithm, params in [
+        ("psummnash", {"epsilon": 20000.0, "alpha": 0.05, "beta": 0.05}),
+        ("select", {"zeta": 0.8, "epsilon": 30000.0, "alpha": 0.05, "beta": 0.05,
+                    "quality": {"kind": "linear", "slope": 1.0}}),
+    ]:
+        cfg = threshold_config(tmp_path, algorithm=algorithm, game=market, params=params,
+                               trials=1, label=algorithm)
+        row = run_experiment(cfg).rows[0]
+        assert row["bound"] is not None and row["loss"] is None
+        if not row["abort"]:
+            assert row["regret"] <= row["bound"]
+    cfg = threshold_config(tmp_path, algorithm="npresl", game=market, trials=1,
+                           params={"zeta": 1.0, "alpha": 0.12, "beta": 0.1})
+    with pytest.raises(ParameterError, match="lacks"):
+        run_experiment(cfg)
+
+
+def test_config_errors_are_parameter_errors(tmp_path):
+    with pytest.raises(ParameterError, match="'beta'"):
+        run_experiment(threshold_config(tmp_path, params={"epsilon": 2000.0, "alpha": 0.05}))
+    with pytest.raises(ParameterError, match="kind"):
+        run_experiment(threshold_config(tmp_path, game={"n": 25}))
+    with pytest.raises(ParameterError, match="target"):
+        run_experiment(threshold_config(
+            tmp_path, algorithm="select",
+            params={"zeta": 0.2, "epsilon": 3000.0, "alpha": 0.05, "beta": 0.05,
+                    "quality": {"kind": "peak"}},
+        ))
+    with pytest.raises(ParameterError, match="algorithm"):
+        ExperimentConfig.from_json(json.dumps({"game": {"kind": "threshold"}}))
+
+
+def test_game_view_unwraps_generator_games():
+    quasi = generate("threshold", 0, n=5)
+    assert game_view(quasi) is quasi.base
+    rebuilt = QuasiAggregativeGame(game_view(quasi))
+    assert rebuilt.aggregator_fn is None and quasi.aggregator_fn is None
+    assert np.array_equal(rebuilt.action_order, quasi.action_order)
+    market = generate("market", 0, n=5, d=2)
+    assert game_view(market).d == 2 and game_view(market).m == 9
+    linear = generate("linear", 0, n=5)
+    assert game_view(linear) is linear
 
 
 def test_experiment_config_from_json():

@@ -106,29 +106,24 @@ def test_most_violated_exact_and_exp():
     lp = FeasibilityLP(gamma=gamma, cons_f=f, cons_b=np.array([0.5, -0.8]),
                        supports=np.ones((2, 2), dtype=bool))
     p = lp.uniform_start()
-    k, margin = most_violated(lp, p)
+    off = NoiseSource(0, NoiseSource.NOISE_OFF)
+    k, margin = most_violated(lp, p, 1.0, off)
     assert (k, margin) == (0, pytest.approx(0.5))
 
-    off = NoiseSource(0, NoiseSource.NOISE_OFF)
-    k2, margin2 = most_violated(lp, p, mode="exp", eps0=1.0, src=off)
-    assert (k2, margin2) == (k, margin)
-
-    # lowest index wins ties in exact mode
+    # lowest index wins ties under noise_off
     tie = FeasibilityLP(gamma=gamma, cons_f=np.stack([f[0], f[0]]),
                         cons_b=np.array([0.5, 0.5]),
                         supports=np.ones((2, 2), dtype=bool))
-    assert most_violated(tie, p)[0] == 0
+    assert most_violated(tie, p, 1.0, off)[0] == 0
 
 
 def test_most_violated_single_and_errors():
     lp, _ = single_constraint_lp()
     p = lp.uniform_start()
-    assert most_violated(lp, p)[0] == 0
-    assert most_violated(lp, p, mode="exp", eps0=2.0, src=NoiseSource(1))[0] == 0
+    assert most_violated(lp, p, 2.0, NoiseSource(0, NoiseSource.NOISE_OFF))[0] == 0
+    assert most_violated(lp, p, 2.0, NoiseSource(1))[0] == 0
     with pytest.raises(ParameterError):
-        most_violated(lp, p, mode="greedy")
-    with pytest.raises(ParameterError):
-        most_violated(lp, p, mode="exp")
+        most_violated(lp, p, 0.0, NoiseSource(1))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,7 @@ from privagg.market import (
     from_aggregative,
     hinge_price,
     imbalance,
-    market_from_json,
     market_maker_loss,
-    market_to_json,
     market_zeta,
     portfolio_matrix,
     to_aggregative,
@@ -201,17 +199,6 @@ def test_budget_formulas_frozen_values():
         corollary_eta(0, 25.0, 2)
     with pytest.raises(ParameterError):
         market_zeta(100, -1.0, 2)
-
-
-def test_market_json_round_trip():
-    g = small_market(n=3, d=2, lam=9.0, seed=15)
-    back = market_from_json(market_to_json(g))
-    assert back.n == g.n and back.d == g.d and back.lam == g.lam
-    assert np.array_equal(back.valuations, g.valuations)
-    with pytest.raises(ParameterError):
-        market_from_json("{oops")
-    with pytest.raises(ParameterError):
-        market_from_json('{"n": 2}')
 
 
 def test_market_utility_range_inside_converted_game():
