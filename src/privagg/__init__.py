@@ -7,6 +7,7 @@ instantiation (market), and experiment tooling (harness, cli).
 """
 
 from .dp_core import (
+    BudgetError,
     NoiseSource,
     ParameterError,
     PrivacyLedger,
@@ -64,6 +65,7 @@ from .onedim import (
     QualitySpec,
     QuasiAggregativeGame,
     SelectionParams,
+    SmoothWalk,
     V,
     make_optin_game,
     psummnash,
@@ -73,7 +75,6 @@ from .onedim import (
     validate_quasi,
 )
 from .presl import (
-    BudgetError,
     PreslParams,
     existence_bound,
     npresl,

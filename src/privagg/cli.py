@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .dp_core import NoiseSource, ParameterError
+from .dp_core import BudgetError, NoiseSource, ParameterError
 from .game_core import aggregator, load_game, save_game, translate_checks
 from .harness import (
     DeviationSpec,
@@ -28,7 +28,6 @@ from .harness import (
 )
 from .lp_core import DegenerateError, DistMWParams, FeasibilityLP, distmw_solve
 from .market import corollary_eta, from_aggregative, market_maker_loss, market_zeta
-from .presl import BudgetError
 
 EXIT_OK = 0
 EXIT_ERROR = 1

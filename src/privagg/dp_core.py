@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "ParameterError",
     "StateError",
+    "BudgetError",
     "NoiseSource",
     "SparseSession",
     "SparseAnswer",
@@ -47,6 +48,10 @@ class ParameterError(ValueError):
 
 class StateError(RuntimeError):
     """Raised when a stateful mechanism is driven past its lifecycle."""
+
+
+class BudgetError(RuntimeError):
+    """Raised when a grid enumeration would exceed the query budget."""
 
 
 def check_finite(**values: float) -> None:

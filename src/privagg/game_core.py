@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dp_core import NoiseSource, ParameterError
+from .dp_core import BudgetError, NoiseSource, ParameterError
 
 __all__ = [
     "AggregativeGame",
@@ -45,6 +45,7 @@ __all__ = [
     "TranslationReport",
     "aggregator",
     "expected_aggregator",
+    "GRID_BUDGET",
     "grid_steps",
     "utility_matrix",
     "utility_values",
@@ -369,11 +370,19 @@ def expected_aggregator(game: AggregativeGame, p) -> np.ndarray:
     return game.gamma * np.einsum("ikj,ij->k", game.f, p)
 
 
+# most grid points (or presl grid queries) a solver may enumerate
+GRID_BUDGET = 10**7
+
+
 def grid_steps(W: float, alpha: float) -> int:
     """Half-width K of the alpha-grids k * alpha, k in [-K, K); the 1e-12 keeps
     W = 0.27, alpha = 0.03 (ratio 9.000000000000002) at K = 9, and K >= 1
-    keeps a grid whose step dwarfs W from coming out empty."""
-    return max(1, math.ceil(W / alpha - 1e-12))
+    keeps a grid whose step dwarfs W from coming out empty. A step so small
+    that W / alpha overflows leaves no finite grid at all."""
+    ratio = W / alpha
+    if not math.isfinite(ratio):
+        raise BudgetError(f"W / alpha = {ratio}: the grid has no finite size")
+    return max(1, math.ceil(ratio - 1e-12))
 
 
 def utility_matrix(game: AggregativeGame, s) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dp_core import NoiseSource, ParameterError
+from .dp_core import BudgetError, NoiseSource, ParameterError
 from .game_core import (
     AggregativeGame,
     LinearUtility,
@@ -40,7 +40,7 @@ from .onedim import (
     psummnash,
     select_equilibrium,
 )
-from .presl import BudgetError, PreslParams, npresl, presl
+from .presl import PreslParams, npresl, presl
 
 __all__ = [
     "BruteForce",

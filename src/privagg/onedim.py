@@ -23,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dp_core import (
+    BudgetError,
     NoiseSource,
     ParameterError,
     PrivacyLedger,
@@ -31,6 +32,7 @@ from .dp_core import (
     first_below,
 )
 from .game_core import (
+    GRID_BUDGET,
     AggregativeGame,
     ThresholdUtility,
     abr_profile,
@@ -49,6 +51,7 @@ __all__ = [
     "PSummResult",
     "SelectResult",
     "Extremes",
+    "SmoothWalk",
     "V",
     "psummnash",
     "psummnash_accuracy_floor",
@@ -156,32 +159,57 @@ def validate_quasi(qgame: QuasiAggregativeGame, seed: int = 0, trials: int = 100
             )
 
 
-def smooth_walk(qgame: QuasiAggregativeGame, hi, lo) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class SmoothWalk:
+    """The n+1 composites between two profiles, built one at a time on demand.
+
+    ``walk[j]`` is x^j: hi_i for the first j players and lo_i for the rest,
+    returned as a fresh array. Only the two end profiles are stored.
+    """
+
+    hi: np.ndarray
+    lo: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.hi) + 1
+
+    def __getitem__(self, j):
+        rows = range(len(self))[j]  # ints, negative ints and slices, as on an array
+        if isinstance(rows, range):
+            return np.array([self[k] for k in rows], dtype=np.int64).reshape(-1, len(self.hi))
+        return np.concatenate((self.hi[:rows], self.lo[rows:]))
+
+    @property
+    def nbytes(self) -> int:
+        return self.hi.nbytes + self.lo.nbytes
+
+
+def smooth_walk(qgame: QuasiAggregativeGame, hi, lo) -> SmoothWalk:
     """The n+1 composites x^j switching players to ``hi`` one at a time.
 
     x^j plays hi_i for the first j players and lo_i for the rest, so x^0 is
     lo, x^n is hi, and adjacent composites differ in at most one player
-    (hence their aggregators differ by at most the per-player spread).
+    (hence their aggregators differ by at most the per-player spread). The
+    composites are built on demand; only the two end profiles are stored.
     """
-    hi = as_pure_profile(qgame.base, hi)
-    lo = as_pure_profile(qgame.base, lo)
-    n = qgame.n
-    steps = np.arange(n + 1)[:, None] > np.arange(n)[None, :]
-    return np.where(steps, hi[None, :], lo[None, :])
+    return SmoothWalk(as_pure_profile(qgame.base, hi), as_pure_profile(qgame.base, lo))
 
 
-def _walk_aggregators(qgame: QuasiAggregativeGame, walk: np.ndarray) -> np.ndarray:
-    """Aggregator value at every walk composite (incremental when linear)."""
+def _walk_aggregators(qgame: QuasiAggregativeGame, walk: SmoothWalk) -> np.ndarray:
+    """Aggregator value at every walk composite (incremental when linear).
+
+    In the linear case s[0] is the aggregator of lo and each later value adds
+    one player's shift; the running sum is sequential, as a loop would be.
+    """
     n = qgame.n
     if qgame.aggregator_fn is not None:
         return np.array([qgame.s_of(walk[j]) for j in range(n + 1)])
     fvals = qgame.base.f[:, 0, :]
+    rows = np.arange(n)
     s = np.empty(n + 1)
-    s[0] = qgame.gamma * float(fvals[np.arange(n), walk[0]].sum())
-    for j in range(1, n + 1):
-        i = j - 1
-        s[j] = s[j - 1] + qgame.gamma * (fvals[i, walk[n][i]] - fvals[i, walk[0][i]])
-    return s
+    s[0] = qgame.gamma * float(fvals[rows, walk.lo].sum())
+    s[1:] = qgame.gamma * (fvals[rows, walk.hi] - fvals[rows, walk.lo])
+    return np.add.accumulate(s)
 
 
 def _check_budget(epsilon: float, alpha: float, beta: float) -> None:
@@ -190,6 +218,15 @@ def _check_budget(epsilon: float, alpha: float, beta: float) -> None:
     check_finite(epsilon=epsilon, alpha=alpha)
     if epsilon <= 0 or alpha <= 0 or not (0 < beta < 1):
         raise ParameterError("need epsilon > 0, alpha > 0, beta in (0, 1)")
+
+
+def _grid_steps(W: float, alpha: float) -> int:
+    """``grid_steps``, refused before any grid point is built or queried when
+    the 2K-point grid exceeds ``GRID_BUDGET``, the budget presl obeys too."""
+    K = grid_steps(W, alpha)
+    if 2 * K > GRID_BUDGET:
+        raise BudgetError(f"grid holds {2 * K} points, over the budget {GRID_BUDGET}")
+    return K
 
 
 def psummnash_accuracy_floor(qgame: QuasiAggregativeGame, epsilon: float, beta: float) -> float:
@@ -249,7 +286,7 @@ def psummnash(
             f"for epsilon = {epsilon}"
         )
     gamma = qgame.gamma
-    K = grid_steps(qgame.W, alpha)
+    K = _grid_steps(qgame.W, alpha)
     ledger = PrivacyLedger()
     result = partial(PSummResult, alpha=alpha, epsilon=epsilon, beta=beta, ledger=ledger)
     memo: dict[int, float] = {}
@@ -335,11 +372,13 @@ class QualitySpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_finite(lam=self.lam)
         if self.lam < 0:
             raise ParameterError("quality Lipschitz constant must be nonnegative")
 
     @classmethod
     def peak(cls, target: float, lam: float = 1.0) -> "QualitySpec":
+        check_finite(target=target)
         return cls(
             fn=lambda s: -lam * abs(s - target), lam=lam,
             kind="peak", params={"target": target, "lam": lam},
@@ -347,6 +386,7 @@ class QualitySpec:
 
     @classmethod
     def linear(cls, slope: float) -> "QualitySpec":
+        check_finite(slope=slope)
         return cls(
             fn=lambda s: slope * s, lam=abs(slope),
             kind="linear", params={"slope": slope},
@@ -396,9 +436,11 @@ class SelectionParams:
         if self.zeta < 4.0 * self.gamma:
             raise ParameterError("selection needs zeta >= 4 gamma")
         object.__setattr__(self, "xi", 2.0 * self.alpha + self.gamma + self.zeta)
-        K = grid_steps(self.W, self.alpha)
+        K = _grid_steps(self.W, self.alpha)
         values = np.arange(-K, K) * self.alpha
         scores = np.array([self.quality.fn(float(s)) for s in values])
+        if not np.all(np.isfinite(scores)):
+            raise ParameterError("quality score is not finite on the grid")
         if np.max(np.abs(np.diff(scores))) > self.quality.lam * self.alpha + 1e-9:
             raise ParameterError(
                 "quality score moves faster on the grid than its declared "

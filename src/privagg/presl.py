@@ -23,6 +23,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .dp_core import (
+    BudgetError,
     NoiseSource,
     ParameterError,
     PrivacyLedger,
@@ -31,6 +32,7 @@ from .dp_core import (
     first_below,
 )
 from .game_core import (
+    GRID_BUDGET,
     AggregativeGame,
     grid_steps,
     sample_action,
@@ -46,7 +48,6 @@ from .lp_core import (
 )
 
 __all__ = [
-    "BudgetError",
     "PreslParams",
     "PreslResult",
     "NpreslResult",
@@ -60,10 +61,6 @@ __all__ = [
     "query_order",
     "replay_presl_player",
 ]
-
-
-class BudgetError(RuntimeError):
-    """Raised when a grid enumeration would exceed the query budget."""
 
 
 def existence_bound(n: int, m: int, gamma: float) -> float:
@@ -124,7 +121,7 @@ class PreslParams:
     d: int
     gamma: float
     W: float
-    grid_budget: int = 10**7
+    grid_budget: int = GRID_BUDGET
     e1: float = field(init=False)
     e2: float = field(init=False)
     alpha: float = field(init=False)
@@ -176,7 +173,7 @@ class PreslParams:
         epsilon: float,
         delta: float,
         beta: float,
-        grid_budget: int = 10**7,
+        grid_budget: int = GRID_BUDGET,
     ) -> "PreslParams":
         return cls(
             zeta=zeta, epsilon=epsilon, delta=delta, beta=beta,
@@ -343,7 +340,7 @@ def npresl(
     beta: float,
     src: NoiseSource,
     lp_tol: Optional[float] = None,
-    grid_budget: int = 10**7,
+    grid_budget: int = GRID_BUDGET,
 ) -> NpreslResult:
     """Exact counterpart of the private search: no noise anywhere.
 

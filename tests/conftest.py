@@ -103,6 +103,30 @@ def per_player_extremes(qgame, s, xi):
     return x_min, x_max
 
 
+def materialised_walk(hi, lo):
+    """Every walk composite at once: row j plays hi for the first j players
+    and lo for the rest, an (n+1) x n matrix."""
+    hi, lo = np.asarray(hi), np.asarray(lo)
+    n = len(hi)
+    steps = np.arange(n + 1)[:, None] > np.arange(n)[None, :]
+    return np.where(steps, hi[None, :], lo[None, :])
+
+
+def looped_walk_aggregators(qgame, rows):
+    """Aggregator at each row of a materialised walk, one Python step per
+    player on the linear form, s_of per row on a custom map."""
+    n = qgame.n
+    if qgame.aggregator_fn is not None:
+        return np.array([qgame.s_of(rows[j]) for j in range(n + 1)])
+    fvals = qgame.base.f[:, 0, :]
+    s = np.empty(n + 1)
+    s[0] = qgame.gamma * float(fvals[np.arange(n), rows[0]].sum())
+    for j in range(1, n + 1):
+        i = j - 1
+        s[j] = s[j - 1] + qgame.gamma * (fvals[i, rows[n][i]] - fvals[i, rows[0][i]])
+    return s
+
+
 def naive_loss(game, x):
     total = 0.0
     for i in range(game.n):

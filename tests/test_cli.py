@@ -81,6 +81,10 @@ def test_error_paths_exit_one(tmp_path, threshold_game, capsys):
          "supports": [[True, False], [False, False]]}))
     lp_flags = ("--epsilon", 1, "--delta", 0.1, "--alpha", 0.5)
     psumm = ("psummnash", "--game", threshold_game)
+    select = ("select", "--game", threshold_game, "--zeta", 0.2)
+    linear_game = tmp_path / "linear.json"
+    assert run_cli("gen-game", "--kind", "linear", "--n", 4, "--seed", 1,
+                   "--out", linear_game) == 0
     bench_base = {"algorithm": "psummnash", "game": {"kind": "threshold", "n": 25},
                   "params": {"epsilon": 2000.0, "alpha": 0.05, "beta": 0.05},
                   "trials": 1, "out_dir": str(tmp_path)}
@@ -101,6 +105,15 @@ def test_error_paths_exit_one(tmp_path, threshold_game, capsys):
         (*psumm, "--epsilon", 2000, "--alpha", 0.05, "--beta", 0),
         ("select", "--game", threshold_game, "--zeta", 0.2, "--epsilon", 0, "--alpha", 0.05),
         (*psumm, "--epsilon", 2000, "--alpha", 0.05, "--beta", 2, "--no-noise"),
+        # non-finite quality parameters published NaN or -Infinity, not JSON
+        (*select, "--epsilon", 3000, "--alpha", 0.05, "--quality-lam=nan"),
+        (*select, "--epsilon", 3000, "--alpha", 0.05, "--quality-target=inf"),
+        (*select, "--epsilon", 3000, "--alpha", 0.05, "--quality-kind", "linear",
+         "--quality-slope=-inf"),
+        # grids over the budget, and a step so small the grid has no finite size
+        (*psumm, "--epsilon", 1e12, "--alpha", 1e-7),
+        (*select, "--epsilon", 1e12, "--alpha", 1e-7),
+        ("npresl", "--game", linear_game, "--zeta", 1.0, "--alpha", 1e-320),
         ("bench", "--config", malformed),
         *(("bench", "--config", tmp_path / f"{name}.json") for name in configs),
         ("distmw-solve", "--lp", no_cons_f, *lp_flags),
@@ -300,11 +313,12 @@ def budget(lo: float, hi: float):
     return st.one_of(st.floats(lo, hi), st.floats(lo, hi), ODD_FLOAT)
 
 
-# alpha >= 0.01 keeps the 25-player game's grid at <= 200 points: the scalar
-# solvers have no grid budget
+# the 25-player game has W = 1: alpha >= 0.01 gives at most 200 grid points,
+# alpha <= 1e-7 at least 2e7, over the grid budget (subnormal steps included)
 ALPHA = st.one_of(
     st.floats(min_value=0.01, max_value=0.5),
     st.floats(min_value=0.01, allow_nan=False, allow_infinity=True),
+    st.floats(min_value=0.0, max_value=1e-7, exclude_min=True),
     st.sampled_from([1e13]),  # a step so wide the grid came out empty
 )
 
@@ -317,14 +331,16 @@ def kept(draw) -> bool:
 @st.composite
 def solver_argv(draw, game_path):
     command = draw(st.sampled_from(["psummnash", "select"]))
-    flags = {"--epsilon": draw(budget(1e3, 1e6)), "--alpha": draw(ALPHA),
+    # epsilon up to 1e15 lifts the accuracy floor clear of the tiny alphas
+    flags = {"--epsilon": draw(budget(1e3, 1e15)), "--alpha": draw(ALPHA),
              "--beta": draw(budget(1e-3, 0.5))}
     if command == "select":
         flags["--zeta"] = draw(budget(0.16, 5.0))
         flags["--quality-kind"] = draw(st.sampled_from(["peak", "linear"]))
         for key in ("--quality-target", "--quality-lam", "--quality-slope"):
             flags[key] = draw(budget(0.0, 2.0))
-    argv = [command, "--game", game_path, "--seed", draw(st.integers(0, 3))]
+    argv = [command, "--game", game_path, "--seed", draw(st.integers(0, 3)),
+            "--out", game_path.with_name("out.json")]
     if draw(st.booleans()):
         argv.append("--no-noise")
     # --flag=value, so that argparse reads "-inf" as a value, not a flag
@@ -336,7 +352,17 @@ def solver_argv(draw, game_path):
 @given(data=st.data())
 def test_fuzz_solver_argv_never_tracebacks(fuzz_dir, data):
     argv = data.draw(solver_argv(fuzz_dir / "game.json"))
-    assert exit_code(argv) in (0, 1, 2)
+    out = fuzz_dir / "out.json"
+    out.unlink(missing_ok=True)
+    code = exit_code(argv)
+    assert code in (0, 1, 2)
+    if out.exists():  # a solver ran: argparse rejections exit 2 with no output
+        # what is published is strict JSON, with no NaN or Infinity
+        json.loads(out.read_text(), parse_constant=reject_constant)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def drop_some(draw, mapping: dict) -> dict:

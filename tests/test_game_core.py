@@ -31,7 +31,7 @@ from privagg.game_core import (
     translate_checks,
     utility_values,
 )
-from privagg.dp_core import NoiseSource
+from privagg.dp_core import BudgetError, NoiseSource
 from privagg.harness import generate
 from privagg.market import MarketGame, to_aggregative, trader_utility
 from privagg.onedim import make_optin_game
@@ -162,6 +162,12 @@ def test_grid_steps_snaps_float_multiples(W, alpha, K):
     # 0.27 / 0.03 is 9.000000000000002 in floats: a plain ceil would give 10
     assert grid_steps(W, alpha) == K
     assert (K - 1) * alpha < W <= K * alpha + 1e-12
+
+
+def test_grid_steps_refuses_an_unbounded_grid():
+    # W / alpha overflows to inf, so no finite grid exists
+    with pytest.raises(BudgetError):
+        grid_steps(1.0, 1e-320)
 
 
 def test_abr_set_constant_and_unique():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from privagg.dp_core import NoiseSource, ParameterError
+from privagg.dp_core import BudgetError, NoiseSource, ParameterError
 from privagg.game_core import LinearUtility, save_game
 from privagg.harness import (
     SOLVERS,
@@ -20,7 +20,7 @@ from privagg.harness import (
     run_experiment,
 )
 from privagg.onedim import QuasiAggregativeGame, make_optin_game
-from privagg.presl import BudgetError, existence_bound
+from privagg.presl import existence_bound
 
 from conftest import (
     JUMP_ALPHA,

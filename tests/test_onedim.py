@@ -8,15 +8,18 @@ alpha it provably cannot, which pins down the abort branches.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from privagg.dp_core import NoiseSource, ParameterError
-from privagg.game_core import LinearUtility, abr_profile, abr_set, regret
+from privagg import onedim
+from privagg.dp_core import BudgetError, NoiseSource, ParameterError
+from privagg.game_core import GRID_BUDGET, LinearUtility, abr_profile, abr_set, regret
 from privagg.harness import brute_force_equilibria, generate
 from privagg.onedim import (
     PSummResult,
+    _walk_aggregators,
     QualitySpec,
     QuasiAggregativeGame,
     SelectionParams,
@@ -39,6 +42,8 @@ from conftest import (
     build_quiet,
     crowd_averse_game,
     jump_game,
+    looped_walk_aggregators,
+    materialised_walk,
     naive_utility,
     per_player_extremes,
 )
@@ -179,6 +184,90 @@ def test_smooth_walk_adjacent_gap_within_spread():
             assert int((a != b).sum()) <= 1
 
 
+WALK_CASES = ["linear-m3", "threshold", "custom-aggregator", "hi-equals-lo"]
+
+
+def walk_case(name):
+    """(qgame, hi, lo) for one of WALK_CASES, n = 30."""
+    rng = np.random.Generator(np.random.PCG64(WALK_CASES.index(name)))
+    if name in ("linear-m3", "hi-equals-lo"):
+        q = QuasiAggregativeGame(generate("linear", 4, n=30, m=3))
+    elif name == "threshold":
+        q = generate("threshold", 5, n=30)
+    else:
+        base = crowd_averse_game(30, 0.4, 1.0 / 30)
+        # joiners counted up to 20, so not the linear form
+        q = QuasiAggregativeGame(
+            base=base,
+            aggregator_fn=lambda x: base.gamma * min(float(np.count_nonzero(x == 0)), 20.0),
+        )
+    hi = rng.integers(0, q.m, size=q.n)
+    lo = hi.copy() if name == "hi-equals-lo" else rng.integers(0, q.m, size=q.n)
+    return q, hi, lo
+
+
+@pytest.mark.parametrize("case", WALK_CASES)
+def test_smooth_walk_rows_match_the_materialised_walk(case):
+    q, hi, lo = walk_case(case)
+    walk = smooth_walk(q, hi, lo)
+    rows = materialised_walk(hi, lo)
+    assert len(walk) == q.n + 1
+    assert walk.nbytes == 2 * 8 * q.n  # the two end profiles only
+    for j in range(q.n + 1):
+        x = walk[j]
+        assert x.dtype == np.int64
+        assert x.base is None
+        assert np.array_equal(x, rows[j])
+    assert np.array_equal(walk[-1], rows[-1])
+    assert np.array_equal(walk[3:9], rows[3:9])
+    assert np.array_equal(walk[::-4], rows[::-4])
+    assert walk[5:5].shape == (0, q.n)
+    with pytest.raises(IndexError):
+        walk[q.n + 1]
+
+
+@pytest.mark.parametrize("case", WALK_CASES)
+def test_walk_aggregators_match_the_looped_reference(case):
+    q, hi, lo = walk_case(case)
+    s = _walk_aggregators(q, smooth_walk(q, hi, lo))
+    ref = looped_walk_aggregators(q, materialised_walk(hi, lo))
+    assert s.dtype == ref.dtype
+    assert s.tobytes() == ref.tobytes()  # bit for bit
+
+
+def test_walk_profiles_own_their_data():
+    # a published composite is its own array, not a view that keeps every
+    # composite of the walk alive
+    q = QuasiAggregativeGame(base=crowd_averse_game(40, 0.5, 0.025))
+    res = psummnash(q, epsilon=500.0, alpha=0.05, beta=0.05, src=NoiseSource(0, OFF))
+    assert res.stage == 3
+    assert res.profile.base is None
+    q = QuasiAggregativeGame(base=crowd_averse_game(10, 0.08, 0.1, spread2=True))
+    prm = SelectionParams.for_game(
+        q, zeta=0.4, epsilon=3000.0, alpha=0.05, beta=0.05, quality=QualitySpec.linear(1.0),
+    )
+    res = select_equilibrium(q, prm, NoiseSource(0, OFF))
+    assert res.branch == "walk"
+    assert res.profile.base is None
+
+
+def test_walk_branch_memory_is_linear_in_n():
+    # materialising all n + 1 composites would take about 225 MB here
+    n = 5000
+    q = QuasiAggregativeGame(base=crowd_averse_game(n, 0.08, 1.0 / n, spread2=True))
+    prm = SelectionParams.for_game(
+        q, zeta=0.4, epsilon=3000.0, alpha=0.05, beta=0.05, quality=QualitySpec.linear(1.0),
+    )
+    tracemalloc.start()
+    try:
+        res = select_equilibrium(q, prm, NoiseSource(0, OFF))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.branch == "walk"
+    assert peak < 2_000 * n
+
+
 # ---------------------------------------------------------------------------
 # psummnash
 # ---------------------------------------------------------------------------
@@ -199,7 +288,7 @@ def test_psummnash_rejects_alpha_below_floor():
         psummnash(q, epsilon=1.0, alpha=0.05, beta=0.05, src=NoiseSource(0))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_budgets_are_rejected(bad):
     # nan and inf pass every "> 0" test; unchecked, they ran without noise
     q = optin(20, np.linspace(0, 1, 20))
@@ -213,6 +302,16 @@ def test_non_finite_budgets_are_rejected(bad):
         kwargs[key] = bad
         with pytest.raises(ParameterError, match="finite"):
             SelectionParams(quality=quality, gamma=0.05, W=1.0, n=20, **kwargs)
+    # unchecked quality parameters made select publish NaN or -Infinity
+    builds = [
+        lambda: QualitySpec.peak(bad),
+        lambda: QualitySpec.peak(0.3, lam=bad),
+        lambda: QualitySpec.linear(bad),
+        lambda: QualitySpec(fn=lambda s: s, lam=bad),
+    ]
+    for build in builds:
+        with pytest.raises(ParameterError, match="finite"):
+            build()
 
 
 def test_monotone_games_finish_in_stage_one():
@@ -335,6 +434,30 @@ def test_quality_spec_constructors():
         QualitySpec(fn=lambda s: s, lam=-1.0)
 
 
+def test_scalar_solvers_refuse_grids_over_budget(monkeypatch):
+    # W = 1 and this step give 2K = 10,000,002 grid points: both solvers must
+    # refuse before V or the quality score runs and before a grid is built
+    alpha = 1.0 / (GRID_BUDGET / 2 + 0.5)
+    q = optin(25, np.linspace(0, 1, 25))
+
+    def untouchable(*args):
+        raise AssertionError("evaluated past the grid budget check")
+
+    monkeypatch.setattr(onedim, "V", untouchable)
+    with pytest.raises(BudgetError):
+        psummnash(q, epsilon=1e12, alpha=alpha, beta=0.05, src=NoiseSource(0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            SelectionParams(zeta=0.4, epsilon=1e12, alpha=alpha, beta=0.05,
+                            quality=QualitySpec(fn=untouchable, lam=1.0),
+                            gamma=q.gamma, W=q.W, n=q.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_selection_params_grid_order():
     prm = SelectionParams(zeta=0.4, epsilon=100.0, alpha=0.1, beta=0.05,
                           quality=QualitySpec.peak(0.3), gamma=0.05, W=1.0, n=20)
@@ -364,6 +487,10 @@ def test_selection_params_validation():
     with pytest.raises(ParameterError, match="Lipschitz"):
         SelectionParams(zeta=0.4, epsilon=100.0, alpha=0.1, beta=0.05,
                         quality=lying, gamma=0.05, W=1.0, n=20)
+    # finite parameters whose score overflows to -inf on the grid
+    with pytest.raises(ParameterError, match="finite"):
+        SelectionParams(zeta=0.4, epsilon=100.0, alpha=0.1, beta=0.05,
+                        quality=QualitySpec.peak(1e308, lam=2.0), gamma=0.05, W=1.0, n=20)
 
     q = optin(2000, np.linspace(0, 1, 2000), gamma=1.0 / 2000)
     floor = selection_accuracy_floor(q, 100.0, 0.05)

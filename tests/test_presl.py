@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from privagg.dp_core import NoiseSource, ParameterError
+from privagg.dp_core import BudgetError, NoiseSource, ParameterError
 from privagg.game_core import LinearUtility, regret, utility_values
 from privagg.harness import brute_force_equilibria, generate, profile_loss
 from privagg.presl import (
-    BudgetError,
     PreslParams,
     PreslResult,
     existence_bound,
