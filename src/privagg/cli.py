@@ -42,7 +42,10 @@ def _src(args) -> NoiseSource:
 
 
 def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=1)
+    try:
+        text = json.dumps(payload, indent=1, allow_nan=False)
+    except ValueError:  # NaN and Infinity are not JSON
+        raise ParameterError("the result holds a non-finite number; nothing written") from None
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -9,7 +9,11 @@ built from facet rows in [-1, 1]. Two solvers share that structure:
   exponential mechanism picks an (approximately) most violated constraint,
   every player takes a multiplicative-weights step against it, and the
   average iterate is returned. The per-round selections are the public
-  transcript, so any player can replay their own rows.
+  transcript, so any player can replay their own rows with
+  ``replay_mw_player``. Both evaluate the MW iterate in one closed form,
+  p_t ~ exp(-eta (C_t - min C_t)) over the support, from the cumulative loss
+  C_t; a replay is O(T m) numpy work and O(T m) memory, with no Python
+  loop over rounds.
 
 * ``exact_lp_min`` is the deterministic counterpart used on the query side:
   the adversary picks the exactly most violated constraint and the dynamics
@@ -162,10 +166,24 @@ def kl_project(weights: np.ndarray, support: np.ndarray) -> np.ndarray:
     return w / total
 
 
-def _mw_round(p, rows, eta, support):
-    # one shared arithmetic path so full-matrix runs and single-row replays
-    # produce bit-identical floats
-    return kl_project(mw_update(p, rows, eta), support)
+def _mw_iterate(cum: np.ndarray, eta: float) -> np.ndarray:
+    """Closed-form MW iterate from cumulative losses, row-wise on (..., m).
+
+    ``cum`` holds each row's summed losses, +inf off the support. Shifting by
+    the row minimum keeps every weight in [0, 1] for any eta * T, and off
+    the support the weight is exactly 0. The sum over actions runs in a fixed
+    order, one action at a time, so a row's bits do not depend on the
+    array's shape or memory order: full-LP rounds and one player's replay
+    agree exactly.
+    """
+    low = cum[..., 0].copy()
+    for a in range(1, cum.shape[-1]):
+        np.minimum(low, cum[..., a], out=low)
+    w = np.exp(-eta * (cum - low[..., None]))
+    total = w[..., 0].copy()
+    for a in range(1, w.shape[-1]):
+        total += w[..., a]
+    return w / total[..., None]
 
 
 def most_violated(
@@ -197,23 +215,24 @@ def distmw_solve(lp: FeasibilityLP, params: DistMWParams, src: NoiseSource) -> D
 
     Runs exactly params.T rounds; round t selects a constraint through the
     exponential mechanism at budget eps0 applied to the current margins, then
-    every player updates their row against the selected facet. Returns the
-    average of the T iterates, which lands in the supported product simplex
-    by construction.
+    the selected facet joins every player's cumulative loss. Each iterate is
+    the closed form shared with ``replay_mw_player``, the same mathematics as
+    the recurrence p <- p exp(-eta f) / Z. Returns the average of the T
+    iterates, which lands in the supported product simplex by construction.
     """
     if lp.shape != (params.n, params.m):
         raise ParameterError("params were derived for a different LP shape")
-    mask = lp.supports
-    p = lp.uniform_start()
-    accum = np.zeros_like(p)
+    cum = np.where(lp.supports, 0.0, np.inf)
+    accum = np.zeros(lp.shape)
     transcript: list[int] = []
     ledger = PrivacyLedger()
     for _ in range(params.T):
+        p = _mw_iterate(cum, params.eta)
         accum += p
         k, _ = most_violated(lp, p, params.eps0, src)
         ledger.add("constraint-select", params.eps0, 0.0)
         transcript.append(k)
-        p = _mw_round(p, lp.cons_f[k], params.eta, mask)
+        cum += lp.cons_f[k]
     return DistMWResult(p_bar=accum / params.T, transcript=transcript, params=params, ledger=ledger)
 
 
@@ -223,19 +242,30 @@ def replay_mw_player(
     """Recompute one player's averaged row from the public transcript.
 
     ``cons_rows`` is that player's (K, m) slice of the constraint tensor and
-    ``support_row`` their (m,) support mask. Bit-identical to the matching
-    row of ``distmw_solve(...).p_bar``.
+    ``support_row`` their (m,) support mask; ``transcript`` must hold
+    params.T integer indices in [0, K). One cumulative sum over the selected
+    rows gives all T cumulative losses, and the closed-form iterate shared
+    with ``distmw_solve`` runs once on the (T, m) block: O(T m) numpy work
+    and memory. Bit-identical to the matching row of
+    ``distmw_solve(...).p_bar``.
     """
     mask = np.asarray(support_row, dtype=bool)
+    rows = np.asarray(cons_rows, dtype=float)
+    ks = np.asarray(transcript)
+    if mask.shape != (params.m,) or rows.ndim != 2 or rows.shape[1:] != mask.shape:
+        raise ParameterError(f"need (K, {params.m}) constraint rows and a ({params.m},) support")
+    if ks.shape != (params.T,) or not np.issubdtype(ks.dtype, np.integer):
+        raise ParameterError(f"transcript must hold {params.T} integer constraint indices")
+    if ks.min() < 0 or ks.max() >= rows.shape[0]:
+        raise ParameterError(f"transcript indices must lie in [0, {rows.shape[0]})")
     if not mask.any():
         raise DegenerateError("empty support row")
-    p = mask.astype(float)
-    p = p / p.sum(axis=-1, keepdims=True)
-    accum = np.zeros_like(p)
-    for k in transcript:
-        accum += p
-        p = _mw_round(p, cons_rows[int(k)], params.eta, mask)
-    return accum / params.T
+    cum = np.empty((params.T, params.m))
+    cum[0] = np.where(mask, 0.0, np.inf)
+    cum[1:] = rows[ks[:-1]]
+    # sequential sums over rounds, in the order distmw_solve adds them
+    np.cumsum(cum, axis=0, out=cum)
+    return np.cumsum(_mw_iterate(cum, params.eta), axis=0)[-1] / params.T
 
 
 def mw_accuracy_bound(
@@ -365,7 +395,7 @@ def exact_lp_min(
             best_lower = max(best_lower, lower)
             if upper - best_lower <= tol:
                 break
-        p = _mw_round(p, lp.cons_f[k], eta, mask)
+        p = kl_project(mw_update(p, lp.cons_f[k], eta), mask)
 
     p_bar = accum / t
     upper = float(np.max(lp.margins(p_bar)))

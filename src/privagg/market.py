@@ -15,7 +15,7 @@ all-sell and index (3^d - 1) / 2 is all-out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +69,7 @@ class MarketGame:
     d: int
     lam: float
     valuations: np.ndarray  # (n, 3^d)
+    portfolios: np.ndarray = field(init=False, repr=False, compare=False)  # (3^d, d)
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1 or int(self.d) != self.d or self.d < 1:
@@ -83,14 +84,11 @@ class MarketGame:
         if np.max(np.abs(vals)) > self.d + _RANGE_TOL:
             raise ParameterError("portfolio valuations must lie in [-d, d]")
         object.__setattr__(self, "valuations", vals)
+        object.__setattr__(self, "portfolios", portfolio_matrix(self.d))
 
     @property
     def m(self) -> int:
         return 3**self.d
-
-    @property
-    def portfolios(self) -> np.ndarray:
-        return portfolio_matrix(self.d)
 
 
 def imbalance(game: MarketGame, x) -> np.ndarray:
@@ -136,15 +134,17 @@ class MarketUtility:
     lam: float
     d: int
     valuations: np.ndarray  # (n, 3^d)
+    portfolios: np.ndarray = field(init=False, repr=False, compare=False)  # (3^d, d)
 
     kind = "market"
 
     def __post_init__(self):
-        object.__setattr__(self, "valuations", np.asarray(self.valuations, dtype=float))
-
-    @property
-    def portfolios(self) -> np.ndarray:
-        return portfolio_matrix(self.d)
+        vals = np.asarray(self.valuations, dtype=float)
+        # 3^40 portfolios overflow an array dimension; checked before 3**d is built
+        if vals.ndim != 2 or not 0 < self.d < 40 or vals.shape[1] != 3**self.d:
+            raise ParameterError("valuations need one column per portfolio, 3^d in all")
+        object.__setattr__(self, "valuations", vals)
+        object.__setattr__(self, "portfolios", portfolio_matrix(self.d))
 
     def _prices(self, s: np.ndarray) -> np.ndarray:
         return hinge_price(self.lam * s, self.lam)
@@ -178,7 +178,7 @@ class MarketUtility:
 
 def to_aggregative(game: MarketGame) -> AggregativeGame:
     """View the market as an aggregative game with S = imbalance / lambda."""
-    A = portfolio_matrix(game.d)  # (m, d)
+    A = game.portfolios  # (m, d)
     f = np.broadcast_to(A.T.astype(float), (game.n, game.d, game.m)).copy()
     return AggregativeGame(
         n=game.n,

@@ -364,7 +364,12 @@ def replay_psummnash_player(
 
 @dataclass(frozen=True)
 class QualitySpec:
-    """Public quality score over aggregator values with Lipschitz constant."""
+    """Public quality score over aggregator values with Lipschitz constant.
+
+    ``fn`` must be elementwise: ``SelectionParams`` scores the whole grid in
+    one call on a float array and needs an array of the same shape back,
+    while ``SelectResult.quality_value`` calls it on one float.
+    """
 
     fn: Callable[[float], float]
     lam: float
@@ -438,7 +443,10 @@ class SelectionParams:
         object.__setattr__(self, "xi", 2.0 * self.alpha + self.gamma + self.zeta)
         K = _grid_steps(self.W, self.alpha)
         values = np.arange(-K, K) * self.alpha
-        scores = np.array([self.quality.fn(float(s)) for s in values])
+        with np.errstate(all="ignore"):  # a non-finite score is refused below
+            scores = np.asarray(self.quality.fn(values), dtype=float)
+        if scores.shape != values.shape:
+            raise ParameterError("quality score must be elementwise: one score per grid value")
         if not np.all(np.isfinite(scores)):
             raise ParameterError("quality score is not finite on the grid")
         if np.max(np.abs(np.diff(scores))) > self.quality.lam * self.alpha + 1e-9:

@@ -361,6 +361,17 @@ def test_fuzz_solver_argv_never_tracebacks(fuzz_dir, data):
         json.loads(out.read_text(), parse_constant=reject_constant)
 
 
+def test_non_finite_result_is_not_published(fuzz_dir):
+    # alpha near the float maximum makes the certified bound 10 alpha + 2 gamma
+    # overflow; the CLI published "bound": Infinity (found by the fuzz above)
+    out = fuzz_dir / "out.json"
+    out.unlink(missing_ok=True)
+    argv = ["psummnash", "--game", fuzz_dir / "game.json", "--seed", 0, "--out", out,
+            "--epsilon=1000.0", "--alpha=1.797693134862316e+307", "--beta=0.5"]
+    assert exit_code(argv) == 1
+    assert not out.exists()
+
+
 def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

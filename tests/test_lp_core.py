@@ -246,6 +246,103 @@ def test_distmw_replay_is_bit_exact():
         assert np.array_equal(row, res.p_bar[i])
 
 
+def replay_lp(n, m, T, seed, K=4, gamma=0.3):
+    """Random K-constraint LP with partial supports whose dynamics run T rounds."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    f = rng.uniform(-1.0, 1.0, size=(K, n, m))
+    b = rng.uniform(-0.3, 0.3, size=K)
+    supports = rng.random((n, m)) < 0.6
+    supports[np.arange(n), rng.integers(0, m, size=n)] = True
+    lp = FeasibilityLP(gamma=gamma, cons_f=f, cons_b=b, supports=supports)
+    # 16 n^2 gamma^2 ln m / alpha^2 = T - 1/2, so the round count is exactly T
+    alpha = 4.0 * n * gamma * math.sqrt(math.log(m) / (T - 0.5))
+    prm = DistMWParams(epsilon=1.0, delta=0.05, alpha=alpha, beta=0.1,
+                       n=n, m=m, gamma=gamma)
+    assert prm.T == T
+    return lp, prm
+
+
+def recurrence_row(rows, support, eta, transcript):
+    """Average iterate of the plain recurrence p <- p exp(-eta f) / Z."""
+    p = support / support.sum()
+    accum = np.zeros_like(p)
+    for k in transcript:
+        accum += p
+        w = p * np.exp(-eta * rows[k]) * support
+        p = w / w.sum()
+    return accum / len(transcript)
+
+
+@pytest.mark.parametrize("mode", ["noisy", "noise_off"])
+@pytest.mark.parametrize("T", [1, 2, 520])
+@pytest.mark.parametrize("m", [2, 3, 9])
+@pytest.mark.parametrize("n", [1, 2, 60])
+def test_replay_bit_exact_matrix(n, m, T, mode):
+    # the sum over m actions must not follow the block's shape: at n = 1 and
+    # m = 9 a shape-dependent sum is pairwise in the solve and sequential in
+    # a T-round replay
+    lp, prm = replay_lp(n, m, T, seed=1000 * n + 10 * m + T)
+    src = NoiseSource(5) if mode == "noisy" else NoiseSource(0, NoiseSource.NOISE_OFF)
+    res = distmw_solve(lp, prm, src)
+    assert len(res.transcript) == T
+    for i in range(n):
+        row = replay_mw_player(lp.cons_f[:, i, :], lp.supports[i], prm, res.transcript)
+        assert np.array_equal(row, res.p_bar[i])
+
+
+def test_replay_agrees_with_plain_recurrence():
+    for n, m, seed in [(1, 9, 1), (2, 3, 2), (60, 9, 3)]:
+        lp, prm = replay_lp(n, m, 520, seed=seed)
+        res = distmw_solve(lp, prm, NoiseSource(seed))
+        sup = lp.supports.astype(float)
+        for i in range(n):
+            plain = recurrence_row(lp.cons_f[:, i, :], sup[i], prm.eta, res.transcript)
+            assert np.allclose(res.p_bar[i], plain, rtol=0, atol=1e-12)
+            assert np.all(res.p_bar[i][~lp.supports[i]] == 0.0)
+
+
+def test_replay_stays_finite_at_large_eta_T():
+    # eta T = sqrt(T ln m) > 1,000: unshifted weights exp(eta * T) overflow
+    n, m, gamma = 1, 3, 1.0
+    alpha = 4.0 * n * gamma * math.log(m) / 1100.0
+    prm = DistMWParams(epsilon=1.0, delta=0.05, alpha=alpha, beta=0.1,
+                       n=n, m=m, gamma=gamma)
+    assert prm.eta * prm.T > 1000.0
+    rows = np.array([[-1.0, -0.5, -1.0], [0.5, -1.0, -1.0]])
+    support = np.array([True, True, False])
+    transcript = np.zeros(prm.T, dtype=np.int64)
+    transcript[: prm.T // 10] = 1
+    row = replay_mw_player(rows, support, prm, transcript)
+    assert np.all(np.isfinite(row))
+    assert row[2] == 0.0
+    assert row.sum() == pytest.approx(1.0, abs=1e-12)
+    # action 1 leads the cumulative loss until round 0.4 T, action 0 after it
+    assert row[0] == pytest.approx(0.6, abs=0.01)
+
+
+@pytest.mark.parametrize("case", [
+    "negative-index", "short-transcript", "float-index", "index-past-K",
+    "two-dimensional", "rows-wrong-m", "rows-not-2d", "support-wrong-m",
+])
+def test_replay_rejects_malformed_inputs(case):
+    lp, prm = replay_lp(2, 2, 5, seed=9, K=2)
+    res = distmw_solve(lp, prm, NoiseSource(9))
+    args = dict(cons_rows=lp.cons_f[:, 0, :], support_row=lp.supports[0],
+                transcript=res.transcript)
+    args.update({
+        "negative-index": dict(transcript=[-1] * prm.T),
+        "short-transcript": dict(transcript=res.transcript[:3]),
+        "float-index": dict(transcript=[0.7] * prm.T),
+        "index-past-K": dict(transcript=[5] * prm.T),
+        "two-dimensional": dict(transcript=[res.transcript]),
+        "rows-wrong-m": dict(cons_rows=np.zeros((2, 3))),
+        "rows-not-2d": dict(cons_rows=np.zeros((2, 2, 1))),
+        "support-wrong-m": dict(support_row=np.ones(3, dtype=bool)),
+    }[case])
+    with pytest.raises(ParameterError):
+        replay_mw_player(params=prm, **args)
+
+
 def test_distmw_noise_off_is_deterministic_exact_selection():
     lp, _ = single_constraint_lp(gamma=0.2, seed=31, n=3, m=3)
     prm = DistMWParams(epsilon=1.0, delta=0.01, alpha=0.5, beta=0.1,

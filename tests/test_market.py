@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from privagg import market
 from privagg.game_core import ParameterError, aggregator, utility_values
 from privagg.market import (
     MarketGame,
+    MarketUtility,
     corollary_eta,
     from_aggregative,
     hinge_price,
@@ -188,6 +190,38 @@ def test_market_game_validation():
         MarketGame(n=2, d=1, lam=4.0, valuations=np.zeros((2, 4)))
     with pytest.raises(ParameterError):
         MarketGame(n=2, d=1, lam=4.0, valuations=np.full((2, 3), 1.5))
+
+
+def test_portfolios_built_once(monkeypatch):
+    g = small_market(n=5, d=2, lam=10.0, seed=3)
+    u = to_aggregative(g).utility
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return portfolio_matrix(d)
+
+    monkeypatch.setattr(market, "portfolio_matrix", counting)
+    rng = np.random.Generator(np.random.PCG64(4))
+    for _ in range(1000):
+        i = int(rng.integers(g.n))
+        s = rng.uniform(-1.0, 1.0, size=2)
+        got = u.values_for_player(i, s)
+        pay = portfolio_matrix(2) @ hinge_price(g.lam * s, g.lam)
+        assert np.array_equal(got, (g.valuations[i] - pay) / 4.0)
+    imbalance(g, np.zeros(g.n, dtype=int))
+    trader_utility(g, 0, 4, np.zeros(2))
+    assert calls == []
+
+
+def test_market_utility_validation():
+    with pytest.raises(ParameterError):
+        MarketUtility(lam=4.0, d=1, valuations=np.zeros((2, 4)))
+    with pytest.raises(ParameterError):
+        MarketUtility(lam=4.0, d=0, valuations=np.zeros((2, 1)))
+    # refused before 3^d portfolios are built
+    with pytest.raises(ParameterError):
+        MarketUtility(lam=4.0, d=10**9, valuations=np.zeros((2, 3)))
 
 
 def test_budget_formulas_frozen_values():

@@ -474,6 +474,45 @@ def test_selection_params_grid_order():
     assert prm.quality_penalty() == pytest.approx(5 * 0.1 * 1.0)
 
 
+@pytest.mark.parametrize(
+    "quality, W, alpha",
+    [
+        (QualitySpec.peak(0.3), 1.0, 0.1),
+        (QualitySpec.peak(-0.37, lam=2.5), 3.0, 0.013),
+        (QualitySpec.linear(-0.5), 2.0, 0.07),
+        (QualitySpec.linear(1.7), 0.9, 0.003),
+        (QualitySpec.peak(0.123456789), 1.0, 1e-6),  # a 2,000,000-point grid
+    ],
+)
+def test_selection_grid_matches_scalar_scoring(quality, W, alpha):
+    prm = SelectionParams(zeta=0.4, epsilon=100.0, alpha=alpha, beta=0.05,
+                          quality=quality, gamma=0.05, W=W, n=20)
+    K = onedim._grid_steps(W, alpha)
+    values = np.arange(-K, K) * alpha
+    scores = np.array([quality.fn(float(s)) for s in values])
+    assert np.array_equal(quality.fn(values), scores)
+    assert np.array_equal(prm.grid, values[np.lexsort((values, -scores))])
+    assert prm.grid.size == 2 * K
+
+
+def test_selection_scores_grid_in_one_call():
+    calls = []
+
+    def score(s):
+        calls.append(np.shape(s))
+        return -np.abs(s)
+
+    prm = SelectionParams(zeta=0.4, epsilon=100.0, alpha=0.1, beta=0.05,
+                          quality=QualitySpec(fn=score, lam=1.0), gamma=0.05, W=1.0, n=20)
+    assert calls == [(20,)]
+    assert prm.grid[0] == 0.0
+    # a score that is not elementwise is refused
+    for fn in (lambda s: 1.0, lambda s: np.zeros(3), lambda s: np.zeros((20, 1))):
+        with pytest.raises(ParameterError, match="elementwise"):
+            SelectionParams(zeta=0.4, epsilon=100.0, alpha=0.1, beta=0.05,
+                            quality=QualitySpec(fn=fn, lam=1.0), gamma=0.05, W=1.0, n=20)
+
+
 def test_selection_params_validation():
     quality = QualitySpec.linear(1.0)
     with pytest.raises(ParameterError):
