@@ -44,10 +44,8 @@ from .lp_core import (
     FeasibilityLP,
     distmw_solve,
     exact_lp_min,
-    kl_project,
     most_violated,
     mw_accuracy_bound,
-    mw_update,
     replay_mw_player,
 )
 from .market import (

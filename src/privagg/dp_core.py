@@ -10,7 +10,8 @@ becomes a lowest-index argmax) without touching the uniform stream.
 
 Every private scan in the solvers is ``first_below(session, items, query)``:
 it streams query(item) through a one-shot SparseSession and stops at the first
-below answer (AboveThreshold, Dwork & Roth 2014, Alg. 1). Items are pulled
+below answer (AboveThreshold, Dwork & Roth 2014, Alg. 1). Only the hit's
+position leaves the session, never a noisy query value. Items are pulled
 lazily, so nothing past the hit is generated or evaluated.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -131,76 +132,67 @@ def laplace_sample(b: float, src: NoiseSource) -> float:
 
 @dataclass(frozen=True)
 class SparseAnswer:
-    """One streamed answer: below (with the noisy value) or above (bottom)."""
+    """One streamed answer: below or above (bottom). The compared noisy value
+    is not released: publishing it with the answer is not differentially
+    private at any budget (Lyu, Su & Li, "Understanding the Sparse Vector
+    Technique", PVLDB 2017, Alg. 3)."""
 
     below: bool
-    value: Optional[float] = None
 
     def __str__(self) -> str:
-        return f"Below({self.value})" if self.below else "Above"
+        return "Below" if self.below else "Above"
 
 
 class SparseSession:
-    """Below-threshold sparse vector state.
+    """One-shot below-threshold sparse vector state (AboveThreshold).
 
-    Adds Lap(2*c*gamma/eps) to each streamed query and compares against a
-    noisy threshold T + Lap(2*gamma/eps) drawn once at construction. Below
-    answers release the noisy value and count against the budget c; after c
-    of them the session halts and further answers are a state error.
+    Adds Lap(2*gamma/eps) to each streamed query and compares against a
+    noisy threshold T + Lap(2*gamma/eps) drawn once at construction. The
+    first below answer halts the session; further answers are a state error.
     """
 
     def __init__(
         self,
         sensitivity: float,
         threshold: float,
-        budget: int,
         epsilon: float,
         src: NoiseSource,
     ):
         if sensitivity < 0:
             raise ParameterError("sensitivity must be >= 0")
-        if budget < 1:
-            raise ParameterError("budget c must be a positive integer")
         if epsilon <= 0:
             raise ParameterError("epsilon must be positive")
         check_finite(sensitivity=sensitivity, threshold=threshold, epsilon=epsilon)
         self.sensitivity = float(sensitivity)
         self.threshold = float(threshold)
-        self.budget = int(budget)
         self.epsilon = float(epsilon)
         self._src = src
-        self.count = 0
         self.halted = False
         thr_scale = 2.0 * self.sensitivity / self.epsilon
         self.noisy_threshold = self.threshold + (
             laplace_sample(thr_scale, src) if (thr_scale > 0 and not src.noise_off) else 0.0
         )
-        self.query_scale = 2.0 * self.budget * self.sensitivity / self.epsilon
+        self.query_scale = 2.0 * self.sensitivity / self.epsilon
 
     def answer(self, query_value: float) -> SparseAnswer:
         if self.halted:
-            raise StateError("sparse session already halted (budget exhausted)")
+            raise StateError("sparse session already halted at its below answer")
         noise = 0.0
         if self.query_scale > 0 and not self._src.noise_off:
             noise = laplace_sample(self.query_scale, self._src)
-        noisy = float(query_value) + noise
-        if noisy <= self.noisy_threshold:
-            self.count += 1
-            if self.count >= self.budget:
-                self.halted = True
-            return SparseAnswer(below=True, value=noisy)
-        return SparseAnswer(below=False)
+        below = float(query_value) + noise <= self.noisy_threshold
+        self.halted = below
+        return SparseAnswer(below=below)
 
 
 def first_below(session: SparseSession, items: Iterable, query: Callable) -> tuple:
-    """(item, answer, asked) at the first below answer to query(item), or
-    (None, None, asked) after every item was asked without one."""
+    """(item, asked) at the first below answer to query(item), or
+    (None, asked) after every item was asked without one."""
     asked = 0
     for asked, item in enumerate(items, 1):
-        answer = session.answer(query(item))
-        if answer.below:
-            return item, answer, asked
-    return None, None, asked
+        if session.answer(query(item)).below:
+            return item, asked
+    return None, asked
 
 
 def sparse_accuracy_bound(

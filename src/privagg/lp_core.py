@@ -1,19 +1,20 @@
-"""Feasibility LPs over products of restricted simplices, solved two ways.
+"""Feasibility LPs over products of restricted simplices.
 
 The LPs here always have the same shape: find a mixed profile p, one
 distribution per player supported on an allowed action set, satisfying K
 linear constraints gamma * <F_k, p> <= b_k whose coefficient tensors F_k are
-built from facet rows in [-1, 1]. Two solvers share that structure:
+built from facet rows in [-1, 1]. Every solver here runs multiplicative
+weights against a most violated constraint, and all of them evaluate the
+iterate through one closed form, p_t ~ exp(-eta (C_t - min C_t)) over the
+support, from the cumulative loss C_t (Arora, Hazan & Kale, "The
+Multiplicative Weights Update Method", 2012):
 
 * ``distmw_solve`` runs the private no-regret dynamics: each round the
   exponential mechanism picks an (approximately) most violated constraint,
-  every player takes a multiplicative-weights step against it, and the
-  average iterate is returned. The per-round selections are the public
-  transcript, so any player can replay their own rows with
-  ``replay_mw_player``. Both evaluate the MW iterate in one closed form,
-  p_t ~ exp(-eta (C_t - min C_t)) over the support, from the cumulative loss
-  C_t; a replay is O(T m) numpy work and O(T m) memory, with no Python
-  loop over rounds.
+  the selected facet joins every player's cumulative loss, and the average
+  iterate is returned. The per-round selections are the public transcript,
+  so any player can replay their own rows with ``replay_mw_player``: O(T m)
+  numpy work and O(T m) memory, with no Python loop over rounds.
 
 * ``exact_lp_min`` is the deterministic counterpart used on the query side:
   the adversary picks the exactly most violated constraint and the dynamics
@@ -45,8 +46,6 @@ __all__ = [
     "DistMWParams",
     "DistMWResult",
     "ExactLPResult",
-    "mw_update",
-    "kl_project",
     "most_violated",
     "distmw_solve",
     "replay_mw_player",
@@ -57,7 +56,7 @@ __all__ = [
 
 
 class DegenerateError(ValueError):
-    """Raised when a projection target or support set is empty."""
+    """Raised when a support set is empty."""
 
 
 @dataclass(frozen=True)
@@ -101,10 +100,6 @@ class FeasibilityLP:
         """gamma * <F_k, p> - b_k for every k; feasible iff all <= 0."""
         return self.gamma * np.einsum("knm,nm->k", self.cons_f, p) - self.cons_b
 
-    def uniform_start(self) -> np.ndarray:
-        mask = self.supports.astype(float)
-        return mask / mask.sum(axis=1, keepdims=True)
-
 
 @dataclass(frozen=True)
 class DistMWParams:
@@ -146,24 +141,6 @@ class DistMWParams:
             epsilon=epsilon, delta=delta, alpha=alpha, beta=beta,
             n=game.n, m=game.m, gamma=game.gamma,
         )
-
-
-def mw_update(p_row: np.ndarray, f_row: np.ndarray, eta: float) -> np.ndarray:
-    """Unnormalized multiplicative-weights step p * exp(-eta * f)."""
-    return p_row * np.exp(-eta * f_row)
-
-
-def kl_project(weights: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """KL projection onto the simplex over ``support``: restrict, renormalize.
-
-    Works row-wise on any (..., m) array against a boolean mask of the same
-    trailing shape.
-    """
-    w = np.asarray(weights, dtype=float) * np.asarray(support, dtype=float)
-    total = w.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0.0):
-        raise DegenerateError("all weight lies outside the support set")
-    return w / total
 
 
 def _mw_iterate(cum: np.ndarray, eta: float) -> np.ndarray:
@@ -349,16 +326,17 @@ def exact_lp_min(
 ) -> ExactLPResult:
     """Deterministic min-max margin of the slack-0 LP at (s_hat, y_hat).
 
-    Runs multiplicative weights against the exactly most violated constraint
-    and stops once the measured primal value at the average iterate is within
-    ``tol`` of the dual lower bound. The returned value lies in
-    [Q - tol, Q] for the true optimum Q, and the witness's worst margin is at
-    most value + tol. ``y_hat=None`` (or +inf) drops the loss term.
+    Runs multiplicative weights against the exactly most violated constraint,
+    with each iterate the closed form shared with ``distmw_solve``, and stops
+    once the measured primal value at the average iterate is within ``tol``
+    of the dual lower bound read off the cumulative losses. The returned
+    value lies in [Q - tol, Q] for the true optimum Q, and the witness's
+    worst margin is at most value + tol. ``y_hat=None`` (or +inf) drops the
+    loss term.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
     lp = build_slack_lp(game, s_hat, y_hat, xi, slack=0.0)
-    mask = lp.supports
     n, m = lp.shape
     log_m = math.log(m) if m > 1 else 1.0
     # horizon from the no-regret gap bound gamma*n*sqrt(2 ln m / T) <= tol,
@@ -371,31 +349,26 @@ def exact_lp_min(
     cap = 8 * t_theory
     eta = math.sqrt(2.0 * log_m / t_theory)
 
-    p = lp.uniform_start()
-    accum = np.zeros_like(p)
-    rows_sum = np.zeros_like(p)
+    # +inf off the support: zero weight there, and no row minimum lands there
+    cum = np.where(lp.supports, 0.0, np.inf)
+    accum = np.zeros(lp.shape)
     b_sum = 0.0
     best_lower = -math.inf
-    upper = math.inf
     check_every = 16
     t = 0
     while t < cap:
         t += 1
+        p = _mw_iterate(cum, eta)
         accum += p
-        margins = lp.margins(p)
-        k = int(np.argmax(margins))
-        rows_sum += lp.cons_f[k]
+        k = int(np.argmax(lp.margins(p)))
+        cum += lp.cons_f[k]
         b_sum += float(lp.cons_b[k])
         if t % check_every == 0 or t == 1 or t >= cap:
-            p_bar = accum / t
-            upper = float(np.max(lp.margins(p_bar)))
-            row_avg = rows_sum / t
-            best_row = np.where(mask, row_avg, np.inf).min(axis=1)
-            lower = game.gamma * float(best_row.sum()) - b_sum / t
+            upper = float(np.max(lp.margins(accum / t)))
+            lower = game.gamma * float((cum.min(axis=1) / t).sum()) - b_sum / t
             best_lower = max(best_lower, lower)
             if upper - best_lower <= tol:
                 break
-        p = kl_project(mw_update(p, lp.cons_f[k], eta), mask)
 
     p_bar = accum / t
     upper = float(np.max(lp.margins(p_bar)))

@@ -220,6 +220,19 @@ def _check_budget(epsilon: float, alpha: float, beta: float) -> None:
         raise ParameterError("need epsilon > 0, alpha > 0, beta in (0, 1)")
 
 
+def _check_certificate(bound: float) -> None:
+    """Refuse, before any query, a run whose certified regret level is not
+    finite: alpha passes ``check_finite`` up to the float maximum, 10 alpha
+    does not."""
+    if not math.isfinite(bound):
+        raise ParameterError(f"the certified bound is {bound}, not finite; lower alpha")
+
+
+def _psummnash_bound(alpha: float, gamma: float) -> float:
+    """Certified regret level 10 alpha + 2 gamma of a non-aborting psummnash run."""
+    return 10.0 * alpha + 2.0 * gamma
+
+
 def _grid_steps(W: float, alpha: float) -> int:
     """``grid_steps``, refused before any grid point is built or queried when
     the 2K-point grid exceeds ``GRID_BUDGET``, the budget presl obeys too."""
@@ -253,12 +266,11 @@ class PSummResult:
     k_hit: Optional[int] = None  # stage-1 grid index, in units of alpha
     bracket: Optional[int] = None  # stage-2 crossing index l
     walk_j: Optional[int] = None  # stage-3 composite index
-    noisy_value: Optional[float] = None
     queries: tuple = (0, 0, 0)
 
     def approx_bound(self, gamma: float) -> float:
         """Certified regret level 10 alpha + 2 gamma for non-aborting runs."""
-        return 10.0 * self.alpha + 2.0 * gamma
+        return _psummnash_bound(self.alpha, gamma)
 
 
 def psummnash(
@@ -279,6 +291,8 @@ def psummnash(
     through its own one-shot sparse session.
     """
     _check_budget(epsilon, alpha, beta)
+    # callers evaluate the bound at gamma or at the tighter gamma_eff
+    _check_certificate(_psummnash_bound(alpha, max(qgame.gamma, qgame.base.gamma_eff)))
     floor = psummnash_accuracy_floor(qgame, epsilon, beta)
     if alpha < floor:
         raise ParameterError(
@@ -298,16 +312,15 @@ def psummnash(
 
     def session(stream: str, charge: str, threshold: float) -> SparseSession:
         ledger.add(charge, epsilon / 3.0, 0.0)
-        return SparseSession(gamma, threshold, 1, epsilon / 3.0, src.child(stream))
+        return SparseSession(gamma, threshold, epsilon / 3.0, src.child(stream))
 
     # stage 1: grid points that already summarize themselves
     s1 = session("stage1", "grid-fixed-point", 4.0 * alpha)
-    k, ans, asked1 = first_below(s1, range(-K, K), lambda k: abs(v_at(k) - k * alpha))
+    k, asked1 = first_below(s1, range(-K, K), lambda k: abs(v_at(k) - k * alpha))
     if k is not None:
         profile = abr_profile(qgame.base, np.array([k * alpha]))
         return result(
-            aborted=False, stage=1, profile=profile, k_hit=k, noisy_value=ans.value,
-            queries=(asked1, 0, 0),
+            aborted=False, stage=1, profile=profile, k_hit=k, queries=(asked1, 0, 0),
         )
 
     # stage 2: locate a downward crossing of V across one grid step
@@ -317,7 +330,7 @@ def psummnash(
         return gap_hi + gap_lo
 
     s2 = session("stage2", "crossing-scan", -4.0 * alpha)
-    bracket, _, asked2 = first_below(s2, range(-K + 1, K), crossing_gap)
+    bracket, asked2 = first_below(s2, range(-K + 1, K), crossing_gap)
     if bracket is None:
         return result(aborted=True, stage=None, queries=(asked1, asked2, 0))
 
@@ -327,14 +340,14 @@ def psummnash(
     walk = smooth_walk(qgame, hi, lo)
     s_vals = _walk_aggregators(qgame, walk)
     s3 = session("stage3", "walk-scan", alpha + gamma / 2.0)
-    j, ans, asked3 = first_below(
+    j, asked3 = first_below(
         s3, range(qgame.n + 1), lambda j: abs(float(s_vals[j]) - bracket * alpha)
     )
     if j is None:
         return result(aborted=True, stage=None, bracket=bracket, queries=(asked1, asked2, asked3))
     return result(
         aborted=False, stage=3, profile=walk[j], bracket=bracket, walk_j=j,
-        noisy_value=ans.value, queries=(asked1, asked2, asked3),
+        queries=(asked1, asked2, asked3),
     )
 
 
@@ -440,6 +453,7 @@ class SelectionParams:
         check_finite(zeta=self.zeta)
         if self.zeta < 4.0 * self.gamma:
             raise ParameterError("selection needs zeta >= 4 gamma")
+        _check_certificate(self.approx_bound)
         object.__setattr__(self, "xi", 2.0 * self.alpha + self.gamma + self.zeta)
         K = _grid_steps(self.W, self.alpha)
         values = np.arange(-K, K) * self.alpha
@@ -530,7 +544,6 @@ class SelectResult:
     s_star: Optional[float] = None
     rank: Optional[int] = None  # position of s_star in quality order
     walk_j: Optional[int] = None
-    noisy_value: Optional[float] = None
     queries: tuple = (0, 0, 0, 0)
 
     @property
@@ -566,20 +579,20 @@ def select_equilibrium(
 
     def session(stream: str, threshold: float) -> SparseSession:
         ledger.add(f"{stream}-scan", eps4, 0.0)
-        return SparseSession(gamma, threshold, 1, eps4, src.child(stream))
+        return SparseSession(gamma, threshold, eps4, src.child(stream))
 
     points = range(len(grid))
-    hits = []  # (rank, profile, branch, walk_j, noisy), in branch order
+    hits = []  # (rank, profile, branch, walk_j), in branch order
 
     sess = session("optimistic", 3.0 * alpha)
-    idx, ans, asked_a = first_below(sess, points, lambda i: abs(ext(i).s_max - grid[i]))
+    idx, asked_a = first_below(sess, points, lambda i: abs(ext(i).s_max - grid[i]))
     if idx is not None:
-        hits.append((idx, ext(idx).x_max, "optimistic", None, ans.value))
+        hits.append((idx, ext(idx).x_max, "optimistic", None))
 
     sess = session("pessimistic", 3.0 * alpha)
-    idx, ans, asked_b = first_below(sess, points, lambda i: abs(ext(i).s_min - grid[i]))
+    idx, asked_b = first_below(sess, points, lambda i: abs(ext(i).s_min - grid[i]))
     if idx is not None:
-        hits.append((idx, ext(idx).x_min, "pessimistic", None, ans.value))
+        hits.append((idx, ext(idx).x_min, "pessimistic", None))
 
     def straddle_gap(i: int) -> float:
         gap_lo = max(min(ext(i).s_min - grid[i], 0.0), -2.0 * alpha)
@@ -588,25 +601,25 @@ def select_equilibrium(
 
     # the walk is charged up front, whether or not it runs
     sess_c, sess_d = session("straddle", -3.0 * alpha), session("walk", alpha + gamma / 2.0)
-    idx, _, asked_c = first_below(sess_c, points, straddle_gap)
+    idx, asked_c = first_below(sess_c, points, straddle_gap)
     asked_d = 0
     if idx is not None:
         walk = smooth_walk(qgame, ext(idx).x_max, ext(idx).x_min)
         s_vals = _walk_aggregators(qgame, walk)
-        j, ans, asked_d = first_below(
+        j, asked_d = first_below(
             sess_d, range(qgame.n + 1), lambda j: abs(float(s_vals[j]) - grid[idx])
         )
         if j is not None:
-            hits.append((idx, walk[j], "walk", j, ans.value))
+            hits.append((idx, walk[j], "walk", j))
 
     queries = (asked_a, asked_b, asked_c, asked_d)
     if not hits:
         return SelectResult(aborted=True, params=params, ledger=ledger, queries=queries)
     # the best-ranked hit wins; on a tie the earlier branch does
-    rank, profile, branch, walk_j, noisy = min(hits, key=lambda hit: hit[0])
+    rank, profile, branch, walk_j = min(hits, key=lambda hit: hit[0])
     return SelectResult(
         aborted=False, params=params, ledger=ledger, profile=profile, branch=branch,
-        s_star=grid[rank], rank=rank, walk_j=walk_j, noisy_value=noisy, queries=queries,
+        s_star=grid[rank], rank=rank, walk_j=walk_j, queries=queries,
     )
 
 

@@ -121,7 +121,6 @@ class PreslParams:
     d: int
     gamma: float
     W: float
-    grid_budget: int = GRID_BUDGET
     e1: float = field(init=False)
     e2: float = field(init=False)
     alpha: float = field(init=False)
@@ -159,10 +158,10 @@ class PreslParams:
         y_count = int(math.floor(self.n * self.gamma / alpha + 1e-12)) + 1 if self.has_loss else 1
         object.__setattr__(self, "y_count", y_count)
         object.__setattr__(self, "lp_tol", min(alpha, e1) / 100.0)
-        if self.n_queries > self.grid_budget:
+        if self.n_queries > GRID_BUDGET:
             raise BudgetError(
-                f"grid holds {self.n_queries} queries, over the budget {self.grid_budget}; "
-                "raise alpha (via epsilon) or the budget"
+                f"grid holds {self.n_queries} queries, over the budget {GRID_BUDGET}; "
+                "raise alpha (via epsilon)"
             )
 
     @classmethod
@@ -173,12 +172,11 @@ class PreslParams:
         epsilon: float,
         delta: float,
         beta: float,
-        grid_budget: int = GRID_BUDGET,
     ) -> "PreslParams":
         return cls(
             zeta=zeta, epsilon=epsilon, delta=delta, beta=beta,
             n=game.n, m=game.m, d=game.d, gamma=game.gamma, W=game.W,
-            grid_budget=grid_budget, has_loss=game.loss is not None,
+            has_loss=game.loss is not None,
         )
 
     @property
@@ -219,7 +217,6 @@ class PreslResult:
     hit_y: Optional[float] = None
     hit_s: Optional[np.ndarray] = None
     hit_index: Optional[int] = None
-    noisy_value: Optional[float] = None
     mw_transcript: Optional[list] = None
     mw_params: Optional[DistMWParams] = None
 
@@ -246,7 +243,6 @@ def presl(game: AggregativeGame, params: PreslParams, src: NoiseSource) -> Presl
     session = SparseSession(
         sensitivity=game.gamma,
         threshold=params.alpha + params.e1,
-        budget=1,
         epsilon=params.epsilon,
         src=src.child("sparse"),
     )
@@ -257,7 +253,7 @@ def presl(game: AggregativeGame, params: PreslParams, src: NoiseSource) -> Presl
         y_arg = y if params.has_loss else None
         return exact_lp_min(game, s, y_arg, params.xi, params.lp_tol).value
 
-    hit, ans, asked = first_below(session, enumerate(query_order(params)), lp_value)
+    hit, asked = first_below(session, enumerate(query_order(params)), lp_value)
     if hit is None:
         return PreslResult(aborted=True, params=params, ledger=ledger, queries_asked=asked)
     hit_index, (hit_y, hit_s) = hit
@@ -281,7 +277,6 @@ def presl(game: AggregativeGame, params: PreslParams, src: NoiseSource) -> Presl
         hit_y=hit_y,
         hit_s=hit_s,
         hit_index=hit_index,
-        noisy_value=ans.value,
         mw_transcript=mw.transcript,
         mw_params=mw_params,
     )
@@ -339,8 +334,6 @@ def npresl(
     alpha: float,
     beta: float,
     src: NoiseSource,
-    lp_tol: Optional[float] = None,
-    grid_budget: int = GRID_BUDGET,
 ) -> NpreslResult:
     """Exact counterpart of the private search: no noise anywhere.
 
@@ -355,11 +348,11 @@ def npresl(
     check_finite(zeta=zeta, alpha=alpha)
     if alpha <= 0 or zeta < 0 or not (0 < beta < 1):
         raise ParameterError("need alpha > 0, zeta >= 0, beta in (0, 1)")
-    tol = lp_tol if lp_tol is not None else alpha / 10.0
+    tol = alpha / 10.0
     xi = zeta + game.gamma + 2.0 * alpha
     K = grid_steps(game.W, alpha)
-    if (2 * K) ** game.d > grid_budget:
-        raise BudgetError(f"grid holds {(2 * K) ** game.d} points, over {grid_budget}")
+    if (2 * K) ** game.d > GRID_BUDGET:
+        raise BudgetError(f"grid holds {(2 * K) ** game.d} points, over {GRID_BUDGET}")
     axis = np.arange(2 * K) * alpha - alpha * K
     loss_cap = game.n * game.gamma
 
@@ -373,9 +366,10 @@ def npresl(
         feasible += 1
         lo, hi = 0.0, loss_cap
         witness_hi = None
-        if exact_lp_min(game, s_hat, 0.0, xi, tol).value <= alpha:
+        zero = exact_lp_min(game, s_hat, 0.0, xi, tol)
+        if zero.value <= alpha:
             hi = 0.0
-            witness_hi = exact_lp_min(game, s_hat, 0.0, xi, tol).witness
+            witness_hi = zero.witness
         else:
             while hi - lo > alpha / 10.0:
                 mid = 0.5 * (lo + hi)

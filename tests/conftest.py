@@ -9,12 +9,14 @@ walk provably misses (the only honest way to reach the abort outcome without
 noise).
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from privagg.game_core import AggregativeGame, LinearUtility, abr_set, utility_values
+from privagg.lp_core import build_slack_lp
 
 
 def build_quiet(*args, **kwargs):
@@ -125,6 +127,46 @@ def looped_walk_aggregators(qgame, rows):
         i = j - 1
         s[j] = s[j - 1] + qgame.gamma * (fvals[i, rows[n][i]] - fvals[i, rows[0][i]])
     return s
+
+
+def recurrence_exact_lp_min(game, s_hat, y_hat, xi, tol):
+    """``exact_lp_min`` as the plain multiplicative-weights recurrence:
+    start uniform on the support, step p <- p exp(-eta f_k), restrict to the
+    support and renormalise each round, and read the dual lower bound from
+    the running average of the selected rows. Same horizon, step size,
+    checks and stopping rule. Returns (value, witness, rounds)."""
+    lp = build_slack_lp(game, s_hat, y_hat, xi, slack=0.0)
+    mask = lp.supports
+    n, m = lp.shape
+    log_m = math.log(m) if m > 1 else 1.0
+    t_theory = max(
+        1,
+        math.ceil(2.0 * log_m),
+        math.ceil(2.0 * (game.gamma * n) ** 2 * log_m / tol**2),
+    )
+    cap = 8 * t_theory
+    eta = math.sqrt(2.0 * log_m / t_theory)
+    p = mask / mask.sum(axis=1, keepdims=True)
+    accum = np.zeros_like(p)
+    rows_sum = np.zeros_like(p)
+    b_sum = 0.0
+    best_lower = -math.inf
+    t = 0
+    while t < cap:
+        t += 1
+        accum += p
+        k = int(np.argmax(lp.margins(p)))
+        rows_sum += lp.cons_f[k]
+        b_sum += float(lp.cons_b[k])
+        if t % 16 == 0 or t == 1 or t >= cap:
+            upper = float(np.max(lp.margins(accum / t)))
+            best_row = np.where(mask, rows_sum / t, np.inf).min(axis=1)
+            best_lower = max(best_lower, game.gamma * float(best_row.sum()) - b_sum / t)
+            if upper - best_lower <= tol:
+                break
+        w = p * np.exp(-eta * lp.cons_f[k]) * mask
+        p = w / w.sum(axis=1, keepdims=True)
+    return max(best_lower, 0.0), accum / t, t
 
 
 def naive_loss(game, x):

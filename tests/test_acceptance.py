@@ -97,7 +97,7 @@ def test_02_sparse_vector_accuracy():
     rng = np.random.Generator(np.random.PCG64(202))
     violated = 0
     for trial in range(1000):
-        session = SparseSession(1.0, 0.0, c, 1.0, NoiseSource(trial))
+        session = SparseSession(1.0, 0.0, 1.0, NoiseSource(trial))
         queries = rng.uniform(-2.0 * alpha, 2.0 * alpha, size=n_queries)
         bad = False
         for q in queries:

@@ -1,5 +1,6 @@
 """Noise primitives: frozen example values, lifecycle rules, distributions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from privagg.dp_core import (
     ParameterError,
     PrivacyLedger,
     ScoredOutcomeSet,
+    SparseAnswer,
     SparseSession,
     StateError,
     check_finite,
@@ -22,6 +24,8 @@ from privagg.dp_core import (
     laplace_sample,
     sparse_accuracy_bound,
 )
+from privagg.onedim import PSummResult, SelectResult
+from privagg.presl import PreslResult
 
 
 class FixedUniform:
@@ -114,40 +118,36 @@ def test_uniform_stays_inside_open_interval():
 
 def test_sparse_noise_off_stream_and_halt():
     src = NoiseSource(0, NoiseSource.NOISE_OFF)
-    sess = SparseSession(sensitivity=1.0, threshold=2.0, budget=1, epsilon=0.5, src=src)
-    first = sess.answer(5.0)
-    assert not first.below and first.value is None
-    second = sess.answer(1.0)
-    assert second.below and second.value == 1.0
+    sess = SparseSession(sensitivity=1.0, threshold=2.0, epsilon=0.5, src=src)
+    assert not sess.answer(5.0).below
+    assert not sess.halted
+    assert sess.answer(1.0).below
     assert sess.halted
     with pytest.raises(StateError):
         sess.answer(7.0)
 
 
-def test_sparse_budget_two_allows_two_hits():
-    src = NoiseSource(0, NoiseSource.NOISE_OFF)
-    sess = SparseSession(1.0, 0.0, 2, 1.0, src)
-    assert sess.answer(-1.0).below
-    assert not sess.halted
-    assert not sess.answer(1.0).below
-    assert sess.answer(-2.0).below
-    assert sess.halted
+def test_no_noisy_value_is_released():
+    # releasing the compared noisy query with a below answer is not private
+    # at any budget (Lyu, Su & Li 2017, Alg. 3): neither the answer nor any
+    # solver result carries it
+    assert [f.name for f in dataclasses.fields(SparseAnswer)] == ["below"]
+    for cls in (PreslResult, PSummResult, SelectResult):
+        assert not [f.name for f in dataclasses.fields(cls) if "noisy" in f.name]
 
 
 def test_sparse_threshold_comparison_is_inclusive():
     src = NoiseSource(0, NoiseSource.NOISE_OFF)
-    sess = SparseSession(1.0, 3.0, 1, 1.0, src)
+    sess = SparseSession(1.0, 3.0, 1.0, src)
     assert sess.answer(3.0).below
 
 
 def test_sparse_constructor_validation():
     src = NoiseSource(0)
     with pytest.raises(ParameterError):
-        SparseSession(-1.0, 0.0, 1, 1.0, src)
+        SparseSession(-1.0, 0.0, 1.0, src)
     with pytest.raises(ParameterError):
-        SparseSession(1.0, 0.0, 0, 1.0, src)
-    with pytest.raises(ParameterError):
-        SparseSession(1.0, 0.0, 1, 0.0, src)
+        SparseSession(1.0, 0.0, 0.0, src)
 
 
 def test_sparse_below_rate_at_threshold_is_half():
@@ -157,7 +157,7 @@ def test_sparse_below_rate_at_threshold_is_half():
     hits = 0
     trials = 10000
     for t in range(trials):
-        sess = SparseSession(1.0, 0.0, 1, 1.0, root.child(t))
+        sess = SparseSession(1.0, 0.0, 1.0, root.child(t))
         if sess.answer(0.0).below:
             hits += 1
     assert abs(hits / trials - 0.5) < 0.02
@@ -165,17 +165,16 @@ def test_sparse_below_rate_at_threshold_is_half():
 
 def test_first_below_returns_the_first_hit():
     src = NoiseSource(0, NoiseSource.NOISE_OFF)
-    sess = SparseSession(1.0, 0.0, 1, 1.0, src)
+    sess = SparseSession(1.0, 0.0, 1.0, src)
     items = ["a", "b", "c", "d"]
     values = {"a": 2.0, "b": 1.0, "c": -1.0, "d": -5.0}
-    item, answer, asked = first_below(sess, items, values.__getitem__)
-    assert (item, answer.below, answer.value, asked) == ("c", True, -1.0, 3)
+    assert first_below(sess, items, values.__getitem__) == ("c", 3)
     assert sess.halted
 
 
 def test_first_below_miss_asks_every_query():
     src = NoiseSource(0, NoiseSource.NOISE_OFF)
-    sess = SparseSession(1.0, 0.0, 1, 1.0, src)
+    sess = SparseSession(1.0, 0.0, 1.0, src)
     asked_values = []
 
     def query(x):
@@ -183,7 +182,7 @@ def test_first_below_miss_asks_every_query():
         return x
 
     items = [3.0, 1.0, 0.5, 2.0]
-    assert first_below(sess, items, query) == (None, None, len(items))
+    assert first_below(sess, items, query) == (None, len(items))
     assert asked_values == items
     assert not sess.halted
 
@@ -192,7 +191,7 @@ def test_first_below_is_lazy():
     # the generator raises once advanced past the hit, and the query
     # records every call: an eager scan trips either check
     src = NoiseSource(0, NoiseSource.NOISE_OFF)
-    sess = SparseSession(1.0, 0.0, 1, 1.0, src)
+    sess = SparseSession(1.0, 0.0, 1.0, src)
     queried = []
 
     def items():
@@ -203,8 +202,7 @@ def test_first_below_is_lazy():
         queried.append(x)
         return x
 
-    item, answer, asked = first_below(sess, items(), query)
-    assert (item, asked) == (-1.0, 3)
+    assert first_below(sess, items(), query) == (-1.0, 3)
     assert queried == [4.0, 3.0, -1.0]
 
 
@@ -212,16 +210,15 @@ def test_first_below_matches_a_hand_loop_under_noise():
     root = NoiseSource(77)
     values = np.linspace(3.0, -3.0, 25)
     for t in range(50):
-        sess = SparseSession(1.0, 0.0, 1, 2.0, root.child(t))
-        item, answer, asked = first_below(sess, range(len(values)), lambda i: values[i])
-        ref = SparseSession(1.0, 0.0, 1, 2.0, root.child(t))
+        sess = SparseSession(1.0, 0.0, 2.0, root.child(t))
+        hit = first_below(sess, range(len(values)), lambda i: values[i])
+        ref = SparseSession(1.0, 0.0, 2.0, root.child(t))
         for j, v in enumerate(values):
-            ans = ref.answer(v)
-            if ans.below:
-                assert (item, answer.value, asked) == (j, ans.value, j + 1)
+            if ref.answer(v).below:
+                assert hit == (j, j + 1)
                 break
         else:
-            assert (item, answer, asked) == (None, None, len(values))
+            assert hit == (None, len(values))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -231,9 +228,9 @@ def test_non_finite_budgets_are_rejected(bad):
     check_finite(epsilon=1.0, delta=0.0)
     src = NoiseSource(0)
     with pytest.raises(ParameterError):
-        SparseSession(1.0, 0.0, 1, bad, src)
+        SparseSession(1.0, 0.0, bad, src)
     with pytest.raises(ParameterError):
-        SparseSession(bad, 0.0, 1, 1.0, src)
+        SparseSession(bad, 0.0, 1.0, src)
     with pytest.raises(ParameterError):
         laplace_sample(bad, src)
     oset = ScoredOutcomeSet(["a", "b"], [0.0, 1.0], 1.0)

@@ -4,9 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from privagg.dp_core import NoiseSource, compose_adaptive
 from privagg.game_core import ParameterError, utility_matrix
@@ -18,12 +15,12 @@ from privagg.lp_core import (
     build_slack_lp,
     distmw_solve,
     exact_lp_min,
-    kl_project,
     most_violated,
     mw_accuracy_bound,
-    mw_update,
     replay_mw_player,
 )
+
+from conftest import recurrence_exact_lp_min
 
 
 def single_constraint_lp(gamma=0.3, seed=0, n=2, m=2):
@@ -35,61 +32,6 @@ def single_constraint_lp(gamma=0.3, seed=0, n=2, m=2):
     lp = FeasibilityLP(gamma=gamma, cons_f=f, cons_b=np.array([b]),
                        supports=np.ones((n, m), dtype=bool))
     return lp, p_feas
-
-
-# ---------------------------------------------------------------------------
-# the two primitive steps
-# ---------------------------------------------------------------------------
-
-
-def test_mw_update_analytic_cases():
-    p = np.array([0.2, 0.3, 0.5])
-    assert np.array_equal(mw_update(p, np.zeros(3), 0.7), p)
-
-    hit = mw_update(p, np.array([0.0, 1.0, 0.0]), 0.7)
-    assert hit[0] == p[0] and hit[2] == p[2]
-    assert hit[1] == pytest.approx(0.3 * math.exp(-0.7), abs=0)
-
-    uniform = np.full(4, 0.25)
-    out = mw_update(uniform, np.ones(4), 0.3)
-    assert np.allclose(out / out.sum(), uniform, atol=1e-15)
-
-
-def test_kl_project_frozen_example():
-    out = kl_project(np.array([2.0, 6.0, 2.0]), np.array([True, True, False]))
-    assert np.allclose(out, [0.25, 0.75, 0.0], atol=0)
-
-    # cross-check against a dense search minimizing relative entropy
-    qs = np.linspace(1e-6, 1.0 - 1e-6, 1001)
-    re = qs * np.log(qs / 2.0) + (1.0 - qs) * np.log((1.0 - qs) / 6.0)
-    assert qs[np.argmin(re)] == pytest.approx(0.25, abs=1e-3)
-
-
-def test_kl_project_identity_and_point_mass():
-    p = np.array([0.1, 0.6, 0.3])
-    assert np.allclose(kl_project(p, np.ones(3, dtype=bool)), p, atol=1e-15)
-    out = kl_project(np.array([0.5, 0.2, 0.3]), np.array([False, True, False]))
-    assert np.array_equal(out, [0.0, 1.0, 0.0])
-
-
-def test_kl_project_degenerate():
-    with pytest.raises(DegenerateError):
-        kl_project(np.array([0.0, 0.0, 1.0]), np.array([True, True, False]))
-
-
-@settings(max_examples=100)
-@given(
-    hnp.arrays(float, 5, elements=st.floats(min_value=1e-6, max_value=10.0)),
-    st.integers(min_value=1, max_value=31),
-)
-def test_kl_project_properties(weights, mask_bits):
-    support = np.array([(mask_bits >> j) & 1 == 1 for j in range(5)])
-    out = kl_project(weights, support)
-    assert out.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(out[~support] == 0.0)
-    inside = support & (weights > 0)
-    ratios = out[inside] / weights[inside]
-    assert np.allclose(ratios, ratios[0], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +47,7 @@ def test_most_violated_exact_and_exp():
     # at any p: margins are (0.5*2 - b0, -0.5*2 - b1)
     lp = FeasibilityLP(gamma=gamma, cons_f=f, cons_b=np.array([0.5, -0.8]),
                        supports=np.ones((2, 2), dtype=bool))
-    p = lp.uniform_start()
+    p = np.full((2, 2), 0.5)
     off = NoiseSource(0, NoiseSource.NOISE_OFF)
     k, margin = most_violated(lp, p, 1.0, off)
     assert (k, margin) == (0, pytest.approx(0.5))
@@ -119,7 +61,7 @@ def test_most_violated_exact_and_exp():
 
 def test_most_violated_single_and_errors():
     lp, _ = single_constraint_lp()
-    p = lp.uniform_start()
+    p = np.full((2, 2), 0.5)
     assert most_violated(lp, p, 2.0, NoiseSource(0, NoiseSource.NOISE_OFF))[0] == 0
     assert most_violated(lp, p, 2.0, NoiseSource(1))[0] == 0
     with pytest.raises(ParameterError):
@@ -353,7 +295,7 @@ def test_distmw_noise_off_is_deterministic_exact_selection():
     assert a.transcript == b.transcript
 
     # reproduce the whole run with exact argmax selection
-    p = lp.uniform_start()
+    p = np.full((3, 3), 1.0 / 3.0)
     accum = np.zeros_like(p)
     for _ in range(prm.T):
         accum += p
@@ -480,6 +422,30 @@ def test_exact_lp_min_sandwich_against_brute_grid():
     grid_err = g.gamma * g.n * g.m * step
     assert res.value <= best + 1e-12
     assert res.value >= best - tol - grid_err
+
+
+@pytest.mark.parametrize("y_hat", [None, 0.05])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_exact_lp_min_matches_the_plain_recurrence(d, m, y_hat):
+    # xi = 0.4 leaves most players a partial support, where the closed form
+    # must put exactly zero weight and ignore the off-support rows
+    xi, tol = 0.4, 0.01
+    partial = ran = 0
+    for seed in range(4):
+        g = generate("linear", 900 + 10 * d + m + seed, n=4, m=m, d=d, gamma=0.15)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        s_hat = rng.uniform(-0.2, 0.2, size=d)
+        lp = build_slack_lp(g, s_hat, y_hat, xi, slack=0.0)
+        res = exact_lp_min(g, s_hat, y_hat, xi, tol)
+        value, witness, rounds = recurrence_exact_lp_min(g, s_hat, y_hat, xi, tol)
+        assert res.rounds == rounds
+        assert res.value == value
+        assert np.allclose(res.witness, witness, rtol=0, atol=1e-12)
+        assert np.all(res.witness[~lp.supports] == 0.0)
+        partial += int((~lp.supports).any())
+        ran += int(rounds > 16)
+    assert partial >= 3 and ran >= 3
 
 
 def test_exact_lp_min_rejects_bad_tolerance():

@@ -458,6 +458,22 @@ def test_scalar_solvers_refuse_grids_over_budget(monkeypatch):
     assert peak < 1_000_000
 
 
+def test_scalar_solvers_refuse_an_infinite_certificate(monkeypatch):
+    # alpha is finite, but 10 alpha overflows: no run may certify an inf bound
+    alpha = 1.797693134862316e307
+    q = optin(25, np.linspace(0, 1, 25))
+
+    def untouchable(*args):
+        raise AssertionError("queried past the certificate check")
+
+    monkeypatch.setattr(onedim, "V", untouchable)
+    with pytest.raises(ParameterError, match="not finite"):
+        psummnash(q, epsilon=1000.0, alpha=alpha, beta=0.5, src=NoiseSource(0))
+    with pytest.raises(ParameterError, match="not finite"):
+        SelectionParams.for_game(q, zeta=0.4, epsilon=1000.0, alpha=alpha, beta=0.5,
+                                 quality=QualitySpec.linear(1.0))
+
+
 def test_selection_params_grid_order():
     prm = SelectionParams(zeta=0.4, epsilon=100.0, alpha=0.1, beta=0.05,
                           quality=QualitySpec.peak(0.3), gamma=0.05, W=1.0, n=20)

@@ -127,8 +127,9 @@ def test_params_validation_and_warnings():
         PreslParams.for_game(g, zeta=-1.0, **FAST)
     with pytest.raises(ParameterError):
         PreslParams.for_game(g, zeta=1.0, epsilon=0.0, delta=0.05, beta=0.3)
-    with pytest.raises(BudgetError):
-        PreslParams.for_game(g, zeta=1.0, grid_budget=1, **FAST)
+    # a tiny alpha from a huge epsilon: the grid is refused before it is built
+    with pytest.raises(BudgetError, match="over the budget"):
+        PreslParams.for_game(g, zeta=1.0, epsilon=1e12, delta=0.05, beta=0.3)
 
 
 def test_query_order_stream():
@@ -308,6 +309,5 @@ def test_npresl_validation():
     free = generate("linear", 71, n=4, m=2, d=1, gamma=0.1, with_loss=False)
     with pytest.raises(ParameterError):
         npresl(free, zeta=1.0, alpha=0.1, beta=0.1, src=NoiseSource(0))
-    with pytest.raises(BudgetError):
-        npresl(g, zeta=1.0, alpha=0.01, beta=0.1, src=NoiseSource(0),
-               grid_budget=10)
+    with pytest.raises(BudgetError, match="80000000 points"):
+        npresl(g, zeta=1.0, alpha=1e-8, beta=0.1, src=NoiseSource(0))
