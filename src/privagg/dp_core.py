@@ -71,6 +71,107 @@ def _label_to_int(label) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
 
 
+# The chain child(i).uniform() runs is NumPy's SeedSequence (entropy = the
+# parent seed, spawn_key = (i,)) -> one uint64 -> SeedSequence -> PCG64 ->
+# Generator.random(). The kernel below replays that chain on arrays of labels.
+# Constants from numpy/random/bit_generator.pyx and src/pcg64/pcg64.h.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+UNIFORM_BLOCK = 8192  # labels per kernel pass; its temporaries stay near 1 MB
+
+
+def _hashmix(words: np.ndarray, h: int, mult: int) -> tuple:
+    """SeedSequence's hash of uint32 words under constant h; returns the
+    hashed words and the next constant (the pool fill uses mult A, the
+    state output mult B)."""
+    h_next = h * mult & _M32
+    words = (words ^ np.uint32(h)) * np.uint32(h_next)
+    return words ^ (words >> np.uint32(16)), h_next
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> np.uint32(16))
+
+
+def _seed_pool(words: list) -> tuple:
+    """SeedSequence's 4-word entropy pool from at most four uint32 word
+    arrays (a missing word hashes as 0, as NumPy pads it), and the hash
+    constant that mixing any further entropy word continues from."""
+    h = _INIT_A
+    pool = []
+    for k in range(4):
+        word = words[k] if k < len(words) else np.zeros(1, np.uint32)
+        mixed, h = _hashmix(word, h, _MULT_A)
+        pool.append(mixed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed, h = _hashmix(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], mixed)
+    return pool, h
+
+
+def _generate_state(pool: list, n_words: int) -> list:
+    """SeedSequence.generate_state: n_words uint32 arrays cycling the pool."""
+    h = _INIT_B
+    out = []
+    for k in range(n_words):
+        word, h = _hashmix(pool[k % 4], h, _MULT_B)
+        out.append(word)
+    return out
+
+
+def _mul64(a: np.ndarray, b: int) -> tuple:
+    """Full 128-bit product of uint64 words a and the constant b, as
+    (high, low) uint64 halves, from four 32 x 32-bit partial products."""
+    low32, shift = np.uint64(_M32), np.uint64(32)
+    a_lo, a_hi = a & low32, a >> shift
+    b_lo, b_hi = np.uint64(b & _M32), np.uint64(b >> 32)
+    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (lo_lo >> shift) + (lo_hi & low32) + (hi_lo & low32)
+    high = a_hi * b_hi + (lo_hi >> shift) + (hi_lo >> shift) + (mid >> shift)
+    return high, a * np.uint64(b)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo) -> tuple:
+    """PCG64's LCG step, state * MULT + inc modulo 2^128, on uint64 halves."""
+    prod_hi, prod_lo = _mul64(lo, _PCG_MULT_LO)
+    prod_hi += hi * np.uint64(_PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI)
+    return _add128(prod_hi, prod_lo, inc_hi, inc_lo)
+
+
+def _child_uniform_block(parent_pool: list, h: int, labels: np.ndarray) -> np.ndarray:
+    """First Generator.random() of child(label) for each uint32 label, given
+    the parent seed's pool and hash constant from ``_seed_pool``. Must run
+    under np.errstate(over="ignore"): all arithmetic wraps by design."""
+    pool = []
+    for word in parent_pool:  # the spawn key is the entropy word after the pool
+        mixed, h = _hashmix(labels, h, _MULT_A)
+        pool.append(_mix(word, mixed))
+    derived = _generate_state(pool, 2)  # the child seed's low and high words
+    w = [word.astype(np.uint64) for word in _generate_state(_seed_pool(derived)[0], 8)]
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        w[k] | (w[k + 1] << np.uint64(32)) for k in range(0, 8, 2)
+    )
+    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+    # pcg64_set_seed: state = inc (one step from 0), += initstate, one step
+    hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)  # the draw's own step
+    x, rot = hi ^ lo, hi >> np.uint64(58)  # XSL-RR output
+    out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (out >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
 class NoiseSource:
     """Seeded randomness with an explicit noisy / noise_off mode.
 
@@ -78,6 +179,9 @@ class NoiseSource:
     {0, 1} so log transforms stay finite. ``child(label)`` derives an
     independent stream deterministically from (seed, label), which is how
     per-player and per-trial randomness is split without any shared state.
+    ``child_uniforms(n)`` gives the first draw of children 0..n-1 in one
+    array pass over those same streams, so a player holding the seed still
+    replays their own draw with ``child(i).uniform()``.
     """
 
     NOISY = "noisy"
@@ -110,6 +214,27 @@ class NoiseSource:
         )
         derived = int(ss.generate_state(1, dtype=np.uint64)[0])
         return NoiseSource(derived, self.mode)
+
+    def child_uniforms(self, n: int) -> np.ndarray:
+        """``[self.child(i).uniform() for i in range(n)]`` bit for bit, as one
+        float array built in UNIFORM_BLOCK-sized array passes instead of two
+        SeedSequences and a PCG64 per child. A draw of exactly 0.0 is redrawn
+        through ``child(i)`` itself, which keeps the open-interval rule.
+        Labels must fit one 32-bit word, so n < 2^32.
+        """
+        if not 0 <= n < 2**32:
+            raise ParameterError(f"child_uniforms needs 0 <= n < 2^32, got {n}")
+        seed = self.seed & 0xFFFFFFFFFFFFFFFF
+        words = [np.array([seed & _M32], np.uint32), np.array([seed >> 32], np.uint32)]
+        pool, h = _seed_pool(words)  # the parent's part of the mixing, once
+        out = np.empty(n)
+        with np.errstate(over="ignore"):
+            for start in range(0, n, UNIFORM_BLOCK):
+                labels = np.arange(start, min(start + UNIFORM_BLOCK, n), dtype=np.uint32)
+                out[start : start + labels.size] = _child_uniform_block(pool, h, labels)
+        for i in np.flatnonzero(out == 0.0):
+            out[i] = self.child(int(i)).uniform()
+        return out
 
     def __repr__(self) -> str:
         return f"NoiseSource(seed={self.seed}, mode={self.mode!r})"

@@ -55,6 +55,7 @@ __all__ = [
     "sample_action",
     "sample_profile",
     "translate_checks",
+    "as_player",
     "as_pure_profile",
     "as_mixed_profile",
     "game_to_json",
@@ -326,6 +327,14 @@ class AggregativeGame:
 # ---------------------------------------------------------------------------
 
 
+def as_player(game: AggregativeGame, i) -> int:
+    """Player index i as an int; a negative index would wrap to another
+    player's rows, so anything but an integer in [0, n) is refused."""
+    if not isinstance(i, (int, np.integer)) or not 0 <= i < game.n:
+        raise ParameterError(f"player index must be an integer in [0, {game.n}), got {i!r}")
+    return int(i)
+
+
 def as_pure_profile(game: AggregativeGame, x) -> np.ndarray:
     arr = np.asarray(x)
     if arr.shape != (game.n,):
@@ -345,6 +354,8 @@ def as_mixed_profile(game: AggregativeGame, p) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (game.n, game.m):
         raise ParameterError(f"mixed profile must have shape ({game.n}, {game.m})")
+    if not np.isfinite(arr).all():
+        raise ParameterError("mixed profile entries must be finite")
     if np.min(arr) < 0.0:
         raise ParameterError("mixed profile entries must be nonnegative")
     if np.max(np.abs(arr.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
@@ -459,13 +470,21 @@ def sample_action(row: np.ndarray, src: NoiseSource) -> int:
 
 
 def sample_profile(game: AggregativeGame, p, src: NoiseSource) -> np.ndarray:
-    """Independent per-player sampling from a mixed profile.
+    """Independent per-player sampling from a mixed profile, in one pass.
 
     Player i's action uses the single uniform draw of ``src.child(i)``, so any
-    party holding the public seed can re-derive exactly their own sample.
+    party holding the public seed can re-derive exactly their own sample with
+    ``sample_action(p[i], src.child(i))``. All draws come from one
+    ``child_uniforms`` call, and counting the pinned CDF entries below each
+    draw is ``sample_action``'s left searchsorted row by row: the count is
+    monotone in the column even where roundoff pushes a partial sum past the
+    pinned 1.0, since every draw is below 1.
     """
     p = as_mixed_profile(game, p)
-    return np.array([sample_action(p[i], src.child(i)) for i in range(game.n)], dtype=np.int64)
+    cum = np.cumsum(p, axis=1)
+    cum[:, -1] = 1.0
+    u = src.child_uniforms(game.n)
+    return np.count_nonzero(cum < u[:, None], axis=1).astype(np.int64)
 
 
 @dataclass(frozen=True)

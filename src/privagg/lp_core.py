@@ -156,11 +156,14 @@ def _mw_iterate(cum: np.ndarray, eta: float) -> np.ndarray:
     low = cum[..., 0].copy()
     for a in range(1, cum.shape[-1]):
         np.minimum(low, cum[..., a], out=low)
-    w = np.exp(-eta * (cum - low[..., None]))
+    w = np.subtract(cum, low[..., None])
+    w *= -eta
+    np.exp(w, out=w)
     total = w[..., 0].copy()
     for a in range(1, w.shape[-1]):
         total += w[..., a]
-    return w / total[..., None]
+    w /= total[..., None]
+    return w
 
 
 def most_violated(

@@ -38,6 +38,7 @@ from .game_core import (
     abr_profile,
     abr_set,
     aggregator,
+    as_player,
     as_pure_profile,
     grid_steps,
     utility_matrix,
@@ -358,6 +359,7 @@ def replay_psummnash_player(
     if result.aborted:
         raise ParameterError("aborted runs publish no profile to replay")
     base = qgame.base
+    i = as_player(base, i)
 
     def own_best(s: float) -> int:
         vals = utility_values(base, i, np.array([s]))
@@ -628,6 +630,7 @@ def replay_select_player(qgame: QuasiAggregativeGame, i: int, result: SelectResu
     if result.aborted:
         raise ParameterError("aborted runs publish no profile to replay")
     base = qgame.base
+    i = as_player(base, i)
     s_arr = np.array([result.s_star])
     allowed = set(abr_set(base, i, s_arr, result.params.xi).tolist())
     ranked = [a for a in qgame.action_order[i].tolist() if a in allowed]

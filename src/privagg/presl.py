@@ -34,6 +34,7 @@ from .dp_core import (
 from .game_core import (
     GRID_BUDGET,
     AggregativeGame,
+    as_player,
     grid_steps,
     sample_action,
     sample_profile,
@@ -293,6 +294,7 @@ def replay_presl_player(
     """
     if result.aborted:
         raise ParameterError("aborted runs publish no profile to replay")
+    i = as_player(game, i)
     params = result.params
     s_hat = result.hit_s
     rows = []

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privagg import dp_core
 from privagg.dp_core import (
+    UNIFORM_BLOCK,
     NoiseSource,
     ParameterError,
     PrivacyLedger,
@@ -109,6 +111,66 @@ def test_uniform_stays_inside_open_interval():
     src = NoiseSource(5)
     draws = [src.uniform() for _ in range(1000)]
     assert all(0.0 < u < 1.0 for u in draws)
+
+
+def loop_child_uniforms(src, n):
+    """The reference: one child stream per player, one draw each."""
+    return np.array([src.child(i).uniform() for i in range(n)], dtype=float)
+
+
+# 2^64 - 1 and the negative seeds wrap through the 64-bit mask child applies;
+# 2^32 - 1 / 2^32 move the seed from one entropy word to two
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -(2**63), -987654321]
+RANDOM_SEEDS = [
+    int(s) for s in np.random.Generator(np.random.PCG64(2718)).integers(
+        0, 2**64, size=24, dtype=np.uint64
+    )
+]
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS + RANDOM_SEEDS)
+def test_child_uniforms_match_the_per_child_streams(seed):
+    for mode in (NoiseSource.NOISY, NoiseSource.NOISE_OFF):
+        src = NoiseSource(seed, mode)
+        ref = loop_child_uniforms(src, 40)
+        for n in (0, 1, 40):
+            got = src.child_uniforms(n)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tobytes() == ref[:n].tobytes()
+
+
+@pytest.mark.parametrize("seed", [2**64 - 1, -5, 841])
+def test_child_uniforms_across_block_edges(seed):
+    src = NoiseSource(seed)
+    longest = 3 * UNIFORM_BLOCK + 5
+    ref = loop_child_uniforms(src, longest)
+    for n in (UNIFORM_BLOCK - 1, UNIFORM_BLOCK, UNIFORM_BLOCK + 1, longest):
+        assert src.child_uniforms(n).tobytes() == ref[:n].tobytes()
+
+
+def test_child_uniforms_redraw_an_exact_zero(monkeypatch):
+    # a kernel draw of exactly 0.0 (odds 2^-53) is redrawn through child(i),
+    # whose own uniform() skips the zero
+    kernel = dp_core._child_uniform_block
+
+    def zero_every_third(pool, h, labels):
+        out = kernel(pool, h, labels)
+        out[labels % 3 == 0] = 0.0
+        return out
+
+    monkeypatch.setattr(dp_core, "_child_uniform_block", zero_every_third)
+    src = NoiseSource(17)
+    got = src.child_uniforms(10)
+    assert np.all(got > 0.0)
+    assert got.tobytes() == loop_child_uniforms(src, 10).tobytes()
+
+
+def test_child_uniforms_refuses_labels_past_one_word():
+    # label 2^32 takes two SeedSequence words, which the kernel does not model
+    src = NoiseSource(3)
+    for n in (-1, 2**32, 2**40):
+        with pytest.raises(ParameterError):
+            src.child_uniforms(n)
 
 
 # ---------------------------------------------------------------------------

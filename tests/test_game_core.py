@@ -285,6 +285,30 @@ def test_sample_action_is_the_per_player_draw():
     assert x.tolist() == [sample_action(p[i], src.child(i)) for i in range(g.n)]
 
 
+def test_sample_profile_matches_sample_action_on_edge_rows():
+    # zero-probability actions (ties in the CDF) and rows whose partial sums
+    # pass the pinned 1.0 before the last column must sample as sample_action
+    n, m = 600, 4
+    rng = np.random.Generator(np.random.PCG64(627))
+    p = rng.dirichlet(np.ones(m), size=n)
+    p[rng.uniform(size=(n, m)) < 0.4] = 0.0
+    p[np.arange(n), rng.integers(0, m, size=n)] += 0.1  # no all-zero row
+    p /= p.sum(axis=1, keepdims=True)
+    over = np.arange(0, n, 3)
+    p[over, -1] = 0.0
+    p[over, :-1] = rng.dirichlet(np.ones(m - 1), size=over.size)
+    p[over, 0] += 5e-13
+    cum = np.cumsum(p, axis=1)
+    assert np.all(cum[over, -2] > 1.0)
+    g = SimpleNamespace(n=n, m=m)
+    for seed in (628, 2**64 - 1):
+        src = NoiseSource(seed)
+        x = sample_profile(g, p, src)
+        assert x.dtype == np.int64
+        assert x.tolist() == [sample_action(p[i], src.child(i)) for i in range(n)]
+        assert np.all(p[np.arange(n), x] > 0.0)
+
+
 def test_sample_profile_concentration():
     n, d = 50, 2
     beta = 0.05
@@ -365,6 +389,20 @@ def test_profile_coercion_errors():
         as_mixed_profile(g, np.full((3, 2), 0.6))  # rows sum to 1.2
     with pytest.raises(ParameterError):
         as_mixed_profile(g, np.array([[1.1, -0.1]] * 3))  # negative mass
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mixed_profile_refuses_non_finite_entries(bad):
+    # a NaN row passes the sign and row-sum checks, so sampling and the
+    # expected aggregator would run on it
+    g = generate("linear", 52, n=4, m=2, d=1)
+    p = np.full((4, 2), 0.5)
+    p[1] = [bad, bad]
+    for call in (as_mixed_profile, expected_aggregator):
+        with pytest.raises(ParameterError, match="finite"):
+            call(g, p)
+    with pytest.raises(ParameterError, match="finite"):
+        sample_profile(g, p, NoiseSource(0))
 
 
 def test_construction_validation():

@@ -412,6 +412,10 @@ def test_psummnash_replay_both_stages():
                        beta=0.05, ledger=None)
     with pytest.raises(ParameterError):
         replay_psummnash_player(q1, 0, dead)
+    for q, res in ((q1, r1), (q3, r3)):
+        for i in (-1, q.n, 2.0):
+            with pytest.raises(ParameterError, match="player index"):
+                replay_psummnash_player(q, i, res)
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +752,9 @@ def test_selection_replay_optimistic_and_pessimistic():
     assert res.branch in ("optimistic", "pessimistic", "walk")
     for i in range(q.n):
         assert replay_select_player(q, i, res) == res.profile[i]
+    for i in (-1, q.n, 0.0):
+        with pytest.raises(ParameterError, match="player index"):
+            replay_select_player(q, i, res)
 
     labels = [e[0] for e in res.ledger.entries]
     assert labels == [

@@ -219,6 +219,17 @@ def test_presl_replay_is_bit_exact():
         assert action == res.profile[i]
 
 
+def test_presl_replay_refuses_out_of_range_players():
+    # i = -1 used to read player n-1's rows under the stream of label 2^64-1
+    g = positive_flow_game(seed=7)
+    res = presl(g, fast_params(g), NoiseSource(909))
+    assert not res.aborted
+    for i in (-1, g.n, g.n + 5, 1.0):
+        with pytest.raises(ParameterError, match="player index"):
+            replay_presl_player(g, i, res, NoiseSource(909))
+    assert replay_presl_player(g, np.int64(g.n - 1), res, NoiseSource(909)) == res.profile[-1]
+
+
 def test_presl_replay_refuses_aborted_runs():
     g = positive_flow_game()
     prm = fast_params(g)
