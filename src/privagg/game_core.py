@@ -47,6 +47,7 @@ __all__ = [
     "expected_aggregator",
     "GRID_BUDGET",
     "grid_steps",
+    "support_width",
     "utility_matrix",
     "utility_values",
     "abr_set",
@@ -381,19 +382,33 @@ def expected_aggregator(game: AggregativeGame, p) -> np.ndarray:
     return game.gamma * np.einsum("ikj,ij->k", game.f, p)
 
 
-# most grid points (or presl grid queries) a solver may enumerate
+# most grid points (presl: points times loss levels) a solver may enumerate
 GRID_BUDGET = 10**7
 
 
-def grid_steps(W: float, alpha: float) -> int:
+def grid_steps(W: float, alpha: float, d: int = 1, levels: int = 1) -> int:
     """Half-width K of the alpha-grids k * alpha, k in [-K, K); the 1e-12 keeps
     W = 0.27, alpha = 0.03 (ratio 9.000000000000002) at K = 9, and K >= 1
     keeps a grid whose step dwarfs W from coming out empty. A step so small
-    that W / alpha overflows leaves no finite grid at all."""
+    that W / alpha overflows leaves no finite grid at all, and a grid of
+    (2K)^d points on each of ``levels`` loss levels over ``GRID_BUDGET`` is
+    refused before any of it is built."""
     ratio = W / alpha
     if not math.isfinite(ratio):
         raise BudgetError(f"W / alpha = {ratio}: the grid has no finite size")
-    return max(1, math.ceil(ratio - 1e-12))
+    K = max(1, math.ceil(ratio - 1e-12))
+    points = (2 * K) ** d * levels
+    if points > GRID_BUDGET:
+        # a count past 4,300 digits does not format as a decimal string
+        shown = points if points < 10**300 else "over 10^300"
+        raise BudgetError(f"grid holds {shown} points, over the budget {GRID_BUDGET}")
+    return K
+
+
+def support_width(zeta: float, gamma: float, alpha: float) -> float:
+    """xi = zeta + gamma + 2 alpha: how far below a best response an action
+    may pay and still sit in the support the grid solvers search."""
+    return zeta + gamma + 2.0 * alpha
 
 
 def utility_matrix(game: AggregativeGame, s) -> np.ndarray:

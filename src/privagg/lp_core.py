@@ -50,6 +50,7 @@ __all__ = [
     "distmw_solve",
     "replay_mw_player",
     "mw_accuracy_bound",
+    "slack_rows",
     "build_slack_lp",
     "exact_lp_min",
 ]
@@ -275,6 +276,20 @@ def mw_accuracy_bound(
 # ---------------------------------------------------------------------------
 
 
+def slack_rows(f: np.ndarray, loss=None) -> np.ndarray:
+    """Constraint rows of the slack LP: +f_k and -f_k for each axis k, then
+    the loss row if given. Facets of shape (d, ...) give (2d (+1), ...), so
+    the mediator's (K, n, m) tensor, one player's (K, m) replay rows and the
+    (K,) offsets all share this layout."""
+    d = f.shape[0]
+    rows = np.empty((2 * d + (loss is not None),) + f.shape[1:])
+    rows[: 2 * d : 2] = f
+    np.negative(f, out=rows[1 : 2 * d : 2])
+    if loss is not None:
+        rows[-1] = loss
+    return rows
+
+
 def build_slack_lp(
     game: AggregativeGame,
     s_hat: np.ndarray,
@@ -289,22 +304,15 @@ def build_slack_lp(
         raise ParameterError(f"s_hat must have shape ({game.d},)")
     vals = utility_matrix(game, s_hat)
     supports = vals >= vals.max(axis=1, keepdims=True) - xi
-    rows = []
-    offs = []
-    for k in range(game.d):
-        rows.append(game.f[:, k, :])
-        offs.append(float(s_hat[k]) + slack)
-        rows.append(-game.f[:, k, :])
-        offs.append(-float(s_hat[k]) + slack)
+    loss = y = None
     if y_hat is not None and math.isfinite(y_hat):
         if game.loss is None:
             raise ParameterError("loss objective requested but the game declares no loss")
-        rows.append(game.loss)
-        offs.append(float(y_hat) + slack)
+        loss, y = game.loss, float(y_hat)
     return FeasibilityLP(
         gamma=game.gamma,
-        cons_f=np.stack(rows, axis=0),
-        cons_b=np.asarray(offs),
+        cons_f=slack_rows(game.f.transpose(1, 0, 2), loss),
+        cons_b=slack_rows(s_hat, y) + slack,
         supports=supports,
     )
 

@@ -38,12 +38,16 @@ __all__ = [
 ]
 
 _RANGE_TOL = 1e-9
+# most securities a market lists: 3^10 = 59,049 portfolios, so the (n, d, 3^d)
+# facet tensor of the aggregative view stays near 4.7 MB per trader
+MAX_D = 10
 
 
 def portfolio_matrix(d: int) -> np.ndarray:
-    """All 3^d portfolios as an (3^d, d) int array over {-1, 0, +1}."""
-    if d < 1:
-        raise ParameterError("d must be a positive integer")
+    """All 3^d portfolios as an (3^d, d) int array over {-1, 0, +1}; the one
+    check on d, run before any 3^d integer or array is built."""
+    if int(d) != d or not 1 <= d <= MAX_D:
+        raise ParameterError(f"d must be an integer from 1 to {MAX_D}")
     count = 3**d
     idx = np.arange(count)
     cols = [((idx // 3**k) % 3) - 1 for k in range(d)]
@@ -69,26 +73,29 @@ class MarketGame:
     d: int
     lam: float
     valuations: np.ndarray  # (n, 3^d)
-    portfolios: np.ndarray = field(init=False, repr=False, compare=False)  # (3^d, d)
+    # the payoff evaluator, built once and shared by ``to_aggregative``
+    utility: "MarketUtility" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1 or int(self.d) != self.d or self.d < 1:
-            raise ParameterError("n and d must be positive integers")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "d", int(self.d))
+        if int(self.n) != self.n or self.n < 1:
+            raise ParameterError("n must be a positive integer")
         if self.lam <= 0:
             raise ParameterError("lambda must be positive")
-        vals = np.asarray(self.valuations, dtype=float)
-        if vals.shape != (self.n, 3**self.d):
-            raise ParameterError(f"valuations must have shape ({self.n}, {3 ** self.d})")
-        if np.max(np.abs(vals)) > self.d + _RANGE_TOL:
-            raise ParameterError("portfolio valuations must lie in [-d, d]")
-        object.__setattr__(self, "valuations", vals)
-        object.__setattr__(self, "portfolios", portfolio_matrix(self.d))
+        utility = MarketUtility(lam=self.lam, d=self.d, valuations=self.valuations)
+        if utility.valuations.shape[0] != self.n:
+            raise ParameterError(f"valuations need one row per trader, {self.n} in all")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "d", utility.d)
+        object.__setattr__(self, "valuations", utility.valuations)
+        object.__setattr__(self, "utility", utility)
+
+    @property
+    def portfolios(self) -> np.ndarray:
+        return self.utility.portfolios
 
     @property
     def m(self) -> int:
-        return 3**self.d
+        return len(self.portfolios)
 
 
 def imbalance(game: MarketGame, x) -> np.ndarray:
@@ -139,12 +146,15 @@ class MarketUtility:
     kind = "market"
 
     def __post_init__(self):
+        portfolios = portfolio_matrix(self.d)
         vals = np.asarray(self.valuations, dtype=float)
-        # 3^40 portfolios overflow an array dimension; checked before 3**d is built
-        if vals.ndim != 2 or not 0 < self.d < 40 or vals.shape[1] != 3**self.d:
+        if vals.ndim != 2 or vals.shape[1] != len(portfolios):
             raise ParameterError("valuations need one column per portfolio, 3^d in all")
+        if np.max(np.abs(vals), initial=0.0) > self.d + _RANGE_TOL:
+            raise ParameterError("portfolio valuations must lie in [-d, d]")
+        object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "valuations", vals)
-        object.__setattr__(self, "portfolios", portfolio_matrix(self.d))
+        object.__setattr__(self, "portfolios", portfolios)
 
     def _prices(self, s: np.ndarray) -> np.ndarray:
         return hinge_price(self.lam * s, self.lam)
@@ -158,12 +168,8 @@ class MarketUtility:
         return (self.valuations[i] - pay) / (2.0 * self.d)
 
     def validate_for_game(self, game: AggregativeGame) -> None:
-        if game.m != 3**self.d or game.d != self.d:
+        if self.valuations.shape != (game.n, game.m) or game.d != self.d:
             raise ParameterError("market utility dimensions do not match the game")
-        if self.valuations.shape != (game.n, game.m):
-            raise ParameterError("one valuation per (trader, portfolio) required")
-        if np.max(np.abs(self.valuations)) > self.d + _RANGE_TOL:
-            raise ParameterError("portfolio valuations must lie in [-d, d]")
 
     def to_params(self) -> dict:
         return {"lambda": self.lam, "d": self.d, "valuations": self.valuations.tolist()}
@@ -187,7 +193,7 @@ def to_aggregative(game: MarketGame) -> AggregativeGame:
         gamma=1.0 / game.lam,
         W=game.n / game.lam,
         f=f,
-        utility=MarketUtility(lam=game.lam, d=game.d, valuations=game.valuations),
+        utility=game.utility,
     )
 
 

@@ -23,7 +23,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dp_core import (
-    BudgetError,
     NoiseSource,
     ParameterError,
     PrivacyLedger,
@@ -32,7 +31,6 @@ from .dp_core import (
     first_below,
 )
 from .game_core import (
-    GRID_BUDGET,
     AggregativeGame,
     ThresholdUtility,
     abr_profile,
@@ -41,6 +39,7 @@ from .game_core import (
     as_player,
     as_pure_profile,
     grid_steps,
+    support_width,
     utility_matrix,
     utility_values,
 )
@@ -213,6 +212,16 @@ def _walk_aggregators(qgame: QuasiAggregativeGame, walk: SmoothWalk) -> np.ndarr
     return np.add.accumulate(s)
 
 
+def _walk_scan(qgame: QuasiAggregativeGame, session: SparseSession, hi, lo, target: float):
+    """The first composite of the walk from lo to hi whose aggregator lands
+    within the session's threshold of ``target``: (j, queries asked, x^j),
+    with j and x^j None on a miss."""
+    walk = smooth_walk(qgame, hi, lo)
+    s_vals = _walk_aggregators(qgame, walk)
+    j, asked = first_below(session, range(qgame.n + 1), lambda j: abs(float(s_vals[j]) - target))
+    return j, asked, None if j is None else walk[j]
+
+
 def _check_budget(epsilon: float, alpha: float, beta: float) -> None:
     """The range check both scalar solvers run before their accuracy floor,
     which divides by epsilon and by beta."""
@@ -234,23 +243,30 @@ def _psummnash_bound(alpha: float, gamma: float) -> float:
     return 10.0 * alpha + 2.0 * gamma
 
 
-def _grid_steps(W: float, alpha: float) -> int:
-    """``grid_steps``, refused before any grid point is built or queried when
-    the 2K-point grid exceeds ``GRID_BUDGET``, the budget presl obeys too."""
-    K = grid_steps(W, alpha)
-    if 2 * K > GRID_BUDGET:
-        raise BudgetError(f"grid holds {2 * K} points, over the budget {GRID_BUDGET}")
-    return K
-
-
-def psummnash_accuracy_floor(qgame: QuasiAggregativeGame, epsilon: float, beta: float) -> float:
-    """Smallest admissible grid step: 100 gamma (ln(2Wn) + ln(6/beta)) / eps."""
+def _accuracy_floor(qgame: QuasiAggregativeGame, epsilon: float, beta: float, sessions: int):
+    """Smallest admissible grid step of a solver that splits epsilon over
+    ``sessions`` sparse sessions: 100 gamma (ln(2Wn) + ln(2 sessions/beta)) / eps."""
     return (
         100.0
         * qgame.gamma
-        * (math.log(2.0 * qgame.W * qgame.n) + math.log(6.0 / beta))
+        * (math.log(2.0 * qgame.W * qgame.n) + math.log(2.0 * sessions / beta))
         / epsilon
     )
+
+
+def _check_floor(alpha: float, floor: float, epsilon: float) -> None:
+    """Refuse an alpha below the solver's accuracy floor."""
+    if alpha < floor:
+        raise ParameterError(
+            f"alpha = {alpha:.4g} is below the admissible floor {floor:.4g} "
+            f"for epsilon = {epsilon}"
+        )
+
+
+def psummnash_accuracy_floor(qgame: QuasiAggregativeGame, epsilon: float, beta: float) -> float:
+    """Smallest admissible psummnash grid step (three sessions):
+    100 gamma (ln(2Wn) + ln(6/beta)) / eps."""
+    return _accuracy_floor(qgame, epsilon, beta, 3)
 
 
 @dataclass
@@ -294,14 +310,9 @@ def psummnash(
     _check_budget(epsilon, alpha, beta)
     # callers evaluate the bound at gamma or at the tighter gamma_eff
     _check_certificate(_psummnash_bound(alpha, max(qgame.gamma, qgame.base.gamma_eff)))
-    floor = psummnash_accuracy_floor(qgame, epsilon, beta)
-    if alpha < floor:
-        raise ParameterError(
-            f"alpha = {alpha:.4g} is below the admissible floor {floor:.4g} "
-            f"for epsilon = {epsilon}"
-        )
+    _check_floor(alpha, psummnash_accuracy_floor(qgame, epsilon, beta), epsilon)
     gamma = qgame.gamma
-    K = _grid_steps(qgame.W, alpha)
+    K = grid_steps(qgame.W, alpha)
     ledger = PrivacyLedger()
     result = partial(PSummResult, alpha=alpha, epsilon=epsilon, beta=beta, ledger=ledger)
     memo: dict[int, float] = {}
@@ -338,16 +349,12 @@ def psummnash(
     # stage 3: walk between the bracketing best-response profiles
     hi = abr_profile(qgame.base, np.array([bracket * alpha]))
     lo = abr_profile(qgame.base, np.array([(bracket - 1) * alpha]))
-    walk = smooth_walk(qgame, hi, lo)
-    s_vals = _walk_aggregators(qgame, walk)
     s3 = session("stage3", "walk-scan", alpha + gamma / 2.0)
-    j, asked3 = first_below(
-        s3, range(qgame.n + 1), lambda j: abs(float(s_vals[j]) - bracket * alpha)
-    )
+    j, asked3, profile = _walk_scan(qgame, s3, hi, lo, bracket * alpha)
     if j is None:
         return result(aborted=True, stage=None, bracket=bracket, queries=(asked1, asked2, asked3))
     return result(
-        aborted=False, stage=3, profile=walk[j], bracket=bracket, walk_j=j,
+        aborted=False, stage=3, profile=profile, bracket=bracket, walk_j=j,
         queries=(asked1, asked2, asked3),
     )
 
@@ -388,8 +395,6 @@ class QualitySpec:
 
     fn: Callable[[float], float]
     lam: float
-    kind: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         check_finite(lam=self.lam)
@@ -399,18 +404,12 @@ class QualitySpec:
     @classmethod
     def peak(cls, target: float, lam: float = 1.0) -> "QualitySpec":
         check_finite(target=target)
-        return cls(
-            fn=lambda s: -lam * abs(s - target), lam=lam,
-            kind="peak", params={"target": target, "lam": lam},
-        )
+        return cls(fn=lambda s: -lam * abs(s - target), lam=lam)
 
     @classmethod
     def linear(cls, slope: float) -> "QualitySpec":
         check_finite(slope=slope)
-        return cls(
-            fn=lambda s: slope * s, lam=abs(slope),
-            kind="linear", params={"slope": slope},
-        )
+        return cls(fn=lambda s: slope * s, lam=abs(slope))
 
     @classmethod
     def from_json(cls, payload: dict) -> "QualitySpec":
@@ -426,13 +425,9 @@ class QualitySpec:
 
 
 def selection_accuracy_floor(qgame: QuasiAggregativeGame, epsilon: float, beta: float) -> float:
-    """Smallest admissible grid step: 100 gamma (ln(2Wn) + ln(8/beta)) / eps."""
-    return (
-        100.0
-        * qgame.gamma
-        * (math.log(2.0 * qgame.W * qgame.n) + math.log(8.0 / beta))
-        / epsilon
-    )
+    """Smallest admissible selection grid step (four sessions):
+    100 gamma (ln(2Wn) + ln(8/beta)) / eps."""
+    return _accuracy_floor(qgame, epsilon, beta, 4)
 
 
 @dataclass(frozen=True)
@@ -456,8 +451,8 @@ class SelectionParams:
         if self.zeta < 4.0 * self.gamma:
             raise ParameterError("selection needs zeta >= 4 gamma")
         _check_certificate(self.approx_bound)
-        object.__setattr__(self, "xi", 2.0 * self.alpha + self.gamma + self.zeta)
-        K = _grid_steps(self.W, self.alpha)
+        object.__setattr__(self, "xi", support_width(self.zeta, self.gamma, self.alpha))
+        K = grid_steps(self.W, self.alpha)
         values = np.arange(-K, K) * self.alpha
         with np.errstate(all="ignore"):  # a non-finite score is refused below
             scores = np.asarray(self.quality.fn(values), dtype=float)
@@ -484,12 +479,7 @@ class SelectionParams:
         quality: QualitySpec,
     ) -> "SelectionParams":
         _check_budget(epsilon, alpha, beta)
-        floor = selection_accuracy_floor(qgame, epsilon, beta)
-        if alpha < floor:
-            raise ParameterError(
-                f"alpha = {alpha:.4g} is below the admissible floor {floor:.4g} "
-                f"for epsilon = {epsilon}"
-            )
+        _check_floor(alpha, selection_accuracy_floor(qgame, epsilon, beta), epsilon)
         return cls(
             zeta=zeta, epsilon=epsilon, alpha=alpha, beta=beta, quality=quality,
             gamma=qgame.gamma, W=qgame.W, n=qgame.n,
@@ -606,13 +596,9 @@ def select_equilibrium(
     idx, asked_c = first_below(sess_c, points, straddle_gap)
     asked_d = 0
     if idx is not None:
-        walk = smooth_walk(qgame, ext(idx).x_max, ext(idx).x_min)
-        s_vals = _walk_aggregators(qgame, walk)
-        j, asked_d = first_below(
-            sess_d, range(qgame.n + 1), lambda j: abs(float(s_vals[j]) - grid[idx])
-        )
+        j, asked_d, profile = _walk_scan(qgame, sess_d, ext(idx).x_max, ext(idx).x_min, grid[idx])
         if j is not None:
-            hits.append((idx, walk[j], "walk", j))
+            hits.append((idx, profile, "walk", j))
 
     queries = (asked_a, asked_b, asked_c, asked_d)
     if not hits:

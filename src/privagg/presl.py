@@ -23,7 +23,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .dp_core import (
-    BudgetError,
     NoiseSource,
     ParameterError,
     PrivacyLedger,
@@ -32,12 +31,12 @@ from .dp_core import (
     first_below,
 )
 from .game_core import (
-    GRID_BUDGET,
     AggregativeGame,
     as_player,
     grid_steps,
     sample_action,
     sample_profile,
+    support_width,
     utility_values,
 )
 from .lp_core import (
@@ -45,7 +44,9 @@ from .lp_core import (
     build_slack_lp,
     distmw_solve,
     exact_lp_min,
+    mw_accuracy_bound,
     replay_mw_player,
+    slack_rows,
 )
 
 __all__ = [
@@ -93,15 +94,9 @@ def presl_e1(game: AggregativeGame, epsilon: float, beta: float) -> float:
 
 
 def presl_e2(game: AggregativeGame, epsilon: float, delta: float, beta: float) -> float:
-    """No-regret stage slack
-    100 sqrt(n gamma^2/eps * ln(3d/beta) * ln n * sqrt(ln m * ln(1/delta)))."""
-    inner = (
-        (game.n * game.gamma**2 / epsilon)
-        * math.log(3.0 * game.d / beta)
-        * math.log(game.n)
-        * math.sqrt(math.log(game.m) * math.log(1.0 / delta))
-    )
-    return 100.0 * math.sqrt(inner)
+    """No-regret stage slack: the private dynamics' margin guarantee
+    ``mw_accuracy_bound`` with 3d constraints."""
+    return mw_accuracy_bound(game.n, game.m, game.gamma, epsilon, delta, 3 * game.d, beta)
 
 
 def presl_e3(game: AggregativeGame, beta: float) -> float:
@@ -152,18 +147,13 @@ class PreslParams:
         object.__setattr__(self, "e1", e1)
         object.__setattr__(self, "e2", e2)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "xi", self.gamma + self.zeta + 2.0 * alpha)
-        K = grid_steps(self.W, alpha)
+        object.__setattr__(self, "xi", support_width(self.zeta, self.gamma, alpha))
+        y_count = int(math.floor(self.n * self.gamma / alpha + 1e-12)) + 1 if self.has_loss else 1
+        K = grid_steps(self.W, alpha, self.d, y_count)
         object.__setattr__(self, "w_snap", alpha * K)
         object.__setattr__(self, "x_count_per_axis", 2 * K)
-        y_count = int(math.floor(self.n * self.gamma / alpha + 1e-12)) + 1 if self.has_loss else 1
         object.__setattr__(self, "y_count", y_count)
         object.__setattr__(self, "lp_tol", min(alpha, e1) / 100.0)
-        if self.n_queries > GRID_BUDGET:
-            raise BudgetError(
-                f"grid holds {self.n_queries} queries, over the budget {GRID_BUDGET}; "
-                "raise alpha (via epsilon)"
-            )
 
     @classmethod
     def for_game(
@@ -296,18 +286,10 @@ def replay_presl_player(
         raise ParameterError("aborted runs publish no profile to replay")
     i = as_player(game, i)
     params = result.params
-    s_hat = result.hit_s
-    rows = []
-    for k in range(game.d):
-        rows.append(game.f[i, k, :])
-        rows.append(-game.f[i, k, :])
-    if params.has_loss:
-        rows.append(game.loss[i])
-    vals = utility_values(game, i, s_hat)
+    rows = slack_rows(game.f[i], game.loss[i] if params.has_loss else None)
+    vals = utility_values(game, i, result.hit_s)
     support_row = vals >= vals.max() - params.xi
-    p_row = replay_mw_player(
-        np.stack(rows, axis=0), support_row, result.mw_params, result.mw_transcript
-    )
+    p_row = replay_mw_player(rows, support_row, result.mw_params, result.mw_transcript)
     return sample_action(p_row, src.child("sample").child(i))
 
 
@@ -351,10 +333,8 @@ def npresl(
     if alpha <= 0 or zeta < 0 or not (0 < beta < 1):
         raise ParameterError("need alpha > 0, zeta >= 0, beta in (0, 1)")
     tol = alpha / 10.0
-    xi = zeta + game.gamma + 2.0 * alpha
-    K = grid_steps(game.W, alpha)
-    if (2 * K) ** game.d > GRID_BUDGET:
-        raise BudgetError(f"grid holds {(2 * K) ** game.d} points, over {GRID_BUDGET}")
+    xi = support_width(zeta, game.gamma, alpha)
+    K = grid_steps(game.W, alpha, game.d)
     axis = np.arange(2 * K) * alpha - alpha * K
     loss_cap = game.n * game.gamma
 

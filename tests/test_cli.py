@@ -190,6 +190,15 @@ def test_verify_command(tmp_path, threshold_game, capsys):
     assert payload["br_to_abr_violation"] <= 1e-9
 
 
+def test_market_d_over_limit_exits_one(tmp_path, capsys, caplog):
+    for argv in (("market-sim", "--d", 40), ("market-sim", "--d", 22),
+                 ("gen-game", "--kind", "market", "--d", 22, "--out", tmp_path / "m.json")):
+        caplog.clear()
+        assert run_cli(*argv) == 1, argv
+        assert "Traceback" not in capsys.readouterr().err
+        assert "d must be an integer from 1 to 10" in caplog.text
+
+
 def test_market_sim_command(tmp_path, capsys):
     assert run_cli("market-sim", "--n", 8, "--d", 1, "--lam", 8,
                    "--trials", 200, "--seed", 2) == 0

@@ -4,6 +4,7 @@ Random-instance checks compare against the plain-loop oracles in conftest,
 never against the vectorized implementations under test.
 """
 
+import importlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +32,7 @@ from privagg.game_core import (
     translate_checks,
     utility_values,
 )
+from privagg import game_core, onedim
 from privagg.dp_core import BudgetError, NoiseSource
 from privagg.harness import generate
 from privagg.market import MarketGame, to_aggregative, trader_utility
@@ -168,6 +170,44 @@ def test_grid_steps_refuses_an_unbounded_grid():
     # W / alpha overflows to inf, so no finite grid exists
     with pytest.raises(BudgetError):
         grid_steps(1.0, 1e-320)
+
+
+def test_grid_steps_counts_axes_and_levels():
+    # K = 10: 20 points per axis, 400 on a plane, 1,200 over three loss levels
+    assert grid_steps(1.0, 0.1, d=2, levels=3) == 10
+    with pytest.raises(BudgetError, match="grid holds 12000000 points, over the budget"):
+        grid_steps(1.0, 1e-5, d=1, levels=60)
+    with pytest.raises(BudgetError, match="grid holds 400000000 points"):
+        grid_steps(1.0, 1e-4, d=2)
+    # (2e300)^15 points: refused, not a ValueError from formatting the count
+    with pytest.raises(BudgetError, match="grid holds over 10\\^300 points"):
+        grid_steps(1.0, 1e-300, d=15)
+
+
+def test_every_grid_solver_reads_the_one_budget(monkeypatch):
+    # with the budget lowered where it is defined, all four solvers refuse
+    # their grids before any LP, summary value or quality score is evaluated
+    presl_mod = importlib.import_module("privagg.presl")
+
+    def untouchable(*args, **kwargs):
+        raise AssertionError("evaluated past the grid budget check")
+
+    monkeypatch.setattr(game_core, "GRID_BUDGET", 4)
+    monkeypatch.setattr(presl_mod, "exact_lp_min", untouchable)
+    monkeypatch.setattr(onedim, "V", untouchable)
+    lin = generate("linear", 70, n=4, m=2, d=1, gamma=0.1)  # K = 4: 8 points
+    with pytest.raises(BudgetError, match="grid holds 18 points, over the budget 4"):
+        # alpha = 0.136: 6 points per axis on 3 loss levels
+        presl_mod.PreslParams.for_game(lin, zeta=1.0, epsilon=1e5, delta=0.05, beta=0.3)
+    with pytest.raises(BudgetError, match="over the budget 4"):
+        presl_mod.npresl(lin, zeta=1.0, alpha=0.12, beta=0.1, src=NoiseSource(0))
+    q = onedim.make_optin_game(25, np.linspace(0.0, 1.0, 25))  # 40 points
+    with pytest.raises(BudgetError, match="over the budget 4"):
+        onedim.psummnash(q, 2000.0, 0.05, 0.05, NoiseSource(0))
+    with pytest.raises(BudgetError, match="over the budget 4"):
+        onedim.SelectionParams(zeta=0.4, epsilon=3000.0, alpha=0.05, beta=0.05,
+                               quality=onedim.QualitySpec(fn=untouchable, lam=1.0),
+                               gamma=q.gamma, W=q.W, n=q.n)
 
 
 def test_abr_set_constant_and_unique():

@@ -18,6 +18,7 @@ from privagg.lp_core import (
     most_violated,
     mw_accuracy_bound,
     replay_mw_player,
+    slack_rows,
 )
 
 from conftest import recurrence_exact_lp_min
@@ -359,6 +360,22 @@ def test_build_slack_lp_shapes_and_supports():
     free = generate("linear", 52, n=2, m=2, d=1, with_loss=False)
     with pytest.raises(ParameterError):
         build_slack_lp(free, np.zeros(1), 0.5, 0.1, 0.0)
+
+
+def test_slack_rows_layout_shared_by_lp_and_player():
+    g = generate("linear", 53, n=4, m=3, d=3)
+    s_hat = np.array([0.1, -0.2, 0.3])
+    for y_hat, loss in ((0.5, g.loss), (None, None)):
+        lp = build_slack_lp(g, s_hat, y_hat, xi=0.1, slack=0.05)
+        expect = [g.f[:, 0, :], -g.f[:, 0, :], g.f[:, 1, :], -g.f[:, 1, :],
+                  g.f[:, 2, :], -g.f[:, 2, :]] + ([g.loss] if y_hat is not None else [])
+        assert np.array_equal(lp.cons_f, np.stack(expect))
+        assert lp.cons_f.flags.c_contiguous
+        offs = [0.1 + 0.05, -0.1 + 0.05, -0.2 + 0.05, 0.2 + 0.05, 0.3 + 0.05, -0.3 + 0.05]
+        assert np.array_equal(lp.cons_b, offs + ([0.5 + 0.05] if y_hat is not None else []))
+        for i in range(g.n):
+            rows = slack_rows(g.f[i], None if loss is None else loss[i])
+            assert np.array_equal(rows, lp.cons_f[:, i, :])
 
 
 def test_exact_lp_min_witness_feasibility():

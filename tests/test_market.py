@@ -192,6 +192,24 @@ def test_market_game_validation():
         MarketGame(n=2, d=1, lam=4.0, valuations=np.full((2, 3), 1.5))
 
 
+@pytest.mark.parametrize("d", [0, 11, 22, 40, 200_000, 1.5])
+def test_market_d_refused_before_portfolios_are_built(d):
+    # 3^200000 does not even format as a decimal string
+    with pytest.raises(ParameterError, match="d must be an integer from 1 to 10"):
+        MarketGame(n=2, d=d, lam=4.0, valuations=np.zeros((2, 3)))
+    with pytest.raises(ParameterError, match="d must be an integer from 1 to 10"):
+        portfolio_matrix(d)
+    assert len(portfolio_matrix(market.MAX_D)) == 3**10
+
+
+def test_market_shares_one_utility():
+    g = small_market(n=3, d=2)
+    agg = to_aggregative(g)
+    assert agg.utility is g.utility
+    assert g.portfolios is g.utility.portfolios
+    assert g.m == 9
+
+
 def test_portfolios_built_once(monkeypatch):
     g = small_market(n=5, d=2, lam=10.0, seed=3)
     u = to_aggregative(g).utility

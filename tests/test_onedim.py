@@ -15,7 +15,9 @@ import pytest
 
 from privagg import onedim
 from privagg.dp_core import BudgetError, NoiseSource, ParameterError
-from privagg.game_core import GRID_BUDGET, LinearUtility, abr_profile, abr_set, regret
+from privagg.game_core import (
+    GRID_BUDGET, LinearUtility, abr_profile, abr_set, grid_steps, regret,
+)
 from privagg.harness import brute_force_equilibria, generate
 from privagg.onedim import (
     PSummResult,
@@ -507,7 +509,7 @@ def test_selection_params_grid_order():
 def test_selection_grid_matches_scalar_scoring(quality, W, alpha):
     prm = SelectionParams(zeta=0.4, epsilon=100.0, alpha=alpha, beta=0.05,
                           quality=quality, gamma=0.05, W=W, n=20)
-    K = onedim._grid_steps(W, alpha)
+    K = grid_steps(W, alpha)
     values = np.arange(-K, K) * alpha
     scores = np.array([quality.fn(float(s)) for s in values])
     assert np.array_equal(quality.fn(values), scores)
