@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dp_core import BudgetError, NoiseSource, ParameterError
+from .dp_core import BudgetError, NoiseSource, ParameterError, check_finite
 
 __all__ = [
     "AggregativeGame",
@@ -48,6 +48,7 @@ __all__ = [
     "GRID_BUDGET",
     "grid_steps",
     "support_width",
+    "best_response_support",
     "utility_matrix",
     "utility_values",
     "abr_set",
@@ -261,28 +262,31 @@ class AggregativeGame:
     def __post_init__(self):
         for name in ("n", "m", "d"):
             v = getattr(self, name)
-            if int(v) != v or v < 1:
+            real = isinstance(v, (int, float, np.integer, np.floating))
+            if not real or not 1 <= v < math.inf or int(v) != v:
                 raise ParameterError(f"{name} must be a positive integer")
             object.__setattr__(self, name, int(v))
+        check_finite(gamma=self.gamma, W=self.W)
         if self.gamma <= 0:
             raise ParameterError("gamma must be positive")
-        if self.W <= 0:
-            raise ParameterError("W must be positive")
+        if not 0 < 2.0 * self.W < math.inf:  # [-W, W] spans 2W
+            raise ParameterError("W must be positive, with 2W finite")
         f = np.asarray(self.f, dtype=float)
         if f.shape != (self.n, self.d, self.m):
             raise ParameterError(f"f has shape {f.shape}, expected {(self.n, self.d, self.m)}")
         if not np.all(np.isfinite(f)) or np.max(np.abs(f)) > 1.0 + _ROW_SUM_TOL:
             raise ParameterError("facet values must be finite and lie in [-1, 1]")
         object.__setattr__(self, "f", f)
-        reach = self.gamma * np.abs(f).max(axis=2).sum(axis=0)  # (d,)
+        with np.errstate(over="ignore"):  # an infinite reach is refused below
+            reach = self.gamma * np.abs(f).max(axis=2).sum(axis=0)  # (d,)
         if np.max(reach) > self.W * (1.0 + _RANGE_TOL) + 1e-12:
             raise ParameterError("aggregator can leave [-W, W]^d; increase W")
         if self.loss is not None:
             loss = np.asarray(self.loss, dtype=float)
             if loss.shape != (self.n, self.m):
                 raise ParameterError(f"loss has shape {loss.shape}, expected {(self.n, self.m)}")
-            if np.min(loss) < -_RANGE_TOL or np.max(loss) > 1.0 + _RANGE_TOL:
-                raise ParameterError("loss entries must lie in [0, 1]")
+            if not np.all((loss >= -_RANGE_TOL) & (loss <= 1.0 + _RANGE_TOL)):
+                raise ParameterError("loss entries must be finite and lie in [0, 1]")
             object.__setattr__(self, "loss", loss)
         spread = self.gamma * float((f.max(axis=2) - f.min(axis=2)).max())
         object.__setattr__(self, "_gamma_eff", spread)
@@ -421,12 +425,19 @@ def utility_values(game: AggregativeGame, i: int, s) -> np.ndarray:
     )
 
 
+def best_response_support(vals: np.ndarray, xi: float) -> np.ndarray:
+    """Mask of the actions paying within xi of the best, row-wise on (..., m)
+    utility values. The mediator's LP supports, the scalar solvers' extremes
+    and every player's replay apply this one rule, so a player's own row
+    agrees with the mediator's bit for bit."""
+    return vals >= vals.max(axis=-1, keepdims=True) - xi
+
+
 def abr_set(game: AggregativeGame, i: int, s, eta: float) -> np.ndarray:
     """Actions within eta of player i's best response to a fixed aggregator."""
     if eta < 0:
         raise ParameterError("eta must be nonnegative")
-    vals = utility_values(game, i, s)
-    return np.flatnonzero(vals >= vals.max() - eta)
+    return np.flatnonzero(best_response_support(utility_values(game, i, s), eta))
 
 
 def abr_profile(game: AggregativeGame, s) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dp_core import BudgetError, NoiseSource, ParameterError
+from .dp_core import BudgetError, NoiseSource, ParameterError, check_finite
 from .game_core import (
     AggregativeGame,
     LinearUtility,
@@ -256,27 +256,22 @@ def generate(kind: str, seed: int, **params):
       valuations.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    if kind == "linear":
+    if kind in ("linear", "anonymous"):
         n = int(params.get("n", 8))
         m = int(params.get("m", 2))
-        d = int(params.get("d", 1))
+        d = int(params.get("d", 1)) if kind == "linear" else m
         gamma = float(params.get("gamma", 1.0 / n))
-        f = rng.uniform(-1.0, 1.0, size=(n, d, m))
         W = float(params.get("W", gamma * n))
+        check_finite(gamma=gamma, W=W)
+        if W <= 0:  # the utility draw divides by 1 + W
+            raise ParameterError("W must be positive")
+        if kind == "linear":
+            f = rng.uniform(-1.0, 1.0, size=(n, d, m))
+        else:
+            f = np.broadcast_to(np.eye(m), (n, m, m)).copy()
         utility = _random_linear_utility(rng, n, m, d, W)
         loss = rng.uniform(0.0, 1.0, size=(n, m)) if params.get("with_loss", True) else None
         return AggregativeGame(n=n, m=m, d=d, gamma=gamma, W=W, f=f, utility=utility, loss=loss)
-    if kind == "anonymous":
-        n = int(params.get("n", 8))
-        m = int(params.get("m", 2))
-        gamma = float(params.get("gamma", 1.0 / n))
-        f = np.zeros((n, m, m))
-        for j in range(m):
-            f[:, j, j] = 1.0
-        W = float(params.get("W", gamma * n))
-        utility = _random_linear_utility(rng, n, m, m, W)
-        loss = rng.uniform(0.0, 1.0, size=(n, m)) if params.get("with_loss", True) else None
-        return AggregativeGame(n=n, m=m, d=m, gamma=gamma, W=W, f=f, utility=utility, loss=loss)
     if kind == "threshold":
         n = int(params.get("n", 50))
         thresholds = params.get("thresholds")
@@ -288,6 +283,7 @@ def generate(kind: str, seed: int, **params):
         n = int(params.get("n", 20))
         d = int(params.get("d", 1))
         lam = float(params.get("lam", max(4.0, n / 4.0)))
+        check_finite(lam=lam)
         theta = rng.uniform(0.0, 1.0, size=(n, d))
         from .market import portfolio_matrix
 

@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .dp_core import (
+    BudgetError,
     NoiseSource,
     ParameterError,
     PrivacyLedger,
@@ -38,7 +39,7 @@ from .dp_core import (
     check_finite,
     exponential_mechanism,
 )
-from .game_core import AggregativeGame, utility_matrix
+from .game_core import GRID_BUDGET, AggregativeGame, best_response_support, utility_matrix
 
 __all__ = [
     "DegenerateError",
@@ -79,10 +80,13 @@ class FeasibilityLP:
             raise ParameterError("at least one constraint required")
         if sup.shape != cf.shape[1:]:
             raise ParameterError("supports must be (n, m) matching the constraints")
-        if np.max(np.abs(cf)) > 1.0 + 1e-12:
-            raise ParameterError("constraint facet entries must lie in [-1, 1]")
+        if not np.all(np.abs(cf) <= 1.0 + 1e-12):
+            raise ParameterError("constraint facet entries must be finite and lie in [-1, 1]")
+        if not np.all(np.isfinite(cb)):
+            raise ParameterError("constraint offsets must be finite")
         if not sup.any(axis=1).all():
             raise DegenerateError("every player needs a nonempty support set")
+        check_finite(gamma=self.gamma)
         if self.gamma <= 0:
             raise ParameterError("gamma must be positive")
         object.__setattr__(self, "cons_f", cf)
@@ -108,6 +112,7 @@ class DistMWParams:
 
     T = ceil(16 n^2 gamma^2 ln m / alpha^2) (at least 1),
     eps0 = eps / (2 sqrt(2 T ln(1/delta))), eta = alpha / (4 n gamma).
+    A replay holds a (T, m) block, so T * m over ``GRID_BUDGET`` is refused.
     """
 
     epsilon: float
@@ -122,17 +127,23 @@ class DistMWParams:
     eta: float = field(init=False)
 
     def __post_init__(self):
-        check_finite(epsilon=self.epsilon, alpha=self.alpha)
+        check_finite(epsilon=self.epsilon, alpha=self.alpha, gamma=self.gamma)
         if self.epsilon <= 0 or not (0 < self.delta < 1) or not (0 < self.beta < 1):
             raise ParameterError("need epsilon > 0, delta in (0,1), beta in (0,1)")
         if self.alpha <= 0 or self.gamma <= 0 or self.n < 1 or self.m < 1:
             raise ParameterError("need alpha > 0, gamma > 0, n >= 1, m >= 1")
-        T = max(1, math.ceil(16.0 * self.n**2 * self.gamma**2 * math.log(self.m) / self.alpha**2))
+        try:
+            T = max(1, math.ceil(16.0 * self.n**2 * self.gamma**2 * math.log(self.m) / self.alpha**2))
+        except (OverflowError, ValueError, ZeroDivisionError):  # gamma^2 or alpha^2 out of range
+            raise BudgetError("the round count has no finite size") from None
+        if T * self.m > GRID_BUDGET:
+            raise BudgetError(f"{T} rounds over {self.m} actions, over the budget {GRID_BUDGET}")
         object.__setattr__(self, "T", T)
         object.__setattr__(
             self, "eps0", self.epsilon / (2.0 * math.sqrt(2.0 * T * math.log(1.0 / self.delta)))
         )
         object.__setattr__(self, "eta", self.alpha / (4.0 * self.n * self.gamma))
+        check_finite(eta=self.eta)
 
     @classmethod
     def for_game(
@@ -203,6 +214,9 @@ def distmw_solve(lp: FeasibilityLP, params: DistMWParams, src: NoiseSource) -> D
     """
     if lp.shape != (params.n, params.m):
         raise ParameterError("params were derived for a different LP shape")
+    # a margin is at most n gamma + max |b|; the mechanism scales it by eps0 / (2 gamma)
+    check_finite(scaled_margin=params.eps0 / (2.0 * lp.gamma)
+                 * (params.n * lp.gamma + float(np.max(np.abs(lp.cons_b)))))
     cum = np.where(lp.supports, 0.0, np.inf)
     accum = np.zeros(lp.shape)
     transcript: list[int] = []
@@ -302,8 +316,7 @@ def build_slack_lp(
     s_hat = np.asarray(s_hat, dtype=float)
     if s_hat.shape != (game.d,):
         raise ParameterError(f"s_hat must have shape ({game.d},)")
-    vals = utility_matrix(game, s_hat)
-    supports = vals >= vals.max(axis=1, keepdims=True) - xi
+    supports = best_response_support(utility_matrix(game, s_hat), xi)
     loss = y = None
     if y_hat is not None and math.isfinite(y_hat):
         if game.loss is None:

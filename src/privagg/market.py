@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp_core import ParameterError
+from .dp_core import ParameterError, check_finite
 from .game_core import AggregativeGame
 
 __all__ = [
@@ -79,8 +79,10 @@ class MarketGame:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
             raise ParameterError("n must be a positive integer")
+        check_finite(lam=self.lam)
         if self.lam <= 0:
             raise ParameterError("lambda must be positive")
+        check_finite(W=self.n / self.lam)  # the reach of the aggregate imbalance / lambda
         utility = MarketUtility(lam=self.lam, d=self.d, valuations=self.valuations)
         if utility.valuations.shape[0] != self.n:
             raise ParameterError(f"valuations need one row per trader, {self.n} in all")
@@ -213,7 +215,10 @@ def corollary_eta(n: int, lam: float, d: int) -> float:
     """
     if n < 1 or d < 1 or lam <= 0:
         raise ParameterError("need n >= 1, d >= 1, lambda > 0")
-    ratio = n / lam**2
+    try:
+        ratio = n / lam**2
+    except (OverflowError, ZeroDivisionError):
+        raise ParameterError(f"lambda^2 leaves the float range at lambda = {lam}") from None
     return math.sqrt(d) * (ratio ** (1.0 / 3.0) + math.sqrt(ratio))
 
 

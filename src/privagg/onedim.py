@@ -38,6 +38,7 @@ from .game_core import (
     aggregator,
     as_player,
     as_pure_profile,
+    best_response_support,
     grid_steps,
     support_width,
     utility_matrix,
@@ -513,8 +514,7 @@ def s_extremes(qgame: QuasiAggregativeGame, s: float, xi: float) -> Extremes:
     """
     if xi < 0:
         raise ParameterError("xi must be nonnegative")
-    vals = utility_matrix(qgame.base, np.array([float(s)]))
-    allowed = vals >= vals.max(axis=1, keepdims=True) - xi
+    allowed = best_response_support(utility_matrix(qgame.base, np.array([float(s)])), xi)
     ranked = np.take_along_axis(allowed, qgame.action_order, axis=1)
     rows = np.arange(qgame.n)
     x_max = qgame.action_order[rows, np.argmax(ranked, axis=1)]

@@ -33,6 +33,7 @@ from .dp_core import (
 from .game_core import (
     AggregativeGame,
     as_player,
+    best_response_support,
     grid_steps,
     sample_action,
     sample_profile,
@@ -287,8 +288,7 @@ def replay_presl_player(
     i = as_player(game, i)
     params = result.params
     rows = slack_rows(game.f[i], game.loss[i] if params.has_loss else None)
-    vals = utility_values(game, i, result.hit_s)
-    support_row = vals >= vals.max() - params.xi
+    support_row = best_response_support(utility_values(game, i, result.hit_s), params.xi)
     p_row = replay_mw_player(rows, support_row, result.mw_params, result.mw_transcript)
     return sample_action(p_row, src.child("sample").child(i))
 

@@ -1,14 +1,15 @@
 """End-to-end command line checks, run in process through main()."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from privagg.cli import main
-from privagg.game_core import load_game, save_game
+from privagg.game_core import game_to_json, load_game, save_game
 from privagg.harness import generate
 
 from conftest import JUMP_ALPHA, JUMP_EPSILON, jump_game
@@ -122,6 +123,59 @@ def test_error_paths_exit_one(tmp_path, threshold_game, capsys):
     for argv in cases:
         assert run_cli(*argv) == 1, argv
         assert "Traceback" not in capsys.readouterr().err
+
+
+def write_with(path, payload: dict, value, field: str, *index) -> Path:
+    """``payload`` with one field, or one entry of it, set to ``value``;
+    ``json.dumps`` writes NaN and Infinity, which ``json.load`` reads back."""
+    payload = json.loads(json.dumps(payload))  # a deep copy
+    holder, key = payload, field
+    for k in index:
+        holder, key = holder[key], k
+    holder[key] = value
+    path.write_text(json.dumps(payload))
+    return path
+
+
+LINEAR_GAME = json.loads(game_to_json(generate("linear", 2, n=4, gamma=0.1)))
+SMALL_LP = {"gamma": 0.25, "cons_f": np.ones((1, 2, 2)).tolist(), "cons_b": [1.1],
+            "supports": np.ones((2, 2), dtype=bool).tolist()}
+PRESL_FLAGS = ("--zeta", 1.0, "--epsilon", 150, "--delta", 0.05, "--beta", 0.3)
+NPRESL_FLAGS = ("--zeta", 1.0, "--alpha", 0.2)
+LP_FLAGS = ("--epsilon", 10000, "--delta", 0.05, "--alpha", 0.5)
+
+
+def test_non_finite_game_and_lp_fields_exit_one(tmp_path, capsys):
+    # each of these ended in a ValueError or OverflowError traceback, or ran
+    # the whole solve before the result was refused
+    nan, inf = float("nan"), float("inf")
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"profile": [0] * 4}))
+    gamma_nan = write_with(tmp_path / "gamma.json", LINEAR_GAME, nan, "gamma")
+    w_nan = write_with(tmp_path / "w.json", LINEAR_GAME, nan, "W")
+    loss_nan = write_with(tmp_path / "loss.json", LINEAR_GAME, nan, "loss", 0, 0)
+    lps = [write_with(tmp_path / "lp_gamma_nan.json", SMALL_LP, nan, "gamma"),
+           write_with(tmp_path / "lp_gamma_inf.json", SMALL_LP, inf, "gamma"),
+           write_with(tmp_path / "lp_f.json", SMALL_LP, nan, "cons_f", 0, 0, 1),
+           write_with(tmp_path / "lp_b_nan.json", SMALL_LP, nan, "cons_b", 0),
+           write_with(tmp_path / "lp_b_inf.json", SMALL_LP, inf, "cons_b", 0)]
+    cases = [
+        ("presl", "--game", gamma_nan, *PRESL_FLAGS),
+        *((cmd, "--game", game, *flags) for game in (w_nan, loss_nan)
+          for cmd, flags in (("presl", PRESL_FLAGS), ("npresl", NPRESL_FLAGS),
+                             ("psummnash", ("--epsilon", 2000, "--alpha", 0.05)))),
+        ("verify", "--game", w_nan, "--profile", profile),
+        ("gen-game", "--kind", "linear", "--gamma", "nan", "--out", tmp_path / "g.json"),
+        ("gen-game", "--kind", "linear", "--W", "inf", "--out", tmp_path / "g.json"),
+        ("gen-game", "--kind", "market", "--lam", "nan", "--out", tmp_path / "g.json"),
+        ("gen-game", "--kind", "threshold", "--gamma", "nan", "--out", tmp_path / "g.json"),
+        ("market-sim", "--lam", "nan", "--trials", 3),
+        *(("distmw-solve", "--lp", lp, *LP_FLAGS) for lp in lps),
+    ]
+    for argv in cases:
+        assert run_cli(*argv) == 1, argv
+        assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_select_quality_flags(tmp_path, threshold_game):
@@ -379,6 +433,54 @@ def test_non_finite_result_is_not_published(fuzz_dir):
             "--epsilon=1000.0", "--alpha=1.797693134862316e+307", "--beta=0.5"]
     assert exit_code(argv) == 1
     assert not out.exists()
+
+
+# gen-game and market-sim flags, and the numeric fields of a game or LP file
+# (a key, or a key and one entry's index) with the commands that read them
+ODD_FLAGS = [(("gen-game", "--kind", kind), flag) for kind, flag in (
+    ("linear", "--gamma"), ("linear", "--W"), ("anonymous", "--W"),
+    ("threshold", "--gamma"), ("market", "--lam"))] + [(("market-sim", "--trials", 3), "--lam")]
+GAME_FIELDS = [("gamma",), ("W",), ("loss", 1, 0)]
+LP_FIELDS = [("gamma",), ("cons_f", 0, 1, 0), ("cons_b", 0)]
+GAME_COMMANDS = [("presl", *PRESL_FLAGS), ("npresl", *NPRESL_FLAGS), ("verify",)]
+
+
+@st.composite
+def odd_field_argv(draw, root):
+    """One gen-game or market-sim flag, or one numeric field of a game or LP
+    file, set to an odd float; the rest of the argv is admissible."""
+    value = draw(ODD_FLOAT)
+    out = ("--out", root / "odd_out.json")
+    source = draw(st.sampled_from(["flag", "game", "lp"]))
+    if source == "flag":
+        command, flag = draw(st.sampled_from(ODD_FLAGS))
+        return [*command, f"{flag}={value}", *out]
+    if source == "lp":
+        lp = write_with(root / "odd_lp.json", SMALL_LP, value, *draw(st.sampled_from(LP_FIELDS)))
+        return ["distmw-solve", "--lp", lp, *LP_FLAGS, *out]
+    field = draw(st.sampled_from(GAME_FIELDS))
+    game = write_with(root / "odd_game.json", LINEAR_GAME, value, *field)
+    # at a small admissible gamma presl's exact-LP scan runs for hours (its
+    # tolerance shrinks with gamma; see CHANGES.md), so gamma skips presl
+    commands = GAME_COMMANDS[1:] if field == ("gamma",) else GAME_COMMANDS
+    command, *flags = draw(st.sampled_from(commands))
+    if command == "verify":
+        flags = ["--profile", root / "odd_profile.json"]
+        flags[1].write_text(json.dumps({"profile": [0] * LINEAR_GAME["n"]}))
+    return [command, "--game", game, *flags, *out]
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_odd_fields_never_traceback(fuzz_dir, capsys, data):
+    argv = data.draw(odd_field_argv(fuzz_dir))
+    out = fuzz_dir / "odd_out.json"
+    out.unlink(missing_ok=True)
+    assert exit_code(argv) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    if out.exists():
+        json.loads(out.read_text(), parse_constant=reject_constant)
 
 
 def reject_constant(name):

@@ -4,7 +4,6 @@ Random-instance checks compare against the plain-loop oracles in conftest,
 never against the vectorized implementations under test.
 """
 
-import importlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +19,7 @@ from privagg.game_core import (
     aggregator,
     as_mixed_profile,
     as_pure_profile,
+    best_response_support,
     expected_aggregator,
     game_from_json,
     game_to_json,
@@ -30,9 +30,11 @@ from privagg.game_core import (
     sample_profile,
     save_game,
     translate_checks,
+    utility_matrix,
     utility_values,
 )
 from privagg import game_core, onedim
+from privagg import presl as presl_mod
 from privagg.dp_core import BudgetError, NoiseSource
 from privagg.harness import generate
 from privagg.market import MarketGame, to_aggregative, trader_utility
@@ -187,8 +189,6 @@ def test_grid_steps_counts_axes_and_levels():
 def test_every_grid_solver_reads_the_one_budget(monkeypatch):
     # with the budget lowered where it is defined, all four solvers refuse
     # their grids before any LP, summary value or quality score is evaluated
-    presl_mod = importlib.import_module("privagg.presl")
-
     def untouchable(*args, **kwargs):
         raise AssertionError("evaluated past the grid budget check")
 
@@ -233,6 +233,24 @@ def test_abr_set_gap_point_three():
     assert list(abr_set(g, 0, s, 0.4)) == [0, 1]
 
 
+def test_best_response_support_rows_match_each_players_row():
+    # the mediator applies the rule to the (n, m) matrix, each player to their
+    # own (m,) row: the masks agree bit for bit, and with abr_set
+    sizes = set()
+    for seed in range(5):
+        g = generate("linear", 300 + seed, n=6, m=4, d=2)
+        s = np.array([0.1 * seed, -0.05 * seed])
+        mask_rows = {xi: best_response_support(utility_matrix(g, s), xi)
+                     for xi in (0.0, 0.05, 0.2, 1.0)}
+        for xi, mask in mask_rows.items():
+            for i in range(g.n):
+                own = best_response_support(utility_values(g, i, s), xi)
+                assert np.array_equal(mask[i], own)
+                assert np.array_equal(np.flatnonzero(own), abr_set(g, i, s, xi))
+                sizes.add(int(own.sum()))
+    assert sizes == {1, 2, 3, 4}
+
+
 def test_abr_profile_tie_break_and_slopes():
     g = constant_game(n=3, m=3)
     assert np.all(abr_profile(g, np.zeros(1)) == 0)
@@ -253,11 +271,13 @@ def test_abr_profile_market_matches_enumeration():
     mkt = MarketGame(n=5, d=2, lam=8.0,
                      valuations=np.linspace(-1.5, 1.5, 5 * 9).reshape(5, 9))
     g = to_aggregative(mkt)
-    s = np.zeros(2)
-    x = abr_profile(g, s)
-    for i in range(mkt.n):
-        direct = [trader_utility(mkt, i, a, mkt.lam * s) for a in range(g.m)]
-        assert direct[x[i]] == pytest.approx(max(direct), abs=1e-12)
+    # trader_utility takes the aggregator itself; at s = 0 a lambda-scaled
+    # argument would pass as well, so nonzero aggregates are checked too
+    for s in (np.zeros(2), np.array([0.1, -0.05]), np.array([0.3, 0.2])):
+        x = abr_profile(g, s)
+        for i in range(mkt.n):
+            direct = [trader_utility(mkt, i, a, s) for a in range(g.m)]
+            assert direct[x[i]] == pytest.approx(max(direct), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +482,25 @@ def test_construction_validation():
     with pytest.raises(ParameterError):
         build_quiet(n=2, m=2, d=1, gamma=0.5, W=1.0,
                     f=np.ones((2, 1, 2)), utility=None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_construction_refuses_non_finite_fields(bad):
+    # NaN passed the gamma <= 0, W <= 0 and loss range checks, and NaN or inf
+    # sizes, gamma and W died later as ValueError or OverflowError
+    util = LinearUtility(np.zeros((2, 2)), np.zeros((2, 2, 1)))
+    good = dict(n=2, m=2, d=1, gamma=0.5, W=1.0, f=np.ones((2, 1, 2)), utility=util)
+    loss = np.zeros((2, 2))
+    loss[1, 0] = bad
+    for key, value in (("gamma", bad), ("W", bad), ("loss", loss), ("n", bad), ("d", bad)):
+        with pytest.raises(ParameterError, match="finite|positive integer"):
+            build_quiet(**{**good, key: value})
+    with pytest.raises(ParameterError, match="finite"):
+        generate("linear", 0, gamma=bad)
+    with pytest.raises(ParameterError, match="2W finite"):
+        build_quiet(**{**good, "W": 1e308})  # the spot check draws from [-W, W]
+    with pytest.raises(ParameterError, match="W must be positive"):
+        generate("linear", 0, W=-1.0)  # the utility draw divides by 1 + W
 
 
 def test_utility_screens_reject_bad_evaluators():

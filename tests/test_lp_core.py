@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from privagg.dp_core import NoiseSource, compose_adaptive
+from privagg.dp_core import BudgetError, NoiseSource, compose_adaptive
 from privagg.game_core import ParameterError, utility_matrix
 from privagg.harness import generate
 from privagg.lp_core import (
@@ -76,11 +76,32 @@ def test_most_violated_single_and_errors():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_distmw_params_reject_non_finite(bad):
-    for key in ("epsilon", "alpha"):
+    for key in ("epsilon", "alpha", "gamma"):
         kwargs = dict(epsilon=1.0, delta=0.01, alpha=0.2, beta=0.1, n=2, m=2, gamma=0.3)
         kwargs[key] = bad
         with pytest.raises(ParameterError, match="finite"):
             DistMWParams(**kwargs)
+
+
+def test_distmw_params_refuse_runaway_dynamics():
+    base = dict(epsilon=1.0, delta=0.01, alpha=0.2, beta=0.1, n=2, m=2, gamma=0.3)
+    # gamma^2 overflows, alpha^2 underflows to 0: T has no finite size
+    for key, value in (("gamma", 1e200), ("alpha", 1e-200)):
+        with pytest.raises(BudgetError, match="no finite size"):
+            DistMWParams(**{**base, key: value})
+    # about 10^8 rounds: a (T, m) replay block over the budget
+    with pytest.raises(BudgetError, match="over the budget"):
+        DistMWParams(**{**base, "gamma": 30.0, "alpha": 0.02})
+    with pytest.raises(ParameterError, match="eta must be finite"):
+        DistMWParams(**{**base, "gamma": 1e-310})
+
+
+def test_distmw_refuses_margins_beyond_the_float_range():
+    lp = FeasibilityLP(gamma=0.25, cons_f=np.ones((2, 2, 2)), cons_b=np.array([0.0, -1e307]),
+                       supports=np.ones((2, 2), bool))
+    prm = DistMWParams(epsilon=1e4, delta=0.05, alpha=0.5, beta=0.1, n=2, m=2, gamma=0.25)
+    with pytest.raises(ParameterError, match="scaled_margin must be finite"):
+        distmw_solve(lp, prm, NoiseSource(0))
 
 
 def test_distmw_params_derivations():
@@ -339,6 +360,19 @@ def test_feasibility_lp_validation():
     with pytest.raises(ParameterError):
         FeasibilityLP(gamma=0.1, cons_f=np.zeros((0, 2, 2)), cons_b=np.zeros(0),
                       supports=np.ones((2, 2), bool))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_feasibility_lp_refuses_non_finite_fields(bad):
+    # a NaN facet passed the range check and a NaN offset was never checked:
+    # either ran every round of the dynamics on NaN margins
+    good = dict(gamma=0.1, cons_f=np.zeros((1, 2, 2)), cons_b=np.zeros(1),
+                supports=np.ones((2, 2), bool))
+    cons_f = np.zeros((1, 2, 2))
+    cons_f[0, 1, 0] = bad
+    for key, value in (("gamma", bad), ("cons_f", cons_f), ("cons_b", np.array([bad]))):
+        with pytest.raises(ParameterError, match="finite"):
+            FeasibilityLP(**{**good, key: value})
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,9 @@ def test_market_game_validation():
         MarketGame(n=2, d=1, lam=4.0, valuations=np.zeros((2, 4)))
     with pytest.raises(ParameterError):
         MarketGame(n=2, d=1, lam=4.0, valuations=np.full((2, 3), 1.5))
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="lam must be finite"):
+            MarketGame(n=2, d=1, lam=lam, valuations=np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("d", [0, 11, 22, 40, 200_000, 1.5])
@@ -247,6 +250,9 @@ def test_budget_formulas_frozen_values():
     assert market_zeta(100, 25.0, 2) == pytest.approx(3.8212148768578658, rel=1e-15)
     # privacy comes for free as lambda grows: eta -> 0
     assert corollary_eta(100, 1e6, 2) < 1e-3
+    for lam in (1e-300, 1e200):  # lambda^2 underflows to 0 or overflows
+        with pytest.raises(ParameterError, match="float range"):
+            corollary_eta(100, lam, 2)
     with pytest.raises(ParameterError):
         corollary_eta(0, 25.0, 2)
     with pytest.raises(ParameterError):

@@ -1,13 +1,17 @@
 """Grid-search equilibrium selection, private and exact variants."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 
+import privagg
+import privagg.presl as presl_mod
 from privagg.dp_core import BudgetError, NoiseSource, ParameterError
 from privagg.game_core import LinearUtility, regret, utility_values
 from privagg.harness import brute_force_equilibria, generate, profile_loss
+from privagg.lp_core import build_slack_lp, exact_lp_min, replay_mw_player
 from privagg.presl import (
     PreslParams,
     PreslResult,
@@ -208,15 +212,25 @@ def test_presl_noise_off_is_deterministic():
     assert a.mw_transcript == b.mw_transcript
 
 
-def test_presl_replay_is_bit_exact():
+def test_presl_replay_is_bit_exact(monkeypatch):
     g = positive_flow_game(seed=7)
     prm = fast_params(g)
     src_seed = 909
     res = presl(g, prm, NoiseSource(src_seed))
     assert not res.aborted
+    replayed_rows = []
+
+    def recording(rows, support_row, *args):
+        replayed_rows.append(support_row)
+        return replay_mw_player(rows, support_row, *args)
+
+    monkeypatch.setattr(presl_mod, "replay_mw_player", recording)
     for i in range(g.n):
         action = replay_presl_player(g, i, res, NoiseSource(src_seed))
         assert action == res.profile[i]
+    # each player's own support row is the mediator's LP support row
+    lp = build_slack_lp(g, res.hit_s, res.hit_y, prm.xi, slack=0.0)
+    assert np.array_equal(np.array(replayed_rows), lp.supports)
 
 
 def test_presl_replay_refuses_out_of_range_players():
@@ -309,6 +323,25 @@ def test_npresl_loss_is_monotone_in_zeta():
     lo = npresl(g, zeta=zeta, alpha=alpha, beta=0.1, src=NoiseSource(0))
     hi = npresl(g, zeta=2 * zeta, alpha=alpha, beta=0.1, src=NoiseSource(0))
     assert hi.witness_loss <= lo.witness_loss + 0.21 * alpha
+
+
+def test_submodule_patch_reaches_the_solver(monkeypatch):
+    # the package namespace holds only submodules and __version__, so
+    # privagg.presl is the module and a name patched on it is the one npresl reads
+    assert all(isinstance(v, types.ModuleType)
+               for k, v in vars(privagg).items() if not k.startswith("__"))
+    assert isinstance(presl_mod, types.ModuleType)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return exact_lp_min(*args, **kwargs)
+
+    monkeypatch.setattr(presl_mod, "exact_lp_min", counting)
+    g = generate("linear", 70, n=4, m=2, d=1, gamma=0.1)  # W = 0.4: 4 grid points
+    res = presl_mod.npresl(g, zeta=1.0, alpha=0.2, beta=0.1, src=NoiseSource(0))
+    assert not res.aborted
+    assert len({float(s[0]) for s in calls}) == 4 and len(calls) > 4
 
 
 def test_npresl_validation():
