@@ -34,6 +34,7 @@ __all__ = [
     "ScoredOutcomeSet",
     "PrivacyLedger",
     "check_finite",
+    "as_count",
     "laplace_sample",
     "first_below",
     "sparse_accuracy_bound",
@@ -61,6 +62,16 @@ def check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def as_count(name: str, value, most: float = math.inf) -> int:
+    """``value`` as an int in [1, most]; NaN, infinite, non-integral and
+    non-numeric values raise ParameterError before any ``int()`` runs."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if not real or not 1 <= value <= most or not math.isfinite(value) or int(value) != value:
+        bounds = "a positive integer" if most == math.inf else f"an integer from 1 to {most}"
+        raise ParameterError(f"{name} must be {bounds}")
+    return int(value)
 
 
 def _label_to_int(label) -> int:
@@ -361,8 +372,11 @@ class ScoredOutcomeSet:
 def exponential_mechanism(oset: ScoredOutcomeSet, epsilon: float, src: NoiseSource):
     """Select one outcome with probability proportional to exp(eps*q / 2*Delta).
 
-    Weights are computed through a log-sum-exp shift so large scores cannot
-    overflow. noise_off returns the lowest-index argmax deterministically.
+    The scores are scaled by eps / (2 Delta) first and then shifted by their
+    maximum, so every weight lies in [0, 1] once the scaled scores are finite.
+    The scaling itself can overflow: callers keep eps * q / (2 Delta) finite,
+    as ``distmw_solve`` does with its ``scaled_margin`` check. noise_off
+    returns the lowest-index argmax deterministically.
     """
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")

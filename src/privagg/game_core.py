@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dp_core import BudgetError, NoiseSource, ParameterError, check_finite
+from .dp_core import BudgetError, NoiseSource, ParameterError, as_count, check_finite
 
 __all__ = [
     "AggregativeGame",
@@ -261,11 +261,7 @@ class AggregativeGame:
 
     def __post_init__(self):
         for name in ("n", "m", "d"):
-            v = getattr(self, name)
-            real = isinstance(v, (int, float, np.integer, np.floating))
-            if not real or not 1 <= v < math.inf or int(v) != v:
-                raise ParameterError(f"{name} must be a positive integer")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
         check_finite(gamma=self.gamma, W=self.W)
         if self.gamma <= 0:
             raise ParameterError("gamma must be positive")

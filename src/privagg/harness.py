@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dp_core import BudgetError, NoiseSource, ParameterError, check_finite
+from .dp_core import BudgetError, NoiseSource, ParameterError, as_count, check_finite
 from .game_core import (
     AggregativeGame,
     LinearUtility,
@@ -31,7 +31,7 @@ from .game_core import (
     utility_values,
 )
 from .lp_core import DistMWParams, build_slack_lp, distmw_solve, mw_accuracy_bound
-from .market import MarketGame, to_aggregative
+from .market import MarketGame, portfolio_matrix, to_aggregative
 from .onedim import (
     QualitySpec,
     QuasiAggregativeGame,
@@ -257,9 +257,9 @@ def generate(kind: str, seed: int, **params):
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if kind in ("linear", "anonymous"):
-        n = int(params.get("n", 8))
-        m = int(params.get("m", 2))
-        d = int(params.get("d", 1)) if kind == "linear" else m
+        n = as_count("n", params.get("n", 8))
+        m = as_count("m", params.get("m", 2))
+        d = as_count("d", params.get("d", 1)) if kind == "linear" else m
         gamma = float(params.get("gamma", 1.0 / n))
         W = float(params.get("W", gamma * n))
         check_finite(gamma=gamma, W=W)
@@ -273,22 +273,20 @@ def generate(kind: str, seed: int, **params):
         loss = rng.uniform(0.0, 1.0, size=(n, m)) if params.get("with_loss", True) else None
         return AggregativeGame(n=n, m=m, d=d, gamma=gamma, W=W, f=f, utility=utility, loss=loss)
     if kind == "threshold":
-        n = int(params.get("n", 50))
+        n = as_count("n", params.get("n", 50))
         thresholds = params.get("thresholds")
         if thresholds is None:
             thresholds = rng.uniform(0.0, 1.0, size=n)
         gamma = params.get("gamma")
         return make_optin_game(n, thresholds, gamma=gamma)
     if kind == "market":
-        n = int(params.get("n", 20))
-        d = int(params.get("d", 1))
+        n = as_count("n", params.get("n", 20))
+        portfolios = portfolio_matrix(params.get("d", 1))
+        d = portfolios.shape[1]
         lam = float(params.get("lam", max(4.0, n / 4.0)))
         check_finite(lam=lam)
         theta = rng.uniform(0.0, 1.0, size=(n, d))
-        from .market import portfolio_matrix
-
-        valuations = theta @ portfolio_matrix(d).T.astype(float)
-        return MarketGame(n=n, d=d, lam=lam, valuations=valuations)
+        return MarketGame(n=n, d=d, lam=lam, valuations=theta @ portfolios.T.astype(float))
     raise ParameterError(f"unknown game kind {kind!r}")
 
 

@@ -12,9 +12,13 @@ Multiplicative Weights Update Method", 2012):
 * ``distmw_solve`` runs the private no-regret dynamics: each round the
   exponential mechanism picks an (approximately) most violated constraint,
   the selected facet joins every player's cumulative loss, and the average
-  iterate is returned. The per-round selections are the public transcript,
-  so any player can replay their own rows with ``replay_mw_player``: O(T m)
-  numpy work and O(T m) memory, with no Python loop over rounds.
+  iterate is returned. Players with identical constraint rows and supports
+  share one MW row, so after one grouping pass a round costs O(C K m) for C
+  such classes, not O(n K m); with shared facets C is at most the number of
+  distinct support masks. The per-round selections are the public
+  transcript, so any player can replay their own rows with
+  ``replay_mw_player``: O(T m) numpy work and O(T m) memory, with no Python
+  loop over rounds.
 
 * ``exact_lp_min`` is the deterministic counterpart used on the query side:
   the adversary picks the exactly most violated constraint and the dynamics
@@ -202,6 +206,41 @@ class DistMWResult:
     ledger: PrivacyLedger
 
 
+def _row_labels(rows: np.ndarray) -> np.ndarray:
+    """Dense labels of a 2-D array's rows, equal exactly where the bytes are."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    return np.unique(keys, return_inverse=True)[1]
+
+
+def _player_classes(lp: FeasibilityLP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the players whose support mask and (K, m) constraint rows are
+    byte-identical; such players get the same MW row in every round.
+
+    Returns (first, inverse, counts): each class's first player, each
+    player's class and the class sizes, classes in order of first
+    appearance, so n singleton classes give ``first == arange(n)``. Labels
+    start from the support masks and split one constraint at a time; a
+    constraint whose rows every player shares is skipped, and the splitting
+    stops once every player stands alone, so the tensor is never copied
+    whole.
+    """
+    n = lp.shape[0]
+    label = _row_labels(lp.supports)
+    for block in lp.cons_f.view(np.int64):  # bit patterns: -0.0 differs from 0.0
+        if label.max() == n - 1:
+            break
+        if not (block == block[0]).all():
+            label = _row_labels(np.column_stack([label, block]))
+    _, first, inverse, counts = np.unique(
+        label, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse], counts[order]
+
+
 def distmw_solve(lp: FeasibilityLP, params: DistMWParams, src: NoiseSource) -> DistMWResult:
     """Private no-regret dynamics against the most violated constraint.
 
@@ -211,24 +250,39 @@ def distmw_solve(lp: FeasibilityLP, params: DistMWParams, src: NoiseSource) -> D
     the closed form shared with ``replay_mw_player``, the same mathematics as
     the recurrence p <- p exp(-eta f) / Z. Returns the average of the T
     iterates, which lands in the supported product simplex by construction.
+
+    Players with byte-identical constraint rows and supports share one MW
+    row, so after one grouping pass the rounds run on the C classes only:
+    O(C K m) work per round instead of O(n K m). Margins are linear in p, so
+    each class row counts once per member. When every player shares the
+    facets (markets, anonymous games), C is at most the number of distinct
+    support masks.
     """
     if lp.shape != (params.n, params.m):
         raise ParameterError("params were derived for a different LP shape")
     # a margin is at most n gamma + max |b|; the mechanism scales it by eps0 / (2 gamma)
     check_finite(scaled_margin=params.eps0 / (2.0 * lp.gamma)
                  * (params.n * lp.gamma + float(np.max(np.abs(lp.cons_b)))))
-    cum = np.where(lp.supports, 0.0, np.inf)
-    accum = np.zeros(lp.shape)
+    first, inverse, counts = _player_classes(lp)
+    classes = lp if len(first) == params.n else FeasibilityLP(
+        gamma=lp.gamma, cons_f=lp.cons_f[:, first], cons_b=lp.cons_b,
+        supports=lp.supports[first],
+    )
+    sizes = counts[:, None].astype(float)
+    cum = np.where(classes.supports, 0.0, np.inf)
+    accum = np.zeros(classes.shape)
     transcript: list[int] = []
     ledger = PrivacyLedger()
     for _ in range(params.T):
         p = _mw_iterate(cum, params.eta)
         accum += p
-        k, _ = most_violated(lp, p, params.eps0, src)
+        k, _ = most_violated(classes, sizes * p, params.eps0, src)
         ledger.add("constraint-select", params.eps0, 0.0)
         transcript.append(k)
-        cum += lp.cons_f[k]
-    return DistMWResult(p_bar=accum / params.T, transcript=transcript, params=params, ledger=ledger)
+        cum += classes.cons_f[k]
+    return DistMWResult(
+        p_bar=(accum / params.T)[inverse], transcript=transcript, params=params, ledger=ledger,
+    )
 
 
 def replay_mw_player(

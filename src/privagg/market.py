@@ -14,12 +14,13 @@ all-sell and index (3^d - 1) / 2 is all-out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp_core import ParameterError, check_finite
+from .dp_core import ParameterError, as_count, check_finite
 from .game_core import AggregativeGame
 
 __all__ = [
@@ -44,14 +45,18 @@ MAX_D = 10
 
 
 def portfolio_matrix(d: int) -> np.ndarray:
-    """All 3^d portfolios as an (3^d, d) int array over {-1, 0, +1}; the one
-    check on d, run before any 3^d integer or array is built."""
-    if int(d) != d or not 1 <= d <= MAX_D:
-        raise ParameterError(f"d must be an integer from 1 to {MAX_D}")
-    count = 3**d
-    idx = np.arange(count)
-    cols = [((idx // 3**k) % 3) - 1 for k in range(d)]
-    return np.stack(cols, axis=1).astype(np.int64)
+    """All 3^d portfolios as a read-only (3^d, d) int array over {-1, 0, +1},
+    built once per d and shared by every market of that d; the one check on
+    d, run before any 3^d integer or array is built."""
+    return _portfolio_table(as_count("d", d, MAX_D))
+
+
+@functools.lru_cache(maxsize=MAX_D)  # one entry per admissible d
+def _portfolio_table(d: int) -> np.ndarray:
+    idx = np.arange(3**d)
+    table = np.stack([((idx // 3**k) % 3) - 1 for k in range(d)], axis=1).astype(np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def hinge_price(I, lam: float):
@@ -77,8 +82,7 @@ class MarketGame:
     utility: "MarketUtility" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ParameterError("n must be a positive integer")
+        n = as_count("n", self.n)
         check_finite(lam=self.lam)
         if self.lam <= 0:
             raise ParameterError("lambda must be positive")
@@ -86,7 +90,7 @@ class MarketGame:
         utility = MarketUtility(lam=self.lam, d=self.d, valuations=self.valuations)
         if utility.valuations.shape[0] != self.n:
             raise ParameterError(f"valuations need one row per trader, {self.n} in all")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", utility.d)
         object.__setattr__(self, "valuations", utility.valuations)
         object.__setattr__(self, "utility", utility)
@@ -154,7 +158,7 @@ class MarketUtility:
             raise ParameterError("valuations need one column per portfolio, 3^d in all")
         if np.max(np.abs(vals), initial=0.0) > self.d + _RANGE_TOL:
             raise ParameterError("portfolio valuations must lie in [-d, d]")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", portfolios.shape[1])
         object.__setattr__(self, "valuations", vals)
         object.__setattr__(self, "portfolios", portfolios)
 
@@ -179,7 +183,7 @@ class MarketUtility:
     @classmethod
     def from_params(cls, params: dict) -> "MarketUtility":
         return cls(
-            lam=float(params["lambda"]), d=int(params["d"]),
+            lam=float(params["lambda"]), d=params["d"],
             valuations=np.asarray(params["valuations"]),
         )
 

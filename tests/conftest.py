@@ -15,8 +15,9 @@ import warnings
 import numpy as np
 import pytest
 
+from privagg.dp_core import PrivacyLedger, check_finite
 from privagg.game_core import AggregativeGame, LinearUtility, abr_set, utility_values
-from privagg.lp_core import build_slack_lp
+from privagg.lp_core import DistMWResult, _mw_iterate, build_slack_lp, most_violated
 
 
 def build_quiet(*args, **kwargs):
@@ -167,6 +168,26 @@ def recurrence_exact_lp_min(game, s_hat, y_hat, xi, tol):
         w = p * np.exp(-eta * lp.cons_f[k]) * mask
         p = w / w.sum(axis=1, keepdims=True)
     return max(best_lower, 0.0), accum / t, t
+
+
+def reference_distmw_solve(lp, params, src):
+    """``distmw_solve`` with one MW row per player: every round evaluates
+    the full (n, m) iterate and the margins over all n players, with no
+    grouping of identical players. Same checks, selections and ledger."""
+    check_finite(scaled_margin=params.eps0 / (2.0 * lp.gamma)
+                 * (params.n * lp.gamma + float(np.max(np.abs(lp.cons_b)))))
+    cum = np.where(lp.supports, 0.0, np.inf)
+    accum = np.zeros(lp.shape)
+    transcript = []
+    ledger = PrivacyLedger()
+    for _ in range(params.T):
+        p = _mw_iterate(cum, params.eta)
+        accum += p
+        k, _ = most_violated(lp, p, params.eps0, src)
+        ledger.add("constraint-select", params.eps0, 0.0)
+        transcript.append(k)
+        cum += lp.cons_f[k]
+    return DistMWResult(p_bar=accum / params.T, transcript=transcript, params=params, ledger=ledger)
 
 
 def naive_loss(game, x):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from privagg.cli import main
 from privagg.game_core import game_to_json, load_game, save_game
-from privagg.harness import generate
+from privagg.harness import game_view, generate
 
 from conftest import JUMP_ALPHA, JUMP_EPSILON, jump_game
 
@@ -176,6 +176,31 @@ def test_non_finite_game_and_lp_fields_exit_one(tmp_path, capsys):
         assert run_cli(*argv) == 1, argv
         assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "g.json").exists()
+
+
+def test_non_integral_count_fields_exit_one(tmp_path, capsys, caplog):
+    # int() on these died with "cannot convert float NaN to integer"
+    nan, inf = float("nan"), float("inf")
+    market = json.loads(game_to_json(game_view(generate("market", 1, n=4, d=1))))
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"profile": [0] * 4}))
+    cases = []
+    for j, value in enumerate((nan, inf, 2.5)):
+        cfg = tmp_path / f"cfg{j}.json"
+        cfg.write_text(json.dumps({
+            "algorithm": "distmw", "game": {"kind": "linear", "n": value},
+            "params": {"epsilon": 1.0, "delta": 0.05, "alpha": 0.5, "beta": 0.1},
+            "trials": 1, "out_dir": str(tmp_path),
+        }))
+        game = write_with(tmp_path / f"market{j}.json", market, value, "utility", "params", "d")
+        cases += [(("bench", "--config", cfg), "n must be a positive integer"),
+                  (("verify", "--game", game, "--profile", profile),
+                   "d must be an integer from 1 to 10")]
+    for argv, message in cases:
+        caplog.clear()
+        assert run_cli(*argv) == 1, argv
+        assert "Traceback" not in capsys.readouterr().err
+        assert message in caplog.text
 
 
 def test_select_quality_flags(tmp_path, threshold_game):

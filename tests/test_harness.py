@@ -213,6 +213,18 @@ def test_generate_threshold_and_market():
         generate("auction", 0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 2.5, 0, "8"])
+@pytest.mark.parametrize("kind, field", [
+    ("linear", "n"), ("linear", "m"), ("linear", "d"), ("anonymous", "m"),
+    ("threshold", "n"), ("market", "n"),
+])
+def test_generate_refuses_count_fields_that_are_not_integers(kind, field, bad):
+    # NaN and inf died in int() with a ValueError or OverflowError, and 2.5
+    # was cut to 2
+    with pytest.raises(ParameterError, match=f"{field} must be a positive integer"):
+        generate(kind, 0, **{field: bad})
+
+
 # ---------------------------------------------------------------------------
 # batch runner
 # ---------------------------------------------------------------------------

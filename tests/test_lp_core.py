@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from privagg import lp_core
 from privagg.dp_core import BudgetError, NoiseSource, compose_adaptive
-from privagg.game_core import ParameterError, utility_matrix
+from privagg.game_core import ParameterError, expected_aggregator, utility_matrix
 from privagg.harness import generate
 from privagg.lp_core import (
     DegenerateError,
@@ -21,7 +22,9 @@ from privagg.lp_core import (
     slack_rows,
 )
 
-from conftest import recurrence_exact_lp_min
+from privagg.market import to_aggregative
+
+from conftest import recurrence_exact_lp_min, reference_distmw_solve
 
 
 def single_constraint_lp(gamma=0.3, seed=0, n=2, m=2):
@@ -305,6 +308,106 @@ def test_replay_rejects_malformed_inputs(case):
     }[case])
     with pytest.raises(ParameterError):
         replay_mw_player(params=prm, **args)
+
+
+def uniform_slack_lp(game, xi, alpha=1.0):
+    """The slack LP around the uniform profile's aggregator, no loss row, with
+    the dynamics' parameters, as the "distmw" solver builds them."""
+    s_hat = expected_aggregator(game, np.full((game.n, game.m), 1.0 / game.m))
+    lp = build_slack_lp(game, s_hat, None, xi=xi, slack=alpha)
+    prm = DistMWParams.for_game(game, epsilon=1.0, delta=0.05, alpha=alpha, beta=0.1)
+    return lp, prm
+
+
+def two_class_lp():
+    """Seven players in two classes of sizes 3 and 4, apart in their facets
+    and their supports; the first appearances are players 0 and 1."""
+    rng = np.random.Generator(np.random.PCG64(77))
+    rows = rng.uniform(-1.0, 1.0, size=(2, 5, 3))
+    members = np.array([0, 1, 1, 0, 1, 0, 1])
+    supports = np.array([[True, True, False], [True, True, True]])[members]
+    lp = FeasibilityLP(gamma=0.2, cons_f=rows[members].transpose(1, 0, 2),
+                       cons_b=rng.uniform(-0.3, 0.3, size=5), supports=supports)
+    prm = DistMWParams(epsilon=1.0, delta=0.05, alpha=0.5, beta=0.1, n=7, m=3, gamma=0.2)
+    return lp, prm
+
+
+def class_family(name):
+    """(lp, params, class count) for one family of LPs."""
+    if name == "market-d1":
+        lp, prm = uniform_slack_lp(to_aggregative(generate("market", 61, n=3000, d=1)), 2.0)
+        return lp, prm, 1
+    if name == "market-d2":
+        lp, prm = uniform_slack_lp(to_aggregative(generate("market", 62, n=400, d=2)), 2.0)
+        return lp, prm, 1
+    if name == "anonymous":
+        lp, prm = uniform_slack_lp(generate("anonymous", 63, n=40, m=3), 0.05, alpha=0.3)
+        return lp, prm, len(np.unique(lp.supports, axis=0))
+    if name == "linear":
+        lp, prm = uniform_slack_lp(generate("linear", 64, n=12, m=3, d=2, gamma=0.1), 0.3, alpha=0.3)
+        return lp, prm, 12
+    lp, prm = two_class_lp()
+    return lp, prm, 2
+
+
+@pytest.mark.parametrize("mode", ["noisy", "noise_off"])
+@pytest.mark.parametrize("family", ["market-d1", "market-d2", "anonymous", "linear", "two-class"])
+def test_distmw_classes_match_the_per_player_loop(family, mode):
+    lp, prm, n_classes = class_family(family)
+    first, inverse, counts = lp_core._player_classes(lp)
+    assert len(first) == n_classes and counts.sum() == lp.shape[0]
+    assert np.array_equal(inverse[first], np.arange(len(first)))
+    if family == "anonymous":
+        assert 1 < n_classes < lp.shape[0]
+    if family == "two-class":
+        assert counts.tolist() == [3, 4]
+    src = (lambda: NoiseSource(71)) if mode == "noisy" else (
+        lambda: NoiseSource(0, NoiseSource.NOISE_OFF))
+    res = distmw_solve(lp, prm, src())
+    ref = reference_distmw_solve(lp, prm, src())
+    assert res.transcript == ref.transcript
+    assert np.array_equal(res.p_bar, ref.p_bar)
+    assert res.ledger.entries == ref.ledger.entries
+    transcript = np.asarray(res.transcript)
+    for i in range(lp.shape[0]):
+        row = replay_mw_player(lp.cons_f[:, i, :], lp.supports[i], prm, transcript)
+        assert np.array_equal(row, res.p_bar[i])
+
+
+def test_player_classes_split_on_bits_not_values():
+    # -0.0 == 0.0, but the grouping key is the rows' bytes
+    f = np.zeros((1, 3, 2))
+    f[0, 1, 0] = -0.0
+    lp = FeasibilityLP(gamma=0.1, cons_f=f, cons_b=np.zeros(1),
+                       supports=np.ones((3, 2), dtype=bool))
+    first, inverse, counts = lp_core._player_classes(lp)
+    assert first.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0]
+    assert counts.tolist() == [2, 1]
+
+
+def test_distmw_iterates_on_one_row_per_class(monkeypatch):
+    shapes = []
+
+    def spy(cum, eta):
+        shapes.append(cum.shape)
+        return mw_iterate(cum, eta)
+
+    mw_iterate = lp_core._mw_iterate
+    monkeypatch.setattr(lp_core, "_mw_iterate", spy)
+    n, m, gamma = 50_000, 3, 1e-4
+    rows = np.array([[1.0, -0.5, 0.0], [-1.0, 0.5, 0.0]])
+    lp = FeasibilityLP(gamma=gamma, cons_f=np.broadcast_to(rows[:, None, :], (2, n, m)),
+                       cons_b=np.array([0.1, 0.2]), supports=np.ones((n, m), dtype=bool))
+    alpha = 4.0 * n * gamma * math.sqrt(math.log(m) / 7.5)  # T = 8
+    prm = DistMWParams(epsilon=1.0, delta=0.05, alpha=alpha, beta=0.1, n=n, m=m, gamma=gamma)
+    res = distmw_solve(lp, prm, NoiseSource(3))
+    assert shapes == [(1, m)] * prm.T == [(1, m)] * 8
+    assert res.p_bar.shape == (n, m)
+
+    shapes.clear()
+    lp, prm = two_class_lp()
+    distmw_solve(lp, prm, NoiseSource(3))
+    assert shapes == [(2, 3)] * prm.T
 
 
 def test_distmw_noise_off_is_deterministic_exact_selection():

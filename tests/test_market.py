@@ -7,6 +7,7 @@ import pytest
 
 from privagg import market
 from privagg.game_core import ParameterError, aggregator, utility_values
+from privagg.harness import generate
 from privagg.market import (
     MarketGame,
     MarketUtility,
@@ -233,6 +234,26 @@ def test_portfolios_built_once(monkeypatch):
     imbalance(g, np.zeros(g.n, dtype=int))
     trader_utility(g, 0, 4, np.zeros(2))
     assert calls == []
+
+
+def test_generated_market_chain_builds_its_portfolios_once():
+    # generate, to_aggregative and from_aggregative each built their own copy
+    market._portfolio_table.cache_clear()
+    g = generate("market", 5, n=20, d=2)
+    back = from_aggregative(to_aggregative(g))
+    assert market._portfolio_table.cache_info().misses == 1
+    assert back.portfolios is g.portfolios is portfolio_matrix(2)
+    assert not g.portfolios.flags.writeable
+    assert np.array_equal(back.valuations, g.valuations)
+
+
+@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf, 1.5, "2"])
+def test_market_d_from_a_file_is_refused_when_not_an_integer(d):
+    params = MarketUtility(lam=4.0, d=1, valuations=np.zeros((2, 3))).to_params()
+    with pytest.raises(ParameterError, match="d must be an integer from 1 to 10"):
+        MarketUtility.from_params({**params, "d": d})
+    with pytest.raises(ParameterError, match="d must be an integer from 1 to 10"):
+        generate("market", 0, n=4, d=d)
 
 
 def test_market_utility_validation():
