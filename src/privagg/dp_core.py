@@ -35,6 +35,7 @@ __all__ = [
     "PrivacyLedger",
     "check_finite",
     "as_count",
+    "as_real",
     "laplace_sample",
     "first_below",
     "sparse_accuracy_bound",
@@ -72,6 +73,19 @@ def as_count(name: str, value, most: float = math.inf) -> int:
         bounds = "a positive integer" if most == math.inf else f"an integer from 1 to {most}"
         raise ParameterError(f"{name} must be {bounds}")
     return int(value)
+
+
+def as_real(name: str, value):
+    """``value`` unchanged if it is a number a float can hold; booleans,
+    strings, null, lists and objects from a JSON file raise ParameterError."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if not real or isinstance(value, bool):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} = {value} is past the float range") from None
+    return value
 
 
 def _label_to_int(label) -> int:

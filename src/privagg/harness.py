@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dp_core import BudgetError, NoiseSource, ParameterError, as_count, check_finite
+from .dp_core import BudgetError, NoiseSource, ParameterError, as_count, as_real, check_finite
 from .game_core import (
     AggregativeGame,
     LinearUtility,
@@ -327,10 +327,11 @@ def game_view(game) -> AggregativeGame:
 
 
 def _need(params: dict, *keys: str) -> list:
+    """The named numeric params, in order; a missing or non-numeric one is refused."""
     for key in keys:
         if key not in params:
             raise ParameterError(f"params lack {key!r}")
-    return [params[key] for key in keys]
+    return [as_real(key, params[key]) for key in keys]
 
 
 def _presl(game, params: dict, src: NoiseSource) -> Outcome:
@@ -377,12 +378,12 @@ def _psummnash(game, params: dict, src: NoiseSource) -> Outcome:
 
 def _select(game, params: dict, src: NoiseSource) -> Outcome:
     qgame = QuasiAggregativeGame(game_view(game))
-    zeta, epsilon, alpha, beta, quality = _need(
-        params, "zeta", "epsilon", "alpha", "beta", "quality"
-    )
+    zeta, epsilon, alpha, beta = _need(params, "zeta", "epsilon", "alpha", "beta")
+    if "quality" not in params:
+        raise ParameterError("params lack 'quality'")
     sp = SelectionParams.for_game(
         qgame, zeta=zeta, epsilon=epsilon, alpha=alpha, beta=beta,
-        quality=QualitySpec.from_json(quality),
+        quality=QualitySpec.from_json(params["quality"]),
     )
     res = select_equilibrium(qgame, sp, src)
     if res.aborted:
@@ -402,7 +403,7 @@ def _distmw(game, params: dict, src: NoiseSource) -> Outcome:
     epsilon, delta, alpha, beta = _need(params, "epsilon", "delta", "alpha", "beta")
     p_uniform = np.full((game.n, game.m), 1.0 / game.m)
     s_hat = expected_aggregator(game, p_uniform)
-    lp = build_slack_lp(game, s_hat, None, xi=params.get("xi", 2.0), slack=alpha)
+    lp = build_slack_lp(game, s_hat, None, xi=as_real("xi", params.get("xi", 2.0)), slack=alpha)
     mw_params = DistMWParams.for_game(
         game, epsilon=epsilon, delta=delta, alpha=alpha, beta=beta,
     )

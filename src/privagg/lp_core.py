@@ -258,8 +258,8 @@ def distmw_solve(lp: FeasibilityLP, params: DistMWParams, src: NoiseSource) -> D
     facets (markets, anonymous games), C is at most the number of distinct
     support masks.
     """
-    if lp.shape != (params.n, params.m):
-        raise ParameterError("params were derived for a different LP shape")
+    if lp.shape != (params.n, params.m) or lp.gamma != params.gamma:
+        raise ParameterError("params were derived for a different LP shape or gamma")
     # a margin is at most n gamma + max |b|; the mechanism scales it by eps0 / (2 gamma)
     check_finite(scaled_margin=params.eps0 / (2.0 * lp.gamma)
                  * (params.n * lp.gamma + float(np.max(np.abs(lp.cons_b)))))

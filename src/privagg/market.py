@@ -30,7 +30,6 @@ __all__ = [
     "portfolio_matrix",
     "imbalance",
     "hinge_price",
-    "trader_utility",
     "market_maker_loss",
     "to_aggregative",
     "from_aggregative",
@@ -83,11 +82,8 @@ class MarketGame:
 
     def __post_init__(self):
         n = as_count("n", self.n)
-        check_finite(lam=self.lam)
-        if self.lam <= 0:
-            raise ParameterError("lambda must be positive")
-        check_finite(W=self.n / self.lam)  # the reach of the aggregate imbalance / lambda
         utility = MarketUtility(lam=self.lam, d=self.d, valuations=self.valuations)
+        check_finite(W=self.n / self.lam)  # the reach of the aggregate imbalance / lambda
         if utility.valuations.shape[0] != self.n:
             raise ParameterError(f"valuations need one row per trader, {self.n} in all")
         object.__setattr__(self, "n", n)
@@ -110,14 +106,6 @@ def imbalance(game: MarketGame, x) -> np.ndarray:
     if x.shape != (game.n,) or np.min(x) < 0 or np.max(x) >= game.m:
         raise ParameterError("profile must hold one portfolio index per trader")
     return game.portfolios[x.astype(np.int64)].sum(axis=0)
-
-
-def trader_utility(game: MarketGame, i: int, a: int, s) -> float:
-    """(v_i(a) - <portfolio_a, q(lambda * s)>) / (2d) at aggregator value s."""
-    s = np.asarray(s, dtype=float)
-    q = hinge_price(game.lam * s, game.lam)
-    pay = float(game.portfolios[int(a)] @ q)
-    return (float(game.valuations[int(i), int(a)]) - pay) / (2.0 * game.d)
 
 
 @dataclass(frozen=True)
@@ -152,10 +140,15 @@ class MarketUtility:
     kind = "market"
 
     def __post_init__(self):
+        check_finite(lam=self.lam)
+        if self.lam <= 0:
+            raise ParameterError("lambda must be positive")
         portfolios = portfolio_matrix(self.d)
         vals = np.asarray(self.valuations, dtype=float)
         if vals.ndim != 2 or vals.shape[1] != len(portfolios):
             raise ParameterError("valuations need one column per portfolio, 3^d in all")
+        if not np.all(np.isfinite(vals)):
+            raise ParameterError("portfolio valuations must be finite")
         if np.max(np.abs(vals), initial=0.0) > self.d + _RANGE_TOL:
             raise ParameterError("portfolio valuations must lie in [-d, d]")
         object.__setattr__(self, "d", portfolios.shape[1])

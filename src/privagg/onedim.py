@@ -1,8 +1,8 @@
 """Scalar-aggregator solvers: summarization, smooth walks, and selection.
 
-Games here have a one-dimensional aggregator, either the linear
-gamma * sum f_i(x_i) of the base game or a declared quasi-aggregative map
-with the same per-player sensitivity. The central object is the summary
+Games here have a one-dimensional aggregator, the linear
+gamma * sum f_i(x_i) of a d = 1 base game, so one player's move shifts it
+by at most the game's gamma. The central object is the summary
 function V(s), the aggregator value produced when everyone best-responds to
 a fixed s; the solvers chase fixed points of V along an alpha-grid using
 one-shot sparse-vector sessions, and bridge discontinuities by walking
@@ -27,6 +27,7 @@ from .dp_core import (
     ParameterError,
     PrivacyLedger,
     SparseSession,
+    as_real,
     check_finite,
     first_below,
 )
@@ -61,7 +62,6 @@ __all__ = [
     "select_equilibrium",
     "selection_accuracy_floor",
     "make_optin_game",
-    "validate_quasi",
     "replay_psummnash_player",
     "replay_select_player",
 ]
@@ -69,31 +69,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuasiAggregativeGame:
-    """d = 1 game, optionally with a declared non-linear aggregator.
+    """The d = 1 view of an aggregative game for the scalar solvers.
 
-    ``action_order`` ranks each player's actions by how much they push the
-    aggregator up (best-first); it drives the optimistic / pessimistic
-    profile extremes. The default ranks by facet value descending, which is
-    exact for the linear aggregator.
+    ``action_order`` ranks each player's actions by facet value, highest
+    first (ties keep the lower index first); it drives the optimistic /
+    pessimistic profile extremes.
     """
 
     base: AggregativeGame
-    aggregator_fn: Optional[Callable[[np.ndarray], float]] = None
-    action_order: Optional[np.ndarray] = None
+    action_order: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.base.d != 1:
             raise ParameterError("scalar-aggregator solvers need d = 1")
-        if self.action_order is None:
-            order = np.argsort(-self.base.f[:, 0, :], axis=1, kind="stable")
-            object.__setattr__(self, "action_order", order.astype(np.int64))
-        else:
-            order = np.asarray(self.action_order, dtype=np.int64)
-            if order.shape != (self.base.n, self.base.m):
-                raise ParameterError("action_order must rank all m actions per player")
-            if np.any(np.sort(order, axis=1) != np.arange(self.base.m)):
-                raise ParameterError("each action_order row must be a permutation")
-            object.__setattr__(self, "action_order", order)
+        order = np.argsort(-self.base.f[:, 0, :], axis=1, kind="stable")
+        object.__setattr__(self, "action_order", order.astype(np.int64))
 
     @property
     def n(self) -> int:
@@ -112,10 +102,7 @@ class QuasiAggregativeGame:
         return self.base.W
 
     def s_of(self, x) -> float:
-        """Aggregator value of a pure profile under the declared map."""
-        x = as_pure_profile(self.base, x)
-        if self.aggregator_fn is not None:
-            return float(self.aggregator_fn(x))
+        """Aggregator value of a pure profile."""
         return float(aggregator(self.base, x)[0])
 
 
@@ -123,41 +110,6 @@ def V(qgame: QuasiAggregativeGame, s: float) -> float:
     """Summary value: the aggregator of everyone's best response to s."""
     x = abr_profile(qgame.base, np.array([float(s)]))
     return qgame.s_of(x)
-
-
-def validate_quasi(qgame: QuasiAggregativeGame, seed: int = 0, trials: int = 1000) -> None:
-    """Sampled screen of a declared aggregator against its stated contract.
-
-    For games with a custom aggregator map, checks on random profiles that
-    (a) swapping one player's action moves the aggregator by at most the
-    declared gamma and (b) the action order is aggregator-consistent: a
-    higher-ranked action never lowers the aggregator. Games on the linear
-    base form satisfy both by construction and pass through untouched.
-    """
-    if qgame.aggregator_fn is None:
-        return
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    n, m = qgame.n, qgame.m
-    for _ in range(trials):
-        x = rng.integers(0, m, size=n)
-        i = int(rng.integers(0, n))
-        a, b = rng.integers(0, m, size=2)
-        x_a = x.copy()
-        x_a[i] = a
-        x_b = x.copy()
-        x_b[i] = b
-        s_a, s_b = qgame.s_of(x_a), qgame.s_of(x_b)
-        if abs(s_a - s_b) > qgame.gamma + 1e-9:
-            raise ParameterError(
-                f"declared gamma = {qgame.gamma} understates the aggregator "
-                f"influence ({abs(s_a - s_b):.4g} observed)"
-            )
-        order = qgame.action_order[i].tolist()
-        if order.index(int(a)) < order.index(int(b)) and s_a < s_b - 1e-9:
-            raise ParameterError(
-                "action_order is inconsistent with the aggregator: a "
-                "higher-ranked action lowered it"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,14 +149,12 @@ def smooth_walk(qgame: QuasiAggregativeGame, hi, lo) -> SmoothWalk:
 
 
 def _walk_aggregators(qgame: QuasiAggregativeGame, walk: SmoothWalk) -> np.ndarray:
-    """Aggregator value at every walk composite (incremental when linear).
+    """Aggregator value at every walk composite, built incrementally.
 
-    In the linear case s[0] is the aggregator of lo and each later value adds
-    one player's shift; the running sum is sequential, as a loop would be.
+    s[0] is the aggregator of lo and each later value adds one player's
+    shift; the running sum is sequential, as a loop would be.
     """
     n = qgame.n
-    if qgame.aggregator_fn is not None:
-        return np.array([qgame.s_of(walk[j]) for j in range(n + 1)])
     fvals = qgame.base.f[:, 0, :]
     rows = np.arange(n)
     s = np.empty(n + 1)
@@ -224,8 +174,8 @@ def _walk_scan(qgame: QuasiAggregativeGame, session: SparseSession, hi, lo, targ
 
 
 def _check_budget(epsilon: float, alpha: float, beta: float) -> None:
-    """The range check both scalar solvers run before their accuracy floor,
-    which divides by epsilon and by beta."""
+    """The range check run before any accuracy floor, which divides by
+    epsilon and by beta; ``SelectionParams`` runs it on its own fields."""
     check_finite(epsilon=epsilon, alpha=alpha)
     if epsilon <= 0 or alpha <= 0 or not (0 < beta < 1):
         raise ParameterError("need epsilon > 0, alpha > 0, beta in (0, 1)")
@@ -255,8 +205,13 @@ def _accuracy_floor(qgame: QuasiAggregativeGame, epsilon: float, beta: float, se
     )
 
 
-def _check_floor(alpha: float, floor: float, epsilon: float) -> None:
-    """Refuse an alpha below the solver's accuracy floor."""
+def _check_floor(
+    qgame: QuasiAggregativeGame, epsilon: float, alpha: float, beta: float, sessions: int
+) -> None:
+    """Refuse a budget out of range, then an alpha below the accuracy floor
+    of a solver with ``sessions`` sparse sessions on this game."""
+    _check_budget(epsilon, alpha, beta)
+    floor = _accuracy_floor(qgame, epsilon, beta, sessions)
     if alpha < floor:
         raise ParameterError(
             f"alpha = {alpha:.4g} is below the admissible floor {floor:.4g} "
@@ -308,10 +263,9 @@ def psummnash(
     alpha + gamma/2 of the crossing point. Each stage spends epsilon/3
     through its own one-shot sparse session.
     """
-    _check_budget(epsilon, alpha, beta)
+    _check_floor(qgame, epsilon, alpha, beta, 3)
     # callers evaluate the bound at gamma or at the tighter gamma_eff
     _check_certificate(_psummnash_bound(alpha, max(qgame.gamma, qgame.base.gamma_eff)))
-    _check_floor(alpha, psummnash_accuracy_floor(qgame, epsilon, beta), epsilon)
     gamma = qgame.gamma
     K = grid_steps(qgame.W, alpha)
     ledger = PrivacyLedger()
@@ -414,14 +368,19 @@ class QualitySpec:
 
     @classmethod
     def from_json(cls, payload: dict) -> "QualitySpec":
+        if not isinstance(payload, dict):
+            raise ParameterError(f"quality must be a JSON object, got {payload!r}")
         kind = payload.get("kind")
-        try:
-            if kind == "peak":
-                return cls.peak(float(payload["target"]), float(payload.get("lam", 1.0)))
-            if kind == "linear":
-                return cls.linear(float(payload["slope"]))
-        except KeyError as exc:
-            raise ParameterError(f"{kind} quality lacks {exc}") from None
+
+        def number(key: str, default: Optional[float] = None) -> float:
+            if key not in payload and default is None:
+                raise ParameterError(f"{kind} quality lacks {key!r}")
+            return float(as_real(f"quality {key}", payload.get(key, default)))
+
+        if kind == "peak":
+            return cls.peak(number("target"), number("lam", 1.0))
+        if kind == "linear":
+            return cls.linear(number("slope"))
         raise ParameterError(f"unknown quality kind {kind!r}")
 
 
@@ -479,8 +438,8 @@ class SelectionParams:
         beta: float,
         quality: QualitySpec,
     ) -> "SelectionParams":
-        _check_budget(epsilon, alpha, beta)
-        _check_floor(alpha, selection_accuracy_floor(qgame, epsilon, beta), epsilon)
+        # refused here too, before the grid is built
+        _check_floor(qgame, epsilon, alpha, beta, 4)
         return cls(
             zeta=zeta, epsilon=epsilon, alpha=alpha, beta=beta, quality=quality,
             gamma=qgame.gamma, W=qgame.W, n=qgame.n,
@@ -509,8 +468,8 @@ class Extremes:
 def s_extremes(qgame: QuasiAggregativeGame, s: float, xi: float) -> Extremes:
     """Optimistic and pessimistic composites over the xi-ABR sets at s.
 
-    Per player, the most and least aggregator-increasing action (by their
-    declared order) among those within xi of their best response to s.
+    Per player, the most and least aggregator-increasing action (by
+    ``action_order``) among those within xi of their best response to s.
     """
     if xi < 0:
         raise ParameterError("xi must be nonnegative")
@@ -557,6 +516,9 @@ def select_equilibrium(
     threshold -3 alpha), resolved by (d) a walk between the two composites.
     The best-ranked hit across branches wins.
     """
+    if (params.gamma, params.W, params.n) != (qgame.gamma, qgame.W, qgame.n):
+        raise ParameterError("params were derived for a different game")
+    _check_floor(qgame, params.epsilon, params.alpha, params.beta, 4)
     gamma = params.gamma
     alpha = params.alpha
     eps4 = params.epsilon / 4.0

@@ -58,7 +58,6 @@ __all__ = [
     "sampling_deviation_bound",
     "presl_e1",
     "presl_e2",
-    "presl_e3",
     "presl",
     "npresl",
     "query_order",
@@ -98,11 +97,6 @@ def presl_e2(game: AggregativeGame, epsilon: float, delta: float, beta: float) -
     """No-regret stage slack: the private dynamics' margin guarantee
     ``mw_accuracy_bound`` with 3d constraints."""
     return mw_accuracy_bound(game.n, game.m, game.gamma, epsilon, delta, 3 * game.d, beta)
-
-
-def presl_e3(game: AggregativeGame, beta: float) -> float:
-    """Sampling slack sqrt(n gamma^2 / 2 * ln((6d+6)/beta))."""
-    return sampling_deviation_bound(game.n, game.gamma, 6 * game.d + 6, beta)
 
 
 @dataclass(frozen=True)
@@ -227,7 +221,9 @@ def presl(game: AggregativeGame, params: PreslParams, src: NoiseSource) -> Presl
     samples their action from their own row of the averaged profile. A run
     with no stage-1 hit aborts (a declared outcome, not an exception).
     """
-    if (params.n, params.m, params.d) != (game.n, game.m, game.d):
+    if (params.n, params.m, params.d, params.gamma, params.W) != (
+        game.n, game.m, game.d, game.gamma, game.W
+    ):
         raise ParameterError("params were derived for a different game")
     if params.has_loss != (game.loss is not None):
         raise ParameterError("params disagree with the game about the loss objective")

@@ -18,6 +18,7 @@ import pytest
 from privagg.dp_core import PrivacyLedger, check_finite
 from privagg.game_core import AggregativeGame, LinearUtility, abr_set, utility_values
 from privagg.lp_core import DistMWResult, _mw_iterate, build_slack_lp, most_violated
+from privagg.market import hinge_price
 
 
 def build_quiet(*args, **kwargs):
@@ -95,8 +96,8 @@ def naive_regret(game, x):
 
 
 def per_player_extremes(qgame, s, xi):
-    """(x_min, x_max): per player, the last and first action in their declared
-    order among those within xi of their best response to s."""
+    """(x_min, x_max): per player, the last and first action in their
+    ``action_order`` among those within xi of their best response to s."""
     x_min = np.empty(qgame.n, dtype=np.int64)
     x_max = np.empty(qgame.n, dtype=np.int64)
     for i in range(qgame.n):
@@ -104,6 +105,15 @@ def per_player_extremes(qgame, s, xi):
         ranked = [a for a in qgame.action_order[i].tolist() if a in allowed]
         x_max[i], x_min[i] = ranked[0], ranked[-1]
     return x_min, x_max
+
+
+def trader_utility(game, i, a, s):
+    """One trader's market payoff (v_i(a) - <portfolio_a, q(lambda * s)>) / (2d)
+    at aggregator value s, the per-trader reference for ``MarketUtility``."""
+    s = np.asarray(s, dtype=float)
+    q = hinge_price(game.lam * s, game.lam)
+    pay = float(game.portfolios[int(a)] @ q)
+    return (float(game.valuations[int(i), int(a)]) - pay) / (2.0 * game.d)
 
 
 def materialised_walk(hi, lo):
@@ -117,10 +127,8 @@ def materialised_walk(hi, lo):
 
 def looped_walk_aggregators(qgame, rows):
     """Aggregator at each row of a materialised walk, one Python step per
-    player on the linear form, s_of per row on a custom map."""
+    player."""
     n = qgame.n
-    if qgame.aggregator_fn is not None:
-        return np.array([qgame.s_of(rows[j]) for j in range(n + 1)])
     fvals = qgame.base.f[:, 0, :]
     s = np.empty(n + 1)
     s[0] = qgame.gamma * float(fvals[np.arange(n), rows[0]].sum())

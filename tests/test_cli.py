@@ -203,6 +203,63 @@ def test_non_integral_count_fields_exit_one(tmp_path, capsys, caplog):
         assert message in caplog.text
 
 
+def test_bench_params_that_are_not_numbers_exit_one(tmp_path, capsys, caplog):
+    # each of these ended in a TypeError, ValueError or AttributeError traceback
+    select = {"zeta": 0.2, "epsilon": 3000.0, "alpha": 0.05, "beta": 0.05,
+              "quality": {"kind": "peak", "target": 0.3}}
+    distmw = {"epsilon": 1.0, "delta": 0.05, "alpha": 0.5, "beta": 0.1}
+    cases = [
+        ("select", dict(select, epsilon="3000"), "epsilon must be a number"),
+        ("select", dict(select, epsilon=None), "epsilon must be a number"),
+        ("select", dict(select, alpha=True), "alpha must be a number"),
+        ("select", dict(select, beta=[0.05]), "beta must be a number"),
+        ("select", dict(select, quality="peak"), "quality must be a JSON object"),
+        ("select", dict(select, quality={"kind": "peak", "target": "abc"}),
+         "quality target must be a number"),
+        ("select", dict(select, quality={"kind": "peak", "target": 0.3, "lam": {}}),
+         "quality lam must be a number"),
+        ("select", dict(select, quality={"kind": "linear", "slope": None}),
+         "quality slope must be a number"),
+        ("psummnash", {"epsilon": 2000.0, "alpha": 0.05, "beta": False},
+         "beta must be a number"),
+        ("distmw", dict(distmw, xi="2"), "xi must be a number"),
+        ("distmw", dict(distmw, delta=10**400), "past the float range"),
+    ]
+    for j, (algorithm, params, message) in enumerate(cases):
+        cfg = tmp_path / f"cfg{j}.json"
+        cfg.write_text(json.dumps({
+            "algorithm": algorithm, "game": {"kind": "threshold", "n": 25},
+            "params": params, "trials": 1, "out_dir": str(tmp_path),
+        }))
+        caplog.clear()
+        assert run_cli("bench", "--config", cfg) == 1, params
+        assert "Traceback" not in capsys.readouterr().err
+        assert message in caplog.text
+
+
+def test_market_files_with_non_finite_valuations_or_lambda_exit_one(tmp_path, capsys, caplog):
+    # NaN escaped the [-d, d] range check, and verify blamed the payoff range
+    nan, inf = float("nan"), float("inf")
+    market = json.loads(game_to_json(game_view(generate("market", 1, n=4, d=1))))
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"profile": [0] * 4}))
+    cases = [
+        (("valuations", 0, 0), nan, "portfolio valuations must be finite"),
+        (("valuations", 2, 1), inf, "portfolio valuations must be finite"),
+        (("lambda",), nan, "lam must be finite"),
+        (("lambda",), inf, "lam must be finite"),
+        (("lambda",), 0.0, "lambda must be positive"),
+        (("lambda",), -4.0, "lambda must be positive"),
+    ]
+    for j, (index, value, message) in enumerate(cases):
+        game = write_with(tmp_path / f"market{j}.json", market, value, "utility", "params", *index)
+        caplog.clear()
+        assert run_cli("verify", "--game", game, "--profile", profile) == 1, (index, value)
+        assert "Traceback" not in capsys.readouterr().err
+        assert message in caplog.text
+        assert "leaves" not in caplog.text
+
+
 def test_select_quality_flags(tmp_path, threshold_game):
     out = tmp_path / "sel.json"
     code = run_cli("select", "--game", threshold_game, "--zeta", 0.2,
@@ -516,6 +573,18 @@ def drop_some(draw, mapping: dict) -> dict:
     return {k: v for k, v in mapping.items() if kept(draw)}
 
 
+# JSON values of the wrong type for a numeric param or a quality object
+NOT_A_NUMBER = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["3000", "peak", "nan", None, True, False, [], [0.05], {}, {"kind": "peak"}]),
+)
+
+
+def odd_some(draw, mapping: dict) -> dict:
+    """Each value kept four times in five, else one of the wrong type."""
+    return {k: v if kept(draw) else draw(NOT_A_NUMBER) for k, v in mapping.items()}
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_fuzz_bench_config_never_tracebacks(fuzz_dir, data):
@@ -523,7 +592,8 @@ def test_fuzz_bench_config_never_tracebacks(fuzz_dir, data):
     quality = {"kind": data.draw(st.sampled_from(["peak", "linear", "median"])),
                "target": 0.3, "lam": 1.0, "slope": 1.0}
     params = {"zeta": 0.2, "epsilon": 3000.0, "alpha": data.draw(ALPHA), "beta": 0.05,
-              "quality": drop_some(data.draw, quality)}
+              "quality": odd_some(data.draw, drop_some(data.draw, quality))}
+    params = odd_some(data.draw, params)
     game = data.draw(st.sampled_from([
         {"kind": "threshold", "n": 25}, {"kind": "market", "n": 25, "d": 1},
         {"path": str(fuzz_dir / "game.json")}, {"n": 25},

@@ -37,7 +37,7 @@ from privagg import game_core, onedim
 from privagg import presl as presl_mod
 from privagg.dp_core import BudgetError, NoiseSource
 from privagg.harness import generate
-from privagg.market import MarketGame, to_aggregative, trader_utility
+from privagg.market import MarketGame, to_aggregative
 from privagg.onedim import make_optin_game
 from privagg.presl import sampling_deviation_bound
 
@@ -47,6 +47,7 @@ from conftest import (
     naive_expected_aggregator,
     naive_regret,
     naive_utility,
+    trader_utility,
 )
 
 

@@ -431,7 +431,6 @@ def test_game_view_unwraps_generator_games():
     quasi = generate("threshold", 0, n=5)
     assert game_view(quasi) is quasi.base
     rebuilt = QuasiAggregativeGame(game_view(quasi))
-    assert rebuilt.aggregator_fn is None and quasi.aggregator_fn is None
     assert np.array_equal(rebuilt.action_order, quasi.action_order)
     market = generate("market", 0, n=5, d=2)
     assert game_view(market).d == 2 and game_view(market).m == 9

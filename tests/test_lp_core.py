@@ -449,6 +449,20 @@ def test_distmw_shape_mismatch_rejected():
         distmw_solve(lp, prm, NoiseSource(0))
 
 
+def test_distmw_refuses_params_built_for_another_gamma(monkeypatch):
+    # params at gamma 0.15 declared half the sensitivity of this gamma-0.3 LP
+    lp, _ = single_constraint_lp(gamma=0.3, n=2, m=2)
+    prm = DistMWParams(epsilon=1.0, delta=0.01, alpha=0.3, beta=0.1,
+                       n=2, m=2, gamma=0.15)
+
+    def untouchable(*args):
+        raise AssertionError("selected a constraint past the parameter check")
+
+    monkeypatch.setattr(lp_core, "most_violated", untouchable)
+    with pytest.raises(ParameterError, match="gamma"):
+        distmw_solve(lp, prm, NoiseSource(0))
+
+
 def test_feasibility_lp_validation():
     good_f = np.zeros((1, 2, 2))
     with pytest.raises(ParameterError):

@@ -19,8 +19,9 @@ from privagg.market import (
     market_zeta,
     portfolio_matrix,
     to_aggregative,
-    trader_utility,
 )
+
+from conftest import trader_utility
 
 
 def small_market(n=4, d=2, lam=8.0, seed=0):

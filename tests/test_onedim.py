@@ -35,7 +35,6 @@ from privagg.onedim import (
     select_equilibrium,
     selection_accuracy_floor,
     smooth_walk,
-    validate_quasi,
 )
 
 from conftest import (
@@ -118,42 +117,8 @@ def test_quasi_game_requires_one_dimension():
 
 
 def test_action_order_validation():
-    base = optin(3, [0.2, 0.5, 0.8]).base
     assert np.array_equal(optin(3, [0.2, 0.5, 0.8]).action_order,
                           np.tile([0, 1], (3, 1)))
-    with pytest.raises(ParameterError):
-        QuasiAggregativeGame(base=base, action_order=np.zeros((3, 2), dtype=int))
-    with pytest.raises(ParameterError):
-        QuasiAggregativeGame(base=base, action_order=np.tile([0, 1], (2, 1)))
-
-
-def test_validate_quasi_screens():
-    q = optin(6, np.linspace(0.1, 0.9, 6))
-    validate_quasi(q)  # linear form, nothing to sample
-
-    base = q.base
-    honest = QuasiAggregativeGame(
-        base=base,
-        aggregator_fn=lambda x: base.gamma * float(base.f[np.arange(6), 0, x].sum()),
-    )
-    validate_quasi(honest, trials=200)
-
-    inflated = QuasiAggregativeGame(
-        base=base,
-        aggregator_fn=lambda x: 3.0 * base.gamma * float(
-            base.f[np.arange(6), 0, x].sum()
-        ),
-    )
-    with pytest.raises(ParameterError, match="gamma"):
-        validate_quasi(inflated, trials=200)
-
-    backwards = QuasiAggregativeGame(
-        base=base,
-        aggregator_fn=lambda x: base.gamma * float(base.f[np.arange(6), 0, x].sum()),
-        action_order=np.tile([1, 0], (6, 1)),
-    )
-    with pytest.raises(ParameterError, match="order"):
-        validate_quasi(backwards, trials=200)
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +151,16 @@ def test_smooth_walk_adjacent_gap_within_spread():
             assert int((a != b).sum()) <= 1
 
 
-WALK_CASES = ["linear-m3", "threshold", "custom-aggregator", "hi-equals-lo"]
+WALK_CASES = ["linear-m3", "threshold", "hi-equals-lo"]
 
 
 def walk_case(name):
     """(qgame, hi, lo) for one of WALK_CASES, n = 30."""
     rng = np.random.Generator(np.random.PCG64(WALK_CASES.index(name)))
-    if name in ("linear-m3", "hi-equals-lo"):
-        q = QuasiAggregativeGame(generate("linear", 4, n=30, m=3))
-    elif name == "threshold":
+    if name == "threshold":
         q = generate("threshold", 5, n=30)
     else:
-        base = crowd_averse_game(30, 0.4, 1.0 / 30)
-        # joiners counted up to 20, so not the linear form
-        q = QuasiAggregativeGame(
-            base=base,
-            aggregator_fn=lambda x: base.gamma * min(float(np.count_nonzero(x == 0)), 20.0),
-        )
+        q = QuasiAggregativeGame(generate("linear", 4, n=30, m=3))
     hi = rng.integers(0, q.m, size=q.n)
     lo = hi.copy() if name == "hi-equals-lo" else rng.integers(0, q.m, size=q.n)
     return q, hi, lo
@@ -480,6 +438,33 @@ def test_scalar_solvers_refuse_an_infinite_certificate(monkeypatch):
                                  quality=QualitySpec.linear(1.0))
 
 
+def test_select_refuses_params_built_for_another_game(monkeypatch):
+    def untouchable(*args):
+        raise AssertionError("queried past the parameter check")
+
+    monkeypatch.setattr(onedim, "s_extremes", untouchable)
+    thresholds = np.linspace(0.0, 1.0, 200)
+    q = optin(200, thresholds, gamma=0.005)
+    quality = QualitySpec.peak(0.3)
+    # params for gamma = 0.0025 would declare half the real sensitivity
+    half = SelectionParams.for_game(optin(200, thresholds, gamma=0.0025), zeta=0.02,
+                                    epsilon=3000.0, alpha=0.05, beta=0.05, quality=quality)
+    built = [half] + [
+        SelectionParams(zeta=0.02, epsilon=3000.0, alpha=0.05, beta=0.05, quality=quality,
+                        gamma=q.gamma, W=W, n=n)
+        for W, n in ((2.0, q.n), (q.W, q.n + 1))
+    ]
+    for prm in built:
+        with pytest.raises(ParameterError, match="different game"):
+            select_equilibrium(q, prm, NoiseSource(0))
+    # built directly, not through for_game, at a tenth of the floor
+    floor = selection_accuracy_floor(q, 3000.0, 0.05)
+    low = SelectionParams(zeta=0.02, epsilon=3000.0, alpha=floor / 10, beta=0.05,
+                          quality=quality, gamma=q.gamma, W=q.W, n=q.n)
+    with pytest.raises(ParameterError, match="floor"):
+        select_equilibrium(q, low, NoiseSource(0))
+
+
 def test_selection_params_grid_order():
     prm = SelectionParams(zeta=0.4, epsilon=100.0, alpha=0.1, beta=0.05,
                           quality=QualitySpec.peak(0.3), gamma=0.05, W=1.0, n=20)
@@ -585,15 +570,13 @@ def test_s_extremes_threshold_example():
 
 
 def extremes_cases():
-    """Threshold and linear scalar games, m = 2-4, default and shuffled orders."""
+    """Threshold and linear scalar games, m = 2-4."""
     rng = np.random.Generator(np.random.PCG64(640))
     for seed in range(3):
         yield optin(12, rng.uniform(0, 1, 12))
         for m in (2, 3, 4):
             base = generate("linear", 641 + 10 * seed + m, n=10, m=m, d=1)
             yield QuasiAggregativeGame(base=base)
-            order = np.argsort(rng.uniform(size=(base.n, m)), axis=1)
-            yield QuasiAggregativeGame(base=base, action_order=order)
 
 
 def test_s_extremes_matches_per_player_reference():
@@ -614,13 +597,13 @@ def test_s_extremes_ties_and_negative_xi():
     e = s_extremes(q, 0.5, 0.0)
     assert np.array_equal(e.x_max, [0, 0, 1])
     assert np.array_equal(e.x_min, [0, 1, 1])
-    # s-independent utilities tie all three actions; the declared order
-    # alone decides the first (x_max) and the last (x_min)
+    # s-independent utilities tie all three actions and the facets are all
+    # equal, so the facet order keeps index order: x_max plays the first
+    # action and x_min the last, m - 1
     g = build_quiet(n=2, m=3, d=1, gamma=0.2, W=1.0, f=np.ones((2, 1, 3)),
                     utility=LinearUtility(np.zeros((2, 3)), np.zeros((2, 3, 1))))
-    order = np.array([[2, 0, 1], [1, 2, 0]])
-    e = s_extremes(QuasiAggregativeGame(base=g, action_order=order), 0.0, 0.0)
-    assert e.x_max.tolist() == [2, 1] and e.x_min.tolist() == [1, 0]
+    e = s_extremes(QuasiAggregativeGame(base=g), 0.0, 0.0)
+    assert e.x_max.tolist() == [0, 0] and e.x_min.tolist() == [2, 2]
     with pytest.raises(ParameterError):
         s_extremes(q, 0.5, -1e-9)
 

@@ -20,7 +20,6 @@ from privagg.presl import (
     presl,
     presl_e1,
     presl_e2,
-    presl_e3,
     query_order,
     replay_presl_player,
     sampling_deviation_bound,
@@ -85,7 +84,6 @@ def test_error_terms_frozen_values():
     assert presl_e2(g, 1.0, 1.0 / 200, 0.05) == pytest.approx(
         45.59183141735056, rel=1e-15
     )
-    assert presl_e3(g, 0.05) == pytest.approx(0.11705382227144476, rel=1e-15)
     assert sampling_deviation_bound(200, 1.0 / 200, 2, 0.05) == pytest.approx(
         math.sqrt(200 * (1 / 200) ** 2 / 2 * math.log(2 / 0.05)), rel=1e-15
     )
@@ -263,6 +261,20 @@ def test_presl_rejects_mismatched_params():
                     with_loss=False)
     with pytest.raises(ParameterError):
         presl(free, fast_params(g), NoiseSource(0))
+
+
+def test_presl_refuses_params_built_for_another_gamma_or_w(monkeypatch):
+    def untouchable(*args):
+        raise AssertionError("queried past the parameter check")
+
+    monkeypatch.setattr(presl_mod, "exact_lp_min", untouchable)
+    g = positive_flow_game(gamma=0.08)
+    # same n, m and d: only gamma, then only W, differs from the game's
+    for other in (positive_flow_game(gamma=0.05),
+                  build_quiet(n=g.n, m=g.m, d=g.d, gamma=g.gamma, W=2.0, f=g.f,
+                              utility=g.utility, loss=g.loss)):
+        with pytest.raises(ParameterError, match="different game"):
+            presl(g, fast_params(other, zeta=2.0), NoiseSource(0))
 
 
 # ---------------------------------------------------------------------------
