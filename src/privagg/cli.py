@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .dp_core import BudgetError, NoiseSource, ParameterError
-from .game_core import aggregator, load_game, save_game, translate_checks
+from .dp_core import BudgetError, NoiseSource, ParameterError, as_real
+from .game_core import aggregator, as_array, load_game, save_game, translate_checks
 from .harness import (
     DeviationSpec,
     ExperimentConfig,
@@ -125,12 +125,14 @@ def cmd_market_sim(args) -> int:
 def cmd_distmw_solve(args) -> int:
     with open(args.lp) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ParameterError("LP JSON must be an object")
     try:
         lp = FeasibilityLP(
-            gamma=payload["gamma"],
-            cons_f=np.asarray(payload["cons_f"]),
-            cons_b=np.asarray(payload["cons_b"]),
-            supports=np.asarray(payload["supports"], dtype=bool),
+            gamma=as_real("gamma", payload["gamma"]),
+            cons_f=as_array("cons_f", payload["cons_f"]),
+            cons_b=as_array("cons_b", payload["cons_b"]),
+            supports=as_array("supports", payload["supports"]),
         )
     except KeyError as exc:
         raise ParameterError(f"LP JSON missing field {exc}") from None
@@ -158,8 +160,11 @@ def cmd_verify(args) -> int:
     game = load_game(args.game)
     with open(args.profile) as fh:
         payload = json.load(fh)
-    profile = payload["profile"] if isinstance(payload, dict) else payload
-    report = translate_checks(game, np.asarray(profile), eta=args.eta)
+    if isinstance(payload, dict):
+        if "profile" not in payload:
+            raise ParameterError("profile JSON object lacks the field 'profile'")
+        payload = payload["profile"]
+    report = translate_checks(game, as_array("profile", payload), eta=args.eta)
     _emit(
         args,
         {

@@ -1,7 +1,10 @@
 """Differential-privacy primitives.
 
 Laplace noise, the below-threshold sparse vector mechanism, the exponential
-mechanism, and (eps, delta) composition accounting. Everything downstream that
+mechanism over a score array, and a ledger of the (eps, delta) charged.
+These are the only two mechanisms the weak mediator spends budget through:
+the sparse vector finds a grid point, and the exponential mechanism picks
+each round's constraint in the private LP dynamics. Everything downstream that
 touches player data goes through this module, so the noise semantics here are
 deliberately boring: one seeded uniform stream per NoiseSource, inverse-CDF
 Laplace sampling, and a noise_off mode that turns every mechanism into its
@@ -20,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,17 +34,13 @@ __all__ = [
     "NoiseSource",
     "SparseSession",
     "SparseAnswer",
-    "ScoredOutcomeSet",
     "PrivacyLedger",
     "check_finite",
     "as_count",
     "as_real",
     "laplace_sample",
     "first_below",
-    "sparse_accuracy_bound",
     "exponential_mechanism",
-    "exp_mechanism_accuracy_bound",
-    "compose_adaptive",
 ]
 
 
@@ -67,8 +66,9 @@ def check_finite(**values: float) -> None:
 
 def as_count(name: str, value, most: float = math.inf) -> int:
     """``value`` as an int in [1, most]; NaN, infinite, non-integral and
-    non-numeric values raise ParameterError before any ``int()`` runs."""
-    real = isinstance(value, (int, float, np.integer, np.floating))
+    non-numeric values (booleans too) raise ParameterError before any
+    ``int()`` runs."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
     if not real or not 1 <= value <= most or not math.isfinite(value) or int(value) != value:
         bounds = "a positive integer" if most == math.inf else f"an integer from 1 to {most}"
         raise ParameterError(f"{name} must be {bounds}")
@@ -318,19 +318,17 @@ class SparseSession:
         self.epsilon = float(epsilon)
         self._src = src
         self.halted = False
-        thr_scale = 2.0 * self.sensitivity / self.epsilon
-        self.noisy_threshold = self.threshold + (
-            laplace_sample(thr_scale, src) if (thr_scale > 0 and not src.noise_off) else 0.0
-        )
         self.query_scale = 2.0 * self.sensitivity / self.epsilon
+        self.noisy_threshold = self.threshold + self._noise()
+
+    def _noise(self) -> float:
+        """One Lap(query_scale) draw; 0 at sensitivity 0 or under noise_off."""
+        return laplace_sample(self.query_scale, self._src) if self.query_scale > 0 else 0.0
 
     def answer(self, query_value: float) -> SparseAnswer:
         if self.halted:
             raise StateError("sparse session already halted at its below answer")
-        noise = 0.0
-        if self.query_scale > 0 and not self._src.noise_off:
-            noise = laplace_sample(self.query_scale, self._src)
-        below = float(query_value) + noise <= self.noisy_threshold
+        below = float(query_value) + self._noise() <= self.noisy_threshold
         self.halted = below
         return SparseAnswer(below=below)
 
@@ -345,46 +343,9 @@ def first_below(session: SparseSession, items: Iterable, query: Callable) -> tup
     return None, asked
 
 
-def sparse_accuracy_bound(
-    n_queries: int, c: int, sensitivity: float, epsilon: float, beta: float
-) -> float:
-    """Accuracy alpha = 4*c*gamma*(ln N + ln(2c/beta))/eps of the sparse vector.
-
-    With probability at least 1 - beta, every released answer is within alpha
-    of its true query and every bottom answer has true value >= T - alpha,
-    provided at most c queries fall below T + alpha.
-    """
-    if n_queries < 1 or c < 1:
-        raise ParameterError("n_queries and c must be positive")
-    if not (0 < beta < 1):
-        raise ParameterError("beta must lie in (0, 1)")
-    if epsilon <= 0 or sensitivity < 0:
-        raise ParameterError("need epsilon > 0 and sensitivity >= 0")
-    return 4.0 * c * sensitivity * (math.log(n_queries) + math.log(2.0 * c / beta)) / epsilon
-
-
-@dataclass(frozen=True)
-class ScoredOutcomeSet:
-    """Candidate outcomes with scores and the score function's sensitivity."""
-
-    outcomes: tuple
-    scores: np.ndarray
-    sensitivity: float
-
-    def __init__(self, outcomes: Sequence, scores, sensitivity: float):
-        outs = tuple(outcomes)
-        sc = np.asarray(scores, dtype=float)
-        if len(outs) == 0 or sc.shape != (len(outs),):
-            raise ParameterError("outcomes and scores must be equal-length and nonempty")
-        if sensitivity <= 0:
-            raise ParameterError("score sensitivity must be positive")
-        object.__setattr__(self, "outcomes", outs)
-        object.__setattr__(self, "scores", sc)
-        object.__setattr__(self, "sensitivity", float(sensitivity))
-
-
-def exponential_mechanism(oset: ScoredOutcomeSet, epsilon: float, src: NoiseSource):
-    """Select one outcome with probability proportional to exp(eps*q / 2*Delta).
+def exponential_mechanism(scores, sensitivity: float, epsilon: float, src: NoiseSource) -> int:
+    """Index of one score, drawn with probability proportional to
+    exp(eps * q / (2 Delta)) from a nonempty 1-D score array.
 
     The scores are scaled by eps / (2 Delta) first and then shifted by their
     maximum, so every weight lies in [0, 1] once the scaled scores are finite.
@@ -392,36 +353,23 @@ def exponential_mechanism(oset: ScoredOutcomeSet, epsilon: float, src: NoiseSour
     as ``distmw_solve`` does with its ``scaled_margin`` check. noise_off
     returns the lowest-index argmax deterministically.
     """
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 1 or scores.size == 0:
+        raise ParameterError("scores must be a nonempty 1-D array")
+    if not sensitivity > 0:
+        raise ParameterError("score sensitivity must be positive")
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
-    check_finite(epsilon=epsilon)
-    scores = oset.scores
+    check_finite(sensitivity=sensitivity, epsilon=epsilon)
     if src.noise_off:
-        return oset.outcomes[int(np.argmax(scores))]
-    logits = (epsilon / (2.0 * oset.sensitivity)) * scores
+        return int(np.argmax(scores))
+    logits = (epsilon / (2.0 * sensitivity)) * scores
     logits = logits - np.max(logits)
     weights = np.exp(logits)
     cdf = np.cumsum(weights)
     u = src.uniform() * cdf[-1]
     idx = int(np.searchsorted(cdf, u, side="left"))
-    idx = min(idx, len(oset.outcomes) - 1)
-    return oset.outcomes[idx]
-
-
-def exp_mechanism_accuracy_bound(
-    n_outcomes: float, sensitivity: float, epsilon: float, beta: float
-) -> float:
-    """Utility bound 2*Delta*ln(|R|/beta)/eps of the exponential mechanism.
-
-    n_outcomes is the number of outcomes |R| (accepted as a real so the bound
-    can be evaluated at analytic values); with probability 1 - beta the
-    selected score is within this bound of the maximum.
-    """
-    if n_outcomes < 1 or sensitivity <= 0 or epsilon <= 0:
-        raise ParameterError("need |R| >= 1, sensitivity > 0, epsilon > 0")
-    if not (0 < beta <= 1):
-        raise ParameterError("beta must lie in (0, 1]")
-    return 2.0 * sensitivity * math.log(n_outcomes / beta) / epsilon
+    return min(idx, len(scores) - 1)
 
 
 @dataclass
@@ -440,26 +388,3 @@ class PrivacyLedger:
         eps = sum(e for _, e, _ in self.entries)
         delta = sum(d for _, _, d in self.entries)
         return eps, delta
-
-
-def compose_adaptive(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, float]:
-    """T-fold adaptive composition total for the ledger.
-
-    When every entry shares a common per-mechanism eps, returns
-    (eps*sqrt(2T ln(1/delta')) + T*eps*(e^eps - 1), sum(delta) + delta').
-    Heterogeneous entries fall back to basic composition (plain sums).
-    """
-    if not (0 < delta_prime < 1):
-        raise ParameterError("delta' must lie in (0, 1)")
-    if not ledger.entries:
-        return 0.0, delta_prime
-    eps_values = [e for _, e, _ in ledger.entries]
-    delta_sum = sum(d for _, _, d in ledger.entries)
-    first = eps_values[0]
-    if all(e == first for e in eps_values):
-        T = len(eps_values)
-        eps_total = first * math.sqrt(2.0 * T * math.log(1.0 / delta_prime)) + T * first * (
-            math.exp(first) - 1.0
-        )
-        return eps_total, delta_sum + delta_prime
-    return ledger.total_simple()

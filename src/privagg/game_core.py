@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dp_core import BudgetError, NoiseSource, ParameterError, as_count, check_finite
+from .dp_core import BudgetError, NoiseSource, ParameterError, as_count, as_real, check_finite
 
 __all__ = [
     "AggregativeGame",
@@ -60,6 +60,7 @@ __all__ = [
     "as_player",
     "as_pure_profile",
     "as_mixed_profile",
+    "as_array",
     "game_to_json",
     "game_from_json",
     "save_game",
@@ -68,6 +69,19 @@ __all__ = [
 
 _RANGE_TOL = 1e-9
 _ROW_SUM_TOL = 1e-12
+
+
+def as_array(name: str, value) -> np.ndarray:
+    """``value`` read from a JSON file as a rectangular array of numbers;
+    strings, null, objects and ragged lists raise ParameterError naming
+    the field. Shapes are left to the caller."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        raise ParameterError(f"{name} must be a rectangular array of numbers")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +122,7 @@ class LinearUtility:
 
     @classmethod
     def from_params(cls, params: dict) -> "LinearUtility":
-        return cls(c=np.asarray(params["c"]), w=np.asarray(params["w"]))
+        return cls(c=as_array("c", params["c"]), w=as_array("w", params["w"]))
 
 
 @dataclass(frozen=True)
@@ -177,7 +191,9 @@ class TableUtility:
 
     @classmethod
     def from_params(cls, params: dict) -> "TableUtility":
-        return cls(grid=np.asarray(params["grid"]), values=np.asarray(params["values"]))
+        return cls(
+            grid=as_array("grid", params["grid"]), values=as_array("values", params["values"])
+        )
 
 
 @dataclass(frozen=True)
@@ -217,7 +233,7 @@ class ThresholdUtility:
 
     @classmethod
     def from_params(cls, params: dict) -> "ThresholdUtility":
-        return cls(thresholds=np.asarray(params["thresholds"]))
+        return cls(thresholds=as_array("thresholds", params["thresholds"]))
 
 
 _EVALUATOR_METHODS = ("value_matrix", "values_for_player")
@@ -230,6 +246,10 @@ _EVALUATORS = {
 
 
 def _evaluator_from_json(kind: str, params: dict):
+    if not isinstance(kind, str):
+        raise ParameterError(f"utility kind must be a string, got {kind!r}")
+    if not isinstance(params, dict):
+        raise ParameterError("utility params must be a JSON object")
     if kind == "market":
         from .market import MarketUtility  # deferred, avoids a cycle
 
@@ -589,17 +609,21 @@ def game_from_json(text: str) -> AggregativeGame:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"malformed game JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParameterError("game JSON must be an object")
     try:
+        if not isinstance(payload["utility"], dict):
+            raise ParameterError("utility must be a JSON object")
         utility = _evaluator_from_json(payload["utility"]["kind"], payload["utility"]["params"])
         return AggregativeGame(
             n=payload["n"],
             m=payload["m"],
             d=payload["d"],
-            gamma=payload["gamma"],
-            W=payload["W"],
-            f=np.asarray(payload["f"]),
+            gamma=as_real("gamma", payload["gamma"]),
+            W=as_real("W", payload["W"]),
+            f=as_array("f", payload["f"]),
             utility=utility,
-            loss=np.asarray(payload["loss"]) if "loss" in payload else None,
+            loss=as_array("loss", payload["loss"]) if "loss" in payload else None,
         )
     except KeyError as exc:
         raise ParameterError(f"game JSON missing field {exc}") from None

@@ -26,6 +26,7 @@ from .game_core import (
     AggregativeGame,
     LinearUtility,
     aggregator,
+    as_array,
     expected_aggregator,
     regret,
     utility_values,
@@ -260,8 +261,8 @@ def generate(kind: str, seed: int, **params):
         n = as_count("n", params.get("n", 8))
         m = as_count("m", params.get("m", 2))
         d = as_count("d", params.get("d", 1)) if kind == "linear" else m
-        gamma = float(params.get("gamma", 1.0 / n))
-        W = float(params.get("W", gamma * n))
+        gamma = float(as_real("gamma", params.get("gamma", 1.0 / n)))
+        W = float(as_real("W", params.get("W", gamma * n)))
         check_finite(gamma=gamma, W=W)
         if W <= 0:  # the utility draw divides by 1 + W
             raise ParameterError("W must be positive")
@@ -274,16 +275,18 @@ def generate(kind: str, seed: int, **params):
         return AggregativeGame(n=n, m=m, d=d, gamma=gamma, W=W, f=f, utility=utility, loss=loss)
     if kind == "threshold":
         n = as_count("n", params.get("n", 50))
+        gamma = params.get("gamma")
+        if gamma is not None:
+            gamma = as_real("gamma", gamma)
         thresholds = params.get("thresholds")
         if thresholds is None:
             thresholds = rng.uniform(0.0, 1.0, size=n)
-        gamma = params.get("gamma")
-        return make_optin_game(n, thresholds, gamma=gamma)
+        return make_optin_game(n, as_array("thresholds", thresholds), gamma=gamma)
     if kind == "market":
         n = as_count("n", params.get("n", 20))
         portfolios = portfolio_matrix(params.get("d", 1))
         d = portfolios.shape[1]
-        lam = float(params.get("lam", max(4.0, n / 4.0)))
+        lam = float(as_real("lam", params.get("lam", max(4.0, n / 4.0))))
         check_finite(lam=lam)
         theta = rng.uniform(0.0, 1.0, size=(n, d))
         return MarketGame(n=n, d=d, lam=lam, valuations=theta @ portfolios.T.astype(float))
@@ -445,6 +448,18 @@ def score(game: AggregativeGame, profile) -> tuple[float, Optional[float]]:
 _CSV_FIELDS = ["trial", "seed", "regret", "bound", "loss", "quality", "abort", "time_ms"]
 
 
+# (field, type, how a message names it) for the config fields read as given
+_CONFIG_TYPES = [
+    ("algorithm", str, "a string"),
+    ("game", dict, "a JSON object"),
+    ("params", dict, "a JSON object"),
+    ("seed", int, "an integer"),
+    ("noise", bool, "true or false"),
+    ("label", str, "a string"),
+    ("out_dir", (str, type(None)), "a string"),
+]
+
+
 @dataclass
 class ExperimentConfig:
     """One batch: a solver, a game source, trial count, and solver knobs.
@@ -466,6 +481,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ParameterError("config JSON must be an object")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(payload) - known
         if extra:
@@ -473,6 +490,13 @@ class ExperimentConfig:
         missing = {"algorithm", "game"} - set(payload)
         if missing:
             raise ParameterError(f"config lacks fields: {sorted(missing)}")
+        for name, kind, what in _CONFIG_TYPES:
+            value = payload.get(name)
+            wrong = not isinstance(value, kind) or (kind is int and isinstance(value, bool))
+            if name in payload and wrong:
+                raise ParameterError(f"config field {name} must be {what}")
+        if "trials" in payload:
+            payload["trials"] = as_count("trials", payload["trials"])
         return cls(**payload)
 
 
@@ -496,6 +520,8 @@ def _make_trial_game(config: ExperimentConfig, trial_seed: int):
     if "path" in config.game:
         from .game_core import load_game
 
+        if not isinstance(config.game["path"], str):
+            raise ParameterError("game path must be a string")
         return load_game(config.game["path"])
     spec = dict(config.game)
     if "kind" not in spec:

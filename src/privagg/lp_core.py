@@ -39,7 +39,6 @@ from .dp_core import (
     NoiseSource,
     ParameterError,
     PrivacyLedger,
-    ScoredOutcomeSet,
     check_finite,
     exponential_mechanism,
 )
@@ -191,8 +190,7 @@ def most_violated(
     budget eps0; under a noise_off source that is the lowest-index argmax.
     """
     margins = lp.margins(p)
-    oset = ScoredOutcomeSet(range(lp.n_constraints), margins, sensitivity=lp.gamma)
-    k = int(exponential_mechanism(oset, eps0, src))
+    k = exponential_mechanism(margins, lp.gamma, eps0, src)
     return k, float(margins[k])
 
 
@@ -366,13 +364,15 @@ def build_slack_lp(
     slack: float,
 ) -> FeasibilityLP:
     """Assemble |S(p) - s_hat| <= slack (and L(p) <= y_hat + slack) over
-    the xi-best-response supports at s_hat."""
+    the xi-best-response supports at s_hat. ``y_hat=None`` is the only way
+    to drop the loss row; a NaN or infinite y_hat is refused."""
     s_hat = np.asarray(s_hat, dtype=float)
     if s_hat.shape != (game.d,):
         raise ParameterError(f"s_hat must have shape ({game.d},)")
     supports = best_response_support(utility_matrix(game, s_hat), xi)
     loss = y = None
-    if y_hat is not None and math.isfinite(y_hat):
+    if y_hat is not None:
+        check_finite(y_hat=y_hat)
         if game.loss is None:
             raise ParameterError("loss objective requested but the game declares no loss")
         loss, y = game.loss, float(y_hat)
@@ -409,8 +409,8 @@ def exact_lp_min(
     once the measured primal value at the average iterate is within ``tol``
     of the dual lower bound read off the cumulative losses. The returned
     value lies in [Q - tol, Q] for the true optimum Q, and the witness's
-    worst margin is at most value + tol. ``y_hat=None`` (or +inf) drops the
-    loss term.
+    worst margin is at most value + tol. ``y_hat=None`` drops the loss
+    term.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp_core import ParameterError, as_count, check_finite
-from .game_core import AggregativeGame
+from .dp_core import ParameterError, as_count, as_real, check_finite
+from .game_core import AggregativeGame, as_array
 
 __all__ = [
     "MarketGame",
@@ -176,8 +176,8 @@ class MarketUtility:
     @classmethod
     def from_params(cls, params: dict) -> "MarketUtility":
         return cls(
-            lam=float(params["lambda"]), d=params["d"],
-            valuations=np.asarray(params["valuations"]),
+            lam=float(as_real("lambda", params["lambda"])), d=params["d"],
+            valuations=as_array("valuations", params["valuations"]),
         )
 
 

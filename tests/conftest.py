@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from privagg.dp_core import PrivacyLedger, check_finite
+from privagg.dp_core import ParameterError, PrivacyLedger, check_finite
 from privagg.game_core import AggregativeGame, LinearUtility, abr_set, utility_values
 from privagg.lp_core import DistMWResult, _mw_iterate, build_slack_lp, most_violated
 from privagg.market import hinge_price
@@ -176,6 +176,45 @@ def recurrence_exact_lp_min(game, s_hat, y_hat, xi, tol):
         w = p * np.exp(-eta * lp.cons_f[k]) * mask
         p = w / w.sum(axis=1, keepdims=True)
     return max(best_lower, 0.0), accum / t, t
+
+
+def sparse_accuracy_bound(n_queries, c, sensitivity, epsilon, beta):
+    """Accuracy alpha = 4*c*gamma*(ln N + ln(2c/beta))/eps of the sparse vector.
+
+    With probability at least 1 - beta, every released answer is within alpha
+    of its true query and every bottom answer has true value >= T - alpha,
+    provided at most c queries fall below T + alpha.
+    """
+    if n_queries < 1 or c < 1:
+        raise ParameterError("n_queries and c must be positive")
+    if not (0 < beta < 1):
+        raise ParameterError("beta must lie in (0, 1)")
+    if epsilon <= 0 or sensitivity < 0:
+        raise ParameterError("need epsilon > 0 and sensitivity >= 0")
+    return 4.0 * c * sensitivity * (math.log(n_queries) + math.log(2.0 * c / beta)) / epsilon
+
+
+def compose_adaptive(ledger, delta_prime):
+    """T-fold adaptive composition total for a PrivacyLedger.
+
+    When every entry shares a common per-mechanism eps, returns
+    (eps*sqrt(2T ln(1/delta')) + T*eps*(e^eps - 1), sum(delta) + delta').
+    Heterogeneous entries fall back to basic composition (plain sums).
+    """
+    if not (0 < delta_prime < 1):
+        raise ParameterError("delta' must lie in (0, 1)")
+    if not ledger.entries:
+        return 0.0, delta_prime
+    eps_values = [e for _, e, _ in ledger.entries]
+    delta_sum = sum(d for _, _, d in ledger.entries)
+    first = eps_values[0]
+    if all(e == first for e in eps_values):
+        T = len(eps_values)
+        eps_total = first * math.sqrt(2.0 * T * math.log(1.0 / delta_prime)) + T * first * (
+            math.exp(first) - 1.0
+        )
+        return eps_total, delta_sum + delta_prime
+    return ledger.total_simple()
 
 
 def reference_distmw_solve(lp, params, src):

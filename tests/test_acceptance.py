@@ -15,10 +15,8 @@ from scipy import stats
 from privagg.cli import main as cli_main
 from privagg.dp_core import (
     NoiseSource,
-    ScoredOutcomeSet,
     SparseSession,
     exponential_mechanism,
-    sparse_accuracy_bound,
 )
 from privagg.game_core import regret, save_game, translate_checks
 from privagg.harness import (
@@ -47,6 +45,8 @@ from privagg.onedim import (
     select_equilibrium,
 )
 from privagg.presl import PreslParams, existence_bound, npresl, presl, replay_presl_player
+
+from conftest import sparse_accuracy_bound
 
 OFF = NoiseSource.NOISE_OFF
 
@@ -124,7 +124,6 @@ def test_03_exponential_mechanism_distribution():
     start = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(303))
     scores = rng.uniform(0.0, 1.0, size=10)
-    oset = ScoredOutcomeSet(tuple(range(10)), scores, sensitivity=1.0)
     epsilon = 2.0
     weights = np.exp(epsilon * (scores - scores.max()) / 2.0)
     expected = weights / weights.sum()
@@ -132,7 +131,7 @@ def test_03_exponential_mechanism_distribution():
     counts = np.zeros(10)
     n_samples = 10**5
     for k in range(n_samples):
-        counts[exponential_mechanism(oset, epsilon, src.child(k))] += 1
+        counts[exponential_mechanism(scores, 1.0, epsilon, src.child(k))] += 1
     result = stats.chisquare(counts, f_exp=expected * n_samples)
     elapsed = time.perf_counter() - start
     check(

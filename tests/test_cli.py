@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from privagg.cli import main
@@ -258,6 +258,106 @@ def test_market_files_with_non_finite_valuations_or_lambda_exit_one(tmp_path, ca
         assert "Traceback" not in capsys.readouterr().err
         assert message in caplog.text
         assert "leaves" not in caplog.text
+
+
+def test_json_files_of_the_wrong_shape_exit_one(tmp_path, capsys, caplog):
+    # valid JSON of the wrong shape or type: each ended in a KeyError,
+    # TypeError or ValueError traceback
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"profile": [0] * 4}))
+    threshold = json.loads(game_to_json(game_view(generate("threshold", 1, n=4))))
+    ragged_f = [[[0.5, -0.5]], [[0.5]], [[0.5, -0.5]], [[0.5, -0.5]]]
+    games = [
+        (LINEAR_GAME, "top", [1, 2], (), "game JSON must be an object"),
+        (LINEAR_GAME, "f", "abc", ("f",), "f must be a rectangular array"),
+        (LINEAR_GAME, "f", ragged_f, ("f",), "f must be a rectangular array"),
+        (LINEAR_GAME, "utility", "abc", ("utility",), "utility must be a JSON object"),
+        (LINEAR_GAME, "gamma", "0.1", ("gamma",), "gamma must be a number"),
+        (threshold, "thresholds", "abc", ("utility", "params", "thresholds"),
+         "thresholds must be a rectangular array"),
+    ]
+    lps = [
+        ([1, 2], (), "LP JSON must be an object"),
+        ([[[1, 1], [1]]], ("cons_f",), "cons_f must be a rectangular array"),
+        ("0.25", ("gamma",), "gamma must be a number"),
+        (["1.1"], ("cons_b",), "cons_b must be a rectangular array"),
+        ([[1, 1], [1, "x"]], ("supports",), "supports must be a rectangular array"),
+    ]
+    cases = []
+    for payload, name, value, index, message in games:
+        game = tmp_path / f"game_{name}.json"
+        if index:
+            write_with(game, payload, value, *index)
+        else:
+            game.write_text(json.dumps(value))
+        cases.append((("verify", "--game", game, "--profile", profile), message))
+    for j, (value, index, message) in enumerate(lps):
+        lp = tmp_path / f"lp{j}.json"
+        if index:
+            write_with(lp, SMALL_LP, value, *index)
+        else:
+            lp.write_text(json.dumps(value))
+        cases.append((("distmw-solve", "--lp", lp, *LP_FLAGS), message))
+    no_profile = tmp_path / "no_profile.json"
+    no_profile.write_text(json.dumps({"actions": [0] * 4}))
+    game = tmp_path / "linear.json"
+    game.write_text(json.dumps(LINEAR_GAME))
+    cases.append((("verify", "--game", game, "--profile", no_profile),
+                  "lacks the field 'profile'"))
+    for argv, message in cases:
+        caplog.clear()
+        assert run_cli(*argv) == 1, argv
+        assert "Traceback" not in capsys.readouterr().err
+        assert message in caplog.text
+
+
+BENCH_BASE = {"algorithm": "psummnash", "game": {"kind": "threshold", "n": 25},
+              "params": {"epsilon": 2000.0, "alpha": 0.05, "beta": 0.05}, "trials": 1}
+
+
+BENCH_WRONG_TYPES = {
+    "top-level-list": ([BENCH_BASE], "config JSON must be an object"),
+    "trials-string": (dict(BENCH_BASE, trials="2"), "trials must be a positive integer"),
+    "trials-zero": (dict(BENCH_BASE, trials=0), "trials must be a positive integer"),
+    "trials-bool": (dict(BENCH_BASE, trials=True), "trials must be a positive integer"),
+    "seed-string": (dict(BENCH_BASE, seed="s"), "config field seed must be an integer"),
+    "seed-bool": (dict(BENCH_BASE, seed=True), "config field seed must be an integer"),
+    "noise-string": (dict(BENCH_BASE, noise="false"), "config field noise must be true or false"),
+    "algorithm-list": (dict(BENCH_BASE, algorithm=["psummnash"]),
+                       "config field algorithm must be a string"),
+    "label-number": (dict(BENCH_BASE, label=5), "config field label must be a string"),
+    "out_dir-number": (dict(BENCH_BASE, out_dir=5), "config field out_dir must be a string"),
+    "game-string": (dict(BENCH_BASE, game="x"), "config field game must be a JSON object"),
+    "params-list": (dict(BENCH_BASE, params=[]), "config field params must be a JSON object"),
+    "game-path-number": (dict(BENCH_BASE, game={"path": 5}), "game path must be a string"),
+    "threshold-gamma": (dict(BENCH_BASE, game={"kind": "threshold", "n": 25, "gamma": "x"}),
+                        "gamma must be a number"),
+    "threshold-thresholds": (dict(BENCH_BASE, game={"kind": "threshold", "n": 2,
+                                                    "thresholds": "abc"}),
+                             "thresholds must be a rectangular array"),
+    "linear-gamma": (dict(BENCH_BASE, algorithm="distmw",
+                          game={"kind": "linear", "n": 8, "gamma": "x"}),
+                     "gamma must be a number"),
+    "linear-W": (dict(BENCH_BASE, algorithm="distmw", game={"kind": "linear", "n": 8, "W": [1.0]}),
+                 "W must be a number"),
+    "market-lam": (dict(BENCH_BASE, algorithm="distmw",
+                        game={"kind": "market", "n": 8, "lam": None}), "lam must be a number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BENCH_WRONG_TYPES))
+def test_bench_config_fields_of_the_wrong_type_exit_one(tmp_path, capsys, caplog, case):
+    # each ended in a TypeError or ValueError traceback, ran zero trials and
+    # exited 2 (trials 0), or ran with noise on a "false" string
+    config, message = BENCH_WRONG_TYPES[case]
+    if isinstance(config, dict) and "out_dir" not in config:
+        config = dict(config, out_dir=str(tmp_path))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("bench", "--config", path) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert message in caplog.text
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_select_quality_flags(tmp_path, threshold_game):
@@ -594,14 +694,54 @@ def test_fuzz_bench_config_never_tracebacks(fuzz_dir, data):
     params = {"zeta": 0.2, "epsilon": 3000.0, "alpha": data.draw(ALPHA), "beta": 0.05,
               "quality": odd_some(data.draw, drop_some(data.draw, quality))}
     params = odd_some(data.draw, params)
-    game = data.draw(st.sampled_from([
+    game = odd_some(data.draw, data.draw(st.sampled_from([
         {"kind": "threshold", "n": 25}, {"kind": "market", "n": 25, "d": 1},
         {"path": str(fuzz_dir / "game.json")}, {"n": 25},
-    ]))
+    ])))
     config = {"algorithm": algorithm, "game": game, "params": drop_some(data.draw, params),
-              "trials": 1, "noise": data.draw(st.booleans())}
-    config = drop_some(data.draw, config)
+              "trials": 1, "seed": 0, "noise": data.draw(st.booleans()), "label": "fuzz"}
+    config = odd_some(data.draw, drop_some(data.draw, config))
     config["out_dir"] = str(fuzz_dir)
     path = fuzz_dir / "cfg.json"
     path.write_text(json.dumps(config))
     assert exit_code(["bench", "--config", path]) in (0, 1, 2)
+
+
+# fields of a game, LP or profile file that hold an object, a string, a
+# number or an array; () is the file's top-level container
+ODD_TYPE_FIELDS = {
+    "game": [(), ("gamma",), ("W",), ("f",), ("loss",), ("utility",), ("utility", "kind"),
+             ("utility", "params"), ("utility", "params", "c"), ("utility", "params", "w")],
+    "lp": [(), ("gamma",), ("cons_f",), ("cons_b",), ("supports",)],
+    "profile": [(), ("profile",)],
+}
+# a value of the wrong type: NOT_A_NUMBER's strings, null, booleans, lists
+# and objects, plus a list holding a string and a ragged list
+ODD_TYPE = st.one_of(NOT_A_NUMBER, st.sampled_from([[0.1, "x"], [[0.1], [0.1, 0.2]]]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_odd_types_exit_one(fuzz_dir, capsys, data):
+    kind = data.draw(st.sampled_from(sorted(ODD_TYPE_FIELDS)))
+    index = data.draw(st.sampled_from(ODD_TYPE_FIELDS[kind]))
+    value = data.draw(ODD_TYPE)
+    assume(index != ("utility", "kind") or value != "linear")
+    payload = {"game": LINEAR_GAME, "lp": SMALL_LP, "profile": {"profile": [0] * 4}}[kind]
+    path = fuzz_dir / f"odd_type_{kind}.json"
+    if index:
+        write_with(path, payload, value, *index)
+    else:
+        path.write_text(json.dumps(value))
+    game = fuzz_dir / "odd_type_linear.json"
+    game.write_text(json.dumps(LINEAR_GAME))
+    profile = fuzz_dir / "odd_type_profile0.json"
+    profile.write_text(json.dumps([0] * 4))
+    argv = {
+        "game": ["verify", "--game", path, "--profile", profile],
+        "lp": ["distmw-solve", "--lp", path, *LP_FLAGS],
+        "profile": ["verify", "--game", game, "--profile", path],
+    }[kind]
+    assert exit_code([*argv, "--out", fuzz_dir / "odd_type_out.json"]) == 1
+    assert "Traceback" not in capsys.readouterr().err

@@ -14,20 +14,18 @@ from privagg.dp_core import (
     NoiseSource,
     ParameterError,
     PrivacyLedger,
-    ScoredOutcomeSet,
     SparseAnswer,
     SparseSession,
     StateError,
     check_finite,
-    compose_adaptive,
-    exp_mechanism_accuracy_bound,
     exponential_mechanism,
     first_below,
     laplace_sample,
-    sparse_accuracy_bound,
 )
 from privagg.onedim import PSummResult, SelectResult
 from privagg.presl import PreslResult
+
+from conftest import compose_adaptive, sparse_accuracy_bound
 
 
 class FixedUniform:
@@ -295,9 +293,10 @@ def test_non_finite_budgets_are_rejected(bad):
         SparseSession(bad, 0.0, 1.0, src)
     with pytest.raises(ParameterError):
         laplace_sample(bad, src)
-    oset = ScoredOutcomeSet(["a", "b"], [0.0, 1.0], 1.0)
     with pytest.raises(ParameterError):
-        exponential_mechanism(oset, bad, src)
+        exponential_mechanism([0.0, 1.0], 1.0, bad, src)
+    with pytest.raises(ParameterError):  # a NaN sensitivity once passed <= 0 unnoticed
+        exponential_mechanism([0.0, 1.0], bad, 1.0, src)
 
 
 def test_sparse_accuracy_bound_frozen_value():
@@ -322,53 +321,48 @@ def test_sparse_accuracy_bound_validation():
 
 
 def test_exp_mechanism_noise_off_lowest_index_argmax():
-    oset = ScoredOutcomeSet(["a", "b", "c"], [3.0, 7.0, 7.0], 1.0)
     src = NoiseSource(0, NoiseSource.NOISE_OFF)
-    assert exponential_mechanism(oset, 2.0, src) == "b"
+    assert exponential_mechanism([3.0, 7.0, 7.0], 1.0, 2.0, src) == 1
 
 
 def test_exp_mechanism_equal_scores_split_evenly():
-    oset = ScoredOutcomeSet([0, 1], [0.4, 0.4], 1.0)
     src = NoiseSource(99)
-    draws = sum(exponential_mechanism(oset, 2.0, src) for _ in range(100000))
+    draws = sum(exponential_mechanism([0.4, 0.4], 1.0, 2.0, src) for _ in range(100000))
     assert abs(draws / 100000 - 0.5) < 0.01
 
 
 def test_exp_mechanism_probability_ratio():
     # scores {0, 1}, sensitivity 1, eps 2: P(high)/P(low) = e
-    oset = ScoredOutcomeSet([0, 1], [0.0, 1.0], 1.0)
     src = NoiseSource(7)
     n = 100000
-    high = sum(exponential_mechanism(oset, 2.0, src) for _ in range(n))
+    high = sum(exponential_mechanism([0.0, 1.0], 1.0, 2.0, src) for _ in range(n))
     ratio = high / (n - high)
     assert ratio == pytest.approx(math.e, rel=0.03)
 
 
 def test_exp_mechanism_survives_huge_scores():
-    oset = ScoredOutcomeSet([0, 1], [1e6, 1e6 - 1.0], 1.0)
-    out = exponential_mechanism(oset, 2.0, NoiseSource(3))
+    out = exponential_mechanism([1e6, 1e6 - 1.0], 1.0, 2.0, NoiseSource(3))
     assert out in (0, 1)
 
 
-def test_scored_outcome_set_validation():
+def test_exp_mechanism_validation():
     with pytest.raises(ParameterError):
-        ScoredOutcomeSet([], [], 1.0)
+        exponential_mechanism([], 1.0, 1.0, NoiseSource(0))
     with pytest.raises(ParameterError):
-        ScoredOutcomeSet(["a"], [1.0, 2.0], 1.0)
+        exponential_mechanism([[1.0, 2.0]], 1.0, 1.0, NoiseSource(0))
     with pytest.raises(ParameterError):
-        ScoredOutcomeSet(["a"], [1.0], 0.0)
+        exponential_mechanism([1.0], 0.0, 1.0, NoiseSource(0))
     with pytest.raises(ParameterError):
-        exponential_mechanism(ScoredOutcomeSet(["a"], [1.0], 1.0), 0.0, NoiseSource(0))
+        exponential_mechanism([1.0], 1.0, 0.0, NoiseSource(0))
 
 
-def test_exp_accuracy_bound_frozen_values():
-    assert exp_mechanism_accuracy_bound(1, 1.0, 1.0, 1.0) == 0.0
-    assert exp_mechanism_accuracy_bound(math.e, 1.0, 1.0, 1.0) == pytest.approx(2.0)
-    assert exp_mechanism_accuracy_bound(100, 0.5, 2.0, 0.01) == pytest.approx(
-        0.5 * math.log(1e4), rel=1e-15
-    )
-    with pytest.raises(ParameterError):
-        exp_mechanism_accuracy_bound(0, 1.0, 1.0, 0.5)
+def test_exp_mechanism_frozen_draws():
+    """Twenty seeded noisy draws, pinned: any change to the mechanism's
+    arithmetic or its use of the uniform stream shows up here."""
+    scores = np.random.Generator(np.random.PCG64(1313)).uniform(-1.0, 1.0, size=7)
+    src = NoiseSource(2024)
+    draws = [exponential_mechanism(scores, 0.5, 3.0, src) for _ in range(20)]
+    assert draws == [4, 3, 3, 5, 6, 3, 2, 3, 3, 3, 4, 4, 2, 4, 0, 3, 6, 5, 4, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Private LP dynamics and the exact query-side solver."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from privagg import lp_core
-from privagg.dp_core import BudgetError, NoiseSource, compose_adaptive
+from privagg.dp_core import BudgetError, NoiseSource
 from privagg.game_core import ParameterError, expected_aggregator, utility_matrix
 from privagg.harness import generate
 from privagg.lp_core import (
@@ -24,7 +25,7 @@ from privagg.lp_core import (
 
 from privagg.market import to_aggregative
 
-from conftest import recurrence_exact_lp_min, reference_distmw_solve
+from conftest import compose_adaptive, recurrence_exact_lp_min, reference_distmw_solve
 
 
 def single_constraint_lp(gamma=0.3, seed=0, n=2, m=2):
@@ -441,6 +442,22 @@ def test_distmw_ledger_composes_within_budget():
     assert delta_total == pytest.approx(prm.delta)
 
 
+def test_distmw_frozen_market_transcript():
+    """One seeded d = 2 market run, pinned bit for bit: a change to the
+    exponential mechanism's arithmetic moves the transcript or the average."""
+    lp, prm = uniform_slack_lp(to_aggregative(generate("market", 7, n=40, d=2)), 2.0)
+    res = distmw_solve(lp, prm, NoiseSource(11))
+    assert res.transcript[:16] == [0, 1, 2, 0, 0, 3, 0, 0, 3, 2, 1, 2, 2, 1, 0, 3]
+    assert np.bincount(res.transcript).tolist() == [145, 148, 133, 137]
+    transcript = np.asarray(res.transcript, dtype=np.int64).tobytes()
+    assert hashlib.sha256(transcript).hexdigest() == (
+        "a3357fca477ff433eaba1708b2251d711337d00a64bf1dfe9effef512d455d23"
+    )
+    assert hashlib.sha256(res.p_bar.tobytes()).hexdigest() == (
+        "f76350eca04507616ca0342c5c75e396370fb119e318fcd0442db48070b9772b"
+    )
+
+
 def test_distmw_shape_mismatch_rejected():
     lp, _ = single_constraint_lp(n=2, m=2)
     prm = DistMWParams(epsilon=1.0, delta=0.01, alpha=0.3, beta=0.1,
@@ -511,6 +528,19 @@ def test_build_slack_lp_shapes_and_supports():
     free = generate("linear", 52, n=2, m=2, d=1, with_loss=False)
     with pytest.raises(ParameterError):
         build_slack_lp(free, np.zeros(1), 0.5, 0.1, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_y_hat_is_refused_not_dropped(bad):
+    # a NaN y_hat once dropped the loss row silently: exact_lp_min returned
+    # 0.0 here, as for y_hat=None, while y_hat=0 gives about 0.245
+    g = generate("linear", 3, n=6, gamma=0.1)
+    s_hat = np.zeros(1)
+    assert exact_lp_min(g, s_hat, 0.0, xi=0.5, tol=0.01).value > 0.2
+    with pytest.raises(ParameterError, match="y_hat must be finite"):
+        build_slack_lp(g, s_hat, bad, xi=0.5, slack=0.0)
+    with pytest.raises(ParameterError, match="y_hat must be finite"):
+        exact_lp_min(g, s_hat, bad, xi=0.5, tol=0.01)
 
 
 def test_slack_rows_layout_shared_by_lp_and_player():
