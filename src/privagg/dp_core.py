@@ -347,15 +347,18 @@ def exponential_mechanism(scores, sensitivity: float, epsilon: float, src: Noise
     """Index of one score, drawn with probability proportional to
     exp(eps * q / (2 Delta)) from a nonempty 1-D score array.
 
-    The scores are scaled by eps / (2 Delta) first and then shifted by their
-    maximum, so every weight lies in [0, 1] once the scaled scores are finite.
-    The scaling itself can overflow: callers keep eps * q / (2 Delta) finite,
-    as ``distmw_solve`` does with its ``scaled_margin`` check. noise_off
+    The scores must be finite. They are shifted by their maximum first and
+    then scaled by eps / (2 Delta), which must be finite too, so every logit
+    is at most 0 and every weight lies in [0, 1]. A shift or scaling that
+    overflows gives a logit of -inf, whose weight is exactly 0. noise_off
     returns the lowest-index argmax deterministically.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 1 or scores.size == 0:
         raise ParameterError("scores must be a nonempty 1-D array")
+    top = scores.max()  # NaN if any score is NaN
+    if not (math.isfinite(top) and math.isfinite(scores.min())):
+        raise ParameterError("scores must be finite")
     if not sensitivity > 0:
         raise ParameterError("score sensitivity must be positive")
     if epsilon <= 0:
@@ -363,12 +366,14 @@ def exponential_mechanism(scores, sensitivity: float, epsilon: float, src: Noise
     check_finite(sensitivity=sensitivity, epsilon=epsilon)
     if src.noise_off:
         return int(np.argmax(scores))
-    logits = (epsilon / (2.0 * sensitivity)) * scores
-    logits = logits - np.max(logits)
-    weights = np.exp(logits)
-    cdf = np.cumsum(weights)
+    with np.errstate(over="ignore"):
+        scale = epsilon / (2.0 * sensitivity)
+        check_finite(score_scale=scale)  # an infinite scale gives 0 * inf = NaN
+        logits = scores - top
+        logits *= scale
+    cdf = np.exp(logits, out=logits).cumsum()
     u = src.uniform() * cdf[-1]
-    idx = int(np.searchsorted(cdf, u, side="left"))
+    idx = int(cdf.searchsorted(u, side="left"))
     return min(idx, len(scores) - 1)
 
 

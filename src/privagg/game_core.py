@@ -13,8 +13,8 @@ float arrays of shape (n, m).
 A utility evaluator is any object with two methods, each taking a float
 aggregator value s of shape (d,) and returning u_i(a, s) for every action a:
 
-- ``value_matrix(s)``: returns (n, m), row i for player i; best responses at
-  a fixed aggregator read it;
+- ``value_matrix(s)``: returns (n, m) finite values, row i for player i;
+  best responses at a fixed aggregator read it;
 - ``values_for_player(i, s)``: returns (m,), equal to row i of
   ``value_matrix(s)``; ``regret`` evaluates each deviation through it, and
   so do the per-player replay helpers, because a player replays from their
@@ -53,6 +53,7 @@ __all__ = [
     "utility_values",
     "abr_set",
     "abr_profile",
+    "first_argmax",
     "regret",
     "sample_action",
     "sample_profile",
@@ -102,11 +103,21 @@ class LinearUtility:
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
 
+    @staticmethod
+    def _values(c: np.ndarray, w: np.ndarray, s: np.ndarray) -> np.ndarray:
+        # c + sum_k w[..., k] * s[k], one axis at a time: a player's row takes
+        # the same elementwise steps as the matrix, so the two agree bit for bit
+        out = w[..., 0] * s[0]
+        out += c
+        for k in range(1, len(s)):
+            out += w[..., k] * s[k]
+        return out
+
     def value_matrix(self, s: np.ndarray) -> np.ndarray:
-        return self.c + self.w @ s
+        return self._values(self.c, self.w, s)
 
     def values_for_player(self, i: int, s: np.ndarray) -> np.ndarray:
-        return self.c[i] + self.w[i] @ s
+        return self._values(self.c[i], self.w[i], s)
 
     def validate_for_game(self, game: "AggregativeGame") -> None:
         if self.c.shape != (game.n, game.m) or self.w.shape != (game.n, game.m, game.d):
@@ -287,7 +298,7 @@ class AggregativeGame:
             raise ParameterError("gamma must be positive")
         if not 0 < 2.0 * self.W < math.inf:  # [-W, W] spans 2W
             raise ParameterError("W must be positive, with 2W finite")
-        f = np.asarray(self.f, dtype=float)
+        f = np.asarray(self.f, dtype=float, order="C")  # ``aggregator`` reads it flat
         if f.shape != (self.n, self.d, self.m):
             raise ParameterError(f"f has shape {f.shape}, expected {(self.n, self.d, self.m)}")
         if not np.all(np.isfinite(f)) or np.max(np.abs(f)) > 1.0 + _ROW_SUM_TOL:
@@ -390,9 +401,16 @@ def as_mixed_profile(game: AggregativeGame, p) -> np.ndarray:
 
 
 def aggregator(game: AggregativeGame, x) -> np.ndarray:
-    """S(x) = gamma * sum_i f_i(x_i), a point in [-W, W]^d."""
+    """S(x) = gamma * sum_i f_i(x_i), a point in [-W, W]^d.
+
+    f_i(x_i)[k] sits at flat offset (i d + k) m + x_i of the C-ordered
+    (n, d, m) facet tensor; one ``take`` gathers the (n, d) block in C order.
+    """
     x = as_pure_profile(game, x)
-    chosen = game.f[np.arange(game.n), :, x]  # (n, d)
+    n, d, m = game.f.shape
+    offsets = np.arange(0, n * d * m, m).reshape(n, d)
+    offsets += x[:, None]
+    chosen = game.f.reshape(-1).take(offsets)  # (n, d)
     return game.gamma * chosen.sum(axis=0)
 
 
@@ -445,8 +463,12 @@ def best_response_support(vals: np.ndarray, xi: float) -> np.ndarray:
     """Mask of the actions paying within xi of the best, row-wise on (..., m)
     utility values. The mediator's LP supports, the scalar solvers' extremes
     and every player's replay apply this one rule, so a player's own row
-    agrees with the mediator's bit for bit."""
-    return vals >= vals.max(axis=-1, keepdims=True) - xi
+    agrees with the mediator's bit for bit. The row maximum is taken one
+    action at a time, like ``first_argmax``."""
+    top = vals[..., 0].copy()
+    for a in range(1, vals.shape[-1]):
+        np.maximum(top, vals[..., a], out=top)
+    return vals >= (top - xi)[..., None]
 
 
 def abr_set(game: AggregativeGame, i: int, s, eta: float) -> np.ndarray:
@@ -456,12 +478,30 @@ def abr_set(game: AggregativeGame, i: int, s, eta: float) -> np.ndarray:
     return np.flatnonzero(best_response_support(utility_values(game, i, s), eta))
 
 
+def first_argmax(vals: np.ndarray) -> np.ndarray:
+    """Index of the first largest entry in each row of an (n, m) array.
+
+    One pass per column keeps a running maximum; a row's index is the last
+    column where that maximum strictly rose, so ties go to the lowest index
+    as with ``np.argmax``, which is slower on short rows. Values must be
+    finite (booleans are fine): on a row holding NaN the result can differ
+    from ``np.argmax``, which returns the first NaN.
+    """
+    best = vals[:, 0].copy()
+    idx = np.zeros(len(vals), dtype=np.int64)
+    for a in range(1, vals.shape[1]):
+        col = vals[:, a]
+        np.maximum(idx, (col > best) * a, out=idx)  # a only grows: keeps the last rise
+        np.maximum(best, col, out=best)
+    return idx
+
+
 def abr_profile(game: AggregativeGame, s) -> np.ndarray:
     """Every player's exact best response to a fixed aggregator value.
 
     Ties resolve to the lowest action index.
     """
-    return np.argmax(utility_matrix(game, s), axis=1).astype(np.int64)
+    return first_argmax(utility_matrix(game, s))
 
 
 @dataclass(frozen=True)

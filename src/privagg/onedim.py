@@ -40,6 +40,7 @@ from .game_core import (
     as_player,
     as_pure_profile,
     best_response_support,
+    first_argmax,
     grid_steps,
     support_width,
     utility_matrix,
@@ -324,8 +325,8 @@ def replay_psummnash_player(
     i = as_player(base, i)
 
     def own_best(s: float) -> int:
-        vals = utility_values(base, i, np.array([s]))
-        return int(np.argmax(vals))
+        # the mediator's rule (``abr_profile``), applied to player i's row
+        return int(first_argmax(utility_values(base, i, np.array([s]))[None, :])[0])
 
     if result.stage == 1:
         return own_best(result.k_hit * result.alpha)
@@ -476,8 +477,8 @@ def s_extremes(qgame: QuasiAggregativeGame, s: float, xi: float) -> Extremes:
     allowed = best_response_support(utility_matrix(qgame.base, np.array([float(s)])), xi)
     ranked = np.take_along_axis(allowed, qgame.action_order, axis=1)
     rows = np.arange(qgame.n)
-    x_max = qgame.action_order[rows, np.argmax(ranked, axis=1)]
-    x_min = qgame.action_order[rows, qgame.m - 1 - np.argmax(ranked[:, ::-1], axis=1)]
+    x_max = qgame.action_order[rows, first_argmax(ranked)]
+    x_min = qgame.action_order[rows, qgame.m - 1 - first_argmax(ranked[:, ::-1])]
     return Extremes(
         s_min=qgame.s_of(x_min), s_max=qgame.s_of(x_max), x_min=x_min, x_max=x_max
     )

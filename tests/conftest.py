@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from privagg.dp_core import ParameterError, PrivacyLedger, check_finite
-from privagg.game_core import AggregativeGame, LinearUtility, abr_set, utility_values
+from privagg.game_core import (
+    AggregativeGame, LinearUtility, abr_set, utility_matrix, utility_values,
+)
 from privagg.lp_core import DistMWResult, _mw_iterate, build_slack_lp, most_violated
 from privagg.market import hinge_price
 
@@ -40,6 +42,19 @@ def naive_aggregator(game, x):
         for k in range(game.d):
             s[k] += float(game.f[i][k][int(x[i])])
     return np.array([game.gamma * v for v in s])
+
+
+def reference_aggregator(game, x):
+    """S(x) from a fancy gather of the (n, d) chosen facets, summed in C
+    order like ``aggregator``: the two must agree bit for bit."""
+    x = np.asarray(x, dtype=np.int64)
+    return game.gamma * game.f[np.arange(game.n), :, x].sum(axis=0)
+
+
+def reference_abr_profile(game, s):
+    """Best responses by ``np.argmax`` over each row of the utility matrix,
+    the lowest-index maximiser on finite values."""
+    return np.argmax(utility_matrix(game, s), axis=1).astype(np.int64)
 
 
 def naive_expected_aggregator(game, p):

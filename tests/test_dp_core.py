@@ -345,6 +345,26 @@ def test_exp_mechanism_survives_huge_scores():
     assert out in (0, 1)
 
 
+def test_exp_mechanism_shifts_before_it_scales():
+    # scaled first, 1.5e305 * eps / (2 Delta) = 7.5e308 overflowed; shifted
+    # first, only the gap -3e305 * 5e3 does, to a logit of -inf and weight 0
+    scores = np.array([1.5e305, -1.5e305, 1.4e305])
+    assert exponential_mechanism(scores, 1e-4, 1.0, NoiseSource(0)) == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exp_mechanism_refuses_non_finite_scores(bad):
+    # a NaN score once gave a silent draw
+    for src in (NoiseSource(0), NoiseSource(0, NoiseSource.NOISE_OFF)):
+        with pytest.raises(ParameterError, match="scores must be finite"):
+            exponential_mechanism([0.0, bad, 1.0], 1.0, 1.0, src)
+
+
+def test_exp_mechanism_refuses_an_infinite_score_scale():
+    with pytest.raises(ParameterError, match="score_scale must be finite"):
+        exponential_mechanism([0.0, 1.0], 1e-300, 1e300, NoiseSource(0))
+
+
 def test_exp_mechanism_validation():
     with pytest.raises(ParameterError):
         exponential_mechanism([], 1.0, 1.0, NoiseSource(0))
