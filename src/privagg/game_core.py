@@ -14,7 +14,7 @@ A utility evaluator is any object with two methods, each taking a float
 aggregator value s of shape (d,) and returning u_i(a, s) for every action a:
 
 - ``value_matrix(s)``: returns (n, m) finite values, row i for player i;
-  best responses at a fixed aggregator read it;
+  best responses at a fixed aggregator (and so ``V``) read it;
 - ``values_for_player(i, s)``: returns (m,), equal to row i of
   ``value_matrix(s)``; ``regret`` evaluates each deviation through it, and
   so do the per-player replay helpers, because a player replays from their
@@ -53,12 +53,14 @@ __all__ = [
     "utility_values",
     "abr_set",
     "abr_profile",
+    "best_response_aggregate",
     "first_argmax",
     "regret",
     "sample_action",
     "sample_profile",
     "translate_checks",
     "as_player",
+    "as_point",
     "as_pure_profile",
     "as_mixed_profile",
     "as_array",
@@ -224,8 +226,12 @@ class ThresholdUtility:
         object.__setattr__(self, "thresholds", np.asarray(self.thresholds, dtype=float))
 
     def value_matrix(self, s: np.ndarray) -> np.ndarray:
-        diff = (float(s[0]) - self.thresholds) / 2.0
-        return np.stack([diff, -diff], axis=1)
+        diff = float(s[0]) - self.thresholds
+        diff /= 2.0
+        out = np.empty((len(diff), 2))
+        out[:, 0] = diff
+        np.negative(diff, out=out[:, 1])
+        return out
 
     def values_for_player(self, i: int, s: np.ndarray) -> np.ndarray:
         diff = (float(s[0]) - self.thresholds[i]) / 2.0
@@ -401,12 +407,14 @@ def as_mixed_profile(game: AggregativeGame, p) -> np.ndarray:
 
 
 def aggregator(game: AggregativeGame, x) -> np.ndarray:
-    """S(x) = gamma * sum_i f_i(x_i), a point in [-W, W]^d.
+    """S(x) = gamma * sum_i f_i(x_i), a point in [-W, W]^d."""
+    return _chosen_aggregate(game, as_pure_profile(game, x))
 
-    f_i(x_i)[k] sits at flat offset (i d + k) m + x_i of the C-ordered
-    (n, d, m) facet tensor; one ``take`` gathers the (n, d) block in C order.
-    """
-    x = as_pure_profile(game, x)
+
+def _chosen_aggregate(game: AggregativeGame, x: np.ndarray) -> np.ndarray:
+    """S(x) for a checked int64 profile. f_i(x_i)[k] sits at flat offset
+    (i d + k) m + x_i of the C-ordered (n, d, m) facet tensor; one ``take``
+    gathers the (n, d) block in C order."""
     n, d, m = game.f.shape
     offsets = np.arange(0, n * d * m, m).reshape(n, d)
     offsets += x[:, None]
@@ -449,6 +457,18 @@ def support_width(zeta: float, gamma: float, alpha: float) -> float:
     return zeta + gamma + 2.0 * alpha
 
 
+def as_point(game: AggregativeGame, s) -> np.ndarray:
+    """Aggregator value s as a float array of shape (d,); a NaN or infinite
+    coordinate would fall through every comparison of the best-response
+    rules and pick actions silently, so it is refused."""
+    arr = np.asarray(s, dtype=float)
+    if arr.shape != (game.d,):
+        raise ParameterError(f"aggregator value must have shape ({game.d},), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ParameterError(f"aggregator value must be finite, got {arr}")
+    return arr
+
+
 def utility_matrix(game: AggregativeGame, s) -> np.ndarray:
     return np.asarray(game.utility.value_matrix(np.asarray(s, dtype=float)), dtype=float)
 
@@ -473,9 +493,10 @@ def best_response_support(vals: np.ndarray, xi: float) -> np.ndarray:
 
 def abr_set(game: AggregativeGame, i: int, s, eta: float) -> np.ndarray:
     """Actions within eta of player i's best response to a fixed aggregator."""
+    check_finite(eta=eta)
     if eta < 0:
         raise ParameterError("eta must be nonnegative")
-    return np.flatnonzero(best_response_support(utility_values(game, i, s), eta))
+    return np.flatnonzero(best_response_support(utility_values(game, i, as_point(game, s)), eta))
 
 
 def first_argmax(vals: np.ndarray) -> np.ndarray:
@@ -487,12 +508,18 @@ def first_argmax(vals: np.ndarray) -> np.ndarray:
     finite (booleans are fine): on a row holding NaN the result can differ
     from ``np.argmax``, which returns the first NaN.
     """
-    best = vals[:, 0].copy()
     idx = np.zeros(len(vals), dtype=np.int64)
-    for a in range(1, vals.shape[1]):
+    best = vals[:, 0]
+    last = vals.shape[1] - 1
+    for a in range(1, last + 1):
         col = vals[:, a]
-        np.maximum(idx, (col > best) * a, out=idx)  # a only grows: keeps the last rise
-        np.maximum(best, col, out=best)
+        rise = col > best
+        if a == 1:
+            idx = rise.astype(np.int64)
+        else:
+            np.maximum(idx, rise * a, out=idx)  # a only grows: keeps the last rise
+        if a < last:  # the last column is never compared against
+            best = np.maximum(best, col)
     return idx
 
 
@@ -501,7 +528,14 @@ def abr_profile(game: AggregativeGame, s) -> np.ndarray:
 
     Ties resolve to the lowest action index.
     """
-    return first_argmax(utility_matrix(game, s))
+    return first_argmax(utility_matrix(game, as_point(game, s)))
+
+
+def best_response_aggregate(game: AggregativeGame, s) -> np.ndarray:
+    """S(BR(s)), the aggregator of everyone's best response to s: bit for
+    bit ``aggregator(game, abr_profile(game, s))``, but it gathers the facets
+    at ``first_argmax``'s indices without re-checking them as a profile."""
+    return _chosen_aggregate(game, first_argmax(utility_matrix(game, as_point(game, s))))
 
 
 @dataclass(frozen=True)
@@ -515,28 +549,42 @@ class RegretReport:
         return self.max_regret <= eta
 
 
+# regret builds its deviation aggregates for this many (player, action, axis)
+# cells at a time: 256 KiB of floats, never a copy of the whole of f
+_REGRET_BLOCK_CELLS = 1 << 15
+
+
 def regret(game: AggregativeGame, x) -> RegretReport:
     """Exact best-deviation regret, accounting for the deviator's own shift.
 
     A deviation by player i from x_i to a moves the aggregator to
-    s + gamma * (f_i(a) - f_i(x_i)); the gain is evaluated there.
+    s + gamma * (f_i(a) - f_i(x_i)); the gain is evaluated there. Those
+    points are built in array passes over blocks of players, (b, d, m) at a
+    time; each player's row at s and each deviation's payoff are then read
+    through ``utility_values``, as the player would read them.
     """
     x = as_pure_profile(game, x)
     s = aggregator(game, x)
-    per = np.empty(game.n)
-    for i in range(game.n):
-        fi = game.f[i]  # (d, m)
-        here = utility_values(game, i, s)
-        base = float(here[x[i]])
-        best = base
-        for a in range(game.m):
-            if a == x[i]:
-                continue
-            s_dev = s + game.gamma * (fi[:, a] - fi[:, x[i]])
-            cand = float(utility_values(game, i, s_dev)[a])
-            if cand > best:
-                best = cand
-        per[i] = best - base
+    n, d, m = game.f.shape
+    block = min(n, max(1, _REGRET_BLOCK_CELLS // (m * d)))
+    buffer = np.empty((block, d, m))  # reused by every block
+    per = np.empty(n)
+    for lo in range(0, n, block):
+        facets = game.f[lo:lo + block]  # (b, d, m)
+        own = x[lo:lo + block]
+        moved = buffer[:len(own)]
+        np.subtract(facets, facets[np.arange(len(own)), :, own][:, :, None], out=moved)
+        moved *= game.gamma
+        moved += s[:, None]  # moved[j, :, a] = s + gamma * (f_i(a) - f_i(x_i)), i = lo + j
+        for i, x_i, s_dev in zip(range(lo, n), own.tolist(), moved):
+            base = float(utility_values(game, i, s)[x_i])
+            best = base
+            for a in range(m):
+                if a != x_i:
+                    cand = float(utility_values(game, i, s_dev[:, a])[a])
+                    if cand > best:
+                        best = cand
+            per[i] = best - base
     return RegretReport(per_player=per, max_regret=float(per.max()))
 
 

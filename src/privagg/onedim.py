@@ -39,6 +39,7 @@ from .game_core import (
     aggregator,
     as_player,
     as_pure_profile,
+    best_response_aggregate,
     best_response_support,
     first_argmax,
     grid_steps,
@@ -73,8 +74,10 @@ class QuasiAggregativeGame:
     """The d = 1 view of an aggregative game for the scalar solvers.
 
     ``action_order`` ranks each player's actions by facet value, highest
-    first (ties keep the lower index first); it drives the optimistic /
-    pessimistic profile extremes.
+    first (ties keep the lower index first). The optimistic / pessimistic
+    extremes are the first / last allowed action in it: ``s_extremes``
+    picks them from the facets directly, and a player's replay reads them
+    off this order.
     """
 
     base: AggregativeGame
@@ -109,8 +112,7 @@ class QuasiAggregativeGame:
 
 def V(qgame: QuasiAggregativeGame, s: float) -> float:
     """Summary value: the aggregator of everyone's best response to s."""
-    x = abr_profile(qgame.base, np.array([float(s)]))
-    return qgame.s_of(x)
+    return float(best_response_aggregate(qgame.base, [s])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,16 +471,19 @@ class Extremes:
 def s_extremes(qgame: QuasiAggregativeGame, s: float, xi: float) -> Extremes:
     """Optimistic and pessimistic composites over the xi-ABR sets at s.
 
-    Per player, the most and least aggregator-increasing action (by
-    ``action_order``) among those within xi of their best response to s.
+    Per player, the most and least aggregator-increasing action among those
+    within xi of their best response to s: the allowed action with the
+    highest facet (lowest index on ties) and the one with the lowest facet
+    (highest index on ties), the first and the last allowed action in
+    ``action_order``.
     """
+    check_finite(s=s, xi=xi)
     if xi < 0:
         raise ParameterError("xi must be nonnegative")
     allowed = best_response_support(utility_matrix(qgame.base, np.array([float(s)])), xi)
-    ranked = np.take_along_axis(allowed, qgame.action_order, axis=1)
-    rows = np.arange(qgame.n)
-    x_max = qgame.action_order[rows, first_argmax(ranked)]
-    x_min = qgame.action_order[rows, qgame.m - 1 - first_argmax(ranked[:, ::-1])]
+    facets = qgame.base.f[:, 0, :]  # in [-1, 1], so -2 marks a disallowed action
+    x_max = first_argmax(np.where(allowed, facets, -2.0))
+    x_min = qgame.m - 1 - first_argmax(np.where(allowed, -facets, -2.0)[:, ::-1])
     return Extremes(
         s_min=qgame.s_of(x_min), s_max=qgame.s_of(x_max), x_min=x_min, x_max=x_max
     )

@@ -17,7 +17,8 @@ import pytest
 
 from privagg.dp_core import ParameterError, PrivacyLedger, check_finite
 from privagg.game_core import (
-    AggregativeGame, LinearUtility, abr_set, utility_matrix, utility_values,
+    AggregativeGame, LinearUtility, RegretReport, abr_set, aggregator, as_pure_profile,
+    utility_matrix, utility_values,
 )
 from privagg.lp_core import DistMWResult, _mw_iterate, build_slack_lp, most_violated
 from privagg.market import hinge_price
@@ -108,6 +109,28 @@ def naive_regret(game, x):
             best = max(best, naive_utility(game, i, a, s_dev))
         gains[i] = best - base
     return gains
+
+
+def reference_regret(game, x):
+    """``regret`` as one loop over players and their deviations, building
+    each deviation's aggregator on its own: the two must agree bit for bit."""
+    x = as_pure_profile(game, x)
+    s = aggregator(game, x)
+    per = np.empty(game.n)
+    for i in range(game.n):
+        fi = game.f[i]  # (d, m)
+        here = utility_values(game, i, s)
+        base = float(here[x[i]])
+        best = base
+        for a in range(game.m):
+            if a == x[i]:
+                continue
+            s_dev = s + game.gamma * (fi[:, a] - fi[:, x[i]])
+            cand = float(utility_values(game, i, s_dev)[a])
+            if cand > best:
+                best = cand
+        per[i] = best - base
+    return RegretReport(per_player=per, max_regret=float(per.max()))
 
 
 def per_player_extremes(qgame, s, xi):

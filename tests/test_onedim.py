@@ -570,13 +570,19 @@ def test_s_extremes_threshold_example():
 
 
 def extremes_cases():
-    """Threshold and linear scalar games, m = 2-4."""
+    """Threshold and linear scalar games, m = 2-4, and linear games whose
+    facets tie (signed zeros included)."""
     rng = np.random.Generator(np.random.PCG64(640))
+    tie_rng = np.random.Generator(np.random.PCG64(650))  # leaves rng's draws as they were
     for seed in range(3):
         yield optin(12, rng.uniform(0, 1, 12))
         for m in (2, 3, 4):
             base = generate("linear", 641 + 10 * seed + m, n=10, m=m, d=1)
             yield QuasiAggregativeGame(base=base)
+            f = tie_rng.choice([-1.0, -0.0, 0.0, 0.5], size=base.f.shape)
+            tied = build_quiet(n=base.n, m=m, d=1, gamma=base.gamma, W=base.W, f=f,
+                               utility=base.utility)
+            yield QuasiAggregativeGame(base=tied)
 
 
 def test_s_extremes_matches_per_player_reference():
