@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .dp_core import BudgetError, NoiseSource, ParameterError, as_real
+from .dp_core import BudgetError, NoiseSource, ParameterError, as_count, as_real
 from .game_core import aggregator, as_array, load_game, save_game, translate_checks
 from .harness import (
     DeviationSpec,
@@ -91,6 +91,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_market_sim(args) -> int:
+    trials = as_count("trials", args.trials)
     if args.game:
         market = from_aggregative(load_game(args.game))
     else:
@@ -99,7 +100,7 @@ def cmd_market_sim(args) -> int:
     cap = market.lam / 16.0
     worst_total = 0.0
     worst_security = 0.0
-    for _ in range(args.trials):
+    for _ in range(trials):
         x = rng.integers(0, market.m, size=market.n)
         rep = market_maker_loss(market, x)
         worst_security = max(worst_security, float(np.max(rep.per_security)))
@@ -110,7 +111,7 @@ def cmd_market_sim(args) -> int:
             "n": market.n,
             "d": market.d,
             "lambda": market.lam,
-            "trials": args.trials,
+            "trials": trials,
             "per_security_cap": cap,
             "worst_per_security": worst_security,
             "worst_total": worst_total,
@@ -182,7 +183,7 @@ def cmd_verify(args) -> int:
 
 def cmd_deviate(args) -> int:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
-    types = rng.uniform(0.0, 1.0, size=args.n)
+    types = rng.uniform(0.0, 1.0, size=as_count("n", args.n))
     spec = DeviationSpec(
         true_types=types,
         player=args.player,
@@ -190,7 +191,7 @@ def cmd_deviate(args) -> int:
         epsilon=args.epsilon,
         alpha=args.alpha,
         beta=args.beta,
-        runs=args.runs,
+        runs=as_count("runs", args.runs),
         seed=args.seed,
     )
     report = deviation_test(spec)

@@ -379,7 +379,8 @@ def exponential_mechanism(scores, sensitivity: float, epsilon: float, src: Noise
 
 @dataclass
 class PrivacyLedger:
-    """Running list of (label, eps, delta) charges. Accounting only."""
+    """Running list of (label, eps, delta) charges. Accounting only: every
+    sparse stage opens its session through ``open_session``, which charges it."""
 
     entries: list = field(default_factory=list)
 
@@ -387,6 +388,14 @@ class PrivacyLedger:
         if epsilon < 0 or delta < 0:
             raise ParameterError("privacy charges must be nonnegative")
         self.entries.append((str(label), float(epsilon), float(delta)))
+
+    def open_session(
+        self, label: str, sensitivity: float, threshold: float, epsilon: float, src: NoiseSource
+    ) -> SparseSession:
+        """A new one-shot SparseSession, with its epsilon charged under ``label``."""
+        session = SparseSession(sensitivity, threshold, epsilon, src)
+        self.add(label, session.epsilon)
+        return session
 
     def total_simple(self) -> tuple[float, float]:
         """Basic composition: plain sums."""

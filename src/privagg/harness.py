@@ -108,16 +108,10 @@ def brute_force_equilibria(game: AggregativeGame, zeta: float) -> BruteForce:
     total = game.m**game.n
     if total > ENUM_BUDGET:
         raise BudgetError(f"{total} profiles exceed the enumeration budget {ENUM_BUDGET}")
-    profiles = np.empty((total, game.n), dtype=np.int64)
-    regrets = np.empty(total)
-    x = np.zeros(game.n, dtype=np.int64)
-    for row in range(total):
-        v = row
-        for i in range(game.n):
-            x[i] = v % game.m
-            v //= game.m
-        profiles[row] = x
-        regrets[row] = regret(game, x).max_regret
+    # digit i of row r, base m: player i's action in profile r
+    rows = np.arange(total, dtype=np.int64)[:, None]
+    profiles = rows // game.m ** np.arange(game.n, dtype=np.int64) % game.m
+    regrets = np.fromiter((regret(game, x).max_regret for x in profiles), float, total)
     return BruteForce(profiles=profiles, regrets=regrets, zeta=float(zeta))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,23 +71,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuasiAggregativeGame:
-    """The d = 1 view of an aggregative game for the scalar solvers.
-
-    ``action_order`` ranks each player's actions by facet value, highest
-    first (ties keep the lower index first). The optimistic / pessimistic
-    extremes are the first / last allowed action in it: ``s_extremes``
-    picks them from the facets directly, and a player's replay reads them
-    off this order.
-    """
+    """The d = 1 view of an aggregative game for the scalar solvers."""
 
     base: AggregativeGame
-    action_order: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.base.d != 1:
             raise ParameterError("scalar-aggregator solvers need d = 1")
-        order = np.argsort(-self.base.f[:, 0, :], axis=1, kind="stable")
-        object.__setattr__(self, "action_order", order.astype(np.int64))
 
     @property
     def n(self) -> int:
@@ -273,19 +263,14 @@ def psummnash(
     K = grid_steps(qgame.W, alpha)
     ledger = PrivacyLedger()
     result = partial(PSummResult, alpha=alpha, epsilon=epsilon, beta=beta, ledger=ledger)
-    memo: dict[int, float] = {}
+    eps3 = epsilon / 3.0
 
+    @cache
     def v_at(k: int) -> float:
-        if k not in memo:
-            memo[k] = V(qgame, k * alpha)
-        return memo[k]
-
-    def session(stream: str, charge: str, threshold: float) -> SparseSession:
-        ledger.add(charge, epsilon / 3.0, 0.0)
-        return SparseSession(gamma, threshold, epsilon / 3.0, src.child(stream))
+        return V(qgame, k * alpha)
 
     # stage 1: grid points that already summarize themselves
-    s1 = session("stage1", "grid-fixed-point", 4.0 * alpha)
+    s1 = ledger.open_session("grid-fixed-point", gamma, 4.0 * alpha, eps3, src.child("stage1"))
     k, asked1 = first_below(s1, range(-K, K), lambda k: abs(v_at(k) - k * alpha))
     if k is not None:
         profile = abr_profile(qgame.base, np.array([k * alpha]))
@@ -299,7 +284,7 @@ def psummnash(
         gap_lo = max(min(0.0, v_at(k) - k * alpha), -3.0 * alpha)
         return gap_hi + gap_lo
 
-    s2 = session("stage2", "crossing-scan", -4.0 * alpha)
+    s2 = ledger.open_session("crossing-scan", gamma, -4.0 * alpha, eps3, src.child("stage2"))
     bracket, asked2 = first_below(s2, range(-K + 1, K), crossing_gap)
     if bracket is None:
         return result(aborted=True, stage=None, queries=(asked1, asked2, 0))
@@ -307,7 +292,7 @@ def psummnash(
     # stage 3: walk between the bracketing best-response profiles
     hi = abr_profile(qgame.base, np.array([bracket * alpha]))
     lo = abr_profile(qgame.base, np.array([(bracket - 1) * alpha]))
-    s3 = session("stage3", "walk-scan", alpha + gamma / 2.0)
+    s3 = ledger.open_session("walk-scan", gamma, alpha + gamma / 2.0, eps3, src.child("stage3"))
     j, asked3, profile = _walk_scan(qgame, s3, hi, lo, bracket * alpha)
     if j is None:
         return result(aborted=True, stage=None, bracket=bracket, queries=(asked1, asked2, asked3))
@@ -468,22 +453,28 @@ class Extremes:
     x_max: np.ndarray
 
 
+def _extreme_actions(facets: np.ndarray, allowed: np.ndarray) -> tuple:
+    """(x_min, x_max) over the rows of (k, m) facets and an allowed mask:
+    per row, the allowed action with the lowest facet (highest index on
+    ties) and the one with the highest facet (lowest index on ties). The
+    mediator runs it on every player's row, a replaying player on their own."""
+    # facets lie in [-1, 1], so -2 marks a disallowed action
+    x_max = first_argmax(np.where(allowed, facets, -2.0))
+    x_min = facets.shape[1] - 1 - first_argmax(np.where(allowed, -facets, -2.0)[:, ::-1])
+    return x_min, x_max
+
+
 def s_extremes(qgame: QuasiAggregativeGame, s: float, xi: float) -> Extremes:
     """Optimistic and pessimistic composites over the xi-ABR sets at s.
 
     Per player, the most and least aggregator-increasing action among those
-    within xi of their best response to s: the allowed action with the
-    highest facet (lowest index on ties) and the one with the lowest facet
-    (highest index on ties), the first and the last allowed action in
-    ``action_order``.
+    within xi of their best response to s (``_extreme_actions``).
     """
     check_finite(s=s, xi=xi)
     if xi < 0:
         raise ParameterError("xi must be nonnegative")
     allowed = best_response_support(utility_matrix(qgame.base, np.array([float(s)])), xi)
-    facets = qgame.base.f[:, 0, :]  # in [-1, 1], so -2 marks a disallowed action
-    x_max = first_argmax(np.where(allowed, facets, -2.0))
-    x_min = qgame.m - 1 - first_argmax(np.where(allowed, -facets, -2.0)[:, ::-1])
+    x_min, x_max = _extreme_actions(qgame.base.f[:, 0, :], allowed)
     return Extremes(
         s_min=qgame.s_of(x_min), s_max=qgame.s_of(x_max), x_min=x_min, x_max=x_max
     )
@@ -530,26 +521,22 @@ def select_equilibrium(
     eps4 = params.epsilon / 4.0
     ledger = PrivacyLedger()
     grid = params.grid.tolist()
-    memo: dict[int, Extremes] = {}
 
+    @cache
     def ext(idx: int) -> Extremes:
-        if idx not in memo:
-            memo[idx] = s_extremes(qgame, grid[idx], params.xi)
-        return memo[idx]
-
-    def session(stream: str, threshold: float) -> SparseSession:
-        ledger.add(f"{stream}-scan", eps4, 0.0)
-        return SparseSession(gamma, threshold, eps4, src.child(stream))
+        return s_extremes(qgame, grid[idx], params.xi)
 
     points = range(len(grid))
     hits = []  # (rank, profile, branch, walk_j), in branch order
 
-    sess = session("optimistic", 3.0 * alpha)
+    sess = ledger.open_session("optimistic-scan", gamma, 3.0 * alpha, eps4, src.child("optimistic"))
     idx, asked_a = first_below(sess, points, lambda i: abs(ext(i).s_max - grid[i]))
     if idx is not None:
         hits.append((idx, ext(idx).x_max, "optimistic", None))
 
-    sess = session("pessimistic", 3.0 * alpha)
+    sess = ledger.open_session(
+        "pessimistic-scan", gamma, 3.0 * alpha, eps4, src.child("pessimistic")
+    )
     idx, asked_b = first_below(sess, points, lambda i: abs(ext(i).s_min - grid[i]))
     if idx is not None:
         hits.append((idx, ext(idx).x_min, "pessimistic", None))
@@ -560,7 +547,8 @@ def select_equilibrium(
         return gap_lo + gap_hi
 
     # the walk is charged up front, whether or not it runs
-    sess_c, sess_d = session("straddle", -3.0 * alpha), session("walk", alpha + gamma / 2.0)
+    sess_c = ledger.open_session("straddle-scan", gamma, -3.0 * alpha, eps4, src.child("straddle"))
+    sess_d = ledger.open_session("walk-scan", gamma, alpha + gamma / 2.0, eps4, src.child("walk"))
     idx, asked_c = first_below(sess_c, points, straddle_gap)
     asked_d = 0
     if idx is not None:
@@ -585,14 +573,13 @@ def replay_select_player(qgame: QuasiAggregativeGame, i: int, result: SelectResu
         raise ParameterError("aborted runs publish no profile to replay")
     base = qgame.base
     i = as_player(base, i)
-    s_arr = np.array([result.s_star])
-    allowed = set(abr_set(base, i, s_arr, result.params.xi).tolist())
-    ranked = [a for a in qgame.action_order[i].tolist() if a in allowed]
-    if result.branch == "optimistic":
-        return ranked[0]
-    if result.branch == "pessimistic":
-        return ranked[-1]
-    return ranked[0] if i < result.walk_j else ranked[-1]
+    allowed = np.zeros((1, qgame.m), dtype=bool)
+    allowed[0, abr_set(base, i, np.array([result.s_star]), result.params.xi)] = True
+    # the mediator's rule (``s_extremes``), applied to player i's row
+    x_min, x_max = _extreme_actions(base.f[i : i + 1, 0, :], allowed)
+    if result.branch == "optimistic" or (result.branch == "walk" and i < result.walk_j):
+        return int(x_max[0])
+    return int(x_min[0])
 
 
 def make_optin_game(

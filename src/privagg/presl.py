@@ -26,7 +26,6 @@ from .dp_core import (
     NoiseSource,
     ParameterError,
     PrivacyLedger,
-    SparseSession,
     check_finite,
     first_below,
 )
@@ -228,13 +227,9 @@ def presl(game: AggregativeGame, params: PreslParams, src: NoiseSource) -> Presl
     if params.has_loss != (game.loss is not None):
         raise ParameterError("params disagree with the game about the loss objective")
     ledger = PrivacyLedger()
-    session = SparseSession(
-        sensitivity=game.gamma,
-        threshold=params.alpha + params.e1,
-        epsilon=params.epsilon,
-        src=src.child("sparse"),
+    session = ledger.open_session(
+        "grid-scan", game.gamma, params.alpha + params.e1, params.epsilon, src.child("sparse")
     )
-    ledger.add("grid-scan", params.epsilon, 0.0)
 
     def lp_value(item) -> float:
         _, (y, s) = item

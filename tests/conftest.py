@@ -134,13 +134,15 @@ def reference_regret(game, x):
 
 
 def per_player_extremes(qgame, s, xi):
-    """(x_min, x_max): per player, the last and first action in their
-    ``action_order`` among those within xi of their best response to s."""
+    """(x_min, x_max): per player, the last and first action among those
+    within xi of their best response to s, with the actions ranked by facet,
+    highest first (a stable sort, so ties keep the lower index first)."""
     x_min = np.empty(qgame.n, dtype=np.int64)
     x_max = np.empty(qgame.n, dtype=np.int64)
     for i in range(qgame.n):
         allowed = set(abr_set(qgame.base, i, np.array([float(s)]), xi).tolist())
-        ranked = [a for a in qgame.action_order[i].tolist() if a in allowed]
+        order = np.argsort(-qgame.base.f[i, 0, :], kind="stable")
+        ranked = [a for a in order.tolist() if a in allowed]
         x_max[i], x_min[i] = ranked[0], ranked[-1]
     return x_min, x_max
 

@@ -606,6 +606,36 @@ def test_fuzz_solver_argv_never_tracebacks(fuzz_dir, data):
         json.loads(out.read_text(), parse_constant=reject_constant)
 
 
+# small counts only: --n sizes an allocation, --runs and --trials a loop
+COUNT_FLAGS = {
+    "deviate": {"--n": st.integers(-3, 12), "--player": st.integers(-3, 12),
+                "--runs": st.integers(-3, 3)},
+    "market-sim": {"--n": st.integers(-3, 12), "--trials": st.integers(-3, 20)},
+}
+# an epsilon this large keeps alpha = 0.05 above psummnash's floor at n = 1
+COUNT_FIXED = {"deviate": ("--alpha", 0.05, "--epsilon", 1e5), "market-sim": ("--d", 1)}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_count_flags_never_traceback(fuzz_dir, capsys, data):
+    command = data.draw(st.sampled_from(sorted(COUNT_FLAGS)))
+    counts = {flag: data.draw(values) for flag, values in COUNT_FLAGS[command].items()}
+    out = fuzz_dir / "count_out.json"
+    out.unlink(missing_ok=True)
+    argv = [command, *COUNT_FIXED[command], "--seed", data.draw(st.integers(0, 3)),
+            "--out", out, *[f"{flag}={value}" for flag, value in counts.items()]]
+    code = exit_code(argv)
+    assert "Traceback" not in capsys.readouterr().err
+    # a count below one, or a negative player index, is refused
+    refused = counts.pop("--player", 0) < 0 or min(counts.values()) < 1
+    assert code == 1 if refused else code in (0, 1)
+    if code == 0:
+        payload = json.loads(out.read_text(), parse_constant=reject_constant)
+        assert payload.get("trials", 1) >= 1
+
+
 def test_non_finite_result_is_not_published(fuzz_dir):
     # alpha near the float maximum makes the certified bound 10 alpha + 2 gamma
     # overflow; the CLI published "bound": Infinity (found by the fuzz above)

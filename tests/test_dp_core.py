@@ -210,6 +210,19 @@ def test_sparse_constructor_validation():
         SparseSession(1.0, 0.0, 0.0, src)
 
 
+def test_ledger_open_session_charges_the_session_it_opens():
+    ledger = PrivacyLedger()
+    sess = ledger.open_session("scan", 1.0, 0.5, 0.25, NoiseSource(3))
+    ref = SparseSession(1.0, 0.5, 0.25, NoiseSource(3))
+    assert sess.noisy_threshold == ref.noisy_threshold
+    assert sess.answer(0.7).below == ref.answer(0.7).below
+    assert ledger.entries == [("scan", 0.25, 0.0)]
+    # a session refused at construction is not charged
+    with pytest.raises(ParameterError):
+        ledger.open_session("refused", 1.0, 0.5, 0.0, NoiseSource(3))
+    assert ledger.entries == [("scan", 0.25, 0.0)]
+
+
 def test_sparse_below_rate_at_threshold_is_half():
     # query exactly at T: below iff Lap_query - Lap_threshold <= 0, a
     # symmetric event, so the empirical rate must sit near 1/2

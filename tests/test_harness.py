@@ -83,6 +83,20 @@ def test_brute_force_matches_naive_regret():
         assert naive_regret(g, x).max() <= 0.25 + 1e-12
 
 
+@pytest.mark.parametrize("n, m", [(1, 3), (4, 2), (3, 5)])
+def test_brute_force_profile_table_matches_the_decoding_loop(n, m):
+    # row r plays digit i of r, base m, for player i
+    expect = np.empty((m**n, n), dtype=np.int64)
+    for row in range(m**n):
+        v = row
+        for i in range(n):
+            expect[row, i] = v % m
+            v //= m
+    profiles = brute_force_equilibria(generate("linear", 0, n=n, m=m), 0.0).profiles
+    assert profiles.dtype == np.int64
+    assert np.array_equal(profiles, expect)
+
+
 def test_brute_force_extremal_queries():
     loss = np.array([[0.2, 0.8], [0.4, 0.6], [1.0, 0.0]])
     g = constant_game(loss=loss)
@@ -430,8 +444,6 @@ def test_config_errors_are_parameter_errors(tmp_path):
 def test_game_view_unwraps_generator_games():
     quasi = generate("threshold", 0, n=5)
     assert game_view(quasi) is quasi.base
-    rebuilt = QuasiAggregativeGame(game_view(quasi))
-    assert np.array_equal(rebuilt.action_order, quasi.action_order)
     market = generate("market", 0, n=5, d=2)
     assert game_view(market).d == 2 and game_view(market).m == 9
     linear = generate("linear", 0, n=5)

@@ -116,11 +116,6 @@ def test_quasi_game_requires_one_dimension():
         QuasiAggregativeGame(base=g)
 
 
-def test_action_order_validation():
-    assert np.array_equal(optin(3, [0.2, 0.5, 0.8]).action_order,
-                          np.tile([0, 1], (3, 1)))
-
-
 # ---------------------------------------------------------------------------
 # smooth walk
 # ---------------------------------------------------------------------------
@@ -595,6 +590,26 @@ def test_s_extremes_matches_per_player_reference():
                 assert np.array_equal(e.x_max, x_max)
                 assert e.x_min.dtype == e.x_max.dtype == np.int64
                 assert e.s_min == q.s_of(x_min) and e.s_max == q.s_of(x_max)
+
+
+def test_select_replay_matches_the_mediator_on_tied_facets():
+    # the mediator's extremes and each player's replay must pick the same
+    # action among tied facets (signed zeros included) on every branch
+    branches = set()
+    for q in extremes_cases():
+        for quality in (QualitySpec.linear(1.0), QualitySpec.linear(-1.0), QualitySpec.peak(0.0)):
+            prm = SelectionParams.for_game(
+                q, zeta=max(0.4, 4 * q.gamma), epsilon=3000.0, alpha=0.05, beta=0.05,
+                quality=quality,
+            )
+            for src in (NoiseSource(0, OFF), NoiseSource(1), NoiseSource(2)):
+                res = select_equilibrium(q, prm, src)
+                if res.aborted:
+                    continue
+                branches.add(res.branch)
+                replayed = [replay_select_player(q, i, res) for i in range(q.n)]
+                assert replayed == res.profile.tolist(), (res.branch, src)
+    assert branches == {"optimistic", "pessimistic", "walk"}
 
 
 def test_s_extremes_ties_and_negative_xi():
