@@ -1,8 +1,11 @@
 """Command line front end.
 
 One subcommand per solver plus generation, verification, and batch tooling.
-Exit codes: 0 on success, 2 when a solver declares an abort, 1 on errors.
-JSON results go to --out when given, otherwise stdout.
+The solver subcommands' numeric flags come from ``harness.SOLVERS``, and each
+subcommand takes only the shared flags (--seed, --no-noise, --out) that its
+handler reads. Exit codes: 0 on success, 2 when a solver declares an abort,
+1 on errors, usage errors included. JSON results go to --out when given,
+otherwise stdout; gen-game requires --out.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import sys
 
 import numpy as np
 
-from .dp_core import BudgetError, NoiseSource, ParameterError, as_count, as_real
+from .dp_core import BudgetError, NoiseSource, ParameterError, as_count, as_real, seeded_generator
 from .game_core import aggregator, as_array, load_game, save_game, translate_checks
 from .harness import (
+    SOLVERS,
     DeviationSpec,
     ExperimentConfig,
     deviation_test,
@@ -46,7 +50,7 @@ def _emit(args, payload: dict) -> None:
         text = json.dumps(payload, indent=1, allow_nan=False)
     except ValueError:  # NaN and Infinity are not JSON
         raise ParameterError("the result holds a non-finite number; nothing written") from None
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
             fh.write("\n")
@@ -56,11 +60,8 @@ def _emit(args, payload: dict) -> None:
 
 
 def cmd_gen_game(args) -> int:
-    params = {}
-    for key in ("n", "m", "d", "gamma", "lam", "W"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
+    flags = {key: getattr(args, key) for key in ("n", "m", "d", "gamma", "lam", "W")}
+    params = {key: val for key, val in flags.items() if val is not None}
     save_game(game_view(generate(args.kind, seed=args.seed, **params)), args.out)
     log.info("wrote %s", args.out)
     return EXIT_OK
@@ -96,7 +97,7 @@ def cmd_market_sim(args) -> int:
         market = from_aggregative(load_game(args.game))
     else:
         market = generate("market", seed=args.seed, n=args.n, d=args.d, lam=args.lam)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
+    rng = seeded_generator(args.seed)
     cap = market.lam / 16.0
     worst_total = 0.0
     worst_security = 0.0
@@ -182,17 +183,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_deviate(args) -> int:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
+    rng = seeded_generator(args.seed)
     types = rng.uniform(0.0, 1.0, size=as_count("n", args.n))
     spec = DeviationSpec(
-        true_types=types,
-        player=args.player,
-        misreport=args.misreport,
-        epsilon=args.epsilon,
-        alpha=args.alpha,
-        beta=args.beta,
-        runs=as_count("runs", args.runs),
-        seed=args.seed,
+        true_types=types, player=args.player, misreport=args.misreport,
+        epsilon=args.epsilon, alpha=args.alpha, beta=args.beta,
+        runs=as_count("runs", args.runs), seed=args.seed,
     )
     report = deviation_test(spec)
     _emit(
@@ -219,20 +215,52 @@ def cmd_bench(args) -> int:
     return EXIT_ABORT if result.summary["aborts"] == config.trials else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, but 2 is EXIT_ABORT here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+# subcommand -> (SOLVERS entry, handler, input file flag, help line)
+_SOLVER_COMMANDS = {
+    "presl": ("presl", cmd_solve, "--game", "private equilibrium search"),
+    "npresl": ("npresl", cmd_solve, "--game", "exact grid-sweep counterpart"),
+    "psummnash": ("psummnash", cmd_solve, "--game", "scalar summarization solver"),
+    "select": ("select", cmd_solve, "--game", "quality-ordered selection"),
+    "distmw-solve": ("distmw", cmd_distmw_solve, "--lp", "private LP dynamics"),
+}
+_DEFAULTS = {"beta": 0.05}
+
+
+def _solver_flags(p: argparse.ArgumentParser, algorithm: str, **defaults: float) -> None:
+    """One float flag per numeric param of a SOLVERS entry, in its order:
+    required unless it has a default."""
+    defaults = {**_DEFAULTS, **defaults}
+    for name in SOLVERS[algorithm].params:
+        if name in defaults:
+            p.add_argument(f"--{name}", type=float, default=defaults[name])
+        else:
+            p.add_argument(f"--{name}", type=float, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="privagg",
         description="Jointly private equilibrium computation for aggregative games",
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--no-noise", action="store_true", help="deterministic mode")
-    common.add_argument("--out", help="write the JSON result here instead of stdout")
+    # the shared flags, one parent each: a subcommand takes those its handler reads
+    seed, no_noise, out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed.add_argument("--seed", type=int, default=0)
+    no_noise.add_argument("--no-noise", action="store_true", help="deterministic mode")
+    out.add_argument("--out", help="write the JSON result here instead of stdout")
 
-    p = sub.add_parser("gen-game", parents=[common], help="generate a game JSON file")
+    p = sub.add_parser("gen-game", parents=[seed], help="generate a game JSON file")
+    p.add_argument("--out", required=True, help="write the game JSON here")
     p.add_argument("--kind", required=True, choices=["linear", "anonymous", "threshold", "market"])
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
@@ -242,41 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--W", type=float)
     p.set_defaults(func=cmd_gen_game)
 
-    p = sub.add_parser("presl", parents=[common], help="private equilibrium search")
-    p.add_argument("--game", required=True)
-    p.add_argument("--zeta", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--beta", type=float, default=0.05)
-    p.set_defaults(func=cmd_solve)
+    for command, (algorithm, handler, source, text) in _SOLVER_COMMANDS.items():
+        p = sub.add_parser(command, parents=[seed, no_noise, out], help=text)
+        p.add_argument(source, required=True)
+        _solver_flags(p, algorithm)
+        p.set_defaults(func=handler)
+        if command == "select":
+            p.add_argument("--quality-kind", choices=["peak", "linear"], default="peak")
+            p.add_argument("--quality-target", type=float, default=0.0)
+            p.add_argument("--quality-lam", type=float, default=1.0)
+            p.add_argument("--quality-slope", type=float, default=1.0)
 
-    p = sub.add_parser("npresl", parents=[common], help="exact grid-sweep counterpart")
-    p.add_argument("--game", required=True)
-    p.add_argument("--zeta", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=0.05)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("psummnash", parents=[common], help="scalar summarization solver")
-    p.add_argument("--game", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=0.05)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("select", parents=[common], help="quality-ordered selection")
-    p.add_argument("--game", required=True)
-    p.add_argument("--zeta", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=0.05)
-    p.add_argument("--quality-kind", choices=["peak", "linear"], default="peak")
-    p.add_argument("--quality-target", type=float, default=0.0)
-    p.add_argument("--quality-lam", type=float, default=1.0)
-    p.add_argument("--quality-slope", type=float, default=1.0)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("market-sim", parents=[common], help="market maker loss simulation")
+    p = sub.add_parser("market-sim", parents=[seed, out], help="market maker loss simulation")
     p.add_argument("--game", help="market game JSON (overrides generator flags)")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--d", type=int, default=1)
@@ -284,31 +289,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.set_defaults(func=cmd_market_sim)
 
-    p = sub.add_parser("distmw-solve", parents=[common], help="private LP dynamics")
-    p.add_argument("--lp", required=True, help="feasibility LP JSON")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=0.05)
-    p.set_defaults(func=cmd_distmw_solve)
-
-    p = sub.add_parser("verify", parents=[common], help="regret and translation report")
+    p = sub.add_parser("verify", parents=[out], help="regret and translation report")
     p.add_argument("--game", required=True)
     p.add_argument("--profile", required=True, help="JSON file with a profile")
     p.add_argument("--eta", type=float, default=0.1)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("deviate", parents=[common], help="mediator misreport experiment")
+    p = sub.add_parser("deviate", parents=[seed, out], help="mediator misreport experiment")
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--player", type=int, default=0)
     p.add_argument("--misreport", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=0.05)
+    _solver_flags(p, "psummnash", epsilon=1.0)
     p.add_argument("--runs", type=int, default=20)
     p.set_defaults(func=cmd_deviate)
 
-    p = sub.add_parser("bench", parents=[common], help="batch experiment from a config")
+    p = sub.add_parser("bench", parents=[no_noise], help="batch experiment from a config")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_bench)
 

@@ -38,6 +38,8 @@ __all__ = [
     "check_finite",
     "as_count",
     "as_real",
+    "seed_bits",
+    "seeded_generator",
     "laplace_sample",
     "first_below",
     "exponential_mechanism",
@@ -86,6 +88,18 @@ def as_real(name: str, value):
     except OverflowError:
         raise ParameterError(f"{name} = {value} is past the float range") from None
     return value
+
+
+def seed_bits(seed) -> int:
+    """The one seed rule: a seed is read modulo 2^64, so -1 and 2^64 - 1
+    name the same stream and no integer seed is refused."""
+    return int(seed) & 0xFFFFFFFFFFFFFFFF
+
+
+def seeded_generator(seed) -> np.random.Generator:
+    """PCG64 seeded by SeedSequence(seed_bits(seed)): a NoiseSource's own
+    stream, and the one every seeded game or type draw uses."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed_bits(seed))))
 
 
 def _label_to_int(label) -> int:
@@ -215,11 +229,9 @@ class NoiseSource:
     def __init__(self, seed: int, mode: str = NOISY):
         if mode not in (self.NOISY, self.NOISE_OFF):
             raise ParameterError(f"unknown noise mode {mode!r}")
-        self.seed = int(seed)
+        self.seed = seed_bits(seed)
         self.mode = mode
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(self.seed & 0xFFFFFFFFFFFFFFFF))
-        )
+        self._gen = seeded_generator(self.seed)
 
     @property
     def noise_off(self) -> bool:
@@ -234,9 +246,7 @@ class NoiseSource:
 
     def child(self, label) -> "NoiseSource":
         """Derive an independent NoiseSource keyed by (seed, label)."""
-        ss = np.random.SeedSequence(
-            entropy=self.seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(_label_to_int(label),)
-        )
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(_label_to_int(label),))
         derived = int(ss.generate_state(1, dtype=np.uint64)[0])
         return NoiseSource(derived, self.mode)
 
@@ -249,8 +259,7 @@ class NoiseSource:
         """
         if not 0 <= n < 2**32:
             raise ParameterError(f"child_uniforms needs 0 <= n < 2^32, got {n}")
-        seed = self.seed & 0xFFFFFFFFFFFFFFFF
-        words = [np.array([seed & _M32], np.uint32), np.array([seed >> 32], np.uint32)]
+        words = [np.array([self.seed & _M32], np.uint32), np.array([self.seed >> 32], np.uint32)]
         pool, h = _seed_pool(words)  # the parent's part of the mixing, once
         out = np.empty(n)
         with np.errstate(over="ignore"):

@@ -651,11 +651,6 @@ class TranslationReport:
         """max_i br[i] - (abr[i] + gamma_eff); <= 0 means the lemma held."""
         return float(np.max(self.br - self.abr - self.gamma_eff))
 
-    @property
-    def nash_from_abr_bound(self) -> float:
-        """Every profile is (max_abr + gamma_eff)-Nash; the implied level."""
-        return self.max_abr + self.gamma_eff
-
     def is_eta_nash(self) -> bool:
         return self.max_br <= self.eta
 

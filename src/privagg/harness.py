@@ -21,7 +21,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dp_core import BudgetError, NoiseSource, ParameterError, as_count, as_real, check_finite
+from .dp_core import (
+    BudgetError, NoiseSource, ParameterError, as_count, as_real, check_finite, seeded_generator,
+)
 from .game_core import (
     AggregativeGame,
     LinearUtility,
@@ -51,6 +53,7 @@ __all__ = [
     "ExperimentResult",
     "Outcome",
     "SOLVERS",
+    "Solver",
     "brute_force_equilibria",
     "profile_loss",
     "deviation_test",
@@ -92,16 +95,6 @@ class BruteForce:
             return float("inf")
         return min(profile_loss(game, x) for x in eqs)
 
-    def max_quality(
-        self, s_of: Callable[[np.ndarray], float], quality: Callable[[float], float],
-        zeta: Optional[float] = None,
-    ) -> float:
-        """Best quality over the zeta-equilibria (-inf when empty)."""
-        eqs = self.equilibria(zeta)
-        if len(eqs) == 0:
-            return float("-inf")
-        return max(quality(s_of(x)) for x in eqs)
-
 
 def brute_force_equilibria(game: AggregativeGame, zeta: float) -> BruteForce:
     """Enumerate all m^n profiles with exact regrets (budget 10^6 profiles)."""
@@ -129,7 +122,7 @@ class DeviationSpec:
     per trial on identical noise, once with truthful reports and once with
     ``player`` reporting ``misreport``, and score that player's true payoff
     difference. Aborted runs fall back to every player playing
-    ``fallback_action``.
+    ``FALLBACK_ACTION``.
     """
 
     true_types: np.ndarray
@@ -140,7 +133,6 @@ class DeviationSpec:
     beta: float
     runs: int = 20
     seed: int = 0
-    fallback_action: int = 1
     make_game: Callable[[np.ndarray], QuasiAggregativeGame] = None
 
     def __post_init__(self):
@@ -180,14 +172,15 @@ class DeviationReport:
         return self.max_gain <= self.eta + 1e-9
 
 
-def _mediated_payoff(
-    qgame_true: QuasiAggregativeGame, player: int, result, fallback: int
-) -> float:
+FALLBACK_ACTION = 1  # every player's action when the mediator aborts
+
+
+def _mediated_payoff(qgame_true: QuasiAggregativeGame, player: int, out: Outcome) -> float:
     base = qgame_true.base
-    if result.aborted:
-        x = np.full(base.n, fallback, dtype=np.int64)
+    if out.aborted:
+        x = np.full(base.n, FALLBACK_ACTION, dtype=np.int64)
     else:
-        x = result.profile
+        x = out.profile
     s = aggregator(base, x)
     return float(utility_values(base, player, s)[x[player]])
 
@@ -203,20 +196,17 @@ def deviation_test(spec: DeviationSpec) -> DeviationReport:
     reported = spec.true_types.copy()
     reported[spec.player] = spec.misreport
     deviated = spec.make_game(reported)
+    params = {"epsilon": spec.epsilon, "alpha": spec.alpha, "beta": spec.beta}
     gains = np.empty(spec.runs)
     root = NoiseSource(spec.seed)
     for r in range(spec.runs):
         trial_seed = root.child(("deviation", r)).seed
-        res_true = psummnash(
-            truthful, spec.epsilon, spec.alpha, spec.beta, NoiseSource(trial_seed)
-        )
-        res_dev = psummnash(
-            deviated, spec.epsilon, spec.alpha, spec.beta, NoiseSource(trial_seed)
-        )
-        u_true = _mediated_payoff(truthful, spec.player, res_true, spec.fallback_action)
-        u_dev = _mediated_payoff(truthful, spec.player, res_dev, spec.fallback_action)
+        out_true = solve("psummnash", truthful, params, NoiseSource(trial_seed))
+        out_dev = solve("psummnash", deviated, params, NoiseSource(trial_seed))
+        u_true = _mediated_payoff(truthful, spec.player, out_true)
+        u_dev = _mediated_payoff(truthful, spec.player, out_dev)
         gains[r] = u_dev - u_true
-    accuracy = res_true.approx_bound(truthful.gamma)
+    accuracy = out_true.bound
     eta = accuracy + 2.0 * (2.0 * spec.epsilon + spec.beta + 0.0)
     return DeviationReport(gains=gains, eta=eta, accuracy=accuracy)
 
@@ -250,7 +240,7 @@ def generate(kind: str, seed: int, **params):
     market: uniform per-security values in [0, 1] turned into portfolio
       valuations.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = seeded_generator(seed)
     if kind in ("linear", "anonymous"):
         n = as_count("n", params.get("n", 8))
         m = as_count("m", params.get("m", 2))
@@ -323,17 +313,17 @@ def game_view(game) -> AggregativeGame:
     return game
 
 
-def _need(params: dict, *keys: str) -> list:
-    """The named numeric params, in order; a missing or non-numeric one is refused."""
-    for key in keys:
+def _need(params: dict, numbers: tuple, objects: tuple = ()) -> list:
+    """The named params, in order: each number through ``as_real``, each
+    object as given. A missing or non-numeric one is refused."""
+    for key in (*numbers, *objects):
         if key not in params:
             raise ParameterError(f"params lack {key!r}")
-    return [as_real(key, params[key]) for key in keys]
+    return [as_real(key, params[key]) for key in numbers] + [params[key] for key in objects]
 
 
-def _presl(game, params: dict, src: NoiseSource) -> Outcome:
+def _presl(game, src: NoiseSource, zeta, epsilon, delta, beta) -> Outcome:
     game = game_view(game)
-    zeta, epsilon, delta, beta = _need(params, "zeta", "epsilon", "delta", "beta")
     pp = PreslParams.for_game(game, zeta=zeta, epsilon=epsilon, delta=delta, beta=beta)
     res = presl(game, pp, src)
     if res.aborted:
@@ -346,9 +336,8 @@ def _presl(game, params: dict, src: NoiseSource) -> Outcome:
     return Outcome(game, pp.nash_bound, res.profile, fields)
 
 
-def _npresl(game, params: dict, src: NoiseSource) -> Outcome:
+def _npresl(game, src: NoiseSource, zeta, alpha, beta) -> Outcome:
     game = game_view(game)
-    zeta, alpha, beta = _need(params, "zeta", "alpha", "beta")
     res = npresl(game, zeta=zeta, alpha=alpha, beta=beta, src=src)
     if res.aborted:
         fields = {"alpha": alpha}
@@ -361,9 +350,8 @@ def _npresl(game, params: dict, src: NoiseSource) -> Outcome:
     return Outcome(game, res.nash_bound, res.profile, fields)
 
 
-def _psummnash(game, params: dict, src: NoiseSource) -> Outcome:
+def _psummnash(game, src: NoiseSource, epsilon, alpha, beta) -> Outcome:
     qgame = QuasiAggregativeGame(game_view(game))
-    epsilon, alpha, beta = _need(params, "epsilon", "alpha", "beta")
     res = psummnash(qgame, epsilon, alpha, beta, src)
     bound = res.approx_bound(qgame.gamma)
     if res.aborted:
@@ -373,14 +361,11 @@ def _psummnash(game, params: dict, src: NoiseSource) -> Outcome:
     return Outcome(qgame.base, bound, res.profile, fields)
 
 
-def _select(game, params: dict, src: NoiseSource) -> Outcome:
+def _select(game, src: NoiseSource, zeta, epsilon, alpha, beta, quality) -> Outcome:
     qgame = QuasiAggregativeGame(game_view(game))
-    zeta, epsilon, alpha, beta = _need(params, "zeta", "epsilon", "alpha", "beta")
-    if "quality" not in params:
-        raise ParameterError("params lack 'quality'")
     sp = SelectionParams.for_game(
         qgame, zeta=zeta, epsilon=epsilon, alpha=alpha, beta=beta,
-        quality=QualitySpec.from_json(params["quality"]),
+        quality=QualitySpec.from_json(quality),
     )
     res = select_equilibrium(qgame, sp, src)
     if res.aborted:
@@ -393,14 +378,16 @@ def _select(game, params: dict, src: NoiseSource) -> Outcome:
     return Outcome(qgame.base, sp.approx_bound, res.profile, fields, quality=res.quality_value)
 
 
-def _distmw(game, params: dict, src: NoiseSource) -> Outcome:
+DISTMW_XI = 2.0  # support width of the distmw entry's slack LP
+
+
+def _distmw(game, src: NoiseSource, epsilon, delta, alpha, beta) -> Outcome:
     """The private LP dynamics alone, on the slack LP around the uniform
-    profile's aggregator with support width xi (default 2.0)."""
+    profile's aggregator with support width DISTMW_XI."""
     game = game_view(game)
-    epsilon, delta, alpha, beta = _need(params, "epsilon", "delta", "alpha", "beta")
     p_uniform = np.full((game.n, game.m), 1.0 / game.m)
     s_hat = expected_aggregator(game, p_uniform)
-    lp = build_slack_lp(game, s_hat, None, xi=as_real("xi", params.get("xi", 2.0)), slack=alpha)
+    lp = build_slack_lp(game, s_hat, None, xi=DISTMW_XI, slack=alpha)
     mw_params = DistMWParams.for_game(
         game, epsilon=epsilon, delta=delta, alpha=alpha, beta=beta,
     )
@@ -411,22 +398,34 @@ def _distmw(game, params: dict, src: NoiseSource) -> Outcome:
     return Outcome(game, bound, None, {}, margin=float(np.max(lp.margins(res.p_bar))))
 
 
-# Each entry takes (game, params, src): any generator's game, a dict holding
-# at least the keys it reads, and the run's noise source.
-SOLVERS: dict[str, Callable[[object, dict, NoiseSource], Outcome]] = {
-    "presl": _presl,
-    "npresl": _npresl,
-    "psummnash": _psummnash,
-    "select": _select,
-    "distmw": _distmw,
+@dataclass(frozen=True)
+class Solver:
+    """One table entry: the one list of the params keys a solver reads.
+    ``run`` takes (game, src), then the numeric ``params`` in this order,
+    then the ``objects`` as given. The CLI builds its flags from ``params``."""
+
+    run: Callable[..., Outcome]
+    params: tuple[str, ...]
+    objects: tuple[str, ...] = ()
+
+
+# Each entry runs on any generator's game, a params dict holding at least
+# the keys it names, and the run's noise source.
+SOLVERS: dict[str, Solver] = {
+    "presl": Solver(_presl, ("zeta", "epsilon", "delta", "beta")),
+    "npresl": Solver(_npresl, ("zeta", "alpha", "beta")),
+    "psummnash": Solver(_psummnash, ("epsilon", "alpha", "beta")),
+    "select": Solver(_select, ("zeta", "epsilon", "alpha", "beta"), ("quality",)),
+    "distmw": Solver(_distmw, ("epsilon", "delta", "alpha", "beta")),
 }
 
 
 def solve(algorithm: str, game, params: dict, src: NoiseSource) -> Outcome:
-    """Run one table entry by name."""
+    """Run one table entry by name on the params it names."""
     if algorithm not in SOLVERS:
         raise ParameterError(f"unknown algorithm {algorithm!r}")
-    return SOLVERS[algorithm](game, params, src)
+    entry = SOLVERS[algorithm]
+    return entry.run(game, src, *_need(params, entry.params, entry.objects))
 
 
 def score(game: AggregativeGame, profile) -> tuple[float, Optional[float]]:

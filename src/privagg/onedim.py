@@ -62,7 +62,6 @@ __all__ = [
     "smooth_walk",
     "s_extremes",
     "select_equilibrium",
-    "selection_accuracy_floor",
     "make_optin_game",
     "replay_psummnash_player",
     "replay_select_player",
@@ -372,12 +371,6 @@ class QualitySpec:
         raise ParameterError(f"unknown quality kind {kind!r}")
 
 
-def selection_accuracy_floor(qgame: QuasiAggregativeGame, epsilon: float, beta: float) -> float:
-    """Smallest admissible selection grid step (four sessions):
-    100 gamma (ln(2Wn) + ln(8/beta)) / eps."""
-    return _accuracy_floor(qgame, epsilon, beta, 4)
-
-
 @dataclass(frozen=True)
 class SelectionParams:
     """Grid geometry and budget split for quality-ordered selection."""
@@ -437,10 +430,6 @@ class SelectionParams:
     def approx_bound(self) -> float:
         """Regret level 10 alpha + 3 gamma + zeta certified on success."""
         return 10.0 * self.alpha + 3.0 * self.gamma + self.zeta
-
-    def quality_penalty(self) -> float:
-        """Selected quality trails the best zeta-equilibrium by <= 5 alpha lam."""
-        return 5.0 * self.alpha * self.quality.lam
 
 
 @dataclass(frozen=True)

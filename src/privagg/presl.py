@@ -164,10 +164,6 @@ class PreslParams:
             has_loss=game.loss is not None,
         )
 
-    @property
-    def n_queries(self) -> int:
-        return self.x_count_per_axis**self.d * self.y_count
-
     def x_axis(self) -> np.ndarray:
         return np.arange(self.x_count_per_axis) * self.alpha - self.w_snap
 

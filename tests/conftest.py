@@ -22,6 +22,7 @@ from privagg.game_core import (
 )
 from privagg.lp_core import DistMWResult, _mw_iterate, build_slack_lp, most_violated
 from privagg.market import hinge_price
+from privagg.onedim import _accuracy_floor
 
 
 def build_quiet(*args, **kwargs):
@@ -255,6 +256,41 @@ def compose_adaptive(ledger, delta_prime):
         )
         return eps_total, delta_sum + delta_prime
     return ledger.total_simple()
+
+
+# ---------------------------------------------------------------------------
+# derived quantities that only the tests read
+# ---------------------------------------------------------------------------
+
+
+def max_quality(brute, s_of, quality, zeta=None):
+    """Best quality over a BruteForce table's zeta-equilibria (-inf when empty)."""
+    eqs = brute.equilibria(zeta)
+    if len(eqs) == 0:
+        return float("-inf")
+    return max(quality(s_of(x)) for x in eqs)
+
+
+def nash_from_abr_bound(report):
+    """Every profile is (max_abr + gamma_eff)-Nash: the level a
+    TranslationReport implies."""
+    return report.max_abr + report.gamma_eff
+
+
+def quality_penalty(params):
+    """Selected quality trails the best zeta-equilibrium by <= 5 alpha lam."""
+    return 5.0 * params.alpha * params.quality.lam
+
+
+def selection_accuracy_floor(qgame, epsilon, beta):
+    """Smallest admissible selection grid step (four sessions):
+    100 gamma (ln(2Wn) + ln(8/beta)) / eps."""
+    return _accuracy_floor(qgame, epsilon, beta, 4)
+
+
+def n_queries(params):
+    """Grid points presl's scan can ask about: x_count_per_axis^d * y_count."""
+    return params.x_count_per_axis**params.d * params.y_count
 
 
 def reference_distmw_solve(lp, params, src):

@@ -46,7 +46,7 @@ from privagg.onedim import (
 )
 from privagg.presl import PreslParams, existence_bound, npresl, presl, replay_presl_player
 
-from conftest import sparse_accuracy_bound
+from conftest import max_quality, nash_from_abr_bound, quality_penalty, sparse_accuracy_bound
 
 OFF = NoiseSource.NOISE_OFF
 
@@ -77,7 +77,7 @@ def test_01_translation_lemmas():
                 worst,
                 rep.br_to_abr_violation,
                 rep.abr_to_br_violation,
-                rep.max_br - rep.nash_from_abr_bound,
+                rep.max_br - nash_from_abr_bound(rep),
             )
             trials += 1
     elapsed = time.perf_counter() - start
@@ -280,8 +280,8 @@ def test_08_selection_quality_and_regret():
         if res.aborted:
             ok = False
             continue
-        best = brute_force_equilibria(q.base, prm.zeta).max_quality(q.s_of, quality.fn)
-        if res.quality_value < best - prm.quality_penalty() - 1e-9:
+        best = max_quality(brute_force_equilibria(q.base, prm.zeta), q.s_of, quality.fn)
+        if res.quality_value < best - quality_penalty(prm) - 1e-9:
             ok = False
         if regret(q.base, res.profile).max_regret > prm.approx_bound + 1e-12:
             ok = False

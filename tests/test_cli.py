@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in process through main()."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from privagg.cli import main
+from privagg.cli import build_parser, main
 from privagg.game_core import game_to_json, load_game, save_game
-from privagg.harness import game_view, generate
+from privagg.harness import SOLVERS, game_view, generate
 
 from conftest import JUMP_ALPHA, JUMP_EPSILON, jump_game
 
@@ -222,7 +223,6 @@ def test_bench_params_that_are_not_numbers_exit_one(tmp_path, capsys, caplog):
          "quality slope must be a number"),
         ("psummnash", {"epsilon": 2000.0, "alpha": 0.05, "beta": False},
          "beta must be a number"),
-        ("distmw", dict(distmw, xi="2"), "xi must be a number"),
         ("distmw", dict(distmw, delta=10**400), "past the float range"),
     ]
     for j, (algorithm, params, message) in enumerate(cases):
@@ -528,6 +528,153 @@ def test_cli_and_bench_report_the_same_bound(tmp_path, capsys, algorithm):
 
 
 # ---------------------------------------------------------------------------
+# each subcommand's flags, usage errors and the seed rule
+# ---------------------------------------------------------------------------
+
+SEED, NO_NOISE, OUT = {"--seed"}, {"--no-noise"}, {"--out"}
+SOLVER_SHARED = SEED | NO_NOISE | OUT
+# the option strings of each subcommand: exactly the flags its handler reads
+SUBCOMMAND_FLAGS = {
+    "gen-game": SEED | OUT | {"--kind", "--n", "--m", "--d", "--gamma", "--lam", "--W"},
+    "presl": SOLVER_SHARED | {"--game", "--zeta", "--epsilon", "--delta", "--beta"},
+    "npresl": SOLVER_SHARED | {"--game", "--zeta", "--alpha", "--beta"},
+    "psummnash": SOLVER_SHARED | {"--game", "--epsilon", "--alpha", "--beta"},
+    "select": SOLVER_SHARED | {"--game", "--zeta", "--epsilon", "--alpha", "--beta",
+                               "--quality-kind", "--quality-target", "--quality-lam",
+                               "--quality-slope"},
+    "distmw-solve": SOLVER_SHARED | {"--lp", "--epsilon", "--delta", "--alpha", "--beta"},
+    "market-sim": SEED | OUT | {"--game", "--n", "--d", "--lam", "--trials"},
+    "verify": OUT | {"--game", "--profile", "--eta"},
+    "deviate": SEED | OUT | {"--n", "--player", "--misreport", "--epsilon", "--alpha",
+                             "--beta", "--runs"},
+    "bench": NO_NOISE | {"--config"},
+}
+
+
+def subcommand_parsers() -> dict:
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_each_subcommand_takes_only_the_flags_its_handler_reads():
+    parsers = subcommand_parsers()
+    assert set(parsers) == set(SUBCOMMAND_FLAGS)
+    for command, p in parsers.items():
+        flags = {flag for action in p._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == SUBCOMMAND_FLAGS[command], command
+        assert exit_code([command, "--help"]) == 0
+    # the solver flags are SOLVERS' params, in order, after the input file
+    for command, algorithm in [("presl", "presl"), ("npresl", "npresl"),
+                               ("psummnash", "psummnash"), ("select", "select"),
+                               ("distmw-solve", "distmw")]:
+        named = [a.dest for a in parsers[command]._actions if a.dest in SOLVERS[algorithm].params]
+        assert tuple(named) == SOLVERS[algorithm].params
+
+
+def test_dropped_shared_flags_exit_one(tmp_path, threshold_game, capsys):
+    # each of these flags was accepted and then ignored
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"profile": [1] * 25}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"algorithm": "psummnash", "game": {"kind": "threshold", "n": 25},
+                               "params": {"epsilon": 2000.0, "alpha": 0.05, "beta": 0.05},
+                               "trials": 1, "out_dir": str(tmp_path)}))
+    out = tmp_path / "out.json"
+    cases = [
+        (("gen-game", "--kind", "linear", "--n", 3, "--out", out), ("--no-noise",)),
+        (("market-sim", "--trials", 2, "--out", out), ("--no-noise",)),
+        (("verify", "--game", threshold_game, "--profile", profile, "--out", out), ("--seed", 1)),
+        (("verify", "--game", threshold_game, "--profile", profile, "--out", out),
+         ("--no-noise",)),
+        (("deviate", "--n", 4, "--alpha", 0.05, "--epsilon", 1e5, "--runs", 1, "--out", out),
+         ("--no-noise",)),
+        (("bench", "--config", cfg), ("--seed", 1)),
+        (("bench", "--config", cfg), ("--out", out)),
+    ]
+    for argv, dropped in cases:
+        assert exit_code([*argv, *dropped]) == 1, (argv, dropped)
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(map(str, dropped))}" in err
+        assert "Traceback" not in err
+        assert not out.exists() and not list(tmp_path.glob("*.csv"))
+        assert exit_code(argv) == 0, argv  # the same argv without the flag runs
+        capsys.readouterr()
+        out.unlink(missing_ok=True)
+        for path in tmp_path.glob("experiment.*"):
+            path.unlink()
+
+
+def test_missing_required_flags_exit_one(tmp_path, threshold_game, capsys):
+    lp = tmp_path / "lp.json"
+    lp.write_text(json.dumps(SMALL_LP))
+    full = {
+        "presl": ("--game", threshold_game, *PRESL_FLAGS),
+        "npresl": ("--game", threshold_game, *NPRESL_FLAGS),
+        "psummnash": ("--game", threshold_game, "--epsilon", 2000, "--alpha", 0.05),
+        "select": ("--game", threshold_game, "--zeta", 0.2, "--epsilon", 3000,
+                   "--alpha", 0.05),
+        "distmw-solve": ("--lp", lp, *LP_FLAGS),
+        "gen-game": ("--kind", "linear", "--n", 3, "--out", tmp_path / "g.json"),
+        "verify": ("--game", threshold_game, "--profile", tmp_path / "p.json"),
+        "deviate": ("--alpha", 0.05),
+        "bench": ("--config", tmp_path / "cfg.json"),
+    }
+    parsers = subcommand_parsers()
+    cases = [(), ("solve",)]  # no subcommand, an unknown one
+    for command, flags in full.items():
+        pairs = [flags[i : i + 2] for i in range(0, len(flags), 2)]
+        for j, (flag, _) in enumerate(pairs):
+            if parsers[command]._option_string_actions[flag].required:
+                kept = [part for k, pair in enumerate(pairs) if k != j for part in pair]
+                cases.append((command, *kept))
+    # gen-game without --out crashed in open(None); presl without --zeta exited 2
+    assert ("gen-game", "--kind", "linear", "--n", 3) in cases
+    assert ("presl", "--game", threshold_game, *PRESL_FLAGS[2:]) in cases
+    for argv in cases:
+        assert exit_code(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def seeded_argv(tmp_path) -> dict:
+    """An admissible noisy argv, --seed and --out left out, for every
+    subcommand that takes --seed."""
+    game = tmp_path / "lin.json"
+    save_game(generate("linear", 2, n=4, gamma=0.1), game)
+    threshold = tmp_path / "thr.json"
+    save_game(generate("threshold", 3, n=25).base, threshold)
+    lp = tmp_path / "lp.json"
+    lp.write_text(json.dumps(SMALL_LP))
+    return {
+        "gen-game": ("--kind", "linear", "--n", 4),
+        "presl": ("--game", game, *PRESL_FLAGS),
+        "npresl": ("--game", game, *NPRESL_FLAGS),
+        "psummnash": ("--game", threshold, "--epsilon", 2000, "--alpha", 0.05),
+        "select": ("--game", threshold, "--zeta", 0.2, "--epsilon", 3000, "--alpha", 0.05),
+        "distmw-solve": ("--lp", lp, *LP_FLAGS),
+        "market-sim": ("--n", 8, "--trials", 20),
+        "deviate": ("--n", 6, "--alpha", 0.05, "--epsilon", 1e5, "--runs", 2),
+    }
+
+
+def test_every_seed_is_read_modulo_two_to_the_64(tmp_path, capsys):
+    # gen-game, deviate and market-sim ended in a ValueError traceback on a
+    # negative seed; the solvers read it modulo 2^64 through NoiseSource
+    argvs = seeded_argv(tmp_path)
+    assert set(argvs) == {c for c, flags in SUBCOMMAND_FLAGS.items() if "--seed" in flags}
+    for command, flags in argvs.items():
+        texts = []
+        for seed in (-1, 2**64 - 1, -2, 2**64 - 2):
+            out = tmp_path / f"{command}{seed}.json"
+            assert exit_code([command, *flags, f"--seed={seed}", "--out", out]) in (0, 2)
+            assert "Traceback" not in capsys.readouterr().err
+            texts.append(out.read_text())
+        assert texts[0] == texts[1] and texts[2] == texts[3], command
+
+
+# ---------------------------------------------------------------------------
 # fuzzed inputs: any exit code of the CLI's three, never a traceback
 # ---------------------------------------------------------------------------
 
@@ -584,7 +731,7 @@ def solver_argv(draw, game_path):
         flags["--quality-kind"] = draw(st.sampled_from(["peak", "linear"]))
         for key in ("--quality-target", "--quality-lam", "--quality-slope"):
             flags[key] = draw(budget(0.0, 2.0))
-    argv = [command, "--game", game_path, "--seed", draw(st.integers(0, 3)),
+    argv = [command, "--game", game_path, "--seed", draw(st.integers(-3, 3)),
             "--out", game_path.with_name("out.json")]
     if draw(st.booleans()):
         argv.append("--no-noise")
@@ -601,19 +748,22 @@ def test_fuzz_solver_argv_never_tracebacks(fuzz_dir, data):
     out.unlink(missing_ok=True)
     code = exit_code(argv)
     assert code in (0, 1, 2)
-    if out.exists():  # a solver ran: argparse rejections exit 2 with no output
+    if out.exists():  # a solver ran: argparse rejections exit 1 with no output
         # what is published is strict JSON, with no NaN or Infinity
         json.loads(out.read_text(), parse_constant=reject_constant)
 
 
-# small counts only: --n sizes an allocation, --runs and --trials a loop
+# small counts only: --n, --m and --d size an allocation, --runs and --trials a loop
 COUNT_FLAGS = {
     "deviate": {"--n": st.integers(-3, 12), "--player": st.integers(-3, 12),
                 "--runs": st.integers(-3, 3)},
+    "gen-game": {"--n": st.integers(-3, 12), "--m": st.integers(-3, 4),
+                 "--d": st.integers(-3, 3)},
     "market-sim": {"--n": st.integers(-3, 12), "--trials": st.integers(-3, 20)},
 }
 # an epsilon this large keeps alpha = 0.05 above psummnash's floor at n = 1
-COUNT_FIXED = {"deviate": ("--alpha", 0.05, "--epsilon", 1e5), "market-sim": ("--d", 1)}
+COUNT_FIXED = {"deviate": ("--alpha", 0.05, "--epsilon", 1e5), "gen-game": ("--kind", "linear"),
+               "market-sim": ("--d", 1)}
 
 
 @settings(max_examples=100, deadline=None,
@@ -624,16 +774,20 @@ def test_fuzz_count_flags_never_traceback(fuzz_dir, capsys, data):
     counts = {flag: data.draw(values) for flag, values in COUNT_FLAGS[command].items()}
     out = fuzz_dir / "count_out.json"
     out.unlink(missing_ok=True)
-    argv = [command, *COUNT_FIXED[command], "--seed", data.draw(st.integers(0, 3)),
-            "--out", out, *[f"{flag}={value}" for flag, value in counts.items()]]
-    code = exit_code(argv)
+    seed = data.draw(st.integers(-3, 3))
+    argv = [command, *COUNT_FIXED[command], "--out", out,
+            *[f"{flag}={value}" for flag, value in counts.items()]]
+    code = exit_code([*argv, f"--seed={seed}"])
     assert "Traceback" not in capsys.readouterr().err
     # a count below one, or a negative player index, is refused
     refused = counts.pop("--player", 0) < 0 or min(counts.values()) < 1
     assert code == 1 if refused else code in (0, 1)
     if code == 0:
-        payload = json.loads(out.read_text(), parse_constant=reject_constant)
-        assert payload.get("trials", 1) >= 1
+        text = out.read_text()
+        assert json.loads(text, parse_constant=reject_constant).get("trials", 1) >= 1
+        if seed == -1:  # a seed is read modulo 2^64
+            assert exit_code([*argv, f"--seed={2**64 - 1}"]) == 0
+            assert out.read_text() == text
 
 
 def test_non_finite_result_is_not_published(fuzz_dir):

@@ -47,6 +47,7 @@ from conftest import (
     naive_expected_aggregator,
     naive_regret,
     naive_utility,
+    nash_from_abr_bound,
     trader_utility,
 )
 
@@ -406,7 +407,7 @@ def test_translation_lemmas_hold_on_random_instances():
         rep = translate_checks(g, x, eta=0.1)
         assert rep.br_to_abr_violation <= 1e-9
         assert rep.abr_to_br_violation <= 1e-9
-        assert regret(g, x).max_regret <= rep.nash_from_abr_bound + 1e-9
+        assert regret(g, x).max_regret <= nash_from_abr_bound(rep) + 1e-9
 
 
 def test_abr_shift_lemma_on_random_pairs():

@@ -9,7 +9,6 @@ import pytest
 from privagg.dp_core import BudgetError, NoiseSource, ParameterError
 from privagg.game_core import LinearUtility, save_game
 from privagg.harness import (
-    SOLVERS,
     DeviationSpec,
     ExperimentConfig,
     brute_force_equilibria,
@@ -18,6 +17,7 @@ from privagg.harness import (
     generate,
     profile_loss,
     run_experiment,
+    solve,
 )
 from privagg.onedim import QuasiAggregativeGame, make_optin_game
 from privagg.presl import existence_bound
@@ -27,6 +27,7 @@ from conftest import (
     JUMP_EPSILON,
     build_quiet,
     jump_game,
+    max_quality,
     naive_regret,
 )
 
@@ -108,9 +109,9 @@ def test_brute_force_extremal_queries():
     # threshold, so only the two unanimous profiles are exact equilibria
     q = make_optin_game(3, [0.2, 0.5, 0.8])
     bf2 = brute_force_equilibria(q.base, 0.0)
-    assert bf2.max_quality(q.s_of, lambda s: s) == pytest.approx(1.0)
+    assert max_quality(bf2, q.s_of, lambda s: s) == pytest.approx(1.0)
     assert len(bf2.equilibria()) == 2
-    assert bf2.max_quality(q.s_of, lambda s: s, zeta=-1.0) == float("-inf")
+    assert max_quality(bf2, q.s_of, lambda s: s, zeta=-1.0) == float("-inf")
 
 
 def test_brute_force_enumeration_budget():
@@ -403,7 +404,7 @@ def test_scalar_solvers_fill_loss_on_loss_carrying_games(tmp_path):
         assert res.summary["aborts"] == 0
         for row in res.rows:
             game = generate("linear", row["seed"], n=10, gamma=0.05)
-            x = SOLVERS[algorithm](game, params, NoiseSource(row["seed"], NoiseSource.NOISE_OFF)).profile
+            x = solve(algorithm, game, params, NoiseSource(row["seed"], NoiseSource.NOISE_OFF)).profile
             assert row["loss"] == profile_loss(game, x)
 
 

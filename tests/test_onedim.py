@@ -33,7 +33,6 @@ from privagg.onedim import (
     replay_select_player,
     s_extremes,
     select_equilibrium,
-    selection_accuracy_floor,
     smooth_walk,
 )
 
@@ -45,8 +44,11 @@ from conftest import (
     jump_game,
     looped_walk_aggregators,
     materialised_walk,
+    max_quality,
     naive_utility,
     per_player_extremes,
+    quality_penalty,
+    selection_accuracy_floor,
 )
 
 OFF = NoiseSource.NOISE_OFF
@@ -473,7 +475,7 @@ def test_selection_params_grid_order():
     assert all(a >= b - 1e-12 for a, b in zip(scores, scores[1:]))
     assert prm.xi == pytest.approx(2 * 0.1 + 0.05 + 0.4)
     assert prm.approx_bound == pytest.approx(10 * 0.1 + 3 * 0.05 + 0.4)
-    assert prm.quality_penalty() == pytest.approx(5 * 0.1 * 1.0)
+    assert quality_penalty(prm) == pytest.approx(5 * 0.1 * 1.0)
 
 
 @pytest.mark.parametrize(
@@ -709,8 +711,8 @@ def test_selection_tracks_brute_force_quality():
         res = select_equilibrium(q, prm, NoiseSource(trial, OFF))
         assert not res.aborted
         brute = brute_force_equilibria(q.base, prm.zeta)
-        best = brute.max_quality(q.s_of, quality.fn)
-        assert res.quality_value >= best - prm.quality_penalty() - 1e-9
+        best = max_quality(brute, q.s_of, quality.fn)
+        assert res.quality_value >= best - quality_penalty(prm) - 1e-9
 
 
 def test_selection_walk_branch_and_replay():

@@ -25,7 +25,7 @@ from privagg.presl import (
     sampling_deviation_bound,
 )
 
-from conftest import build_quiet
+from conftest import build_quiet, n_queries
 
 
 def reference_game(n=200):
@@ -103,7 +103,7 @@ def test_params_derivations_on_reference_game():
     assert prm.w_snap == pytest.approx(prm.alpha)
     assert prm.x_count_per_axis == 2
     assert prm.y_count == 1
-    assert prm.n_queries == 2
+    assert n_queries(prm) == 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
