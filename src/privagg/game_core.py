@@ -21,7 +21,14 @@ aggregator value s of shape (d,) and returning u_i(a, s) for every action a:
   own data only.
 
 ``validate_for_game(game)`` is optional; ``kind``, ``to_params`` and
-``from_params`` serve JSON round trips.
+``from_params`` serve JSON round trips. A d = 1 evaluator whose payoffs are
+affine in s may add two more, which ``onedim.V`` reads to sweep a grid:
+
+- ``payoff_lines()``: (slope, intercept), each (n, m), with row i of
+  ``value_matrix([s])`` within 2 eps (|slope s| + |intercept|) of
+  slope s + intercept, eps the float64 machine epsilon;
+- ``value_rows(players, s)``: for index and point arrays of one length k,
+  the (k, m) rows ``value_matrix([s[j]])[players[j]]``, bit for bit.
 """
 
 from __future__ import annotations
@@ -120,6 +127,15 @@ class LinearUtility:
 
     def values_for_player(self, i: int, s: np.ndarray) -> np.ndarray:
         return self._values(self.c[i], self.w[i], s)
+
+    def payoff_lines(self) -> tuple:
+        return self.w[:, :, 0], self.c
+
+    def value_rows(self, players: np.ndarray, s: np.ndarray) -> np.ndarray:
+        # ``_values`` at d = 1, one point per row
+        out = self.w[players, :, 0] * s[:, None]
+        out += self.c[players]
+        return out
 
     def validate_for_game(self, game: "AggregativeGame") -> None:
         if self.c.shape != (game.n, game.m) or self.w.shape != (game.n, game.m, game.d):
@@ -236,6 +252,17 @@ class ThresholdUtility:
     def values_for_player(self, i: int, s: np.ndarray) -> np.ndarray:
         diff = (float(s[0]) - self.thresholds[i]) / 2.0
         return np.array([diff, -diff])
+
+    def payoff_lines(self) -> tuple:
+        icpt = np.empty((len(self.thresholds), 2))
+        np.divide(self.thresholds, 2.0, out=icpt[:, 1])
+        np.negative(icpt[:, 1], out=icpt[:, 0])
+        return np.broadcast_to(np.array([0.5, -0.5]), icpt.shape), icpt
+
+    def value_rows(self, players: np.ndarray, s: np.ndarray) -> np.ndarray:
+        diff = s - self.thresholds[players]
+        diff /= 2.0
+        return np.stack([diff, -diff], axis=1)
 
     def validate_for_game(self, game: "AggregativeGame") -> None:
         if game.d != 1 or game.m != 2:

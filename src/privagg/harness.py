@@ -51,6 +51,7 @@ __all__ = [
     "DeviationReport",
     "ExperimentConfig",
     "ExperimentResult",
+    "GENERATOR_KEYS",
     "Outcome",
     "SOLVERS",
     "Solver",
@@ -230,8 +231,17 @@ def _random_linear_utility(
     return LinearUtility(c=c, w=w)
 
 
+# the params each generator kind reads; ``generate`` refuses any other key
+GENERATOR_KEYS = {
+    "linear": ("n", "m", "d", "gamma", "W", "with_loss"),
+    "anonymous": ("n", "m", "gamma", "W", "with_loss"),
+    "threshold": ("n", "gamma", "thresholds"),
+    "market": ("n", "d", "lam"),
+}
+
+
 def generate(kind: str, seed: int, **params):
-    """Seeded game families.
+    """Seeded game families, each reading the keys ``GENERATOR_KEYS`` lists.
 
     linear: dense facets in [-1, 1], random linear utilities, random loss.
     anonymous: d = m indicator facets (the aggregator counts action shares),
@@ -240,6 +250,11 @@ def generate(kind: str, seed: int, **params):
     market: uniform per-security values in [0, 1] turned into portfolio
       valuations.
     """
+    if not isinstance(kind, str) or kind not in GENERATOR_KEYS:
+        raise ParameterError(f"unknown game kind {kind!r}")
+    unread = sorted(set(params) - set(GENERATOR_KEYS[kind]))
+    if unread:
+        raise ParameterError(f"{kind} games do not read {', '.join(unread)}")
     rng = seeded_generator(seed)
     if kind in ("linear", "anonymous"):
         n = as_count("n", params.get("n", 8))
@@ -266,15 +281,14 @@ def generate(kind: str, seed: int, **params):
         if thresholds is None:
             thresholds = rng.uniform(0.0, 1.0, size=n)
         return make_optin_game(n, as_array("thresholds", thresholds), gamma=gamma)
-    if kind == "market":
-        n = as_count("n", params.get("n", 20))
-        portfolios = portfolio_matrix(params.get("d", 1))
-        d = portfolios.shape[1]
-        lam = float(as_real("lam", params.get("lam", max(4.0, n / 4.0))))
-        check_finite(lam=lam)
-        theta = rng.uniform(0.0, 1.0, size=(n, d))
-        return MarketGame(n=n, d=d, lam=lam, valuations=theta @ portfolios.T.astype(float))
-    raise ParameterError(f"unknown game kind {kind!r}")
+    # market
+    n = as_count("n", params.get("n", 20))
+    portfolios = portfolio_matrix(params.get("d", 1))
+    d = portfolios.shape[1]
+    lam = float(as_real("lam", params.get("lam", max(4.0, n / 4.0))))
+    check_finite(lam=lam)
+    theta = rng.uniform(0.0, 1.0, size=(n, d))
+    return MarketGame(n=n, d=d, lam=lam, valuations=theta @ portfolios.T.astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +434,15 @@ SOLVERS: dict[str, Solver] = {
 }
 
 
-def solve(algorithm: str, game, params: dict, src: NoiseSource) -> Outcome:
-    """Run one table entry by name on the params it names."""
+def _solver(algorithm: str) -> Solver:
     if algorithm not in SOLVERS:
         raise ParameterError(f"unknown algorithm {algorithm!r}")
-    entry = SOLVERS[algorithm]
+    return SOLVERS[algorithm]
+
+
+def solve(algorithm: str, game, params: dict, src: NoiseSource) -> Outcome:
+    """Run one table entry by name on the params it names."""
+    entry = _solver(algorithm)
     return entry.run(game, src, *_need(params, entry.params, entry.objects))
 
 
@@ -537,10 +555,16 @@ def _run_one(config: ExperimentConfig, game, src: NoiseSource) -> dict:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the batch, write <label>.csv and <label>.summary.json.
 
-    Output goes to config.out_dir, the PRIVAGG_OUT environment variable, or
-    the working directory, in that order. Rows are deterministic for a fixed
-    config except the trailing time_ms column.
+    A params key that the solver's ``SOLVERS`` entry does not name is
+    refused before any trial runs. Output goes to config.out_dir, the
+    PRIVAGG_OUT environment variable, or the working directory, in that
+    order. Rows are deterministic for a fixed config except the trailing
+    time_ms column.
     """
+    entry = _solver(config.algorithm)
+    unread = sorted(set(config.params) - {*entry.params, *entry.objects})
+    if unread:
+        raise ParameterError(f"{config.algorithm} does not read params {', '.join(unread)}")
     out_dir = Path(config.out_dir or os.environ.get(OUT_DIR_ENV, "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     mode = NoiseSource.NOISY if config.noise else NoiseSource.NOISE_OFF

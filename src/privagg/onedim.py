@@ -8,6 +8,15 @@ a fixed s; the solvers chase fixed points of V along an alpha-grid using
 one-shot sparse-vector sessions, and bridge discontinuities by walking
 player-by-player between adjacent best-response profiles.
 
+``V`` takes one point or an ascending array of them. On an array it sweeps:
+it evaluates every payoff at the first point only, and after that
+re-evaluates a player at a point only where one of their payoff gaps
+u_b - u_a, a line in s, lies within ``SWEEP_BAND`` of zero there, or at the
+first point past such a band. Elsewhere every comparison between the
+player's payoffs keeps its sign, so their best response cannot change. The
+sweep runs on evaluators that declare their payoff lines (linear and
+threshold utilities); table and market games are evaluated point by point.
+
 Selection adds a public quality score over aggregator values and visits the
 grid in quality order, so the first sparse hit doubles as an approximate
 quality maximizer.
@@ -15,6 +24,7 @@ quality maximizer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -56,6 +66,7 @@ __all__ = [
     "SelectResult",
     "Extremes",
     "SmoothWalk",
+    "SWEEP_BAND",
     "V",
     "psummnash",
     "psummnash_accuracy_floor",
@@ -99,9 +110,130 @@ class QuasiAggregativeGame:
         return float(aggregator(self.base, x)[0])
 
 
-def V(qgame: QuasiAggregativeGame, s: float) -> float:
-    """Summary value: the aggregator of everyone's best response to s."""
-    return float(best_response_aggregate(qgame.base, [s])[0])
+# half-width of the band around a zero payoff gap in which the sweep
+# re-evaluates the player. A computed payoff is off its line by at most
+# 2 eps (|slope s| + |intercept|), about 1e-15 on [-W, W]; the sweep runs only
+# where 16 eps times the largest such reach stays below the band.
+SWEEP_BAND = 1e-9
+_SWEEP_EPS = 16.0 * np.finfo(float).eps
+# (player, point) rows the sweep re-evaluates in one pass, at most
+_SWEEP_ROWS = 1 << 18
+# players whose payoff-gap bands the sweep locates in one pass
+_SWEEP_PLAYERS = 1 << 16
+
+
+def V(qgame: QuasiAggregativeGame, s):
+    """Summary value: the aggregator of everyone's best response to s.
+
+    A float s gives a float. An ascending 1-D array of points gives the
+    array of V at each, bit for bit what the float call gives. Games with
+    payoff lines are swept (see the module docstring), the others are
+    evaluated point by point.
+    """
+    if np.ndim(s) == 0:
+        return float(best_response_aggregate(qgame.base, [s])[0])
+    points = np.asarray(s, dtype=float)
+    if points.ndim != 1:
+        raise ParameterError(f"V takes a point or a 1-D array of points, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ParameterError("V's points must be finite")
+    if np.any(points[1:] < points[:-1]):
+        raise ParameterError("V sweeps ascending points only")
+    base = qgame.base
+    ranges = _band_ranges(base.utility, points) if points.size else None
+    if ranges is None:
+        return np.array([best_response_aggregate(base, [p])[0] for p in points], dtype=float)
+    return _sweep(base, points, *ranges)
+
+
+def _band_ranges(utility, points: np.ndarray) -> Optional[tuple]:
+    """(player, first, stop) for every player and action pair whose payoff
+    gap may change sign among points[1:]: the points in [first, stop) are
+    those where the gap lies within the band, and the first one past it.
+    Players are taken ``_SWEEP_PLAYERS`` at a time. None when the evaluator
+    declares no payoff lines, or when the points reach so far out that a
+    payoff's float error could pass the band."""
+    if not hasattr(utility, "payoff_lines"):
+        return None
+    slope, icpt = utility.payoff_lines()
+
+    def top(arr):  # max |arr| without an |arr| copy
+        return max(arr.max(), -arr.min())
+
+    if _SWEEP_EPS * (top(slope) * top(points) + top(icpt)) > SWEEP_BAND:
+        return None
+    n, m = slope.shape
+    L = len(points)
+    index = np.int32 if max(n, L) < 2**31 else np.int64  # half the memory of intp
+    ranges = [[np.empty(0, dtype=index)] * 3]  # one action: no pair, no range
+    for start in range(0, n, _SWEEP_PLAYERS):
+        rows = slice(start, start + _SWEEP_PLAYERS)
+        for a, b in itertools.combinations(range(m), 2):
+            g1 = slope[rows, b] - slope[rows, a]
+            g0 = icpt[rows, b] - icpt[rows, a]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                x, y = (-g0 - SWEEP_BAND) / g1, (-g0 + SWEEP_BAND) / g1
+            lo, hi = np.minimum(x, y), np.maximum(x, y)
+            # a gap of slope 0 lies in the band at every point or at none
+            flat = g1 == 0
+            lo[flat] = np.where(np.abs(g0[flat]) <= SWEEP_BAND, -np.inf, np.inf)
+            hi[flat] = np.inf
+            # a band below every point changes nothing after the first
+            near = np.flatnonzero((hi >= points[0]) & (lo <= points[-1]))
+            first = np.maximum(np.searchsorted(points, lo[near], "left"), 1)
+            stop = np.minimum(np.searchsorted(points, hi[near], "right") + 1, L)
+            keep = first < stop
+            ranges.append([(arr[keep]).astype(index) for arr in (near + start, first, stop)])
+    return tuple(np.concatenate(part) for part in zip(*ranges))
+
+
+def _chunks(first: np.ndarray, stop: np.ndarray, L: int):
+    """Consecutive [lo, hi) blocks covering points 1..L-1, each holding at
+    most ``_SWEEP_ROWS`` rows of the ranges, unless it is one point long."""
+    per_point = np.cumsum(np.bincount(first, minlength=L + 1) - np.bincount(stop, minlength=L + 1))
+    upto = np.cumsum(per_point[:L])  # rows at points 0..p
+    lo = 1
+    while lo < L:
+        hi = int(np.searchsorted(upto, upto[lo - 1] + _SWEEP_ROWS, side="right"))
+        hi = min(L, max(hi, lo + 1))
+        yield lo, hi
+        lo = hi
+
+
+def _events(player, first, stop, lo: int, hi: int, n: int) -> tuple:
+    """(players, points) of the ranges cut to [lo, hi), without repeats,
+    sorted by point and then by player."""
+    a = np.maximum(first, lo)
+    b = np.minimum(stop, hi)
+    keep = a < b
+    player, a, counts = player[keep], a[keep], (b - a)[keep]
+    offsets = np.cumsum(counts) - counts
+    at = np.arange(counts.sum()) + np.repeat(a - offsets, counts)
+    key = np.sort(at * n + np.repeat(player, counts))
+    key = key[np.diff(key, prepend=-1) != 0]  # a point two pairs name, once
+    return key % n, key // n
+
+
+def _sweep(game: AggregativeGame, points: np.ndarray, player, first, stop) -> np.ndarray:
+    """V at each ascending point: the best responses in full at the first,
+    then only the (player, point) rows of the ranges, all in one
+    ``value_rows`` pass per chunk. Each point sums its chosen facets in
+    player order, as ``best_response_aggregate`` does."""
+    facets = game.f[:, 0, :]
+    chosen = facets[np.arange(game.n), first_argmax(utility_matrix(game, points[:1]))]
+    sums = np.empty(len(points))
+    sums[0] = chosen.sum()
+    for lo, hi in _chunks(first, stop, len(points)):
+        who, at = _events(player, first, stop, lo, hi, game.n)
+        new = facets[who, first_argmax(game.utility.value_rows(who, points[at]))]
+        edges = np.searchsorted(at, np.arange(lo, hi + 1)).tolist()
+        for p, (e0, e1) in enumerate(zip(edges, edges[1:]), lo):
+            if e0 < e1:
+                chosen[who[e0:e1]] = new[e0:e1]
+                sums[p] = chosen.sum()
+            else:
+                sums[p] = sums[p - 1]
+    return game.gamma * sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,6 +370,10 @@ class PSummResult:
         return _psummnash_bound(self.alpha, gamma)
 
 
+# grid points in the first block psummnash passes to V
+_FIRST_BLOCK = 16
+
+
 def psummnash(
     qgame: QuasiAggregativeGame,
     epsilon: float,
@@ -254,6 +390,11 @@ def psummnash(
     profiles bracketing the crossing until the aggregator lands within
     alpha + gamma/2 of the crossing point. Each stage spends epsilon/3
     through its own one-shot sparse session.
+
+    V is read over ascending blocks of the grid, the first ``_FIRST_BLOCK``
+    points long and each later one as long as all before it, so a stage-1
+    hit at scan position j has V evaluated at no more than
+    max(``_FIRST_BLOCK``, 2j + 2) points; stage 2 reuses those values.
     """
     _check_floor(qgame, epsilon, alpha, beta, 3)
     # callers evaluate the bound at gamma or at the tighter gamma_eff
@@ -264,9 +405,15 @@ def psummnash(
     result = partial(PSummResult, alpha=alpha, epsilon=epsilon, beta=beta, ledger=ledger)
     eps3 = epsilon / 3.0
 
-    @cache
+    values = []  # V at grid index k, stored at k + K
+
     def v_at(k: int) -> float:
-        return V(qgame, k * alpha)
+        # V over ascending blocks of the grid, each as long as all before it
+        while k + K >= len(values):
+            done = len(values)
+            count = min(max(done, _FIRST_BLOCK), 2 * K - done)
+            values.extend(V(qgame, np.arange(done - K, done - K + count) * alpha).tolist())
+        return values[k + K]
 
     # stage 1: grid points that already summarize themselves
     s1 = ledger.open_session("grid-fixed-point", gamma, 4.0 * alpha, eps3, src.child("stage1"))

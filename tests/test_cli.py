@@ -204,6 +204,51 @@ def test_non_integral_count_fields_exit_one(tmp_path, capsys, caplog):
         assert message in caplog.text
 
 
+def test_bench_params_the_solver_does_not_read_exit_one(tmp_path, capsys, caplog):
+    # each ran and ignored the key: distmw's xi is the constant DISTMW_XI,
+    # and psummnash reads neither zeta nor delta
+    distmw = {"epsilon": 1.0, "delta": 0.05, "alpha": 0.5, "beta": 0.1}
+    psumm = {"epsilon": 2000.0, "alpha": 0.05, "beta": 0.05}
+    cases = [
+        ("distmw", dict(distmw, xi="2"), "distmw does not read params xi"),
+        ("psummnash", dict(psumm, zeta=0.2), "psummnash does not read params zeta"),
+        ("psummnash", dict(psumm, delta=0.05, quality={}),
+         "psummnash does not read params delta, quality"),
+        ("select", {"zeta": 0.2, "epsilon": 3000.0, "alpha": 0.05, "beta": 0.05,
+                    "quality": {"kind": "peak", "target": 0.3}, "delta": 0.1},
+         "select does not read params delta"),
+    ]
+    for j, (algorithm, params, message) in enumerate(cases):
+        cfg = tmp_path / f"cfg{j}.json"
+        cfg.write_text(json.dumps({
+            "algorithm": algorithm, "game": {"kind": "threshold", "n": 25},
+            "params": params, "trials": 1, "out_dir": str(tmp_path), "label": f"run{j}",
+        }))
+        caplog.clear()
+        assert run_cli("bench", "--config", cfg) == 1, params
+        assert "Traceback" not in capsys.readouterr().err
+        assert message in caplog.text
+        assert not (tmp_path / f"run{j}.csv").exists()  # refused before any trial
+
+
+def test_gen_game_refuses_flags_its_kind_does_not_read(tmp_path, caplog):
+    # each exited 0 and wrote a game built without the flag
+    out = tmp_path / "g.json"
+    cases = [
+        (("--kind", "threshold", "--n", 3, "--m", 7, "--W", 5), "threshold games do not read W, m"),
+        (("--kind", "threshold", "--n", 3, "--lam", 2), "threshold games do not read lam"),
+        (("--kind", "market", "--n", 3, "--m", 7, "--gamma", 0.5),
+         "market games do not read gamma, m"),
+        (("--kind", "anonymous", "--n", 3, "--d", 2), "anonymous games do not read d"),
+        (("--kind", "linear", "--n", 3, "--lam", 2), "linear games do not read lam"),
+    ]
+    for flags, message in cases:
+        caplog.clear()
+        assert run_cli("gen-game", *flags, "--out", out) == 1
+        assert message in caplog.text
+        assert not out.exists()
+
+
 def test_bench_params_that_are_not_numbers_exit_one(tmp_path, capsys, caplog):
     # each of these ended in a TypeError, ValueError or AttributeError traceback
     select = {"zeta": 0.2, "epsilon": 3000.0, "alpha": 0.05, "beta": 0.05,

@@ -9,6 +9,8 @@ import pytest
 from privagg.dp_core import BudgetError, NoiseSource, ParameterError
 from privagg.game_core import LinearUtility, save_game
 from privagg.harness import (
+    GENERATOR_KEYS,
+    SOLVERS,
     DeviationSpec,
     ExperimentConfig,
     brute_force_equilibria,
@@ -238,6 +240,48 @@ def test_generate_refuses_count_fields_that_are_not_integers(kind, field, bad):
     # was cut to 2
     with pytest.raises(ParameterError, match=f"{field} must be a positive integer"):
         generate(kind, 0, **{field: bad})
+
+
+# a value each generator key accepts
+GENERATOR_VALUES = {"n": 4, "m": 2, "d": 1, "gamma": 0.25, "W": 1.0, "with_loss": False,
+                    "thresholds": [0.1, 0.2, 0.3, 0.4], "lam": 4.0}
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATOR_KEYS))
+def test_generate_reads_its_keys_and_refuses_the_others(kind):
+    assert set(GENERATOR_VALUES) == {key for keys in GENERATOR_KEYS.values() for key in keys}
+    generate(kind, 0, **{key: GENERATOR_VALUES[key] for key in GENERATOR_KEYS[kind]})
+    for key in sorted(set(GENERATOR_VALUES) - set(GENERATOR_KEYS[kind])):
+        with pytest.raises(ParameterError, match=f"{kind} games do not read {key}"):
+            generate(kind, 0, n=4, **{key: GENERATOR_VALUES[key]})
+
+
+def test_bench_game_specs_go_through_the_key_check(tmp_path):
+    cfg = threshold_config(tmp_path, game={"kind": "threshold", "n": 25, "m": 3})
+    with pytest.raises(ParameterError, match="threshold games do not read m"):
+        run_experiment(cfg)
+
+
+# a params dict each solver runs on, holding exactly the keys it reads
+SOLVER_PARAMS = {
+    "presl": {"zeta": 1.0, "epsilon": 75.0, "delta": 0.05, "beta": 0.3},
+    "npresl": {"zeta": 1.0, "alpha": 0.12, "beta": 0.1},
+    "psummnash": {"epsilon": 2000.0, "alpha": 0.05, "beta": 0.05},
+    "select": {"zeta": 0.2, "epsilon": 3000.0, "alpha": 0.05, "beta": 0.05,
+               "quality": {"kind": "peak", "target": 0.3}},
+    "distmw": {"epsilon": 1.0, "delta": 0.05, "alpha": 0.5, "beta": 0.1},
+}
+
+
+def test_run_experiment_refuses_params_the_solver_does_not_read(tmp_path):
+    assert set(SOLVER_PARAMS) == set(SOLVERS)
+    for algorithm, params in SOLVER_PARAMS.items():
+        entry = SOLVERS[algorithm]
+        assert set(params) == {*entry.params, *entry.objects}
+        cfg = threshold_config(tmp_path, algorithm=algorithm, params=dict(params, xi=2.0))
+        with pytest.raises(ParameterError, match=f"{algorithm} does not read params xi"):
+            run_experiment(cfg)
+    assert not list(tmp_path.iterdir())  # refused before any output
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,264 @@
+"""``V`` over an ascending array of points against the one-point kernel.
+
+On linear and threshold games ``V`` sweeps the points: it re-evaluates a
+player only near a zero of one of their payoff gaps. The sweep must give,
+at every point, the bits of ``best_response_aggregate`` at that point alone.
+The games below are drawn to sit on the edges the sweep has to get right:
+exact ties on grid points, duplicated thresholds, thresholds of 0.0 and
+5e-324, facets that are not 0/1, equal payoff slopes with equal or nearly
+equal intercepts, and slopes 1e-13 apart. Table and market games take the
+point-by-point route and must agree too. psummnash reads ``V`` in doubling
+blocks, so an early stage-1 hit evaluates few points.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from privagg import onedim
+from privagg.dp_core import NoiseSource, ParameterError
+from privagg.game_core import (
+    LinearUtility, TableUtility, ThresholdUtility, best_response_aggregate, grid_steps,
+)
+from privagg.harness import generate
+from privagg.market import to_aggregative
+from privagg.onedim import QuasiAggregativeGame, V, psummnash
+
+from conftest import build_quiet, reference_abr_profile, reference_aggregator
+
+SWEEP = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def point_by_point(qgame, points):
+    return np.array([best_response_aggregate(qgame.base, [s])[0] for s in points])
+
+
+@st.composite
+def grid_block(draw, W):
+    """A step, then an ascending run of its grid points k * alpha: the whole
+    grid or a block of it, as psummnash passes them."""
+    alpha = draw(st.sampled_from([1.0 / 64, 0.01, 0.0137, 0.05]))
+    K = grid_steps(W, alpha)
+    start = draw(st.integers(-K, K - 1))
+    stop = draw(st.integers(start + 1, K))
+    if draw(st.booleans()):
+        start, stop = -K, K
+    return alpha, np.arange(start, stop) * alpha
+
+
+def assert_sweep_exact(qgame, points):
+    got = V(qgame, points)
+    assert same_bits(got, point_by_point(qgame, points))
+    # and the plain numpy route, on a sample of the points
+    for s in points[:: max(1, len(points) // 7)]:
+        want = reference_aggregator(qgame.base, reference_abr_profile(qgame.base, [s]))[0]
+        assert same_bits(V(qgame, float(s)), want)
+    return got
+
+
+@st.composite
+def threshold_game(draw):
+    """Thresholds on grid points, repeated, 0.0, 5e-324 or anywhere in
+    [0, 1]; facets 0/1 (the opt-in game) or any floats in [-1, 1]."""
+    n = draw(st.integers(1, 40))
+    alpha, points = draw(grid_block(1.0))
+    on_grid = st.integers(0, grid_steps(1.0, alpha)).map(lambda k: min(1.0, k * alpha))
+    pick = st.one_of(on_grid, st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))
+    thresholds = draw(st.lists(pick, min_size=n, max_size=n))
+    if draw(st.booleans()):  # duplicates
+        thresholds = [thresholds[i % max(1, n // 3)] for i in range(n)]
+    if draw(st.booleans()):
+        f = np.zeros((n, 1, 2))
+        f[:, 0, 0] = 1.0
+    else:
+        facet = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+        f = np.array(draw(st.lists(facet, min_size=2 * n, max_size=2 * n))).reshape(n, 1, 2)
+    base = build_quiet(n=n, m=2, d=1, gamma=1.0 / n, W=1.0, f=f,
+                       utility=ThresholdUtility(np.array(thresholds)))
+    return QuasiAggregativeGame(base), points
+
+
+@SWEEP
+@given(case=threshold_game())
+def test_threshold_sweep_matches_every_point(case):
+    assert_sweep_exact(*case)
+
+
+@st.composite
+def linear_game(draw):
+    """m = 1..4 linear payoffs with the awkward pairs planted: a crossing on
+    a grid point (dyadic slopes and steps make it an exact tie there), equal
+    slopes with equal intercepts or intercepts a few ulps apart, and slopes
+    about 1e-13 apart."""
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(1, 4))
+    alpha, points = draw(grid_block(1.0))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    w = rng.uniform(-0.5, 0.5, size=(n, m))
+    c = rng.uniform(-0.4, 0.4, size=(n, m))
+    for i in range(n if m > 1 else 0):
+        a, b = rng.choice(m, size=2, replace=False)
+        plant = draw(st.sampled_from(["crossing", "equal", "ulps", "tiny-slope", "none"]))
+        if plant == "crossing":
+            w[i, a], w[i, b] = rng.integers(-16, 17, size=2) / 64.0
+            s0 = points[rng.integers(len(points))]
+            c[i, a] = rng.integers(-12, 13) / 64.0
+            c[i, b] = c[i, a] + (w[i, a] - w[i, b]) * s0
+        elif plant == "equal":
+            w[i, b], c[i, b] = w[i, a], c[i, a]
+        elif plant == "ulps":
+            w[i, b] = w[i, a]
+            c[i, b] = c[i, a] + int(rng.integers(-3, 4)) * math.ulp(c[i, a])
+        elif plant == "tiny-slope":
+            w[i, b] = w[i, a] + rng.uniform(-2e-13, 2e-13)
+            c[i, b] = c[i, a] + rng.uniform(-1e-12, 1e-12)
+    np.clip(c, -0.7, 0.7, out=c)
+    f = rng.uniform(-1.0, 1.0, size=(n, 1, m))
+    if draw(st.booleans()):
+        f = np.round(f)  # facets -1, 0 or 1: many equal chosen facets
+    base = build_quiet(n=n, m=m, d=1, gamma=1.0 / n, W=1.0, f=f,
+                       utility=LinearUtility(c, w[:, :, None]))
+    return QuasiAggregativeGame(base), points
+
+
+@SWEEP
+@given(case=linear_game())
+def test_linear_sweep_matches_every_point(case):
+    assert_sweep_exact(*case)
+
+
+def test_planted_ties_are_met():
+    # the crossing plant puts exact ties on grid points; check that they
+    # happen, so the property above covers them
+    n, alpha = 8, 1.0 / 64
+    w = np.array([[0.25, -0.125]] * n)
+    s0 = np.arange(n) * 4 * alpha - 0.5
+    c = np.zeros((n, 2))
+    c[:, 1] = (w[:, 0] - w[:, 1]) * s0
+    f = np.tile([[[1.0, -1.0]]], (n, 1, 1))
+    q = QuasiAggregativeGame(build_quiet(n=n, m=2, d=1, gamma=1.0 / n, W=1.0, f=f,
+                                         utility=LinearUtility(c, w[:, :, None])))
+    values = q.base.utility.value_matrix(np.array([s0[3]]))
+    assert values[3, 0] == values[3, 1]
+    got = assert_sweep_exact(q, np.arange(-64, 64) * alpha)
+    assert len(np.unique(got)) == n + 1  # each crossing moves V once
+
+
+def test_intercepts_one_ulp_apart_tie_at_some_points_only():
+    # equal slopes, intercepts one ulp apart: w s + c rounds the two payoffs
+    # to one float at some s and not at others, so the best response flips
+    # back and forth although the exact gap never changes sign
+    n, alpha = 6, 0.01
+    c = np.zeros((n, 2))
+    c[:, 0] = 0.3 + np.arange(n) * 0.01
+    c[:, 1] = np.nextafter(c[:, 0], 1.0)
+    w = np.full((n, 2, 1), 0.5)
+    f = np.tile([[[1.0, -1.0]]], (n, 1, 1))
+    q = QuasiAggregativeGame(build_quiet(n=n, m=2, d=1, gamma=1.0 / n, W=1.0, f=f,
+                                         utility=LinearUtility(c, w)))
+    points = np.arange(-100, 100) * alpha
+    ties = [np.sum(v[:, 0] == v[:, 1]) for v in map(q.base.utility.value_matrix, points[:, None])]
+    assert 0 < sum(ties) < n * len(points)
+    got = assert_sweep_exact(q, points)
+    assert np.sum(got[1:] != got[:-1]) > 2 * n  # V moves more often than once a player
+
+
+@st.composite
+def table_or_market_game(draw):
+    seed = draw(st.integers(0, 2**16))
+    alpha, points = draw(grid_block(1.0))
+    if draw(st.booleans()):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        n, m = draw(st.integers(1, 20)), draw(st.integers(2, 4))
+        values = rng.uniform(-0.25, 0.25, size=(n, m, 5))
+        base = build_quiet(n=n, m=m, d=1, gamma=1.0 / n, W=1.0,
+                           f=rng.uniform(-1.0, 1.0, size=(n, 1, m)),
+                           utility=TableUtility(np.linspace(-1.0, 1.0, 5), values))
+    else:
+        base = to_aggregative(generate("market", seed, n=draw(st.integers(1, 20)), d=1))
+        points = points * base.W
+    return QuasiAggregativeGame(base), points
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=table_or_market_game())
+def test_table_and_market_games_match_every_point(case):
+    assert_sweep_exact(*case)
+
+
+@pytest.mark.parametrize("kind", ["threshold", "linear"])
+def test_the_sweep_evaluates_the_full_matrix_once(kind, monkeypatch):
+    q = generate("threshold", 4, n=500)
+    if kind == "linear":
+        q = QuasiAggregativeGame(generate("linear", 4, n=500, m=3))
+    evaluator = type(q.base.utility)
+    full, rows = [], []
+    value_matrix, value_rows = evaluator.value_matrix, evaluator.value_rows
+    monkeypatch.setattr(evaluator, "value_matrix", lambda u, s: full.append(1) or value_matrix(u, s))
+    monkeypatch.setattr(evaluator, "value_rows",
+                        lambda u, who, s: rows.append(len(who)) or value_rows(u, who, s))
+    V(q, np.arange(-200, 200) * 0.005)
+    assert len(full) == 1
+    assert len(rows) == 1 and 0 < rows[0] < 3 * q.n  # about one row per crossing
+
+
+def test_points_beyond_the_band_guarantee_are_evaluated_one_by_one(monkeypatch):
+    # at |s| = 1e12 a payoff's float error dwarfs the band, so V does not
+    # sweep; it never asks the evaluator for rows
+    q = QuasiAggregativeGame(generate("linear", 3, n=20, m=3))
+    monkeypatch.setattr(LinearUtility, "value_rows", None)
+    points = np.linspace(-1e12, 1e12, 9)
+    assert same_bits(V(q, points), point_by_point(q, points))
+
+
+def test_V_refuses_what_it_cannot_sweep():
+    q = generate("threshold", 1, n=10)
+    assert same_bits(V(q, np.array([])), np.array([]))
+    for bad in ([0.2, 0.1], [[0.1, 0.2]], [0.1, np.nan], [-np.inf, 0.0]):
+        with pytest.raises(ParameterError):
+            V(q, bad)
+
+
+def test_rows_are_chunked_and_the_result_is_unchanged(monkeypatch):
+    q = QuasiAggregativeGame(generate("linear", 8, n=200, m=3))
+    points = np.arange(-400, 400) * 0.0025
+    whole = V(q, points)
+    monkeypatch.setattr(onedim, "_SWEEP_ROWS", 5)
+    assert same_bits(V(q, points), whole)
+
+
+def constant_V_game(n, v0):
+    """Every player strictly prefers action 0, whose facet is v0: V = v0
+    (up to rounding) everywhere, so stage 1 hits near s = v0."""
+    c = np.tile([0.5, -0.5], (n, 1))
+    f = np.tile([[[v0, 1.0]]], (n, 1, 1))
+    return QuasiAggregativeGame(build_quiet(n=n, m=2, d=1, gamma=1.0 / n, W=1.0, f=f,
+                                            utility=LinearUtility(c, np.zeros((n, 2, 1)))))
+
+
+@pytest.mark.parametrize("v0", [-1.0, -0.9, -0.5, 0.0, 0.7])
+def test_early_stage_one_hits_evaluate_few_points(v0, monkeypatch):
+    q = constant_V_game(50, v0)
+    passed = []
+
+    def counted(qgame, s):
+        passed.append(np.size(s))
+        return V(qgame, s)
+
+    monkeypatch.setattr(onedim, "V", counted)
+    alpha = 0.01
+    K = grid_steps(q.W, alpha)
+    res = psummnash(q, 1e4, alpha, 0.05, NoiseSource(0, NoiseSource.NOISE_OFF))
+    assert res.stage == 1
+    j = res.k_hit + K  # the hit's position in the scan
+    assert abs(res.k_hit * alpha - v0) <= 4 * alpha + 1e-12
+    assert sum(passed) <= 2 * j + onedim._FIRST_BLOCK
+    assert len(passed) <= 2 + max(0, math.ceil(math.log2((j + 1) / onedim._FIRST_BLOCK)))
