@@ -11,11 +11,15 @@ Laplace sampling, and a noise_off mode that turns every mechanism into its
 deterministic counterpart (Laplace draws become 0, the exponential mechanism
 becomes a lowest-index argmax) without touching the uniform stream.
 
-Every private scan in the solvers is ``first_below(session, items, query)``:
-it streams query(item) through a one-shot SparseSession and stops at the first
-below answer (AboveThreshold, Dwork & Roth 2014, Alg. 1). Only the hit's
-position leaves the session, never a noisy query value. Items are pulled
-lazily, so nothing past the hit is generated or evaluated.
+Every private scan in the solvers is ``first_below(session, blocks)``: it
+streams blocks of query values through a one-shot SparseSession and stops at
+the first below answer (AboveThreshold, Dwork & Roth 2014, Alg. 1). Only the
+hit's position leaves the session, never a noisy query value. Blocks are
+pulled lazily, so no block past the hit's is built or evaluated; within the
+hit's block, the session compares every value with one array of noise and
+then rewinds its noise stream to just past the hit, so the draws, the
+answers and the stream's end state are those of a scan that asked one query
+at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -41,6 +45,7 @@ __all__ = [
     "seed_bits",
     "seeded_generator",
     "laplace_sample",
+    "laplace_samples",
     "first_below",
     "exponential_mechanism",
 ]
@@ -244,6 +249,25 @@ class NoiseSource:
             u = float(self._gen.random())
         return u
 
+    def uniforms(self, k: int) -> np.ndarray:
+        """``[self.uniform() for _ in range(k)]`` bit for bit, as one array:
+        exact zeros are dropped in stream order and replaced by later draws."""
+        out = self._gen.random(k)
+        while not out.all():
+            kept = out[out != 0.0]
+            out = np.concatenate((kept, self._gen.random(k - kept.size)))
+        return out
+
+    @property
+    def state(self) -> dict:
+        """The uniform stream's PCG64 state; assigning a saved state rewinds
+        the stream to where it was saved."""
+        return self._gen.bit_generator.state
+
+    @state.setter
+    def state(self, value: dict) -> None:
+        self._gen.bit_generator.state = value
+
     def child(self, label) -> "NoiseSource":
         """Derive an independent NoiseSource keyed by (seed, label)."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(_label_to_int(label),))
@@ -289,6 +313,22 @@ def laplace_sample(b: float, src: NoiseSource) -> float:
     return -b * math.copysign(1.0, u - 0.5) * math.log(1.0 - 2.0 * abs(u - 0.5))
 
 
+def laplace_samples(b: float, src: NoiseSource, k: int) -> np.ndarray:
+    """k draws of Lap(b), bit for bit what k calls of ``laplace_sample``
+    return: the same uniforms (``NoiseSource.uniforms``) through the same
+    formula, with each logarithm taken by ``math.log``, which ``np.log``
+    does not match in the last bit on every input. noise_off draws nothing
+    and returns k zeros."""
+    if src.noise_off:
+        return np.zeros(k)
+    check_finite(scale=b)
+    if b <= 0:
+        raise ParameterError(f"Laplace scale must be positive, got {b}")
+    centred = src.uniforms(k) - 0.5
+    logs = np.fromiter(map(math.log, (1.0 - 2.0 * np.abs(centred)).tolist()), float, k)
+    return -b * np.copysign(1.0, centred) * logs
+
+
 @dataclass(frozen=True)
 class SparseAnswer:
     """One streamed answer: below or above (bottom). The compared noisy value
@@ -308,6 +348,8 @@ class SparseSession:
     Adds Lap(2*gamma/eps) to each streamed query and compares against a
     noisy threshold T + Lap(2*gamma/eps) drawn once at construction. The
     first below answer halts the session; further answers are a state error.
+    ``asked`` counts the queries compared so far, the hit included, so after
+    a hit the hit's position in the stream is ``asked - 1``.
     """
 
     def __init__(
@@ -327,29 +369,53 @@ class SparseSession:
         self.epsilon = float(epsilon)
         self._src = src
         self.halted = False
+        self.asked = 0
         self.query_scale = 2.0 * self.sensitivity / self.epsilon
-        self.noisy_threshold = self.threshold + self._noise()
+        self.noisy_threshold = self.threshold + (
+            laplace_sample(self.query_scale, src) if self.query_scale > 0 else 0.0
+        )
 
-    def _noise(self) -> float:
-        """One Lap(query_scale) draw; 0 at sensitivity 0 or under noise_off."""
-        return laplace_sample(self.query_scale, self._src) if self.query_scale > 0 else 0.0
-
-    def answer(self, query_value: float) -> SparseAnswer:
+    def answer(self, query_values) -> SparseAnswer:
+        """Below if any value of a query or a 1-D block of them falls below
+        the noisy threshold. The block is compared in order with one array of
+        noise (none at sensitivity 0 or under noise_off); the session stops
+        at the first below answer, and if that is not the block's last value
+        the noise stream is rewound to just past it. A non-finite value
+        would pass or fail every comparison silently, so any such entry is
+        refused before noise is drawn."""
         if self.halted:
             raise StateError("sparse session already halted at its below answer")
-        below = float(query_value) + self._noise() <= self.noisy_threshold
-        self.halted = below
-        return SparseAnswer(below=below)
+        values = np.atleast_1d(np.asarray(query_values, dtype=float))
+        if values.ndim != 1 or not np.isfinite(values).all():
+            raise ParameterError("sparse queries must be one finite value or a 1-D block of them")
+        k = values.size
+        drawing = self.query_scale > 0 and not self._src.noise_off
+        if drawing:
+            saved = self._src.state
+            values = values + laplace_samples(self.query_scale, self._src, k)
+        below = np.flatnonzero(values <= self.noisy_threshold)
+        if below.size == 0:
+            self.asked += k
+            return SparseAnswer(below=False)
+        hit = int(below[0])
+        self.halted = True
+        self.asked += hit + 1
+        if drawing and hit < k - 1:
+            self._src.state = saved
+            self._src.uniforms(hit + 1)
+        return SparseAnswer(below=True)
 
 
-def first_below(session: SparseSession, items: Iterable, query: Callable) -> tuple:
-    """(item, asked) at the first below answer to query(item), or
-    (None, asked) after every item was asked without one."""
-    asked = 0
-    for asked, item in enumerate(items, 1):
-        if session.answer(query(item)).below:
-            return item, asked
-    return None, asked
+def first_below(session: SparseSession, blocks: Iterable) -> tuple:
+    """(position, asked) of the first below answer in a stream of query-value
+    blocks, or (None, asked) after every block was asked without one.
+    Positions count queries from 0 across the blocks. A block is pulled only
+    when every query before it was above, so a lazy stream builds nothing
+    past the hit's block."""
+    for block in blocks:
+        if session.answer(block).below:
+            return session.asked - 1, session.asked
+    return None, session.asked
 
 
 def exponential_mechanism(scores, sensitivity: float, epsilon: float, src: NoiseSource) -> int:

@@ -8,18 +8,27 @@ a fixed s; the solvers chase fixed points of V along an alpha-grid using
 one-shot sparse-vector sessions, and bridge discontinuities by walking
 player-by-player between adjacent best-response profiles.
 
-``V`` takes one point or an ascending array of them. On an array it sweeps:
-it evaluates every payoff at the first point only, and after that
-re-evaluates a player at a point only where one of their payoff gaps
-u_b - u_a, a line in s, lies within ``SWEEP_BAND`` of zero there, or at the
-first point past such a band. Elsewhere every comparison between the
-player's payoffs keeps its sign, so their best response cannot change. The
+``V`` and ``s_extremes`` take one point or an ascending array of them. On
+an array they sweep: they evaluate every payoff at the first point only, and
+after that re-evaluate a player at a point only where one of their payoff
+gaps u_b - u_a, a line in s, lies within ``SWEEP_BAND`` of a flip value
+there, or at the first point past such a band. The flip value is 0 for the
+best response that ``V`` reads, and -xi or xi for the xi-best-response sets
+that ``s_extremes`` reads. Elsewhere every comparison the rule makes between
+the player's payoffs keeps its answer, so their choice cannot change. The
 sweep runs on evaluators that declare their payoff lines (linear and
-threshold utilities); table and market games are evaluated point by point.
+threshold utilities); table and market games, and points so far out that a
+payoff's float error could pass the band, are evaluated point by point.
+
+Every private scan here asks its sparse session a block of queries at a
+time (``first_below``), in one doubling schedule (``_FIRST_BLOCK``). psummnash
+reads ``V`` over its grid blocks, and the walks slice their aggregator
+arrays.
 
 Selection adds a public quality score over aggregator values and visits the
 grid in quality order, so the first sparse hit doubles as an approximate
-quality maximizer.
+quality maximizer. Each block of that order is sorted, swept by
+``s_extremes`` and put back in quality order before it is asked.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,9 +90,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuasiAggregativeGame:
-    """The d = 1 view of an aggregative game for the scalar solvers."""
+    """The d = 1 view of an aggregative game for the scalar solvers. The
+    payoff-gap bands that ``V`` and ``s_extremes`` sweep with are built on
+    first use and kept here, one set per band offset."""
 
     base: AggregativeGame
+    _sweep_bands: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base.d != 1:
@@ -110,16 +122,36 @@ class QuasiAggregativeGame:
         return float(aggregator(self.base, x)[0])
 
 
-# half-width of the band around a zero payoff gap in which the sweep
+# half-width of the band around a payoff gap's flip value in which the sweep
 # re-evaluates the player. A computed payoff is off its line by at most
-# 2 eps (|slope s| + |intercept|), about 1e-15 on [-W, W]; the sweep runs only
-# where 16 eps times the largest such reach stays below the band.
+# 2 eps (|slope s| + |intercept|), about 1e-15 on [-W, W], and the rule's
+# subtraction of xi adds eps (|payoff| + xi); the sweep runs only where
+# 16 eps times the largest such reach stays below the band.
 SWEEP_BAND = 1e-9
 _SWEEP_EPS = 16.0 * np.finfo(float).eps
 # (player, point) rows the sweep re-evaluates in one pass, at most
 _SWEEP_ROWS = 1 << 18
-# players whose payoff-gap bands the sweep locates in one pass
+# players whose payoff-gap bands are located in one pass
 _SWEEP_PLAYERS = 1 << 16
+
+
+def _sweep_points(name: str, s) -> np.ndarray:
+    """The points of a swept call: a 1-D, finite, ascending float array."""
+    points = np.asarray(s, dtype=float)
+    if points.ndim != 1:
+        raise ParameterError(
+            f"{name} takes a point or a 1-D array of points, got shape {points.shape}"
+        )
+    if not np.isfinite(points).all():
+        raise ParameterError(f"{name}'s points must be finite")
+    if np.any(points[1:] < points[:-1]):
+        raise ParameterError(f"{name} sweeps ascending points only")
+    return points
+
+
+def _pick(facets: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Each row's facet at its chosen action."""
+    return facets[np.arange(len(actions)), actions]
 
 
 def V(qgame: QuasiAggregativeGame, s):
@@ -132,27 +164,32 @@ def V(qgame: QuasiAggregativeGame, s):
     """
     if np.ndim(s) == 0:
         return float(best_response_aggregate(qgame.base, [s])[0])
-    points = np.asarray(s, dtype=float)
-    if points.ndim != 1:
-        raise ParameterError(f"V takes a point or a 1-D array of points, got shape {points.shape}")
-    if not np.isfinite(points).all():
-        raise ParameterError("V's points must be finite")
-    if np.any(points[1:] < points[:-1]):
-        raise ParameterError("V sweeps ascending points only")
+    points = _sweep_points("V", s)
     base = qgame.base
-    ranges = _band_ranges(base.utility, points) if points.size else None
+    ranges = _band_ranges(qgame, points, 0.0)
     if ranges is None:
         return np.array([best_response_aggregate(base, [p])[0] for p in points], dtype=float)
-    return _sweep(base, points, *ranges)
+    def choose(vals, facets):
+        return (_pick(facets, first_argmax(vals)),)
+
+    return _sweep(base, points, ranges, choose)[0]
 
 
-def _band_ranges(utility, points: np.ndarray) -> Optional[tuple]:
-    """(player, first, stop) for every player and action pair whose payoff
-    gap may change sign among points[1:]: the points in [first, stop) are
-    those where the gap lies within the band, and the first one past it.
-    Players are taken ``_SWEEP_PLAYERS`` at a time. None when the evaluator
-    declares no payoff lines, or when the points reach so far out that a
-    payoff's float error could pass the band."""
+def _bands(qgame: QuasiAggregativeGame, xi: float) -> Optional[tuple]:
+    """(player, lo, hi, reach) of the game's payoff-gap bands at offset xi,
+    built once per game and offset and kept on ``qgame``. For every player
+    and action pair, the gap u_b - u_a is a line in s, and [lo, hi] are the
+    s where it lies within ``SWEEP_BAND`` of -xi or of xi: only there can the
+    rule "a pays at least the best payoff less xi" change its answer for the
+    pair (at xi = 0, only there can the best response change). ``reach`` is
+    (largest |slope|, largest |intercept|) of the payoffs, for the float-error
+    guard. None when the evaluator declares no payoff lines."""
+    if xi not in qgame._sweep_bands:
+        qgame._sweep_bands[xi] = _build_bands(qgame.base.utility, xi)
+    return qgame._sweep_bands[xi]
+
+
+def _build_bands(utility, xi: float) -> Optional[tuple]:
     if not hasattr(utility, "payoff_lines"):
         return None
     slope, icpt = utility.payoff_lines()
@@ -160,31 +197,50 @@ def _band_ranges(utility, points: np.ndarray) -> Optional[tuple]:
     def top(arr):  # max |arr| without an |arr| copy
         return max(arr.max(), -arr.min())
 
-    if _SWEEP_EPS * (top(slope) * top(points) + top(icpt)) > SWEEP_BAND:
-        return None
     n, m = slope.shape
-    L = len(points)
-    index = np.int32 if max(n, L) < 2**31 else np.int64  # half the memory of intp
-    ranges = [[np.empty(0, dtype=index)] * 3]  # one action: no pair, no range
+    index = np.int32 if n < 2**31 else np.int64  # half the memory of intp
+    parts = [(np.empty(0, dtype=index), np.empty(0), np.empty(0))]  # one action: no pair
     for start in range(0, n, _SWEEP_PLAYERS):
         rows = slice(start, start + _SWEEP_PLAYERS)
+        players = np.arange(start, min(start + _SWEEP_PLAYERS, n), dtype=index)
         for a, b in itertools.combinations(range(m), 2):
             g1 = slope[rows, b] - slope[rows, a]
             g0 = icpt[rows, b] - icpt[rows, a]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                x, y = (-g0 - SWEEP_BAND) / g1, (-g0 + SWEEP_BAND) / g1
-            lo, hi = np.minimum(x, y), np.maximum(x, y)
-            # a gap of slope 0 lies in the band at every point or at none
-            flat = g1 == 0
-            lo[flat] = np.where(np.abs(g0[flat]) <= SWEEP_BAND, -np.inf, np.inf)
-            hi[flat] = np.inf
-            # a band below every point changes nothing after the first
-            near = np.flatnonzero((hi >= points[0]) & (lo <= points[-1]))
-            first = np.maximum(np.searchsorted(points, lo[near], "left"), 1)
-            stop = np.minimum(np.searchsorted(points, hi[near], "right") + 1, L)
-            keep = first < stop
-            ranges.append([(arr[keep]).astype(index) for arr in (near + start, first, stop)])
-    return tuple(np.concatenate(part) for part in zip(*ranges))
+            for centre in sorted({-xi, xi}):
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    x = (centre - g0 - SWEEP_BAND) / g1
+                    y = (centre - g0 + SWEEP_BAND) / g1
+                lo, hi = np.minimum(x, y), np.maximum(x, y)
+                # a gap of slope 0 lies in the band at every point or at none
+                flat = g1 == 0
+                lo[flat] = np.where(np.abs(g0[flat] - centre) <= SWEEP_BAND, -np.inf, np.inf)
+                hi[flat] = np.inf
+                live = lo < np.inf
+                parts.append((players[live], lo[live], hi[live]))
+    player, lo, hi = (np.concatenate(part) for part in zip(*parts))
+    return player, lo, hi, (top(slope), top(icpt))
+
+
+def _band_ranges(qgame: QuasiAggregativeGame, points: np.ndarray, xi: float) -> Optional[tuple]:
+    """(player, first, stop) for every band of ``_bands`` that meets
+    points[1:]: the points in [first, stop) are those in the band, and the
+    first one past it. None when the game has no bands, when there are no
+    points, or when the points reach so far out that a payoff's float error
+    could pass the band."""
+    bands = _bands(qgame, xi) if points.size else None
+    if bands is None:
+        return None
+    player, lo, hi, (slope_top, icpt_top) = bands
+    if _SWEEP_EPS * (slope_top * max(-points[0], points[-1]) + icpt_top + xi) > SWEEP_BAND:
+        return None
+    L = len(points)
+    index = np.int32 if L < 2**31 else np.int64
+    # a band below every point changes nothing after the first
+    near = np.flatnonzero((hi >= points[0]) & (lo <= points[-1]))
+    first = np.maximum(np.searchsorted(points, lo[near], "left"), 1)
+    stop = np.minimum(np.searchsorted(points, hi[near], "right") + 1, L)
+    keep = first < stop
+    return player[near[keep]], first[keep].astype(index), stop[keep].astype(index)
 
 
 def _chunks(first: np.ndarray, stop: np.ndarray, L: int):
@@ -214,25 +270,30 @@ def _events(player, first, stop, lo: int, hi: int, n: int) -> tuple:
     return key % n, key // n
 
 
-def _sweep(game: AggregativeGame, points: np.ndarray, player, first, stop) -> np.ndarray:
-    """V at each ascending point: the best responses in full at the first,
-    then only the (player, point) rows of the ranges, all in one
-    ``value_rows`` pass per chunk. Each point sums its chosen facets in
-    player order, as ``best_response_aggregate`` does."""
+def _sweep(game: AggregativeGame, points: np.ndarray, ranges: tuple, choose) -> np.ndarray:
+    """Sums of chosen facets at each ascending point, one row per output of
+    ``choose(values, facets)``, which maps (k, m) payoff rows and the same
+    players' facet rows to a tuple of chosen-facet arrays. The choice is made
+    in full at the first point, then only at the (player, point) rows of the
+    ranges, all in one ``value_rows`` pass per chunk. Each point sums the
+    chosen facets in player order, as ``best_response_aggregate`` does, and
+    the sums are scaled by gamma."""
+    player, first, stop = ranges
     facets = game.f[:, 0, :]
-    chosen = facets[np.arange(game.n), first_argmax(utility_matrix(game, points[:1]))]
-    sums = np.empty(len(points))
-    sums[0] = chosen.sum()
+    chosen = choose(utility_matrix(game, points[:1]), facets)
+    sums = np.empty((len(chosen), len(points)))
+    sums[:, 0] = [c.sum() for c in chosen]
     for lo, hi in _chunks(first, stop, len(points)):
         who, at = _events(player, first, stop, lo, hi, game.n)
-        new = facets[who, first_argmax(game.utility.value_rows(who, points[at]))]
+        new = choose(game.utility.value_rows(who, points[at]), facets[who])
         edges = np.searchsorted(at, np.arange(lo, hi + 1)).tolist()
         for p, (e0, e1) in enumerate(zip(edges, edges[1:]), lo):
             if e0 < e1:
-                chosen[who[e0:e1]] = new[e0:e1]
-                sums[p] = chosen.sum()
+                for c, update, row in zip(chosen, new, sums):
+                    c[who[e0:e1]] = update[e0:e1]
+                    row[p] = c.sum()
             else:
-                sums[p] = sums[p - 1]
+                sums[:, p] = sums[:, p - 1]
     return game.gamma * sums
 
 
@@ -287,13 +348,34 @@ def _walk_aggregators(qgame: QuasiAggregativeGame, walk: SmoothWalk) -> np.ndarr
     return np.add.accumulate(s)
 
 
+# queries in the first block of every scan here; each later block is as long
+# as all before it, so a hit at position j >= _FIRST_BLOCK is asked in at
+# most 2 + log2(j / _FIRST_BLOCK) blocks, and no scan builds more than
+# max(_FIRST_BLOCK, 2j) queries
+_FIRST_BLOCK = 16
+
+
+def _blocks(total: int):
+    """[lo, hi) ranges over positions 0..total-1 in the scans' doubling
+    schedule."""
+    lo = 0
+    while lo < total:
+        hi = min(total, lo + max(lo, _FIRST_BLOCK))
+        yield lo, hi
+        lo = hi
+
+
+def _scan(session: SparseSession, queries: np.ndarray) -> tuple:
+    """``first_below`` over an array of query values, in doubling blocks."""
+    return first_below(session, (queries[lo:hi] for lo, hi in _blocks(len(queries))))
+
+
 def _walk_scan(qgame: QuasiAggregativeGame, session: SparseSession, hi, lo, target: float):
     """The first composite of the walk from lo to hi whose aggregator lands
     within the session's threshold of ``target``: (j, queries asked, x^j),
     with j and x^j None on a miss."""
     walk = smooth_walk(qgame, hi, lo)
-    s_vals = _walk_aggregators(qgame, walk)
-    j, asked = first_below(session, range(qgame.n + 1), lambda j: abs(float(s_vals[j]) - target))
+    j, asked = _scan(session, np.abs(_walk_aggregators(qgame, walk) - target))
     return j, asked, None if j is None else walk[j]
 
 
@@ -370,10 +452,6 @@ class PSummResult:
         return _psummnash_bound(self.alpha, gamma)
 
 
-# grid points in the first block psummnash passes to V
-_FIRST_BLOCK = 16
-
-
 def psummnash(
     qgame: QuasiAggregativeGame,
     epsilon: float,
@@ -391,10 +469,10 @@ def psummnash(
     alpha + gamma/2 of the crossing point. Each stage spends epsilon/3
     through its own one-shot sparse session.
 
-    V is read over ascending blocks of the grid, the first ``_FIRST_BLOCK``
-    points long and each later one as long as all before it, so a stage-1
-    hit at scan position j has V evaluated at no more than
-    max(``_FIRST_BLOCK``, 2j + 2) points; stage 2 reuses those values.
+    Stage 1 reads V over the grid in the scans' doubling blocks (see
+    ``_FIRST_BLOCK``), so a stage-1 hit at scan position j has V evaluated at
+    no more than max(``_FIRST_BLOCK``, 2j + 2) points. Stages 2 and 3 only
+    run after stage 1 asked every point, and stage 2 reuses those values.
     """
     _check_floor(qgame, epsilon, alpha, beta, 3)
     # callers evaluate the bound at gamma or at the tighter gamma_eff
@@ -405,35 +483,35 @@ def psummnash(
     result = partial(PSummResult, alpha=alpha, epsilon=epsilon, beta=beta, ledger=ledger)
     eps3 = epsilon / 3.0
 
-    values = []  # V at grid index k, stored at k + K
+    values = []  # V over each block stage 1 asked
 
-    def v_at(k: int) -> float:
-        # V over ascending blocks of the grid, each as long as all before it
-        while k + K >= len(values):
-            done = len(values)
-            count = min(max(done, _FIRST_BLOCK), 2 * K - done)
-            values.extend(V(qgame, np.arange(done - K, done - K + count) * alpha).tolist())
-        return values[k + K]
+    def fixed_point_gaps():
+        for lo, hi in _blocks(2 * K):
+            points = np.arange(lo - K, hi - K) * alpha
+            values.append(V(qgame, points))
+            yield np.abs(values[-1] - points)
 
     # stage 1: grid points that already summarize themselves
     s1 = ledger.open_session("grid-fixed-point", gamma, 4.0 * alpha, eps3, src.child("stage1"))
-    k, asked1 = first_below(s1, range(-K, K), lambda k: abs(v_at(k) - k * alpha))
-    if k is not None:
+    j, asked1 = first_below(s1, fixed_point_gaps())
+    if j is not None:
+        k = j - K
         profile = abr_profile(qgame.base, np.array([k * alpha]))
         return result(
             aborted=False, stage=1, profile=profile, k_hit=k, queries=(asked1, 0, 0),
         )
 
-    # stage 2: locate a downward crossing of V across one grid step
-    def crossing_gap(k: int) -> float:
-        gap_hi = max(min(0.0, k * alpha - v_at(k - 1)), -2.0 * alpha)
-        gap_lo = max(min(0.0, v_at(k) - k * alpha), -3.0 * alpha)
-        return gap_hi + gap_lo
-
+    # stage 2: locate a downward crossing of V across one grid step k - 1 -> k,
+    # for k from -K + 1 up; the query is the sum of two clamped one-sided gaps
+    v = np.concatenate(values)
+    points = np.arange(-K + 1, K) * alpha
+    gap_hi = np.maximum(np.minimum(0.0, points - v[:-1]), -2.0 * alpha)
+    gap_lo = np.maximum(np.minimum(0.0, v[1:] - points), -3.0 * alpha)
     s2 = ledger.open_session("crossing-scan", gamma, -4.0 * alpha, eps3, src.child("stage2"))
-    bracket, asked2 = first_below(s2, range(-K + 1, K), crossing_gap)
-    if bracket is None:
+    j, asked2 = _scan(s2, gap_hi + gap_lo)
+    if j is None:
         return result(aborted=True, stage=None, queries=(asked1, asked2, 0))
+    bracket = j - K + 1
 
     # stage 3: walk between the bracketing best-response profiles
     hi = abr_profile(qgame.base, np.array([bracket * alpha]))
@@ -600,20 +678,48 @@ def _extreme_actions(facets: np.ndarray, allowed: np.ndarray) -> tuple:
     return x_min, x_max
 
 
-def s_extremes(qgame: QuasiAggregativeGame, s: float, xi: float) -> Extremes:
+def s_extremes(qgame: QuasiAggregativeGame, s, xi: float):
     """Optimistic and pessimistic composites over the xi-ABR sets at s.
 
     Per player, the most and least aggregator-increasing action among those
-    within xi of their best response to s (``_extreme_actions``).
+    within xi of their best response to s (``_extreme_actions``). A float s
+    gives ``Extremes``. An ascending 1-D array of points gives the arrays
+    (s_min, s_max), bit for bit what the float call gives at each point.
+    Like ``V``, games with payoff lines are swept, here with bands at payoff
+    gaps of -xi and xi, where the xi-ABR sets can change; the others are
+    evaluated point by point.
     """
-    check_finite(s=s, xi=xi)
+    check_finite(xi=xi)
     if xi < 0:
         raise ParameterError("xi must be nonnegative")
-    allowed = best_response_support(utility_matrix(qgame.base, np.array([float(s)])), xi)
-    x_min, x_max = _extreme_actions(qgame.base.f[:, 0, :], allowed)
-    return Extremes(
-        s_min=qgame.s_of(x_min), s_max=qgame.s_of(x_max), x_min=x_min, x_max=x_max
-    )
+    base = qgame.base
+    if np.ndim(s) == 0:
+        check_finite(s=s)
+        x_min, x_max = _extreme_profiles(base, float(s), xi)
+        return Extremes(
+            s_min=qgame.s_of(x_min), s_max=qgame.s_of(x_max), x_min=x_min, x_max=x_max
+        )
+    points = _sweep_points("s_extremes", s)
+    ranges = _band_ranges(qgame, points, xi)
+    if ranges is None:
+        s_min, s_max = np.empty(len(points)), np.empty(len(points))
+        for j, p in enumerate(points):
+            x_min, x_max = _extreme_profiles(base, p, xi)
+            s_min[j], s_max[j] = qgame.s_of(x_min), qgame.s_of(x_max)
+        return s_min, s_max
+
+    def choose(vals, facets):
+        x_min, x_max = _extreme_actions(facets, best_response_support(vals, xi))
+        return _pick(facets, x_min), _pick(facets, x_max)
+
+    s_min, s_max = _sweep(base, points, ranges, choose)
+    return s_min, s_max
+
+
+def _extreme_profiles(base: AggregativeGame, s: float, xi: float) -> tuple:
+    """(x_min, x_max) over every player's xi-ABR set at one point."""
+    allowed = best_response_support(utility_matrix(base, np.array([s])), xi)
+    return _extreme_actions(base.f[:, 0, :], allowed)
 
 
 @dataclass
@@ -648,6 +754,10 @@ def select_equilibrium(
     whose xi-ABR region straddles them (a clamped two-sided gap against
     threshold -3 alpha), resolved by (d) a walk between the two composites.
     The best-ranked hit across branches wins.
+
+    The three grid scans share one ``s_extremes`` sweep per doubling block
+    of the quality order, made when a scan first asks the block; a hit's
+    composites come from ``s_extremes`` at that one point.
     """
     if (params.gamma, params.W, params.n) != (qgame.gamma, qgame.W, qgame.n):
         raise ParameterError("params were derived for a different game")
@@ -656,39 +766,55 @@ def select_equilibrium(
     alpha = params.alpha
     eps4 = params.epsilon / 4.0
     ledger = PrivacyLedger()
-    grid = params.grid.tolist()
+    grid = params.grid
+    blocks = list(_blocks(len(grid)))
+    swept = []  # (points, s_min, s_max) of each block a scan has asked
 
-    @cache
-    def ext(idx: int) -> Extremes:
-        return s_extremes(qgame, grid[idx], params.xi)
+    def extremes(b: int) -> tuple:
+        while len(swept) <= b:
+            lo, hi = blocks[len(swept)]
+            points = grid[lo:hi]
+            order = np.argsort(points)  # s_extremes sweeps ascending points
+            s_min, s_max = np.empty_like(points), np.empty_like(points)
+            s_min[order], s_max[order] = s_extremes(qgame, points[order], params.xi)
+            swept.append((points, s_min, s_max))
+        return swept[b]
 
-    points = range(len(grid))
+    def scan(session: SparseSession, query) -> tuple:
+        """``first_below`` over the grid in quality order, each block's
+        query values computed from its points and extremes."""
+        return first_below(session, (query(*extremes(b)) for b in range(len(blocks))))
+
+    def composites(idx: int) -> Extremes:
+        return s_extremes(qgame, float(grid[idx]), params.xi)
+
     hits = []  # (rank, profile, branch, walk_j), in branch order
 
     sess = ledger.open_session("optimistic-scan", gamma, 3.0 * alpha, eps4, src.child("optimistic"))
-    idx, asked_a = first_below(sess, points, lambda i: abs(ext(i).s_max - grid[i]))
+    idx, asked_a = scan(sess, lambda s, s_min, s_max: np.abs(s_max - s))
     if idx is not None:
-        hits.append((idx, ext(idx).x_max, "optimistic", None))
+        hits.append((idx, composites(idx).x_max, "optimistic", None))
 
     sess = ledger.open_session(
         "pessimistic-scan", gamma, 3.0 * alpha, eps4, src.child("pessimistic")
     )
-    idx, asked_b = first_below(sess, points, lambda i: abs(ext(i).s_min - grid[i]))
+    idx, asked_b = scan(sess, lambda s, s_min, s_max: np.abs(s_min - s))
     if idx is not None:
-        hits.append((idx, ext(idx).x_min, "pessimistic", None))
+        hits.append((idx, composites(idx).x_min, "pessimistic", None))
 
-    def straddle_gap(i: int) -> float:
-        gap_lo = max(min(ext(i).s_min - grid[i], 0.0), -2.0 * alpha)
-        gap_hi = max(min(grid[i] - ext(i).s_max, 0.0), -2.0 * alpha)
+    def straddle_gap(s, s_min, s_max):
+        gap_lo = np.maximum(np.minimum(s_min - s, 0.0), -2.0 * alpha)
+        gap_hi = np.maximum(np.minimum(s - s_max, 0.0), -2.0 * alpha)
         return gap_lo + gap_hi
 
     # the walk is charged up front, whether or not it runs
     sess_c = ledger.open_session("straddle-scan", gamma, -3.0 * alpha, eps4, src.child("straddle"))
     sess_d = ledger.open_session("walk-scan", gamma, alpha + gamma / 2.0, eps4, src.child("walk"))
-    idx, asked_c = first_below(sess_c, points, straddle_gap)
+    idx, asked_c = scan(sess_c, straddle_gap)
     asked_d = 0
     if idx is not None:
-        j, asked_d, profile = _walk_scan(qgame, sess_d, ext(idx).x_max, ext(idx).x_min, grid[idx])
+        ext = composites(idx)
+        j, asked_d, profile = _walk_scan(qgame, sess_d, ext.x_max, ext.x_min, float(grid[idx]))
         if j is not None:
             hits.append((idx, profile, "walk", j))
 
@@ -699,7 +825,7 @@ def select_equilibrium(
     rank, profile, branch, walk_j = min(hits, key=lambda hit: hit[0])
     return SelectResult(
         aborted=False, params=params, ledger=ledger, profile=profile, branch=branch,
-        s_star=grid[rank], rank=rank, walk_j=walk_j, queries=queries,
+        s_star=float(grid[rank]), rank=rank, walk_j=walk_j, queries=queries,
     )
 
 

@@ -227,15 +227,15 @@ def presl(game: AggregativeGame, params: PreslParams, src: NoiseSource) -> Presl
         "grid-scan", game.gamma, params.alpha + params.e1, params.epsilon, src.child("sparse")
     )
 
-    def lp_value(item) -> float:
-        _, (y, s) = item
-        y_arg = y if params.has_loss else None
-        return exact_lp_min(game, s, y_arg, params.xi, params.lp_tol).value
+    def lp_values():  # one query per block: each is an exact LP solve
+        for y, s in query_order(params):
+            y_arg = y if params.has_loss else None
+            yield exact_lp_min(game, s, y_arg, params.xi, params.lp_tol).value
 
-    hit, asked = first_below(session, enumerate(query_order(params)), lp_value)
-    if hit is None:
+    hit_index, asked = first_below(session, lp_values())
+    if hit_index is None:
         return PreslResult(aborted=True, params=params, ledger=ledger, queries_asked=asked)
-    hit_index, (hit_y, hit_s) = hit
+    hit_y, hit_s = next(itertools.islice(query_order(params), hit_index, None))
 
     slack = params.alpha + 2.0 * params.e1
     lp = build_slack_lp(game, hit_s, hit_y if params.has_loss else None, params.xi, slack)

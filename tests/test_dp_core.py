@@ -21,6 +21,7 @@ from privagg.dp_core import (
     exponential_mechanism,
     first_below,
     laplace_sample,
+    laplace_samples,
 )
 from privagg.onedim import PSummResult, SelectResult
 from privagg.presl import PreslResult
@@ -241,7 +242,9 @@ def test_first_below_returns_the_first_hit():
     sess = SparseSession(1.0, 0.0, 1.0, src)
     items = ["a", "b", "c", "d"]
     values = {"a": 2.0, "b": 1.0, "c": -1.0, "d": -5.0}
-    assert first_below(sess, items, values.__getitem__) == ("c", 3)
+    blocks = ([values[x] for x in items[:1]], [values[x] for x in items[1:]])
+    hit, asked = first_below(sess, blocks)
+    assert (items[hit], asked) == ("c", 3)
     assert sess.halted
 
 
@@ -250,32 +253,32 @@ def test_first_below_miss_asks_every_query():
     sess = SparseSession(1.0, 0.0, 1.0, src)
     asked_values = []
 
-    def query(x):
-        asked_values.append(x)
-        return x
+    def blocks(items):
+        for lo, hi in ((0, 1), (1, 3), (3, 4)):
+            asked_values.extend(items[lo:hi])
+            yield np.array(items[lo:hi])
 
     items = [3.0, 1.0, 0.5, 2.0]
-    assert first_below(sess, items, query) == (None, len(items))
+    assert first_below(sess, blocks(items)) == (None, len(items))
     assert asked_values == items
     assert not sess.halted
 
 
 def test_first_below_is_lazy():
-    # the generator raises once advanced past the hit, and the query
-    # records every call: an eager scan trips either check
+    # the block stream raises once advanced past the hit's block, and the
+    # stream records every value it builds: an eager scan trips either check
     src = NoiseSource(0, NoiseSource.NOISE_OFF)
     sess = SparseSession(1.0, 0.0, 1.0, src)
     queried = []
 
-    def items():
-        yield from (4.0, 3.0, -1.0)
+    def blocks():
+        for block in ([4.0, 3.0], [-1.0]):
+            queried.extend(block)
+            yield block
         raise AssertionError("advanced past the hit")
 
-    def query(x):
-        queried.append(x)
-        return x
-
-    assert first_below(sess, items(), query) == (-1.0, 3)
+    hit, asked = first_below(sess, blocks())
+    assert (queried[hit], asked) == (-1.0, 3)
     assert queried == [4.0, 3.0, -1.0]
 
 
@@ -284,7 +287,8 @@ def test_first_below_matches_a_hand_loop_under_noise():
     values = np.linspace(3.0, -3.0, 25)
     for t in range(50):
         sess = SparseSession(1.0, 0.0, 2.0, root.child(t))
-        hit = first_below(sess, range(len(values)), lambda i: values[i])
+        cuts = [0, 1, 3, 7, 15, 25]  # doubling blocks, as the solvers pass them
+        hit = first_below(sess, (values[lo:hi] for lo, hi in zip(cuts, cuts[1:])))
         ref = SparseSession(1.0, 0.0, 2.0, root.child(t))
         for j, v in enumerate(values):
             if ref.answer(v).below:
@@ -292,6 +296,124 @@ def test_first_below_matches_a_hand_loop_under_noise():
                 break
         else:
             assert hit == (None, len(values))
+
+
+class ScriptedGenerator:
+    """Stand-in for a NoiseSource's generator: ``random()`` and
+    ``random(k)`` return the scripted raw draws in order."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self, k=None):
+        if k is None:
+            return self.draws.pop(0)
+        out, self.draws = self.draws[:k], self.draws[k:]
+        return np.array(out)
+
+
+def test_uniforms_skip_exact_zeros_in_stream_order():
+    script = [0.0, 0.25, 0.0, 0.0, 0.5, 0.125, 0.0, 0.75, 0.375]
+    one, block = NoiseSource(0), NoiseSource(0)
+    one._gen, block._gen = ScriptedGenerator(script), ScriptedGenerator(script)
+    want = [one.uniform() for _ in range(5)]
+    assert want == [0.25, 0.5, 0.125, 0.75, 0.375]
+    assert block.uniforms(5).tolist() == want
+    assert one._gen.draws == block._gen.draws == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), k=st.integers(0, 300), b=st.floats(1e-6, 1e3))
+def test_block_noise_is_consecutive_scalar_draws(seed, k, b):
+    ref = NoiseSource(seed)
+    assert NoiseSource(seed).uniforms(k).tolist() == [ref.uniform() for _ in range(k)]
+    one, block = NoiseSource(seed), NoiseSource(seed)
+    want = np.array([laplace_sample(b, one) for _ in range(k)])
+    got = laplace_samples(b, block, k)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert block.state == one.state
+    off = NoiseSource(seed, NoiseSource.NOISE_OFF)
+    before = off.state
+    assert laplace_samples(b, off, k).tolist() == [0.0] * k
+    assert off.state == before  # noise_off draws nothing
+
+
+def hand_scan(sensitivity, threshold, epsilon, src, values):
+    """AboveThreshold one query at a time, from scalar Laplace draws:
+    (hit position or None, queries asked)."""
+    scale = 2.0 * sensitivity / epsilon
+
+    def noise():
+        return laplace_sample(scale, src) if scale > 0 else 0.0
+
+    noisy_threshold = threshold + noise()
+    for j, v in enumerate(values):
+        if v + noise() <= noisy_threshold:
+            return j, j + 1
+    return None, len(values)
+
+
+@st.composite
+def block_scans(draw):
+    """Query values near the threshold 0, cut into random blocks."""
+    values = draw(st.lists(st.floats(-2.0, 4.0), min_size=0, max_size=60))
+    cuts = sorted(set(draw(st.lists(st.integers(0, len(values)), max_size=8))))
+    cuts = [0] + [c for c in cuts if 0 < c < len(values)] + [len(values)]
+    blocks = [np.array(values[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    mode = draw(st.sampled_from([NoiseSource.NOISY, NoiseSource.NOISE_OFF]))
+    sensitivity = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    return values, blocks, mode, sensitivity, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=block_scans())
+def test_block_scan_matches_the_one_at_a_time_loop(case):
+    values, blocks, mode, sensitivity, seed = case
+    ref_src, src = NoiseSource(seed, mode), NoiseSource(seed, mode)
+    want = hand_scan(sensitivity, 0.0, 1.0, ref_src, values)
+    sess = SparseSession(sensitivity, 0.0, 1.0, src)
+    assert first_below(sess, blocks) == want
+    assert src.state == ref_src.state  # the stream ends where the loop left it
+    assert sess.asked == want[1]
+    assert sess.halted == (want[0] is not None)
+
+
+def test_block_scan_hits_mid_block_last_entry_and_misses():
+    src = NoiseSource(5, NoiseSource.NOISE_OFF)
+    mid = SparseSession(1.0, 0.0, 1.0, src)
+    assert mid.answer([3.0, -1.0, -2.0, 5.0]).below
+    assert mid.asked == 2
+    with pytest.raises(StateError):  # halted partway through its block
+        mid.answer([-1.0])
+    last = SparseSession(1.0, 0.0, 1.0, src)
+    assert first_below(last, ([1.0, 2.0], [3.0, 0.0])) == (3, 4)
+    miss = SparseSession(1.0, 0.0, 1.0, src)
+    assert first_below(miss, ([1.0, 2.0], [], [3.0])) == (None, 3)
+    assert not miss.halted
+    # under noise, a hit on a block's last entry needs no rewind
+    for seed in range(20):
+        ref, src = NoiseSource(seed), NoiseSource(seed)
+        want = hand_scan(1.0, 0.0, 1.0, ref, [50.0, 50.0, -50.0])
+        sess = SparseSession(1.0, 0.0, 1.0, src)
+        assert first_below(sess, ([50.0, 50.0, -50.0],)) == want == (2, 3)
+        assert src.state == ref.state
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("mode", [NoiseSource.NOISY, NoiseSource.NOISE_OFF])
+def test_non_finite_queries_are_refused_before_any_draw(bad, mode):
+    # NaN would answer Above and -inf Below: a broken query must not end or
+    # pass a scan silently
+    for block in ([bad], [1.0, 2.0, bad, -5.0], [-5.0, bad]):
+        src = NoiseSource(3, mode)
+        sess = SparseSession(1.0, 0.0, 1.0, src)
+        before = src.state
+        with pytest.raises(ParameterError):
+            sess.answer(block)
+        assert src.state == before
+        assert (sess.asked, sess.halted) == (0, False)
+        with pytest.raises(ParameterError):
+            first_below(SparseSession(1.0, 0.0, 1.0, NoiseSource(3, mode)), ([3.0], block))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,4 +1,5 @@
-"""``V`` over an ascending array of points against the one-point kernel.
+"""``V`` and ``s_extremes`` over ascending arrays of points against their
+one-point calls.
 
 On linear and threshold games ``V`` sweeps the points: it re-evaluates a
 player only near a zero of one of their payoff gaps. The sweep must give,
@@ -19,15 +20,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from privagg import onedim
-from privagg.dp_core import NoiseSource, ParameterError
+from privagg.dp_core import NoiseSource, ParameterError, SparseSession
 from privagg.game_core import (
     LinearUtility, TableUtility, ThresholdUtility, best_response_aggregate, grid_steps,
 )
 from privagg.harness import generate
 from privagg.market import to_aggregative
-from privagg.onedim import QuasiAggregativeGame, V, psummnash
+from privagg.onedim import (
+    QualitySpec, QuasiAggregativeGame, SelectionParams, V, psummnash, s_extremes,
+    select_equilibrium,
+)
 
-from conftest import build_quiet, reference_abr_profile, reference_aggregator
+from conftest import (
+    build_quiet, crowd_averse_game, reference_abr_profile, reference_aggregator,
+)
 
 SWEEP = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -64,14 +70,22 @@ def assert_sweep_exact(qgame, points):
     return got
 
 
+# offsets from a planted payoff gap's flip value: exactly on it, or within 1e-12
+NEAR = st.sampled_from([0.0, 1e-12, -1e-12, 3e-13])
+
+
 @st.composite
-def threshold_game(draw):
-    """Thresholds on grid points, repeated, 0.0, 5e-324 or anywhere in
-    [0, 1]; facets 0/1 (the opt-in game) or any floats in [-1, 1]."""
+def threshold_game(draw, xi=0.0):
+    """Thresholds on grid points, xi off a grid point (plus NEAR), repeated,
+    0.0, 5e-324 or anywhere in [0, 1]; facets 0/1 (the opt-in game) or any
+    floats in [-1, 1]. A threshold T gives the payoff gap T - s, so the
+    xi-planted ones put gaps of -xi and xi on or next to grid points."""
     n = draw(st.integers(1, 40))
     alpha, points = draw(grid_block(1.0))
     on_grid = st.integers(0, grid_steps(1.0, alpha)).map(lambda k: min(1.0, k * alpha))
-    pick = st.one_of(on_grid, st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))
+    planted = st.builds(lambda t, side, near: min(1.0, max(0.0, t + side + near)),
+                        on_grid, st.sampled_from([-xi, xi]), NEAR)
+    pick = st.one_of(on_grid, planted, st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))
     thresholds = draw(st.lists(pick, min_size=n, max_size=n))
     if draw(st.booleans()):  # duplicates
         thresholds = [thresholds[i % max(1, n // 3)] for i in range(n)]
@@ -93,11 +107,11 @@ def test_threshold_sweep_matches_every_point(case):
 
 
 @st.composite
-def linear_game(draw):
-    """m = 1..4 linear payoffs with the awkward pairs planted: a crossing on
-    a grid point (dyadic slopes and steps make it an exact tie there), equal
-    slopes with equal intercepts or intercepts a few ulps apart, and slopes
-    about 1e-13 apart."""
+def linear_game(draw, xi=0.0):
+    """m = 1..4 linear payoffs with the awkward pairs planted: a gap of 0,
+    -xi or xi on a grid point (dyadic slopes, steps and xi make it exact
+    there), or within 1e-12 of it; equal slopes with equal intercepts or
+    intercepts a few ulps apart, and slopes about 1e-13 apart."""
     n = draw(st.integers(1, 30))
     m = draw(st.integers(1, 4))
     alpha, points = draw(grid_block(1.0))
@@ -111,7 +125,8 @@ def linear_game(draw):
             w[i, a], w[i, b] = rng.integers(-16, 17, size=2) / 64.0
             s0 = points[rng.integers(len(points))]
             c[i, a] = rng.integers(-12, 13) / 64.0
-            c[i, b] = c[i, a] + (w[i, a] - w[i, b]) * s0
+            flip = draw(st.sampled_from([0.0, -xi, xi])) + draw(NEAR)
+            c[i, b] = c[i, a] + (w[i, a] - w[i, b]) * s0 + flip
         elif plant == "equal":
             w[i, b], c[i, b] = w[i, a], c[i, a]
         elif plant == "ulps":
@@ -171,6 +186,51 @@ def test_intercepts_one_ulp_apart_tie_at_some_points_only():
     assert np.sum(got[1:] != got[:-1]) > 2 * n  # V moves more often than once a player
 
 
+# a tie at an exact gap of xi needs a dyadic xi; the floats cover the rest
+XI = st.one_of(st.sampled_from([0.0, 1.0 / 64, 0.125, 0.25]), st.floats(0.0, 0.5))
+
+
+def assert_extremes_exact(qgame, points, xi):
+    s_min, s_max = s_extremes(qgame, points, xi)
+    each = [s_extremes(qgame, float(s), xi) for s in points]
+    assert same_bits(s_min, np.array([e.s_min for e in each], dtype=float))
+    assert same_bits(s_max, np.array([e.s_max for e in each], dtype=float))
+
+
+@SWEEP
+@given(xi=XI, data=st.data())
+def test_threshold_extremes_sweep_matches_every_point(xi, data):
+    qgame, points = data.draw(threshold_game(xi))
+    assert_extremes_exact(qgame, points, xi)
+
+
+@SWEEP
+@given(xi=XI, data=st.data())
+def test_linear_extremes_sweep_matches_every_point(xi, data):
+    qgame, points = data.draw(linear_game(xi))
+    assert_extremes_exact(qgame, points, xi)
+
+
+def test_planted_xi_gaps_are_met():
+    # gaps of exactly -xi and xi on grid points: the xi-ABR sets change
+    # there, and the sweep must catch each change
+    n, alpha, xi = 8, 1.0 / 64, 0.125
+    w = np.array([[0.25, -0.125]] * n)
+    s0 = np.arange(n) * 4 * alpha - 0.5
+    side = np.where(np.arange(n) % 2 == 0, xi, -xi)
+    c = np.zeros((n, 2))
+    c[:, 1] = (w[:, 0] - w[:, 1]) * s0 + side
+    f = np.tile([[[1.0, -1.0]]], (n, 1, 1))
+    q = QuasiAggregativeGame(build_quiet(n=n, m=2, d=1, gamma=1.0 / n, W=1.0, f=f,
+                                         utility=LinearUtility(c, w[:, :, None])))
+    values = q.base.utility.value_matrix(np.array([s0[3]]))
+    assert values[3, 1] - values[3, 0] == side[3]
+    points = np.arange(-64, 64) * alpha
+    assert_extremes_exact(q, points, xi)
+    s_min, s_max = s_extremes(q, points, xi)
+    assert len(np.unique(s_min)) > 2 and len(np.unique(s_max)) > 2
+
+
 @st.composite
 def table_or_market_game(draw):
     seed = draw(st.integers(0, 2**16))
@@ -192,6 +252,12 @@ def table_or_market_game(draw):
 @given(case=table_or_market_game())
 def test_table_and_market_games_match_every_point(case):
     assert_sweep_exact(*case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=table_or_market_game(), xi=XI)
+def test_table_and_market_extremes_match_every_point(case, xi):
+    assert_extremes_exact(*case, xi)
 
 
 @pytest.mark.parametrize("kind", ["threshold", "linear"])
@@ -222,9 +288,31 @@ def test_points_beyond_the_band_guarantee_are_evaluated_one_by_one(monkeypatch):
 def test_V_refuses_what_it_cannot_sweep():
     q = generate("threshold", 1, n=10)
     assert same_bits(V(q, np.array([])), np.array([]))
+    empty = s_extremes(q, np.array([]), 0.1)
+    assert all(same_bits(arr, np.array([])) for arr in empty)
     for bad in ([0.2, 0.1], [[0.1, 0.2]], [0.1, np.nan], [-np.inf, 0.0]):
         with pytest.raises(ParameterError):
             V(q, bad)
+        with pytest.raises(ParameterError):
+            s_extremes(q, bad, 0.1)
+
+
+def test_band_ends_are_built_once_per_game_and_offset(monkeypatch):
+    q = generate("threshold", 2, n=300)
+    built = []
+    lines = ThresholdUtility.payoff_lines
+    monkeypatch.setattr(ThresholdUtility, "payoff_lines", lambda u: built.append(1) or lines(u))
+    points = np.arange(-100, 100) * 0.01
+    for lo in range(0, 200, 50):
+        V(q, points[lo : lo + 50])
+    assert len(built) == 1
+    for _ in range(3):
+        s_extremes(q, points, 0.1)
+        s_extremes(q, points[::7], 0.2)
+    assert len(built) == 3
+    # a new game over the same evaluator builds its own bands
+    V(QuasiAggregativeGame(q.base), points)
+    assert len(built) == 4
 
 
 def test_rows_are_chunked_and_the_result_is_unchanged(monkeypatch):
@@ -262,3 +350,35 @@ def test_early_stage_one_hits_evaluate_few_points(v0, monkeypatch):
     assert abs(res.k_hit * alpha - v0) <= 4 * alpha + 1e-12
     assert sum(passed) <= 2 * j + onedim._FIRST_BLOCK
     assert len(passed) <= 2 + max(0, math.ceil(math.log2((j + 1) / onedim._FIRST_BLOCK)))
+
+
+def scan_blocks(asked):
+    """How many doubling blocks a scan that asked ``asked`` queries passed."""
+    return len(list(onedim._blocks(asked)))
+
+
+@pytest.mark.parametrize("noise", [NoiseSource(3), NoiseSource(3, NoiseSource.NOISE_OFF)])
+def test_every_scan_asks_a_doubling_block_at_a_time(noise, monkeypatch):
+    # one session call per block, in every stage of both solvers; select
+    # sweeps each block of its quality order once for its three grid scans
+    # and reads a hit's composites from one-point calls
+    answers, swept, single = [], [], []
+    answer, extremes = SparseSession.answer, onedim.s_extremes
+    monkeypatch.setattr(SparseSession, "answer",
+                        lambda sess, v: answers.append(np.size(v)) or answer(sess, v))
+    monkeypatch.setattr(onedim, "s_extremes", lambda q, s, xi: (
+        (swept if np.ndim(s) else single).append(np.size(s)) or extremes(q, s, xi)))
+    q = QuasiAggregativeGame(crowd_averse_game(40, 0.5, 0.025))
+    res = psummnash(q, 500.0, 0.05, 0.05, noise)
+    assert res.stage == 3  # all three scans ran
+    assert answers[:scan_blocks(res.queries[0])] == [16, 16, 8]  # the 40-point grid
+    assert len(answers) == sum(scan_blocks(asked) for asked in res.queries)
+
+    answers.clear()
+    params = SelectionParams.for_game(q, zeta=4.0 * q.gamma, quality=QualitySpec.peak(0.3),
+                                      epsilon=3000.0, alpha=0.05, beta=0.05)
+    res = select_equilibrium(q, params, noise)
+    assert len(answers) == sum(scan_blocks(asked) for asked in res.queries)
+    deepest = max(res.queries[:3])
+    assert swept == [hi - lo for lo, hi in onedim._blocks(deepest)]
+    assert len(single) <= 3
