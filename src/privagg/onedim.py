@@ -218,7 +218,8 @@ def _build_bands(utility, xi: float) -> Optional[tuple]:
                 live = lo < np.inf
                 parts.append((players[live], lo[live], hi[live]))
     player, lo, hi = (np.concatenate(part) for part in zip(*parts))
-    return player, lo, hi, (top(slope), top(icpt))
+    order = np.argsort(lo)  # each block's bands are then a prefix of the order
+    return player[order], lo[order], hi[order], (top(slope), top(icpt))
 
 
 def _band_ranges(qgame: QuasiAggregativeGame, points: np.ndarray, xi: float) -> Optional[tuple]:
@@ -236,7 +237,8 @@ def _band_ranges(qgame: QuasiAggregativeGame, points: np.ndarray, xi: float) -> 
     L = len(points)
     index = np.int32 if L < 2**31 else np.int64
     # a band below every point changes nothing after the first
-    near = np.flatnonzero((hi >= points[0]) & (lo <= points[-1]))
+    reach = np.searchsorted(lo, points[-1], "right")
+    near = np.flatnonzero(hi[:reach] >= points[0])
     first = np.maximum(np.searchsorted(points, lo[near], "left"), 1)
     stop = np.minimum(np.searchsorted(points, hi[near], "right") + 1, L)
     keep = first < stop
