@@ -758,8 +758,8 @@ def select_equilibrium(
     The best-ranked hit across branches wins.
 
     The three grid scans share one ``s_extremes`` sweep per doubling block
-    of the quality order, made when a scan first asks the block; a hit's
-    composites come from ``s_extremes`` at that one point.
+    of the quality order, made when a scan first asks the block; the hits'
+    composites come from one ``s_extremes`` call at each point hit.
     """
     if (params.gamma, params.W, params.n) != (qgame.gamma, qgame.W, qgame.n):
         raise ParameterError("params were derived for a different game")
@@ -787,22 +787,12 @@ def select_equilibrium(
         query values computed from its points and extremes."""
         return first_below(session, (query(*extremes(b)) for b in range(len(blocks))))
 
-    def composites(idx: int) -> Extremes:
-        return s_extremes(qgame, float(grid[idx]), params.xi)
-
-    hits = []  # (rank, profile, branch, walk_j), in branch order
-
     sess = ledger.open_session("optimistic-scan", gamma, 3.0 * alpha, eps4, src.child("optimistic"))
-    idx, asked_a = scan(sess, lambda s, s_min, s_max: np.abs(s_max - s))
-    if idx is not None:
-        hits.append((idx, composites(idx).x_max, "optimistic", None))
-
+    idx_a, asked_a = scan(sess, lambda s, s_min, s_max: np.abs(s_max - s))
     sess = ledger.open_session(
         "pessimistic-scan", gamma, 3.0 * alpha, eps4, src.child("pessimistic")
     )
-    idx, asked_b = scan(sess, lambda s, s_min, s_max: np.abs(s_min - s))
-    if idx is not None:
-        hits.append((idx, composites(idx).x_min, "pessimistic", None))
+    idx_b, asked_b = scan(sess, lambda s, s_min, s_max: np.abs(s_min - s))
 
     def straddle_gap(s, s_min, s_max):
         gap_lo = np.maximum(np.minimum(s_min - s, 0.0), -2.0 * alpha)
@@ -812,13 +802,21 @@ def select_equilibrium(
     # the walk is charged up front, whether or not it runs
     sess_c = ledger.open_session("straddle-scan", gamma, -3.0 * alpha, eps4, src.child("straddle"))
     sess_d = ledger.open_session("walk-scan", gamma, alpha + gamma / 2.0, eps4, src.child("walk"))
-    idx, asked_c = scan(sess_c, straddle_gap)
+    idx_c, asked_c = scan(sess_c, straddle_gap)
+
+    # the composites at each point a scan hit, one s_extremes call per point
+    ext = {i: s_extremes(qgame, float(grid[i]), params.xi) for i in {idx_a, idx_b, idx_c} - {None}}
+    hits = []  # (rank, profile, branch, walk_j), in branch order
+    if idx_a is not None:
+        hits.append((idx_a, ext[idx_a].x_max, "optimistic", None))
+    if idx_b is not None:
+        hits.append((idx_b, ext[idx_b].x_min, "pessimistic", None))
     asked_d = 0
-    if idx is not None:
-        ext = composites(idx)
-        j, asked_d, profile = _walk_scan(qgame, sess_d, ext.x_max, ext.x_min, float(grid[idx]))
+    if idx_c is not None:
+        hi, lo = ext[idx_c].x_max, ext[idx_c].x_min
+        j, asked_d, profile = _walk_scan(qgame, sess_d, hi, lo, float(grid[idx_c]))
         if j is not None:
-            hits.append((idx, profile, "walk", j))
+            hits.append((idx_c, profile, "walk", j))
 
     queries = (asked_a, asked_b, asked_c, asked_d)
     if not hits:

@@ -8,7 +8,7 @@ import pytest
 
 import privagg
 import privagg.presl as presl_mod
-from privagg.dp_core import BudgetError, NoiseSource, ParameterError
+from privagg.dp_core import BudgetError, NoiseSource, ParameterError, SparseSession
 from privagg.game_core import LinearUtility, regret, utility_values
 from privagg.harness import brute_force_equilibria, generate, profile_loss
 from privagg.lp_core import build_slack_lp, exact_lp_min, replay_mw_player
@@ -156,14 +156,19 @@ def test_query_order_stream():
 # ---------------------------------------------------------------------------
 
 
-def test_presl_noise_off_hits_first_admissible_query():
+def test_presl_noise_off_hits_first_admissible_query(monkeypatch):
     g = positive_flow_game()
     prm = fast_params(g)
+    blocks = []  # each query is an LP solve, so the scan asks one per block
+    answer = SparseSession.answer
+    monkeypatch.setattr(SparseSession, "answer",
+                        lambda sess, v: blocks.append(np.size(v)) or answer(sess, v))
     res = presl(g, prm, NoiseSource(3, NoiseSource.NOISE_OFF))
     assert not res.aborted
     # the far-left grid point sits w_snap + min S away, above the threshold
     assert res.hit_index == 1
     assert res.queries_asked == 2
+    assert blocks == [1, 1]
     assert res.hit_y == 0.0
     assert np.array_equal(res.hit_s, [0.0])
 
