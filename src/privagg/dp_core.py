@@ -7,9 +7,11 @@ the sparse vector finds a grid point, and the exponential mechanism picks
 each round's constraint in the private LP dynamics. Everything downstream that
 touches player data goes through this module, so the noise semantics here are
 deliberately boring: one seeded uniform stream per NoiseSource, inverse-CDF
-Laplace sampling, and a noise_off mode that turns every mechanism into its
-deterministic counterpart (Laplace draws become 0, the exponential mechanism
-becomes a lowest-index argmax) without touching the uniform stream.
+Laplace sampling (``laplace_samples``, which draws the sparse vector's
+threshold noise and its query noise alike), and a noise_off mode that turns
+every mechanism into its deterministic counterpart (Laplace draws become 0,
+the exponential mechanism becomes a lowest-index argmax) without touching
+the uniform stream.
 
 Every private scan in the solvers is ``first_below(session, blocks)``: it
 streams blocks of query values through a one-shot SparseSession and stops at
@@ -44,7 +46,6 @@ __all__ = [
     "as_real",
     "seed_bits",
     "seeded_generator",
-    "laplace_sample",
     "laplace_samples",
     "first_below",
     "exponential_mechanism",
@@ -298,27 +299,13 @@ class NoiseSource:
         return f"NoiseSource(seed={self.seed}, mode={self.mode!r})"
 
 
-def laplace_sample(b: float, src: NoiseSource) -> float:
-    """Sample Lap(b) by inverse CDF on one uniform draw.
-
-    x = -b * sign(u - 1/2) * ln(1 - 2|u - 1/2|) for u uniform in (0, 1).
-    In noise_off mode returns exactly 0.0 (and b = 0 is then permitted).
-    """
-    if src.noise_off:
-        return 0.0
-    check_finite(scale=b)
-    if b <= 0:
-        raise ParameterError(f"Laplace scale must be positive, got {b}")
-    u = src.uniform()
-    return -b * math.copysign(1.0, u - 0.5) * math.log(1.0 - 2.0 * abs(u - 0.5))
-
-
 def laplace_samples(b: float, src: NoiseSource, k: int) -> np.ndarray:
-    """k draws of Lap(b), bit for bit what k calls of ``laplace_sample``
-    return: the same uniforms (``NoiseSource.uniforms``) through the same
-    formula, with each logarithm taken by ``math.log``, which ``np.log``
-    does not match in the last bit on every input. noise_off draws nothing
-    and returns k zeros."""
+    """k draws of Lap(b) by inverse CDF, one uniform u in (0, 1) each, in
+    stream order (``NoiseSource.uniforms``):
+    x = -b * sign(u - 1/2) * ln(1 - 2|u - 1/2|). Each logarithm is taken by
+    ``math.log``, so a draw does not depend on how many share its call;
+    ``np.log`` does not match it in the last bit on every input. noise_off
+    draws nothing and returns k zeros, and b = 0 is then permitted."""
     if src.noise_off:
         return np.zeros(k)
     check_finite(scale=b)
@@ -372,7 +359,7 @@ class SparseSession:
         self.asked = 0
         self.query_scale = 2.0 * self.sensitivity / self.epsilon
         self.noisy_threshold = self.threshold + (
-            laplace_sample(self.query_scale, src) if self.query_scale > 0 else 0.0
+            float(laplace_samples(self.query_scale, src, 1)[0]) if self.query_scale > 0 else 0.0
         )
 
     def answer(self, query_values) -> SparseAnswer:
@@ -471,9 +458,3 @@ class PrivacyLedger:
         session = SparseSession(sensitivity, threshold, epsilon, src)
         self.add(label, session.epsilon)
         return session
-
-    def total_simple(self) -> tuple[float, float]:
-        """Basic composition: plain sums."""
-        eps = sum(e for _, e, _ in self.entries)
-        delta = sum(d for _, _, d in self.entries)
-        return eps, delta

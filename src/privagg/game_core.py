@@ -22,7 +22,8 @@ aggregator value s of shape (d,) and returning u_i(a, s) for every action a:
 
 ``validate_for_game(game)`` is optional; ``kind``, ``to_params`` and
 ``from_params`` serve JSON round trips. A d = 1 evaluator whose payoffs are
-affine in s may add two more, which ``onedim.V`` reads to sweep a grid:
+affine in s may add two more, which let ``onedim.V`` and ``s_extremes``
+re-evaluate a player only near a flip of their choice as they sweep a grid:
 
 - ``payoff_lines()``: (slope, intercept), each (n, m), with row i of
   ``value_matrix([s])`` within 2 eps (|slope s| + |intercept|) of
@@ -60,7 +61,6 @@ __all__ = [
     "utility_values",
     "abr_set",
     "abr_profile",
-    "best_response_aggregate",
     "first_argmax",
     "regret",
     "sample_action",
@@ -434,14 +434,10 @@ def as_mixed_profile(game: AggregativeGame, p) -> np.ndarray:
 
 
 def aggregator(game: AggregativeGame, x) -> np.ndarray:
-    """S(x) = gamma * sum_i f_i(x_i), a point in [-W, W]^d."""
-    return _chosen_aggregate(game, as_pure_profile(game, x))
-
-
-def _chosen_aggregate(game: AggregativeGame, x: np.ndarray) -> np.ndarray:
-    """S(x) for a checked int64 profile. f_i(x_i)[k] sits at flat offset
-    (i d + k) m + x_i of the C-ordered (n, d, m) facet tensor; one ``take``
-    gathers the (n, d) block in C order."""
+    """S(x) = gamma * sum_i f_i(x_i), a point in [-W, W]^d. f_i(x_i)[k] sits
+    at flat offset (i d + k) m + x_i of the C-ordered (n, d, m) facet tensor;
+    one ``take`` gathers the (n, d) block in C order."""
+    x = as_pure_profile(game, x)
     n, d, m = game.f.shape
     offsets = np.arange(0, n * d * m, m).reshape(n, d)
     offsets += x[:, None]
@@ -556,13 +552,6 @@ def abr_profile(game: AggregativeGame, s) -> np.ndarray:
     Ties resolve to the lowest action index.
     """
     return first_argmax(utility_matrix(game, as_point(game, s)))
-
-
-def best_response_aggregate(game: AggregativeGame, s) -> np.ndarray:
-    """S(BR(s)), the aggregator of everyone's best response to s: bit for
-    bit ``aggregator(game, abr_profile(game, s))``, but it gathers the facets
-    at ``first_argmax``'s indices without re-checking them as a profile."""
-    return _chosen_aggregate(game, first_argmax(utility_matrix(game, as_point(game, s))))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,12 @@ there, or at the first point past such a band. The flip value is 0 for the
 best response that ``V`` reads, and -xi or xi for the xi-best-response sets
 that ``s_extremes`` reads. Elsewhere every comparison the rule makes between
 the player's payoffs keeps its answer, so their choice cannot change. The
-sweep runs on evaluators that declare their payoff lines (linear and
-threshold utilities); table and market games, and points so far out that a
-payoff's float error could pass the band, are evaluated point by point.
+bands come from evaluators that declare their payoff lines (linear and
+threshold utilities); on table and market games, at points so far out that
+a payoff's float error could pass the band, and at a single point, the
+same sweep makes its choice in full at every point. ``V`` at a float s is
+a sweep over one point; ``s_extremes`` at a float s returns the composite
+profiles themselves.
 
 Every private scan here asks its sparse session a block of queries at a
 time (``first_below``), in one doubling schedule (``_FIRST_BLOCK``). psummnash
@@ -58,7 +61,6 @@ from .game_core import (
     aggregator,
     as_player,
     as_pure_profile,
-    best_response_aggregate,
     best_response_support,
     first_argmax,
     grid_steps,
@@ -158,21 +160,14 @@ def V(qgame: QuasiAggregativeGame, s):
     """Summary value: the aggregator of everyone's best response to s.
 
     A float s gives a float. An ascending 1-D array of points gives the
-    array of V at each, bit for bit what the float call gives. Games with
-    payoff lines are swept (see the module docstring), the others are
-    evaluated point by point.
+    array of V at each, bit for bit what the float call gives: both are one
+    ``_sweep`` (see the module docstring).
     """
-    if np.ndim(s) == 0:
-        return float(best_response_aggregate(qgame.base, [s])[0])
-    points = _sweep_points("V", s)
-    base = qgame.base
-    ranges = _band_ranges(qgame, points, 0.0)
-    if ranges is None:
-        return np.array([best_response_aggregate(base, [p])[0] for p in points], dtype=float)
     def choose(vals, facets):
         return (_pick(facets, first_argmax(vals)),)
 
-    return _sweep(base, points, ranges, choose)[0]
+    v = _sweep(qgame, _sweep_points("V", np.atleast_1d(s)), 0.0, choose)[0]
+    return float(v[0]) if np.ndim(s) == 0 else v
 
 
 def _bands(qgame: QuasiAggregativeGame, xi: float) -> Optional[tuple]:
@@ -225,10 +220,10 @@ def _build_bands(utility, xi: float) -> Optional[tuple]:
 def _band_ranges(qgame: QuasiAggregativeGame, points: np.ndarray, xi: float) -> Optional[tuple]:
     """(player, first, stop) for every band of ``_bands`` that meets
     points[1:]: the points in [first, stop) are those in the band, and the
-    first one past it. None when the game has no bands, when there are no
-    points, or when the points reach so far out that a payoff's float error
-    could pass the band."""
-    bands = _bands(qgame, xi) if points.size else None
+    first one past it. None when the game has no bands, when there are
+    fewer than two points (no bands are built then), or when the points
+    reach so far out that a payoff's float error could pass the band."""
+    bands = _bands(qgame, xi) if points.size > 1 else None
     if bands is None:
         return None
     player, lo, hi, (slope_top, icpt_top) = bands
@@ -272,20 +267,31 @@ def _events(player, first, stop, lo: int, hi: int, n: int) -> tuple:
     return key % n, key // n
 
 
-def _sweep(game: AggregativeGame, points: np.ndarray, ranges: tuple, choose) -> np.ndarray:
+def _sweep(qgame: QuasiAggregativeGame, points: np.ndarray, xi: float, choose) -> np.ndarray:
     """Sums of chosen facets at each ascending point, one row per output of
     ``choose(values, facets)``, which maps (k, m) payoff rows and the same
     players' facet rows to a tuple of chosen-facet arrays. The choice is made
     in full at the first point, then only at the (player, point) rows of the
-    ranges, all in one ``value_rows`` pass per chunk. Each point sums the
-    chosen facets in player order, as ``best_response_aggregate`` does, and
-    the sums are scaled by gamma."""
-    player, first, stop = ranges
+    ranges of ``_band_ranges(qgame, points, xi)``, all in one ``value_rows``
+    pass per chunk; where that gives None, it is made in full at every
+    point. Each point sums the chosen facets in player order, as
+    ``aggregator`` does, and the sums are scaled by gamma."""
+    game = qgame.base
     facets = game.f[:, 0, :]
+    L = len(points)
+    if L == 0:  # choose over no rows: one empty array per output
+        return np.empty((len(choose(np.empty((0, game.m)), facets[:0])), 0))
     chosen = choose(utility_matrix(game, points[:1]), facets)
-    sums = np.empty((len(chosen), len(points)))
+    sums = np.empty((len(chosen), L))
     sums[:, 0] = [c.sum() for c in chosen]
-    for lo, hi in _chunks(first, stop, len(points)):
+    ranges = _band_ranges(qgame, points, xi)
+    if ranges is None:
+        for p in range(1, L):
+            chosen = choose(utility_matrix(game, points[p : p + 1]), facets)
+            sums[:, p] = [c.sum() for c in chosen]
+        return game.gamma * sums
+    player, first, stop = ranges
+    for lo, hi in _chunks(first, stop, L):
         who, at = _events(player, first, stop, lo, hi, game.n)
         new = choose(game.utility.value_rows(who, points[at]), facets[who])
         edges = np.searchsorted(at, np.arange(lo, hi + 1)).tolist()
@@ -686,42 +692,26 @@ def s_extremes(qgame: QuasiAggregativeGame, s, xi: float):
     Per player, the most and least aggregator-increasing action among those
     within xi of their best response to s (``_extreme_actions``). A float s
     gives ``Extremes``. An ascending 1-D array of points gives the arrays
-    (s_min, s_max), bit for bit what the float call gives at each point.
-    Like ``V``, games with payoff lines are swept, here with bands at payoff
-    gaps of -xi and xi, where the xi-ABR sets can change; the others are
-    evaluated point by point.
+    (s_min, s_max), bit for bit what the float call gives at each point:
+    like ``V``, a ``_sweep``, here with bands at payoff gaps of -xi and xi,
+    where the xi-ABR sets can change.
     """
     check_finite(xi=xi)
     if xi < 0:
         raise ParameterError("xi must be nonnegative")
-    base = qgame.base
-    if np.ndim(s) == 0:
+    if np.ndim(s) == 0:  # the composites themselves, at one point
         check_finite(s=s)
-        x_min, x_max = _extreme_profiles(base, float(s), xi)
+        allowed = best_response_support(utility_matrix(qgame.base, np.array([float(s)])), xi)
+        x_min, x_max = _extreme_actions(qgame.base.f[:, 0, :], allowed)
         return Extremes(
             s_min=qgame.s_of(x_min), s_max=qgame.s_of(x_max), x_min=x_min, x_max=x_max
         )
-    points = _sweep_points("s_extremes", s)
-    ranges = _band_ranges(qgame, points, xi)
-    if ranges is None:
-        s_min, s_max = np.empty(len(points)), np.empty(len(points))
-        for j, p in enumerate(points):
-            x_min, x_max = _extreme_profiles(base, p, xi)
-            s_min[j], s_max[j] = qgame.s_of(x_min), qgame.s_of(x_max)
-        return s_min, s_max
 
     def choose(vals, facets):
         x_min, x_max = _extreme_actions(facets, best_response_support(vals, xi))
         return _pick(facets, x_min), _pick(facets, x_max)
 
-    s_min, s_max = _sweep(base, points, ranges, choose)
-    return s_min, s_max
-
-
-def _extreme_profiles(base: AggregativeGame, s: float, xi: float) -> tuple:
-    """(x_min, x_max) over every player's xi-ABR set at one point."""
-    allowed = best_response_support(utility_matrix(base, np.array([s])), xi)
-    return _extreme_actions(base.f[:, 0, :], allowed)
+    return tuple(_sweep(qgame, _sweep_points("s_extremes", s), xi, choose))
 
 
 @dataclass

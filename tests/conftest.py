@@ -219,6 +219,26 @@ def recurrence_exact_lp_min(game, s_hat, y_hat, xi, tol):
     return max(best_lower, 0.0), accum / t, t
 
 
+def laplace_sample(b, src):
+    """One Lap(b) draw by inverse CDF on one uniform, in scalar math: the
+    reference for ``laplace_samples``, which must give k of these draws bit
+    for bit. noise_off returns exactly 0.0 (and b = 0 is then permitted)."""
+    if src.noise_off:
+        return 0.0
+    check_finite(scale=b)
+    if b <= 0:
+        raise ParameterError(f"Laplace scale must be positive, got {b}")
+    u = src.uniform()
+    return -b * math.copysign(1.0, u - 0.5) * math.log(1.0 - 2.0 * abs(u - 0.5))
+
+
+def total_simple(ledger):
+    """Basic composition of a PrivacyLedger: plain sums of (eps, delta)."""
+    eps = sum(e for _, e, _ in ledger.entries)
+    delta = sum(d for _, _, d in ledger.entries)
+    return eps, delta
+
+
 def sparse_accuracy_bound(n_queries, c, sensitivity, epsilon, beta):
     """Accuracy alpha = 4*c*gamma*(ln N + ln(2c/beta))/eps of the sparse vector.
 
@@ -255,7 +275,7 @@ def compose_adaptive(ledger, delta_prime):
             math.exp(first) - 1.0
         )
         return eps_total, delta_sum + delta_prime
-    return ledger.total_simple()
+    return total_simple(ledger)
 
 
 # ---------------------------------------------------------------------------

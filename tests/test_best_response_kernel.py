@@ -1,11 +1,12 @@
 """The best-response kernel and the regret oracle against plain references.
 
-``abr_profile`` reduces over the actions one column at a time,
-``aggregator`` gathers the chosen facets with one flat ``take``, and
-``best_response_aggregate`` (the kernel behind ``V``) does both without
-building a checked profile. All three must match the direct numpy routes in
-conftest bit for bit on every built-in evaluator, exact ties included; so
-must ``V`` at every grid point of five d = 1 games. Each evaluator's
+``abr_profile`` reduces over the actions one column at a time, and
+``aggregator`` gathers the chosen facets with one flat ``take``. Both must
+match the direct numpy routes in conftest bit for bit on every built-in
+evaluator, exact ties included; so must the best-response aggregate
+S(BR(s)): ``V``'s float and one-point calls on the d = 1 games,
+``aggregator(abr_profile(s))`` on the others, and ``V`` at every grid
+point of five d = 1 games. Each evaluator's
 per-player row must also equal the matching row of its matrix bit for bit.
 ``regret`` builds its deviation aggregates in blocks of players and must
 match the one-deviation-at-a-time loop in conftest bit for bit, with one
@@ -26,7 +27,6 @@ from privagg.game_core import (
     abr_profile,
     abr_set,
     aggregator,
-    best_response_aggregate,
     first_argmax,
     grid_steps,
     regret,
@@ -132,8 +132,13 @@ def test_best_response_aggregate_matches_the_references(name):
     g, points = evaluator_games()[name]
     for s in points:
         want = reference_aggregator(g, reference_abr_profile(g, s))
-        assert same_bits(best_response_aggregate(g, s), want)
-        assert same_bits(best_response_aggregate(g, s.tolist()), want)
+        if g.d == 1:
+            q = QuasiAggregativeGame(g)
+            assert same_bits(V(q, float(s[0])), float(want[0]))
+            assert same_bits(V(q, s), want)
+            assert same_bits(V(q, s.tolist()), want)
+        else:
+            assert same_bits(aggregator(g, abr_profile(g, s)), want)
 
 
 @pytest.mark.parametrize(
@@ -183,11 +188,11 @@ def test_non_finite_aggregator_values_and_widths_are_refused():
         with pytest.raises(ParameterError, match="finite"):
             V(q, bad)
         with pytest.raises(ParameterError, match="finite"):
-            best_response_aggregate(g, [bad])
+            V(q, [bad])
         with pytest.raises(ParameterError, match="finite"):
             abr_profile(g, [bad])
     with pytest.raises(ParameterError, match="shape"):
-        best_response_aggregate(g, [0.2, 0.3])
+        abr_profile(g, [0.2, 0.3])
     with pytest.raises(ParameterError, match="shape"):
         abr_set(g, 0, 0.2, 0.1)
 

@@ -20,13 +20,12 @@ from privagg.dp_core import (
     check_finite,
     exponential_mechanism,
     first_below,
-    laplace_sample,
     laplace_samples,
 )
 from privagg.onedim import PSummResult, SelectResult
 from privagg.presl import PreslResult
 
-from conftest import compose_adaptive, sparse_accuracy_bound
+from conftest import compose_adaptive, laplace_sample, sparse_accuracy_bound, total_simple
 
 
 class FixedUniform:
@@ -39,16 +38,19 @@ class FixedUniform:
     def uniform(self):
         return self.values.pop(0)
 
+    def uniforms(self, k):
+        return np.array([self.uniform() for _ in range(k)])
+
 
 def test_laplace_inverse_cdf_frozen_values():
     # median of the symmetric distribution
-    assert laplace_sample(1.0, FixedUniform([0.5])) == 0.0
+    assert laplace_samples(1.0, FixedUniform([0.5]), 1)[0] == 0.0
     # u = 0.75, b = 1: -ln(0.5)
-    assert laplace_sample(1.0, FixedUniform([0.75])) == pytest.approx(
+    assert laplace_samples(1.0, FixedUniform([0.75]), 1)[0] == pytest.approx(
         0.6931471805599453, abs=0
     )
     # scale multiplies linearly
-    assert laplace_sample(2.0, FixedUniform([0.75])) == pytest.approx(
+    assert laplace_samples(2.0, FixedUniform([0.75]), 1)[0] == pytest.approx(
         2.0 * 0.6931471805599453, abs=0
     )
 
@@ -56,30 +58,30 @@ def test_laplace_inverse_cdf_frozen_values():
 def test_laplace_noise_off_is_exactly_zero():
     src = NoiseSource(7, NoiseSource.NOISE_OFF)
     for b in (1e-12, 1.0, 1e9):
-        assert laplace_sample(b, src) == 0.0
+        assert laplace_samples(b, src, 1)[0] == 0.0
     # even a nonsensical scale is permitted when no draw happens
-    assert laplace_sample(0.0, src) == 0.0
+    assert laplace_samples(0.0, src, 1)[0] == 0.0
 
 
 def test_laplace_rejects_bad_scale_when_noisy():
     src = NoiseSource(7)
     with pytest.raises(ParameterError):
-        laplace_sample(0.0, src)
+        laplace_samples(0.0, src, 1)
     with pytest.raises(ParameterError):
-        laplace_sample(-1.0, src)
+        laplace_samples(-1.0, src, 1)
 
 
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6))
 def test_laplace_transform_is_antisymmetric(u):
-    lo = laplace_sample(1.0, FixedUniform([u]))
-    hi = laplace_sample(1.0, FixedUniform([1.0 - u]))
+    lo = laplace_samples(1.0, FixedUniform([u]), 1)[0]
+    hi = laplace_samples(1.0, FixedUniform([1.0 - u]), 1)[0]
     # 1 - u is not exact in floats, so allow a relative slack
     assert lo == pytest.approx(-hi, rel=1e-7, abs=1e-9)
 
 
 def test_laplace_moments_match_distribution():
     src = NoiseSource(123)
-    draws = np.array([laplace_sample(2.0, src) for _ in range(20000)])
+    draws = np.array([laplace_samples(2.0, src, 1)[0] for _ in range(20000)])
     # mean 0, mean absolute deviation b
     assert abs(draws.mean()) < 0.1
     assert np.abs(draws).mean() == pytest.approx(2.0, abs=0.1)
@@ -427,7 +429,7 @@ def test_non_finite_budgets_are_rejected(bad):
     with pytest.raises(ParameterError):
         SparseSession(bad, 0.0, 1.0, src)
     with pytest.raises(ParameterError):
-        laplace_sample(bad, src)
+        laplace_samples(bad, src, 1)
     with pytest.raises(ParameterError):
         exponential_mechanism([0.0, 1.0], 1.0, bad, src)
     with pytest.raises(ParameterError):  # a NaN sensitivity once passed <= 0 unnoticed
@@ -549,7 +551,7 @@ def test_compose_heterogeneous_falls_back_to_sums():
     eps, delta = compose_adaptive(ledger, 0.01)
     assert eps == pytest.approx(0.3)
     assert delta == 0.0
-    assert ledger.total_simple() == (eps, 0.0)
+    assert total_simple(ledger) == (eps, 0.0)
 
 
 def test_compose_empty_and_validation():

@@ -49,6 +49,7 @@ from conftest import (
     per_player_extremes,
     quality_penalty,
     selection_accuracy_floor,
+    total_simple,
 )
 
 OFF = NoiseSource.NOISE_OFF
@@ -348,7 +349,7 @@ def test_psummnash_noise_off_deterministic_and_ledger():
     assert [e[0] for e in full.ledger.entries] == [
         "grid-fixed-point", "crossing-scan", "walk-scan",
     ]
-    assert full.ledger.total_simple()[0] == pytest.approx(500.0)
+    assert total_simple(full.ledger)[0] == pytest.approx(500.0)
 
 
 def test_psummnash_replay_both_stages():

@@ -25,7 +25,7 @@ from privagg.presl import (
     sampling_deviation_bound,
 )
 
-from conftest import build_quiet, n_queries
+from conftest import build_quiet, n_queries, total_simple
 
 
 def reference_game(n=200):
@@ -199,7 +199,7 @@ def test_presl_output_contract():
     # declared budget: one sparse scan at epsilon, one LP solve at (eps, delta)
     labels = [e[0] for e in res.ledger.entries]
     assert labels == ["grid-scan", "lp-dynamics"]
-    assert res.ledger.total_simple() == (
+    assert total_simple(res.ledger) == (
         pytest.approx(2 * prm.epsilon), pytest.approx(prm.delta)
     )
     assert res.nash_bound == pytest.approx(prm.zeta + 12 * prm.alpha)

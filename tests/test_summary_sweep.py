@@ -3,13 +3,14 @@ one-point calls.
 
 On linear and threshold games ``V`` sweeps the points: it re-evaluates a
 player only near a zero of one of their payoff gaps. The sweep must give,
-at every point, the bits of ``best_response_aggregate`` at that point alone.
-The games below are drawn to sit on the edges the sweep has to get right:
-exact ties on grid points, duplicated thresholds, thresholds of 0.0 and
-5e-324, facets that are not 0/1, equal payoff slopes with equal or nearly
-equal intercepts, and slopes 1e-13 apart. Table and market games take the
-point-by-point route and must agree too. psummnash reads ``V`` in doubling
-blocks, so an early stage-1 hit evaluates few points.
+at every point, the bits of the plain numpy route in conftest at that point
+alone. The games below are drawn to sit on the edges the sweep has to get
+right: exact ties on grid points, duplicated thresholds, thresholds of 0.0
+and 5e-324, facets that are not 0/1, equal payoff slopes with equal or
+nearly equal intercepts, and slopes 1e-13 apart. Table and market games,
+which declare no payoff lines, are chosen in full at every point and must
+agree too. psummnash reads ``V`` in doubling blocks, so an early stage-1
+hit evaluates few points.
 """
 
 import math
@@ -21,9 +22,7 @@ from hypothesis import strategies as st
 
 from privagg import onedim
 from privagg.dp_core import NoiseSource, ParameterError, SparseSession
-from privagg.game_core import (
-    LinearUtility, TableUtility, ThresholdUtility, best_response_aggregate, grid_steps,
-)
+from privagg.game_core import LinearUtility, TableUtility, ThresholdUtility, grid_steps
 from privagg.harness import generate
 from privagg.market import to_aggregative
 from privagg.onedim import (
@@ -32,7 +31,8 @@ from privagg.onedim import (
 )
 
 from conftest import (
-    build_quiet, crowd_averse_game, reference_abr_profile, reference_aggregator,
+    build_quiet, crowd_averse_game, per_player_extremes, reference_abr_profile,
+    reference_aggregator,
 )
 
 SWEEP = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -44,7 +44,9 @@ def same_bits(a, b) -> bool:
 
 
 def point_by_point(qgame, points):
-    return np.array([best_response_aggregate(qgame.base, [s])[0] for s in points])
+    base = qgame.base
+    return np.array([reference_aggregator(base, reference_abr_profile(base, [s]))[0]
+                     for s in points])
 
 
 @st.composite
@@ -321,6 +323,77 @@ def test_rows_are_chunked_and_the_result_is_unchanged(monkeypatch):
     whole = V(q, points)
     monkeypatch.setattr(onedim, "_SWEEP_ROWS", 5)
     assert same_bits(V(q, points), whole)
+
+
+@pytest.mark.parametrize("kind", ["threshold", "linear"])
+def test_bands_built_in_many_player_chunks_sweep_the_same(kind, monkeypatch):
+    # 50 players 7 at a time: the band build runs its per-chunk loop 8 times
+    def fresh():
+        if kind == "threshold":
+            return generate("threshold", 9, n=50)
+        return QuasiAggregativeGame(generate("linear", 9, n=50, m=3))
+
+    points = np.arange(-100, 100) * 0.01
+    default = fresh()
+    v, (s_min, s_max) = V(default, points), s_extremes(default, points, 0.1)
+    monkeypatch.setattr(onedim, "_SWEEP_PLAYERS", 7)
+    q = fresh()
+    assert same_bits(V(q, points), v)
+    got_min, got_max = s_extremes(q, points, 0.1)
+    assert same_bits(got_min, s_min) and same_bits(got_max, s_max)
+    assert all(q._sweep_bands[xi] is not None for xi in (0.0, 0.1))
+    assert same_bits(v, point_by_point(q, points))
+    assert_extremes_exact(q, points, 0.1)
+
+
+def full_choice_cases():
+    """name -> (game, ascending points) where the sweep chooses in full at
+    every point, at n = 300: past numpy's 128-value block, where a sum's
+    order starts to show. Value tables and a market declare no payoff lines;
+    the linear game's points reach 1e12, past the float-error guard."""
+    n = 300
+    rng = np.random.Generator(np.random.PCG64(17))
+    table = build_quiet(n=n, m=3, d=1, gamma=1.0 / n, W=1.0,
+                        f=rng.uniform(-1.0, 1.0, size=(n, 1, 3)),
+                        utility=TableUtility(np.linspace(-1.0, 1.0, 5),
+                                             rng.uniform(-0.25, 0.25, size=(n, 3, 5))))
+    market = to_aggregative(generate("market", 18, n=n, d=1))
+    return {
+        "table": (QuasiAggregativeGame(table), np.linspace(-1.0, 1.0, 21)),
+        "market": (QuasiAggregativeGame(market), np.linspace(-1.0, 1.0, 21) * market.W),
+        "linear-far": (QuasiAggregativeGame(generate("linear", 19, n=n, m=3)),
+                       np.linspace(-1e12, 1e12, 9)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(full_choice_cases()))
+def test_full_choice_sweep_matches_the_references_past_one_sum_block(name):
+    q, points = full_choice_cases()[name]
+    xi = 0.05
+    assert same_bits(V(q, points), point_by_point(q, points))
+    s_min, s_max = s_extremes(q, points, xi)
+    for j in range(0, len(points), 4):
+        assert same_bits(V(q, float(points[j])), point_by_point(q, points[j : j + 1])[0])
+        x_min, x_max = per_player_extremes(q, points[j], xi)
+        assert same_bits(s_min[j], reference_aggregator(q.base, x_min)[0])
+        assert same_bits(s_max[j], reference_aggregator(q.base, x_max)[0])
+        one = s_extremes(q, float(points[j]), xi)
+        assert same_bits(one.x_min, x_min) and same_bits(one.x_max, x_max)
+        assert same_bits(one.s_min, s_min[j]) and same_bits(one.s_max, s_max[j])
+    assert same_bits(V(q, np.array([])), np.array([]))
+    assert all(same_bits(arr, np.array([])) for arr in s_extremes(q, np.array([]), xi))
+
+
+def test_one_point_calls_build_no_bands(monkeypatch):
+    built = []
+    lines = ThresholdUtility.payoff_lines
+    monkeypatch.setattr(ThresholdUtility, "payoff_lines", lambda u: built.append(1) or lines(u))
+    q = generate("threshold", 2, n=300)
+    V(q, 0.3)
+    V(q, np.array([0.3]))
+    s_extremes(q, 0.3, 0.1)
+    s_extremes(q, np.array([0.3]), 0.1)
+    assert built == [] and q._sweep_bands == {}
 
 
 def constant_V_game(n, v0):
