@@ -70,10 +70,12 @@ def cmd_gen_game(args) -> int:
 def cmd_solve(args) -> int:
     """presl, npresl, psummnash and select: one ``harness.SOLVERS`` entry."""
     params = vars(args)
-    if args.command == "select":
+    if args.command == "select":  # the flags given, over the CLI's default target or slope
+        own = {"peak": {"target": 0.0}, "linear": {"slope": 1.0}}
+        given = {key: params[f"quality_{key}"] for key in ("target", "lam", "slope")}
         params["quality"] = {
-            "kind": args.quality_kind, "target": args.quality_target,
-            "lam": args.quality_lam, "slope": args.quality_slope,
+            "kind": args.quality_kind, **own[args.quality_kind],
+            **{key: value for key, value in given.items() if value is not None},
         }
     out = solve(args.command, load_game(args.game), params, _src(args))
     if out.aborted:
@@ -277,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=handler)
         if command == "select":
             p.add_argument("--quality-kind", choices=["peak", "linear"], default="peak")
-            p.add_argument("--quality-target", type=float, default=0.0)
-            p.add_argument("--quality-lam", type=float, default=1.0)
-            p.add_argument("--quality-slope", type=float, default=1.0)
+            p.add_argument("--quality-target", type=float, help="peak only (default 0)")
+            p.add_argument("--quality-lam", type=float, help="peak only (default 1)")
+            p.add_argument("--quality-slope", type=float, help="linear only (default 1)")
 
     p = sub.add_parser("market-sim", parents=[seed, out], help="market maker loss simulation")
     p.add_argument("--game", help="market game JSON (overrides generator flags)")

@@ -17,11 +17,11 @@ Every private scan in the solvers is ``first_below(session, blocks)``: it
 streams blocks of query values through a one-shot SparseSession and stops at
 the first below answer (AboveThreshold, Dwork & Roth 2014, Alg. 1). Only the
 hit's position leaves the session, never a noisy query value. Blocks are
-pulled lazily, so no block past the hit's is built or evaluated; within the
-hit's block, the session compares every value with one array of noise and
-then rewinds its noise stream to just past the hit, so the draws, the
-answers and the stream's end state are those of a scan that asked one query
-at a time.
+pulled lazily, so no block past the hit's is built or evaluated. Each block
+is compared with one array of noise, whose draws are those a scan asking one
+query at a time would take, so the answers equal that scan's. A session owns
+its noise stream and leaves it at the end of the hit's block. Its
+sensitivity must be positive in both noise modes.
 """
 
 from __future__ import annotations
@@ -259,16 +259,6 @@ class NoiseSource:
             out = np.concatenate((kept, self._gen.random(k - kept.size)))
         return out
 
-    @property
-    def state(self) -> dict:
-        """The uniform stream's PCG64 state; assigning a saved state rewinds
-        the stream to where it was saved."""
-        return self._gen.bit_generator.state
-
-    @state.setter
-    def state(self, value: dict) -> None:
-        self._gen.bit_generator.state = value
-
     def child(self, label) -> "NoiseSource":
         """Derive an independent NoiseSource keyed by (seed, label)."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(_label_to_int(label),))
@@ -304,13 +294,14 @@ def laplace_samples(b: float, src: NoiseSource, k: int) -> np.ndarray:
     stream order (``NoiseSource.uniforms``):
     x = -b * sign(u - 1/2) * ln(1 - 2|u - 1/2|). Each logarithm is taken by
     ``math.log``, so a draw does not depend on how many share its call;
-    ``np.log`` does not match it in the last bit on every input. noise_off
-    draws nothing and returns k zeros, and b = 0 is then permitted."""
-    if src.noise_off:
-        return np.zeros(k)
+    ``np.log`` does not match it in the last bit on every input. b must be
+    positive and finite in both modes; noise_off then draws nothing and
+    returns k zeros."""
     check_finite(scale=b)
     if b <= 0:
         raise ParameterError(f"Laplace scale must be positive, got {b}")
+    if src.noise_off:
+        return np.zeros(k)
     centred = src.uniforms(k) - 0.5
     logs = np.fromiter(map(math.log, (1.0 - 2.0 * np.abs(centred)).tolist()), float, k)
     return -b * np.copysign(1.0, centred) * logs
@@ -325,18 +316,17 @@ class SparseAnswer:
 
     below: bool
 
-    def __str__(self) -> str:
-        return "Below" if self.below else "Above"
-
 
 class SparseSession:
     """One-shot below-threshold sparse vector state (AboveThreshold).
 
     Adds Lap(2*gamma/eps) to each streamed query and compares against a
-    noisy threshold T + Lap(2*gamma/eps) drawn once at construction. The
-    first below answer halts the session; further answers are a state error.
-    ``asked`` counts the queries compared so far, the hit included, so after
-    a hit the hit's position in the stream is ``asked - 1``.
+    noisy threshold T + Lap(2*gamma/eps) drawn once at construction; the
+    sensitivity gamma must be positive in both noise modes. The first below
+    answer halts the session; further answers are a state error. ``asked``
+    counts the queries compared so far, the hit included, so after a hit the
+    hit's position in the stream is ``asked - 1``. The session owns ``src``:
+    nothing else may draw from it.
     """
 
     def __init__(
@@ -346,8 +336,8 @@ class SparseSession:
         epsilon: float,
         src: NoiseSource,
     ):
-        if sensitivity < 0:
-            raise ParameterError("sensitivity must be >= 0")
+        if not sensitivity > 0:
+            raise ParameterError(f"sensitivity must be positive, got {sensitivity}")
         if epsilon <= 0:
             raise ParameterError("epsilon must be positive")
         check_finite(sensitivity=sensitivity, threshold=threshold, epsilon=epsilon)
@@ -358,38 +348,27 @@ class SparseSession:
         self.halted = False
         self.asked = 0
         self.query_scale = 2.0 * self.sensitivity / self.epsilon
-        self.noisy_threshold = self.threshold + (
-            float(laplace_samples(self.query_scale, src, 1)[0]) if self.query_scale > 0 else 0.0
-        )
+        self.noisy_threshold = self.threshold + float(laplace_samples(self.query_scale, src, 1)[0])
 
     def answer(self, query_values) -> SparseAnswer:
         """Below if any value of a query or a 1-D block of them falls below
         the noisy threshold. The block is compared in order with one array of
-        noise (none at sensitivity 0 or under noise_off); the session stops
-        at the first below answer, and if that is not the block's last value
-        the noise stream is rewound to just past it. A non-finite value
-        would pass or fail every comparison silently, so any such entry is
-        refused before noise is drawn."""
+        noise (zeros under noise_off), and the session stops at the first
+        below answer; the stream is left at the end of the block. A
+        non-finite value would pass or fail every comparison silently, so any
+        such entry is refused before noise is drawn."""
         if self.halted:
             raise StateError("sparse session already halted at its below answer")
         values = np.atleast_1d(np.asarray(query_values, dtype=float))
         if values.ndim != 1 or not np.isfinite(values).all():
             raise ParameterError("sparse queries must be one finite value or a 1-D block of them")
-        k = values.size
-        drawing = self.query_scale > 0 and not self._src.noise_off
-        if drawing:
-            saved = self._src.state
-            values = values + laplace_samples(self.query_scale, self._src, k)
-        below = np.flatnonzero(values <= self.noisy_threshold)
+        noisy = values + laplace_samples(self.query_scale, self._src, values.size)
+        below = np.flatnonzero(noisy <= self.noisy_threshold)
         if below.size == 0:
-            self.asked += k
+            self.asked += values.size
             return SparseAnswer(below=False)
-        hit = int(below[0])
         self.halted = True
-        self.asked += hit + 1
-        if drawing and hit < k - 1:
-            self._src.state = saved
-            self._src.uniforms(hit + 1)
+        self.asked += int(below[0]) + 1
         return SparseAnswer(below=True)
 
 
@@ -447,6 +426,7 @@ class PrivacyLedger:
     entries: list = field(default_factory=list)
 
     def add(self, label: str, epsilon: float, delta: float = 0.0) -> None:
+        check_finite(epsilon=epsilon, delta=delta)
         if epsilon < 0 or delta < 0:
             raise ParameterError("privacy charges must be nonnegative")
         self.entries.append((str(label), float(epsilon), float(delta)))
@@ -454,7 +434,9 @@ class PrivacyLedger:
     def open_session(
         self, label: str, sensitivity: float, threshold: float, epsilon: float, src: NoiseSource
     ) -> SparseSession:
-        """A new one-shot SparseSession, with its epsilon charged under ``label``."""
+        """A new one-shot SparseSession, with its epsilon charged under
+        ``label``. ``src`` must be the session's own stream, one that nothing
+        else draws from (a fresh ``child``)."""
         session = SparseSession(sensitivity, threshold, epsilon, src)
         self.add(label, session.epsilon)
         return session

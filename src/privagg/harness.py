@@ -327,6 +327,14 @@ def game_view(game) -> AggregativeGame:
     return game
 
 
+def _quasi_view(game) -> QuasiAggregativeGame:
+    """The scalar solvers' view of a game: a QuasiAggregativeGame as given,
+    so the sweep bands it keeps are built once across solves."""
+    if isinstance(game, QuasiAggregativeGame):
+        return game
+    return QuasiAggregativeGame(game_view(game))
+
+
 def _need(params: dict, numbers: tuple, objects: tuple = ()) -> list:
     """The named params, in order: each number through ``as_real``, each
     object as given. A missing or non-numeric one is refused."""
@@ -365,7 +373,7 @@ def _npresl(game, src: NoiseSource, zeta, alpha, beta) -> Outcome:
 
 
 def _psummnash(game, src: NoiseSource, epsilon, alpha, beta) -> Outcome:
-    qgame = QuasiAggregativeGame(game_view(game))
+    qgame = _quasi_view(game)
     res = psummnash(qgame, epsilon, alpha, beta, src)
     bound = res.approx_bound(qgame.gamma)
     if res.aborted:
@@ -376,7 +384,7 @@ def _psummnash(game, src: NoiseSource, epsilon, alpha, beta) -> Outcome:
 
 
 def _select(game, src: NoiseSource, zeta, epsilon, alpha, beta, quality) -> Outcome:
-    qgame = QuasiAggregativeGame(game_view(game))
+    qgame = _quasi_view(game)
     sp = SelectionParams.for_game(
         qgame, zeta=zeta, epsilon=epsilon, alpha=alpha, beta=beta,
         quality=QualitySpec.from_json(quality),

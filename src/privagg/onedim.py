@@ -588,9 +588,17 @@ class QualitySpec:
 
     @classmethod
     def from_json(cls, payload: dict) -> "QualitySpec":
+        """A peak ({"kind", "target", "lam" = 1}) or linear ({"kind",
+        "slope"}) spec; a key that its kind does not read is refused."""
         if not isinstance(payload, dict):
             raise ParameterError(f"quality must be a JSON object, got {payload!r}")
         kind = payload.get("kind")
+        reads = {"peak": ("kind", "target", "lam"), "linear": ("kind", "slope")}
+        if not isinstance(kind, str) or kind not in reads:
+            raise ParameterError(f"unknown quality kind {kind!r}")
+        unread = [key for key in payload if key not in reads[kind]]
+        if unread:
+            raise ParameterError(f"{kind} quality does not read {', '.join(map(str, unread))}")
 
         def number(key: str, default: Optional[float] = None) -> float:
             if key not in payload and default is None:
@@ -599,9 +607,7 @@ class QualitySpec:
 
         if kind == "peak":
             return cls.peak(number("target"), number("lam", 1.0))
-        if kind == "linear":
-            return cls.linear(number("slope"))
-        raise ParameterError(f"unknown quality kind {kind!r}")
+        return cls.linear(number("slope"))
 
 
 @dataclass(frozen=True)

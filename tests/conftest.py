@@ -222,12 +222,12 @@ def recurrence_exact_lp_min(game, s_hat, y_hat, xi, tol):
 def laplace_sample(b, src):
     """One Lap(b) draw by inverse CDF on one uniform, in scalar math: the
     reference for ``laplace_samples``, which must give k of these draws bit
-    for bit. noise_off returns exactly 0.0 (and b = 0 is then permitted)."""
-    if src.noise_off:
-        return 0.0
+    for bit. b must be positive and finite; noise_off then returns exactly 0.0."""
     check_finite(scale=b)
     if b <= 0:
         raise ParameterError(f"Laplace scale must be positive, got {b}")
+    if src.noise_off:
+        return 0.0
     u = src.uniform()
     return -b * math.copysign(1.0, u - 0.5) * math.log(1.0 - 2.0 * abs(u - 0.5))
 

@@ -418,6 +418,28 @@ def test_select_quality_flags(tmp_path, threshold_game):
     assert payload["regret"] <= payload["bound"]
 
 
+def test_select_refuses_quality_flags_its_kind_does_not_read(tmp_path, threshold_game, caplog):
+    base = ("select", "--game", threshold_game, "--zeta", 0.2, "--epsilon", 3000,
+            "--alpha", 0.05, "--no-noise")
+
+    def s_star(*flags):
+        out = tmp_path / "sel.json"
+        assert run_cli(*base, *flags, "--out", out) == 0
+        return json.loads(out.read_text())["s_star"]
+
+    assert run_cli(*base, "--quality-kind", "linear", "--quality-slope", 1.0,
+                   "--quality-target", 0.9) == 1
+    assert "linear quality does not read target" in caplog.text
+    caplog.clear()
+    assert run_cli(*base, "--quality-lam", 2.0, "--quality-slope", 1.0) == 1
+    assert "peak quality does not read slope" in caplog.text
+    # a kind's own flags keep their defaults: peak target 0 and lam 1, slope 1
+    assert s_star("--quality-kind", "linear") == s_star(
+        "--quality-kind", "linear", "--quality-slope", 1.0)
+    assert s_star() == s_star("--quality-target", 0.0, "--quality-lam", 1.0)
+    assert s_star("--quality-target", 0.3) != s_star()
+
+
 def test_presl_and_npresl_commands(tmp_path):
     path = tmp_path / "lin.json"
     save_game(generate("linear", 2, n=10, gamma=0.05), path)

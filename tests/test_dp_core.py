@@ -59,8 +59,10 @@ def test_laplace_noise_off_is_exactly_zero():
     src = NoiseSource(7, NoiseSource.NOISE_OFF)
     for b in (1e-12, 1.0, 1e9):
         assert laplace_samples(b, src, 1)[0] == 0.0
-    # even a nonsensical scale is permitted when no draw happens
-    assert laplace_samples(0.0, src, 1)[0] == 0.0
+    # the scale is admitted as in noisy mode, though no draw happens
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            laplace_samples(bad, src, 1)
 
 
 def test_laplace_rejects_bad_scale_when_noisy():
@@ -206,11 +208,14 @@ def test_sparse_threshold_comparison_is_inclusive():
 
 
 def test_sparse_constructor_validation():
-    src = NoiseSource(0)
-    with pytest.raises(ParameterError):
-        SparseSession(-1.0, 0.0, 1.0, src)
-    with pytest.raises(ParameterError):
-        SparseSession(1.0, 0.0, 0.0, src)
+    for mode in (NoiseSource.NOISY, NoiseSource.NOISE_OFF):
+        src = NoiseSource(0, mode)
+        # a noiseless session would answer from the data alone
+        for sensitivity in (-1.0, 0.0, math.nan):
+            with pytest.raises(ParameterError):
+                SparseSession(sensitivity, 0.0, 1.0, src)
+        with pytest.raises(ParameterError):
+            SparseSession(1.0, 0.0, 0.0, src)
 
 
 def test_ledger_open_session_charges_the_session_it_opens():
@@ -333,24 +338,19 @@ def test_block_noise_is_consecutive_scalar_draws(seed, k, b):
     want = np.array([laplace_sample(b, one) for _ in range(k)])
     got = laplace_samples(b, block, k)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert block.state == one.state
+    assert block.uniform() == one.uniform()  # both consumed exactly k uniforms
     off = NoiseSource(seed, NoiseSource.NOISE_OFF)
-    before = off.state
     assert laplace_samples(b, off, k).tolist() == [0.0] * k
-    assert off.state == before  # noise_off draws nothing
+    assert off.uniform() == NoiseSource(seed).uniform()  # noise_off draws nothing
 
 
 def hand_scan(sensitivity, threshold, epsilon, src, values):
     """AboveThreshold one query at a time, from scalar Laplace draws:
     (hit position or None, queries asked)."""
     scale = 2.0 * sensitivity / epsilon
-
-    def noise():
-        return laplace_sample(scale, src) if scale > 0 else 0.0
-
-    noisy_threshold = threshold + noise()
+    noisy_threshold = threshold + laplace_sample(scale, src)
     for j, v in enumerate(values):
-        if v + noise() <= noisy_threshold:
+        if v + laplace_sample(scale, src) <= noisy_threshold:
             return j, j + 1
     return None, len(values)
 
@@ -363,7 +363,7 @@ def block_scans(draw):
     cuts = [0] + [c for c in cuts if 0 < c < len(values)] + [len(values)]
     blocks = [np.array(values[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
     mode = draw(st.sampled_from([NoiseSource.NOISY, NoiseSource.NOISE_OFF]))
-    sensitivity = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    sensitivity = draw(st.sampled_from([0.3, 1.0]))
     return values, blocks, mode, sensitivity, draw(st.integers(0, 2**32))
 
 
@@ -375,7 +375,6 @@ def test_block_scan_matches_the_one_at_a_time_loop(case):
     want = hand_scan(sensitivity, 0.0, 1.0, ref_src, values)
     sess = SparseSession(sensitivity, 0.0, 1.0, src)
     assert first_below(sess, blocks) == want
-    assert src.state == ref_src.state  # the stream ends where the loop left it
     assert sess.asked == want[1]
     assert sess.halted == (want[0] is not None)
 
@@ -392,13 +391,12 @@ def test_block_scan_hits_mid_block_last_entry_and_misses():
     miss = SparseSession(1.0, 0.0, 1.0, src)
     assert first_below(miss, ([1.0, 2.0], [], [3.0])) == (None, 3)
     assert not miss.halted
-    # under noise, a hit on a block's last entry needs no rewind
+    # under noise, a hit on a block's last entry
     for seed in range(20):
         ref, src = NoiseSource(seed), NoiseSource(seed)
         want = hand_scan(1.0, 0.0, 1.0, ref, [50.0, 50.0, -50.0])
         sess = SparseSession(1.0, 0.0, 1.0, src)
         assert first_below(sess, ([50.0, 50.0, -50.0],)) == want == (2, 3)
-        assert src.state == ref.state
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -407,12 +405,12 @@ def test_non_finite_queries_are_refused_before_any_draw(bad, mode):
     # NaN would answer Above and -inf Below: a broken query must not end or
     # pass a scan silently
     for block in ([bad], [1.0, 2.0, bad, -5.0], [-5.0, bad]):
-        src = NoiseSource(3, mode)
+        src, ref = NoiseSource(3, mode), NoiseSource(3, mode)
         sess = SparseSession(1.0, 0.0, 1.0, src)
-        before = src.state
+        SparseSession(1.0, 0.0, 1.0, ref)  # the same threshold draw
         with pytest.raises(ParameterError):
             sess.answer(block)
-        assert src.state == before
+        assert src.uniform() == ref.uniform()  # the refused block drew nothing
         assert (sess.asked, sess.halted) == (0, False)
         with pytest.raises(ParameterError):
             first_below(SparseSession(1.0, 0.0, 1.0, NoiseSource(3, mode)), ([3.0], block))
@@ -561,6 +559,18 @@ def test_compose_empty_and_validation():
     bad = PrivacyLedger()
     with pytest.raises(ParameterError):
         bad.add("neg", -0.1)
+
+
+@pytest.mark.parametrize("epsilon, delta", [
+    (math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (math.inf, math.nan), (0.1, math.inf),
+])
+def test_ledger_refuses_non_finite_charges(epsilon, delta):
+    # NaN passed the nonnegativity test and was recorded as a charge
+    ledger = PrivacyLedger()
+    ledger.add("ok", 0.1)
+    with pytest.raises(ParameterError):
+        ledger.add("bad", epsilon, delta)
+    assert ledger.entries == [("ok", 0.1, 0.0)]
 
 
 @settings(max_examples=30)

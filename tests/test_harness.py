@@ -21,7 +21,8 @@ from privagg.harness import (
     run_experiment,
     solve,
 )
-from privagg.onedim import QuasiAggregativeGame, make_optin_game
+from privagg import onedim
+from privagg.onedim import QuasiAggregativeGame, make_optin_game, psummnash_accuracy_floor
 from privagg.presl import existence_bound
 
 from conftest import (
@@ -152,6 +153,30 @@ def test_deviation_misreport_is_reproducible():
     assert np.array_equal(a.gains, b.gains)
     assert a.stderr >= 0.0
     assert a.mean_gain == pytest.approx(float(a.gains.mean()))
+
+
+def test_scalar_solves_build_a_games_sweep_bands_once(monkeypatch):
+    # V and s_extremes sweep with payoff-gap bands kept on the
+    # QuasiAggregativeGame: a solve that wrapped its game anew rebuilt them
+    builds = []
+    build = onedim._build_bands
+    monkeypatch.setattr(onedim, "_build_bands", lambda *args: builds.append(args) or build(*args))
+    q = generate("threshold", 4, n=200)
+    alpha = psummnash_accuracy_floor(q, 300.0, 0.05)
+    for seed in range(3):
+        solve("psummnash", q, {"epsilon": 300.0, "alpha": alpha, "beta": 0.05}, NoiseSource(seed))
+    assert len(builds) == 1
+    select = {"zeta": 0.2, "epsilon": 3000.0, "alpha": 0.05, "beta": 0.05,
+              "quality": {"kind": "peak", "target": 0.3}}
+    for seed in range(2):
+        solve("select", q, select, NoiseSource(seed))
+    assert len(builds) == 2  # one more set, at select's band offset xi
+    builds.clear()
+    deviation_test(DeviationSpec(
+        true_types=np.linspace(0.1, 0.9, 12), player=0, misreport=0.95,
+        epsilon=2000.0, alpha=0.05, beta=0.05, runs=5, seed=3,
+    ))
+    assert len(builds) == 2  # the truthful game's and the misreported one's
 
 
 def test_deviation_abort_fallback_and_validation():

@@ -7,6 +7,7 @@ the walk always lands inside the acceptance band; with spread 2 and a small
 alpha it provably cannot, which pins down the abort branches.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 from privagg import onedim
-from privagg.dp_core import BudgetError, NoiseSource, ParameterError
+from privagg.dp_core import (
+    BudgetError, NoiseSource, ParameterError, PrivacyLedger, SparseSession,
+)
 from privagg.game_core import (
     GRID_BUDGET, LinearUtility, abr_profile, abr_set, grid_steps, regret,
 )
@@ -35,6 +38,7 @@ from privagg.onedim import (
     select_equilibrium,
     smooth_walk,
 )
+from privagg.presl import PreslParams, presl
 
 from conftest import (
     JUMP_ALPHA,
@@ -396,6 +400,17 @@ def test_quality_spec_constructors():
         QualitySpec(fn=lambda s: s, lam=-1.0)
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"kind": "peak", "target": 0.3, "slope": 5.0}, "peak quality does not read slope$"),
+    ({"kind": "linear", "slope": 1.0, "target": 0.9}, "linear quality does not read target$"),
+    ({"kind": "linear", "slope": 1.0, "lam": 2.0, "scale": 3}, "does not read lam, scale$"),
+    ({"kind": [], "slope": 1.0}, "unknown quality kind"),  # a kind that cannot be a key
+])
+def test_quality_spec_refuses_keys_its_kind_does_not_read(payload, message):
+    with pytest.raises(ParameterError, match=message):
+        QualitySpec.from_json(payload)
+
+
 def test_scalar_solvers_refuse_grids_over_budget(monkeypatch):
     # W = 1 and this step give 2K = 10,000,002 grid points: both solvers must
     # refuse before V or the quality score runs and before a grid is built
@@ -613,6 +628,65 @@ def test_select_replay_matches_the_mediator_on_tied_facets():
                 replayed = [replay_select_player(q, i, res) for i in range(q.n)]
                 assert replayed == res.profile.tolist(), (res.branch, src)
     assert branches == {"optimistic", "pessimistic", "walk"}
+
+
+def test_no_session_stream_is_shared_or_drawn_from_after_its_hit(monkeypatch):
+    # a sparse session leaves its stream at the end of the hit's block, not
+    # just past the hit: that is invisible only while each session owns its
+    # stream and nothing draws from that stream once the session has halted
+    streams = []  # every session's stream, held so that no id() is reused
+    spent = set()  # ids of the streams whose session answered below
+    seeds = set()  # the seeds of the current solve's session streams
+    open_session, answer = PrivacyLedger.open_session, SparseSession.answer
+
+    def opened(self, label, sensitivity, threshold, epsilon, src):
+        assert all(src is not other for other in streams), f"{label} reuses a stream"
+        assert src.seed not in seeds, f"{label} repeats another session's stream"
+        streams.append(src)
+        seeds.add(src.seed)
+        return open_session(self, label, sensitivity, threshold, epsilon, src)
+
+    def solve(solver, *args):
+        seeds.clear()
+        return solver(*args)
+
+    def answered(self, query_values):
+        out = answer(self, query_values)
+        if out.below:
+            spent.add(id(self._src))
+        return out
+
+    def guarded(draw):
+        def method(self, *args):
+            assert id(self) not in spent, "a stream was drawn from after its session's hit"
+            return draw(self, *args)
+        return method
+
+    monkeypatch.setattr(PrivacyLedger, "open_session", opened)
+    monkeypatch.setattr(SparseSession, "answer", answered)
+    monkeypatch.setattr(NoiseSource, "uniform", guarded(NoiseSource.uniform))
+    monkeypatch.setattr(NoiseSource, "uniforms", guarded(NoiseSource.uniforms))
+
+    sources = [NoiseSource(seed) for seed in range(3)]
+    stages, branches = set(), set()
+    presl_game = generate("linear", 21, n=10, gamma=0.05)
+    presl_params = PreslParams.for_game(presl_game, zeta=1.0, epsilon=75.0, delta=0.05, beta=0.3)
+    linear = QuasiAggregativeGame(generate("linear", 6, n=300, m=2))
+    crowd = QuasiAggregativeGame(crowd_averse_game(40, 0.5, 0.025))
+    for src in sources:
+        assert not solve(presl, presl_game, presl_params, src).aborted
+        floor = psummnash_accuracy_floor(linear, 300.0, 0.05)
+        stages.add(solve(psummnash, linear, 300.0, floor, 0.05, src).stage)
+        stages.add(solve(psummnash, crowd, 500.0, 0.05, 0.05, src).stage)
+        for q in itertools.islice(extremes_cases(), 3):
+            for quality in (QualitySpec.linear(1.0), QualitySpec.linear(-1.0),
+                            QualitySpec.peak(0.0)):
+                prm = SelectionParams.for_game(q, zeta=max(0.4, 4 * q.gamma), epsilon=3000.0,
+                                               alpha=0.05, beta=0.05, quality=quality)
+                branches.add(solve(select_equilibrium, q, prm, src).branch)
+    assert stages == {1, 3}
+    assert branches == {"optimistic", "pessimistic", "walk"}
+    assert len(spent) > len(sources) * 3
 
 
 def test_s_extremes_ties_and_negative_xi():
