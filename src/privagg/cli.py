@@ -190,7 +190,7 @@ def cmd_deviate(args) -> int:
     spec = DeviationSpec(
         true_types=types, player=args.player, misreport=args.misreport,
         epsilon=args.epsilon, alpha=args.alpha, beta=args.beta,
-        runs=as_count("runs", args.runs), seed=args.seed,
+        runs=args.runs, seed=args.seed,
     )
     report = deviation_test(spec)
     _emit(

@@ -13,6 +13,10 @@ every mechanism into its deterministic counterpart (Laplace draws become 0,
 the exponential mechanism becomes a lowest-index argmax) without touching
 the uniform stream.
 
+One rule, ``check_range``, admits every privacy or accuracy argument and
+names the one it refuses; no other module decides those ranges.
+``check_finite`` is left for values with no range, such as thresholds.
+
 Every private scan in the solvers is ``first_below(session, blocks)``: it
 streams blocks of query values through a one-shot SparseSession and stops at
 the first below answer (AboveThreshold, Dwork & Roth 2014, Alg. 1). Only the
@@ -42,6 +46,8 @@ __all__ = [
     "SparseAnswer",
     "PrivacyLedger",
     "check_finite",
+    "check_range",
+    "check_certificate",
     "as_count",
     "as_real",
     "seed_bits",
@@ -70,6 +76,28 @@ def check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def check_range(kind: str, **values: float) -> None:
+    """The one range rule for privacy and accuracy arguments: "positive" is
+    finite and > 0 (epsilon, alpha, gamma, a sensitivity, lambda, a Laplace
+    scale, a tolerance), "unit" is inside (0, 1) (delta, beta) and
+    "nonnegative" is finite and >= 0 (zeta, xi, eta, a charge). Raises
+    ParameterError naming the first value outside its range."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
+        if kind == "unit" and not 0 < value < 1:
+            raise ParameterError(f"{name} must lie in (0, 1), got {value}")
+        if not (value > 0 if kind == "positive" else value >= 0):
+            raise ParameterError(f"{name} must be {kind}, got {value}")
+
+
+def check_certificate(bound: float, remedy: str) -> None:
+    """Refuse, before any query, a run whose certified regret level overflows
+    although each argument is in range; ``remedy`` names the one to move."""
+    if not math.isfinite(bound):
+        raise ParameterError(f"the certified bound is {bound}, not finite; {remedy}")
 
 
 def as_count(name: str, value, most: float = math.inf) -> int:
@@ -297,9 +325,7 @@ def laplace_samples(b: float, src: NoiseSource, k: int) -> np.ndarray:
     ``np.log`` does not match it in the last bit on every input. b must be
     positive and finite in both modes; noise_off then draws nothing and
     returns k zeros."""
-    check_finite(scale=b)
-    if b <= 0:
-        raise ParameterError(f"Laplace scale must be positive, got {b}")
+    check_range("positive", scale=b)
     if src.noise_off:
         return np.zeros(k)
     centred = src.uniforms(k) - 0.5
@@ -336,11 +362,8 @@ class SparseSession:
         epsilon: float,
         src: NoiseSource,
     ):
-        if not sensitivity > 0:
-            raise ParameterError(f"sensitivity must be positive, got {sensitivity}")
-        if epsilon <= 0:
-            raise ParameterError("epsilon must be positive")
-        check_finite(sensitivity=sensitivity, threshold=threshold, epsilon=epsilon)
+        check_range("positive", sensitivity=sensitivity, epsilon=epsilon)
+        check_finite(threshold=threshold)
         self.sensitivity = float(sensitivity)
         self.threshold = float(threshold)
         self.epsilon = float(epsilon)
@@ -400,11 +423,7 @@ def exponential_mechanism(scores, sensitivity: float, epsilon: float, src: Noise
     top = scores.max()  # NaN if any score is NaN
     if not (math.isfinite(top) and math.isfinite(scores.min())):
         raise ParameterError("scores must be finite")
-    if not sensitivity > 0:
-        raise ParameterError("score sensitivity must be positive")
-    if epsilon <= 0:
-        raise ParameterError("epsilon must be positive")
-    check_finite(sensitivity=sensitivity, epsilon=epsilon)
+    check_range("positive", sensitivity=sensitivity, epsilon=epsilon)
     if src.noise_off:
         return int(np.argmax(scores))
     with np.errstate(over="ignore"):
@@ -426,9 +445,7 @@ class PrivacyLedger:
     entries: list = field(default_factory=list)
 
     def add(self, label: str, epsilon: float, delta: float = 0.0) -> None:
-        check_finite(epsilon=epsilon, delta=delta)
-        if epsilon < 0 or delta < 0:
-            raise ParameterError("privacy charges must be nonnegative")
+        check_range("nonnegative", epsilon=epsilon, delta=delta)
         self.entries.append((str(label), float(epsilon), float(delta)))
 
     def open_session(

@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dp_core import BudgetError, NoiseSource, ParameterError, as_count, as_real, check_finite
+from .dp_core import BudgetError, NoiseSource, ParameterError, as_count, as_real, check_range
 
 __all__ = [
     "AggregativeGame",
@@ -326,9 +326,7 @@ class AggregativeGame:
     def __post_init__(self):
         for name in ("n", "m", "d"):
             object.__setattr__(self, name, as_count(name, getattr(self, name)))
-        check_finite(gamma=self.gamma, W=self.W)
-        if self.gamma <= 0:
-            raise ParameterError("gamma must be positive")
+        check_range("positive", gamma=self.gamma)
         if not 0 < 2.0 * self.W < math.inf:  # [-W, W] spans 2W
             raise ParameterError("W must be positive, with 2W finite")
         f = np.asarray(self.f, dtype=float, order="C")  # ``aggregator`` reads it flat
@@ -392,11 +390,11 @@ class AggregativeGame:
 # ---------------------------------------------------------------------------
 
 
-def as_player(game: AggregativeGame, i) -> int:
-    """Player index i as an int; a negative index would wrap to another
+def as_player(n: int, i) -> int:
+    """Player index i of n as an int; a negative index would wrap to another
     player's rows, so anything but an integer in [0, n) is refused."""
-    if not isinstance(i, (int, np.integer)) or not 0 <= i < game.n:
-        raise ParameterError(f"player index must be an integer in [0, {game.n}), got {i!r}")
+    if not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+        raise ParameterError(f"player index must be an integer in [0, {n}), got {i!r}")
     return int(i)
 
 
@@ -516,9 +514,7 @@ def best_response_support(vals: np.ndarray, xi: float) -> np.ndarray:
 
 def abr_set(game: AggregativeGame, i: int, s, eta: float) -> np.ndarray:
     """Actions within eta of player i's best response to a fixed aggregator."""
-    check_finite(eta=eta)
-    if eta < 0:
-        raise ParameterError("eta must be nonnegative")
+    check_range("nonnegative", eta=eta)
     return np.flatnonzero(best_response_support(utility_values(game, i, as_point(game, s)), eta))
 
 
@@ -673,6 +669,7 @@ class TranslationReport:
 
 def translate_checks(game: AggregativeGame, x, eta: float) -> TranslationReport:
     """Evaluate both regret notions at x and the slack between them."""
+    check_range("nonnegative", eta=eta)
     x = as_pure_profile(game, x)
     s = aggregator(game, x)
     br = regret(game, x).per_player

@@ -22,13 +22,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dp_core import (
-    BudgetError, NoiseSource, ParameterError, as_count, as_real, check_finite, seeded_generator,
+    BudgetError, NoiseSource, ParameterError, as_count, as_real, check_range, seeded_generator,
 )
 from .game_core import (
     AggregativeGame,
     LinearUtility,
     aggregator,
     as_array,
+    as_player,
     expected_aggregator,
     regret,
     utility_values,
@@ -138,10 +139,8 @@ class DeviationSpec:
 
     def __post_init__(self):
         self.true_types = np.asarray(self.true_types, dtype=float)
-        if not (0 <= self.player < len(self.true_types)):
-            raise ParameterError("player index out of range")
-        if self.runs < 1:
-            raise ParameterError("need at least one run")
+        self.player = as_player(len(self.true_types), self.player)
+        self.runs = as_count("runs", self.runs)
         if self.make_game is None:
             self.make_game = lambda types: make_optin_game(len(types), types)
 
@@ -262,9 +261,7 @@ def generate(kind: str, seed: int, **params):
         d = as_count("d", params.get("d", 1)) if kind == "linear" else m
         gamma = float(as_real("gamma", params.get("gamma", 1.0 / n)))
         W = float(as_real("W", params.get("W", gamma * n)))
-        check_finite(gamma=gamma, W=W)
-        if W <= 0:  # the utility draw divides by 1 + W
-            raise ParameterError("W must be positive")
+        check_range("positive", gamma=gamma, W=W)  # the utility draw divides by 1 + W
         if kind == "linear":
             f = rng.uniform(-1.0, 1.0, size=(n, d, m))
         else:
@@ -286,7 +283,6 @@ def generate(kind: str, seed: int, **params):
     portfolios = portfolio_matrix(params.get("d", 1))
     d = portfolios.shape[1]
     lam = float(as_real("lam", params.get("lam", max(4.0, n / 4.0))))
-    check_finite(lam=lam)
     theta = rng.uniform(0.0, 1.0, size=(n, d))
     return MarketGame(n=n, d=d, lam=lam, valuations=theta @ portfolios.T.astype(float))
 
@@ -516,6 +512,9 @@ class ExperimentConfig:
                 raise ParameterError(f"config field {name} must be {what}")
         if "trials" in payload:
             payload["trials"] = as_count("trials", payload["trials"])
+        label = payload.get("label", cls.label)  # names the files written in out_dir
+        if label in ("", ".", "..") or "\0" in label or Path(label).name != label:
+            raise ParameterError(f"config field label must be a plain file name, got {label!r}")
         return cls(**payload)
 
 

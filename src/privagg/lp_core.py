@@ -39,7 +39,9 @@ from .dp_core import (
     NoiseSource,
     ParameterError,
     PrivacyLedger,
+    as_count,
     check_finite,
+    check_range,
     exponential_mechanism,
 )
 from .game_core import GRID_BUDGET, AggregativeGame, best_response_support, utility_matrix
@@ -89,9 +91,7 @@ class FeasibilityLP:
             raise ParameterError("constraint offsets must be finite")
         if not sup.any(axis=1).all():
             raise DegenerateError("every player needs a nonempty support set")
-        check_finite(gamma=self.gamma)
-        if self.gamma <= 0:
-            raise ParameterError("gamma must be positive")
+        check_range("positive", gamma=self.gamma)
         object.__setattr__(self, "cons_f", cf)
         object.__setattr__(self, "cons_b", cb)
         object.__setattr__(self, "supports", sup)
@@ -130,11 +130,10 @@ class DistMWParams:
     eta: float = field(init=False)
 
     def __post_init__(self):
-        check_finite(epsilon=self.epsilon, alpha=self.alpha, gamma=self.gamma)
-        if self.epsilon <= 0 or not (0 < self.delta < 1) or not (0 < self.beta < 1):
-            raise ParameterError("need epsilon > 0, delta in (0,1), beta in (0,1)")
-        if self.alpha <= 0 or self.gamma <= 0 or self.n < 1 or self.m < 1:
-            raise ParameterError("need alpha > 0, gamma > 0, n >= 1, m >= 1")
+        check_range("positive", epsilon=self.epsilon, alpha=self.alpha, gamma=self.gamma)
+        check_range("unit", delta=self.delta, beta=self.beta)
+        as_count("n", self.n)
+        as_count("m", self.m)
         try:
             T = max(1, math.ceil(16.0 * self.n**2 * self.gamma**2 * math.log(self.m) / self.alpha**2))
         except (OverflowError, ValueError, ZeroDivisionError):  # gamma^2 or alpha^2 out of range
@@ -324,10 +323,10 @@ def mw_accuracy_bound(
     the level below which all constraint margins of p_bar land with
     probability 1 - beta whenever the LP admits a feasible point at slack.
     """
-    if n < 1 or m < 1 or n_constraints < 1:
-        raise ParameterError("counts must be positive")
-    if gamma <= 0 or epsilon <= 0 or not (0 < delta < 1) or not (0 < beta < 1):
-        raise ParameterError("bad numeric parameters")
+    n, m = as_count("n", n), as_count("m", m)
+    n_constraints = as_count("n_constraints", n_constraints)
+    check_range("positive", gamma=gamma, epsilon=epsilon)
+    check_range("unit", delta=delta, beta=beta)
     inner = (
         (n * gamma**2 / epsilon)
         * math.log(n_constraints / beta)
@@ -412,8 +411,7 @@ def exact_lp_min(
     worst margin is at most value + tol. ``y_hat=None`` drops the loss
     term.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    check_range("positive", tol=tol)
     lp = build_slack_lp(game, s_hat, y_hat, xi, slack=0.0)
     n, m = lp.shape
     log_m = math.log(m) if m > 1 else 1.0

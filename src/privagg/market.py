@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp_core import ParameterError, as_count, as_real, check_finite
+from .dp_core import ParameterError, as_count, as_real, check_finite, check_range
 from .game_core import AggregativeGame, as_array
 
 __all__ = [
@@ -60,8 +60,11 @@ def _portfolio_table(d: int) -> np.ndarray:
 
 def hinge_price(I, lam: float):
     """Per-security price: 0, I/lambda + 1/2, or 1 by imbalance band."""
-    if lam <= 0:
-        raise ParameterError("lambda must be positive")
+    check_range("positive", lam=lam)
+    return _hinge(I, lam)
+
+
+def _hinge(I, lam: float):  # a MarketUtility checks lam once, not per evaluation
     return np.clip(np.asarray(I, dtype=float) / lam + 0.5, 0.0, 1.0)
 
 
@@ -140,9 +143,7 @@ class MarketUtility:
     kind = "market"
 
     def __post_init__(self):
-        check_finite(lam=self.lam)
-        if self.lam <= 0:
-            raise ParameterError("lambda must be positive")
+        check_range("positive", lam=self.lam)
         portfolios = portfolio_matrix(self.d)
         vals = np.asarray(self.valuations, dtype=float)
         if vals.ndim != 2 or vals.shape[1] != len(portfolios):
@@ -156,7 +157,7 @@ class MarketUtility:
         object.__setattr__(self, "portfolios", portfolios)
 
     def _prices(self, s: np.ndarray) -> np.ndarray:
-        return hinge_price(self.lam * s, self.lam)
+        return _hinge(self.lam * s, self.lam)
 
     def value_matrix(self, s: np.ndarray) -> np.ndarray:
         pay = self.portfolios @ self._prices(s)  # (m,)
@@ -210,8 +211,8 @@ def corollary_eta(n: int, lam: float, d: int) -> float:
     Polylogarithmic factors are normalized to 1; this is the knob-level
     quantity that shows when privacy comes for free as lambda grows.
     """
-    if n < 1 or d < 1 or lam <= 0:
-        raise ParameterError("need n >= 1, d >= 1, lambda > 0")
+    n, d = as_count("n", n), as_count("d", d)
+    check_range("positive", lam=lam)
     try:
         ratio = n / lam**2
     except (OverflowError, ZeroDivisionError):
@@ -221,6 +222,6 @@ def corollary_eta(n: int, lam: float, d: int) -> float:
 
 def market_zeta(n: int, lam: float, d: int) -> float:
     """Equilibrium existence threshold sqrt(8 n d ln(3n)) / lambda."""
-    if n < 1 or d < 1 or lam <= 0:
-        raise ParameterError("need n >= 1, d >= 1, lambda > 0")
+    n, d = as_count("n", n), as_count("d", d)
+    check_range("positive", lam=lam)
     return math.sqrt(8.0 * n * d * math.log(3.0 * n)) / lam

@@ -50,7 +50,9 @@ from .dp_core import (
     PrivacyLedger,
     SparseSession,
     as_real,
+    check_certificate,
     check_finite,
+    check_range,
     first_below,
 )
 from .game_core import (
@@ -387,22 +389,6 @@ def _walk_scan(qgame: QuasiAggregativeGame, session: SparseSession, hi, lo, targ
     return j, asked, None if j is None else walk[j]
 
 
-def _check_budget(epsilon: float, alpha: float, beta: float) -> None:
-    """The range check run before any accuracy floor, which divides by
-    epsilon and by beta; ``SelectionParams`` runs it on its own fields."""
-    check_finite(epsilon=epsilon, alpha=alpha)
-    if epsilon <= 0 or alpha <= 0 or not (0 < beta < 1):
-        raise ParameterError("need epsilon > 0, alpha > 0, beta in (0, 1)")
-
-
-def _check_certificate(bound: float) -> None:
-    """Refuse, before any query, a run whose certified regret level is not
-    finite: alpha passes ``check_finite`` up to the float maximum, 10 alpha
-    does not."""
-    if not math.isfinite(bound):
-        raise ParameterError(f"the certified bound is {bound}, not finite; lower alpha")
-
-
 def _psummnash_bound(alpha: float, gamma: float) -> float:
     """Certified regret level 10 alpha + 2 gamma of a non-aborting psummnash run."""
     return 10.0 * alpha + 2.0 * gamma
@@ -424,7 +410,8 @@ def _check_floor(
 ) -> None:
     """Refuse a budget out of range, then an alpha below the accuracy floor
     of a solver with ``sessions`` sparse sessions on this game."""
-    _check_budget(epsilon, alpha, beta)
+    check_range("positive", epsilon=epsilon, alpha=alpha)
+    check_range("unit", beta=beta)
     floor = _accuracy_floor(qgame, epsilon, beta, sessions)
     if alpha < floor:
         raise ParameterError(
@@ -484,7 +471,7 @@ def psummnash(
     """
     _check_floor(qgame, epsilon, alpha, beta, 3)
     # callers evaluate the bound at gamma or at the tighter gamma_eff
-    _check_certificate(_psummnash_bound(alpha, max(qgame.gamma, qgame.base.gamma_eff)))
+    check_certificate(_psummnash_bound(alpha, max(qgame.gamma, qgame.base.gamma_eff)), "lower alpha")
     gamma = qgame.gamma
     K = grid_steps(qgame.W, alpha)
     ledger = PrivacyLedger()
@@ -541,7 +528,7 @@ def replay_psummnash_player(
     if result.aborted:
         raise ParameterError("aborted runs publish no profile to replay")
     base = qgame.base
-    i = as_player(base, i)
+    i = as_player(base.n, i)
 
     def own_best(s: float) -> int:
         # the mediator's rule (``abr_profile``), applied to player i's row
@@ -572,9 +559,7 @@ class QualitySpec:
     lam: float
 
     def __post_init__(self):
-        check_finite(lam=self.lam)
-        if self.lam < 0:
-            raise ParameterError("quality Lipschitz constant must be nonnegative")
+        check_range("nonnegative", lam=self.lam)
 
     @classmethod
     def peak(cls, target: float, lam: float = 1.0) -> "QualitySpec":
@@ -626,11 +611,12 @@ class SelectionParams:
     grid: np.ndarray = field(init=False)  # visit order, quality descending
 
     def __post_init__(self):
-        _check_budget(self.epsilon, self.alpha, self.beta)
-        check_finite(zeta=self.zeta)
+        check_range("positive", epsilon=self.epsilon, alpha=self.alpha)
+        check_range("unit", beta=self.beta)
+        check_range("nonnegative", zeta=self.zeta)
         if self.zeta < 4.0 * self.gamma:
             raise ParameterError("selection needs zeta >= 4 gamma")
-        _check_certificate(self.approx_bound)
+        check_certificate(self.approx_bound, "lower alpha")
         object.__setattr__(self, "xi", support_width(self.zeta, self.gamma, self.alpha))
         K = grid_steps(self.W, self.alpha)
         values = np.arange(-K, K) * self.alpha
@@ -702,9 +688,7 @@ def s_extremes(qgame: QuasiAggregativeGame, s, xi: float):
     like ``V``, a ``_sweep``, here with bands at payoff gaps of -xi and xi,
     where the xi-ABR sets can change.
     """
-    check_finite(xi=xi)
-    if xi < 0:
-        raise ParameterError("xi must be nonnegative")
+    check_range("nonnegative", xi=xi)
     if np.ndim(s) == 0:  # the composites themselves, at one point
         check_finite(s=s)
         allowed = best_response_support(utility_matrix(qgame.base, np.array([float(s)])), xi)
@@ -830,7 +814,7 @@ def replay_select_player(qgame: QuasiAggregativeGame, i: int, result: SelectResu
     if result.aborted:
         raise ParameterError("aborted runs publish no profile to replay")
     base = qgame.base
-    i = as_player(base, i)
+    i = as_player(base.n, i)
     allowed = np.zeros((1, qgame.m), dtype=bool)
     allowed[0, abr_set(base, i, np.array([result.s_star]), result.params.xi)] = True
     # the mediator's rule (``s_extremes``), applied to player i's row

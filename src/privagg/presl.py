@@ -26,7 +26,9 @@ from .dp_core import (
     NoiseSource,
     ParameterError,
     PrivacyLedger,
-    check_finite,
+    as_count,
+    check_certificate,
+    check_range,
     first_below,
 )
 from .game_core import (
@@ -67,8 +69,8 @@ __all__ = [
 def existence_bound(n: int, m: int, gamma: float) -> float:
     """Smallest zeta at which a pure zeta-equilibrium is guaranteed to exist:
     gamma * sqrt(8 n ln(2 m n))."""
-    if n < 1 or m < 1 or gamma < 0:
-        raise ParameterError("need n >= 1, m >= 1, gamma >= 0")
+    n, m = as_count("n", n), as_count("m", m)
+    check_range("nonnegative", gamma=gamma)
     return gamma * math.sqrt(8.0 * n * math.log(2.0 * m * n))
 
 
@@ -80,13 +82,16 @@ def sampling_deviation_bound(n: int, gamma: float, k: int, beta: float) -> float
     for the sup norm) except with probability beta (bounded differences,
     one union bound over the k events).
     """
-    if n < 1 or k < 1 or gamma <= 0 or not (0 < beta < 1):
-        raise ParameterError("bad concentration parameters")
+    n, k = as_count("n", n), as_count("k", k)
+    check_range("positive", gamma=gamma)
+    check_range("unit", beta=beta)
     return math.sqrt(n * gamma**2 / 2.0 * math.log(k / beta))
 
 
 def presl_e1(game: AggregativeGame, epsilon: float, beta: float) -> float:
     """Sparse-vector slack (100 gamma / eps)((d+1) ln(2W) ln n + ln(6/beta))."""
+    check_range("positive", epsilon=epsilon)
+    check_range("unit", beta=beta)
     return (100.0 * game.gamma / epsilon) * (
         (game.d + 1) * math.log(2.0 * game.W) * math.log(game.n) + math.log(6.0 / beta)
     )
@@ -122,25 +127,22 @@ class PreslParams:
     has_loss: bool = True
 
     def __post_init__(self):
-        check_finite(epsilon=self.epsilon, zeta=self.zeta)
-        if self.epsilon <= 0 or not (0 < self.delta < 1) or not (0 < self.beta < 1):
-            raise ParameterError("need epsilon > 0 and delta, beta in (0, 1)")
-        if self.zeta < 0:
-            raise ParameterError("zeta must be nonnegative")
+        check_range("nonnegative", zeta=self.zeta)  # presl_e1 and presl_e2 check the rest
+        e1 = presl_e1(self, self.epsilon, self.beta)  # params carry the game's shape
+        e2 = presl_e2(self, self.epsilon, self.delta, self.beta)
         threshold = existence_bound(self.n, self.m, self.gamma)
         if self.zeta < threshold:
             warnings.warn(
                 f"zeta = {self.zeta:.4g} is below the existence threshold "
                 f"{threshold:.4g}; the search may come back empty"
             )
-        e1 = presl_e1(self, self.epsilon, self.beta)  # params carry the game's shape
-        e2 = presl_e2(self, self.epsilon, self.delta, self.beta)
         alpha = e1 + e2
         if alpha <= 0:
             raise ParameterError("accuracy constants collapsed; need W > 1/2 and n > 1")
         object.__setattr__(self, "e1", e1)
         object.__setattr__(self, "e2", e2)
         object.__setattr__(self, "alpha", alpha)
+        check_certificate(self.nash_bound, "raise epsilon or lower zeta")
         object.__setattr__(self, "xi", support_width(self.zeta, self.gamma, alpha))
         y_count = int(math.floor(self.n * self.gamma / alpha + 1e-12)) + 1 if self.has_loss else 1
         K = grid_steps(self.W, alpha, self.d, y_count)
@@ -272,7 +274,7 @@ def replay_presl_player(
     """
     if result.aborted:
         raise ParameterError("aborted runs publish no profile to replay")
-    i = as_player(game, i)
+    i = as_player(game.n, i)
     params = result.params
     rows = slack_rows(game.f[i], game.loss[i] if params.has_loss else None)
     support_row = best_response_support(utility_values(game, i, result.hit_s), params.xi)
@@ -316,9 +318,9 @@ def npresl(
     """
     if game.loss is None:
         raise ParameterError("the sweep minimizes game.loss, which this game lacks")
-    check_finite(zeta=zeta, alpha=alpha)
-    if alpha <= 0 or zeta < 0 or not (0 < beta < 1):
-        raise ParameterError("need alpha > 0, zeta >= 0, beta in (0, 1)")
+    check_range("positive", alpha=alpha)
+    check_range("nonnegative", zeta=zeta)
+    check_range("unit", beta=beta)
     tol = alpha / 10.0
     xi = support_width(zeta, game.gamma, alpha)
     K = grid_steps(game.W, alpha, game.d)

@@ -293,8 +293,8 @@ def test_market_files_with_non_finite_valuations_or_lambda_exit_one(tmp_path, ca
         (("valuations", 2, 1), inf, "portfolio valuations must be finite"),
         (("lambda",), nan, "lam must be finite"),
         (("lambda",), inf, "lam must be finite"),
-        (("lambda",), 0.0, "lambda must be positive"),
-        (("lambda",), -4.0, "lambda must be positive"),
+        (("lambda",), 0.0, "lam must be positive"),
+        (("lambda",), -4.0, "lam must be positive"),
     ]
     for j, (index, value, message) in enumerate(cases):
         game = write_with(tmp_path / f"market{j}.json", market, value, "utility", "params", *index)
@@ -491,6 +491,21 @@ def test_verify_command(tmp_path, threshold_game, capsys):
     assert set(payload) >= {"max_regret", "gamma_eff", "is_eta_nash",
                             "br_to_abr_violation"}
     assert payload["br_to_abr_violation"] <= 1e-9
+
+
+@pytest.mark.parametrize("eta, message", [
+    ("nan", "eta must be finite, got nan"),  # once "the result holds a non-finite number"
+    ("-1", "eta must be nonnegative, got -1.0"),  # once accepted
+])
+def test_verify_refuses_an_eta_out_of_range(tmp_path, threshold_game, capsys, caplog, eta, message):
+    profile_path = tmp_path / "profile.json"
+    profile_path.write_text(json.dumps({"profile": [1] * 25}))
+    out = tmp_path / "report.json"
+    argv = ("verify", "--game", threshold_game, "--profile", profile_path, "--out", out)
+    assert run_cli(*argv, f"--eta={eta}") == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert message in caplog.text
+    assert not out.exists()
 
 
 def test_market_d_over_limit_exits_one(tmp_path, capsys, caplog):

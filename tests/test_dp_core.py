@@ -17,13 +17,18 @@ from privagg.dp_core import (
     SparseAnswer,
     SparseSession,
     StateError,
+    check_certificate,
     check_finite,
+    check_range,
     exponential_mechanism,
     first_below,
     laplace_samples,
 )
+from privagg.harness import generate
+from privagg.lp_core import exact_lp_min, mw_accuracy_bound
+from privagg.market import corollary_eta, market_zeta
 from privagg.onedim import PSummResult, SelectResult
-from privagg.presl import PreslResult
+from privagg.presl import PreslResult, existence_bound, presl_e1, sampling_deviation_bound
 
 from conftest import compose_adaptive, laplace_sample, sparse_accuracy_bound, total_simple
 
@@ -432,6 +437,63 @@ def test_non_finite_budgets_are_rejected(bad):
         exponential_mechanism([0.0, 1.0], 1.0, bad, src)
     with pytest.raises(ParameterError):  # a NaN sensitivity once passed <= 0 unnoticed
         exponential_mechanism([0.0, 1.0], bad, 1.0, src)
+
+
+@pytest.mark.parametrize("kind, value, message", [
+    ("positive", 0.0, "^x must be positive, got 0.0$"),
+    ("positive", -1e-300, "^x must be positive"),
+    ("positive", math.nan, "^x must be finite, got nan$"),
+    ("positive", math.inf, "^x must be finite, got inf$"),
+    ("unit", 0.0, "^x must lie in \\(0, 1\\), got 0.0$"),
+    ("unit", 1.0, "^x must lie in \\(0, 1\\)"),
+    ("unit", math.nan, "^x must be finite"),
+    ("nonnegative", -1e-300, "^x must be nonnegative"),
+    ("nonnegative", -math.inf, "^x must be finite"),
+])
+def test_check_range_refuses_and_names_each_value_outside_its_range(kind, value, message):
+    with pytest.raises(ParameterError, match=message):
+        check_range(kind, ok=0.5, x=value)
+
+
+def test_check_range_admits_the_edges_of_each_range():
+    check_range("positive", epsilon=5e-324, alpha=1.7e308)
+    check_range("unit", delta=5e-324, beta=1.0 - 2**-53)
+    check_range("nonnegative", zeta=0.0, xi=-0.0, eta=1.7e308)
+
+
+def test_check_certificate_names_its_remedy():
+    check_certificate(1.7e308, "lower alpha")
+    for bound in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="not finite; raise epsilon$"):
+            check_certificate(bound, "raise epsilon")
+
+
+_GAME = generate("linear", 0, n=4, m=2)
+
+# each closed-form bound with admissible arguments; every real one is refused
+# when NaN or infinite (an infinite epsilon or lambda once gave a bound of 0)
+FORMULAS = {
+    "existence_bound": (existence_bound, dict(n=10, m=2, gamma=0.1)),
+    "sampling_deviation_bound": (sampling_deviation_bound, dict(n=10, gamma=0.1, k=2, beta=0.05)),
+    "mw_accuracy_bound": (mw_accuracy_bound, dict(
+        n=10, m=2, gamma=0.1, epsilon=1.0, delta=0.05, n_constraints=3, beta=0.1)),
+    "presl_e1": (lambda **kw: presl_e1(_GAME, **kw), dict(epsilon=1.0, beta=0.05)),
+    "corollary_eta": (corollary_eta, dict(n=10, lam=4.0, d=1)),
+    "market_zeta": (market_zeta, dict(n=10, lam=4.0, d=1)),
+    "exact_lp_min": (lambda **kw: exact_lp_min(_GAME, [0.0], None, 0.1, **kw).value,
+                     dict(tol=0.01)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, key", [
+    (name, key) for name, (_, kwargs) in FORMULAS.items() for key in kwargs
+])
+def test_every_bound_refuses_a_non_finite_argument(name, key, bad):
+    formula, kwargs = FORMULAS[name]
+    assert math.isfinite(formula(**kwargs))
+    with pytest.raises(ParameterError, match=f"^{key} must be"):
+        formula(**{**kwargs, key: bad})
 
 
 def test_sparse_accuracy_bound_frozen_value():

@@ -410,6 +410,18 @@ def test_translation_lemmas_hold_on_random_instances():
         assert regret(g, x).max_regret <= nash_from_abr_bound(rep) + 1e-9
 
 
+@pytest.mark.parametrize("eta, message", [
+    (np.nan, "eta must be finite"),  # once is_eta_nash() == False, silently
+    (np.inf, "eta must be finite"),
+    (-1.0, "eta must be nonnegative"),  # once passed unnoticed
+])
+def test_translate_checks_refuses_an_eta_out_of_range(eta, message):
+    g = generate("linear", 400, n=4, m=3, d=2)
+    with pytest.raises(ParameterError, match=message):
+        translate_checks(g, np.zeros(g.n, dtype=int), eta=eta)
+    assert translate_checks(g, np.zeros(g.n, dtype=int), eta=0.0).eta == 0.0
+
+
 def test_abr_shift_lemma_on_random_pairs():
     rng = np.random.Generator(np.random.PCG64(81))
     for seed in range(50):

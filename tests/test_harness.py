@@ -194,6 +194,21 @@ def test_deviation_abort_fallback_and_validation():
                       epsilon=1.0, alpha=0.1, beta=0.05)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("player", 1.5, "player index"),  # once an IndexError inside deviation_test
+    ("player", -1, "player index"),
+    ("player", 3, "player index"),
+    ("runs", 2.5, "runs must be a positive integer"),  # once a TypeError from np.empty
+    ("runs", 0, "runs must be a positive integer"),
+    ("runs", float("nan"), "runs must be a positive integer"),
+])
+def test_deviation_spec_refuses_a_bad_player_or_run_count(key, value, message):
+    spec = dict(true_types=np.array([0.2, 0.5, 0.8]), player=0, misreport=0.9,
+                epsilon=2000.0, alpha=0.05, beta=0.05, runs=2)
+    with pytest.raises(ParameterError, match=message):
+        DeviationSpec(**{**spec, key: value})
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -518,6 +533,21 @@ def test_game_view_unwraps_generator_games():
     assert game_view(market).d == 2 and game_view(market).m == 9
     linear = generate("linear", 0, n=5)
     assert game_view(linear) is linear
+
+
+def test_config_label_must_be_a_plain_file_name(tmp_path):
+    # "../../x" with out_dir "o" once wrote x.csv two directories above o
+    out_dir = tmp_path / "a" / "b" / "o"
+    base = dict(algorithm="psummnash", game={"kind": "threshold", "n": 25},
+                params={"epsilon": 2000.0, "alpha": 0.05, "beta": 0.05}, trials=1,
+                out_dir=str(out_dir))
+    for label in ("../../x", "", ".", "..", "sub/x", str(tmp_path / "x"), "x\0"):
+        with pytest.raises(ParameterError, match="label must be a plain file name"):
+            ExperimentConfig.from_json(json.dumps({**base, "label": label}))
+    assert not any(tmp_path.iterdir())
+    res = run_experiment(ExperimentConfig.from_json(json.dumps({**base, "label": "run.1"})))
+    assert sorted(out_dir.iterdir()) == [res.csv_path, res.summary_path]
+    assert res.csv_path == out_dir / "run.1.csv"
 
 
 def test_experiment_config_from_json():

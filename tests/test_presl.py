@@ -10,7 +10,7 @@ import privagg
 import privagg.presl as presl_mod
 from privagg.dp_core import BudgetError, NoiseSource, ParameterError, SparseSession
 from privagg.game_core import LinearUtility, regret, utility_values
-from privagg.harness import brute_force_equilibria, generate, profile_loss
+from privagg.harness import brute_force_equilibria, generate, profile_loss, solve
 from privagg.lp_core import build_slack_lp, exact_lp_min, replay_mw_player
 from privagg.presl import (
     PreslParams,
@@ -132,6 +132,18 @@ def test_params_validation_and_warnings():
     # a tiny alpha from a huge epsilon: the grid is refused before it is built
     with pytest.raises(BudgetError, match="over the budget"):
         PreslParams.for_game(g, zeta=1.0, epsilon=1e12, delta=0.05, beta=0.3)
+
+
+def test_params_refuse_accuracy_constants_that_overflow():
+    # epsilon = 1e-308 built params with alpha = inf and a bound of inf; the
+    # run was refused only inside the sparse session, as a threshold of inf
+    g = generate("linear", 0, n=4, m=2)
+    for epsilon in (1e-308, 5e-324):
+        with pytest.raises(ParameterError, match="not finite; raise epsilon"):
+            PreslParams.for_game(g, zeta=3.0, epsilon=epsilon, delta=0.05, beta=0.3)
+        params = dict(zeta=3.0, epsilon=epsilon, delta=0.05, beta=0.3)
+        with pytest.raises(ParameterError, match="epsilon"):
+            solve("presl", g, params, NoiseSource(0))
 
 
 def test_query_order_stream():
