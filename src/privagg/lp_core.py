@@ -327,8 +327,12 @@ def mw_accuracy_bound(
     n_constraints = as_count("n_constraints", n_constraints)
     check_range("positive", gamma=gamma, epsilon=epsilon)
     check_range("unit", delta=delta, beta=beta)
+    try:
+        spread = n * gamma**2 / epsilon
+    except OverflowError:
+        raise ParameterError(f"gamma^2 leaves the float range at gamma = {gamma}") from None
     inner = (
-        (n * gamma**2 / epsilon)
+        spread
         * math.log(n_constraints / beta)
         * math.log(n)
         * math.sqrt(math.log(m) * math.log(1.0 / delta))
@@ -417,11 +421,14 @@ def exact_lp_min(
     log_m = math.log(m) if m > 1 else 1.0
     # horizon from the no-regret gap bound gamma*n*sqrt(2 ln m / T) <= tol,
     # floored so the step size stays in (0, 1]
-    t_theory = max(
-        1,
-        math.ceil(2.0 * log_m),
-        math.ceil(2.0 * (game.gamma * n) ** 2 * log_m / tol**2),
-    )
+    try:
+        t_theory = max(
+            1,
+            math.ceil(2.0 * log_m),
+            math.ceil(2.0 * (game.gamma * n) ** 2 * log_m / tol**2),
+        )
+    except (OverflowError, ZeroDivisionError):  # tol^2 or the horizon past the float range
+        raise ParameterError(f"the LP horizon leaves the float range at tol = {tol}") from None
     cap = 8 * t_theory
     eta = math.sqrt(2.0 * log_m / t_theory)
 

@@ -58,13 +58,18 @@ def _portfolio_table(d: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=MAX_D)  # one entry per admissible d
+def _pay_table(d: int) -> np.ndarray:
+    """The float64 copy of ``portfolio_matrix(d)`` that every ``MarketUtility``
+    of that d prices against, so no evaluation casts the int table."""
+    table = _portfolio_table(d).astype(float)
+    table.flags.writeable = False
+    return table
+
+
 def hinge_price(I, lam: float):
     """Per-security price: 0, I/lambda + 1/2, or 1 by imbalance band."""
     check_range("positive", lam=lam)
-    return _hinge(I, lam)
-
-
-def _hinge(I, lam: float):  # a MarketUtility checks lam once, not per evaluation
     return np.clip(np.asarray(I, dtype=float) / lam + 0.5, 0.0, 1.0)
 
 
@@ -139,6 +144,7 @@ class MarketUtility:
     d: int
     valuations: np.ndarray  # (n, 3^d)
     portfolios: np.ndarray = field(init=False, repr=False, compare=False)  # (3^d, d)
+    pay_table: np.ndarray = field(init=False, repr=False, compare=False)  # float64 portfolios
 
     kind = "market"
 
@@ -155,16 +161,26 @@ class MarketUtility:
         object.__setattr__(self, "d", portfolios.shape[1])
         object.__setattr__(self, "valuations", vals)
         object.__setattr__(self, "portfolios", portfolios)
+        object.__setattr__(self, "pay_table", _pay_table(self.d))
 
-    def _prices(self, s: np.ndarray) -> np.ndarray:
-        return _hinge(self.lam * s, self.lam)
+    def _pay(self, s: np.ndarray) -> np.ndarray:
+        """Each portfolio's cost at aggregator value s, (m,), for both evaluators.
+        The prices are ``hinge_price(lam * s, lam)`` in Python floats: the same
+        IEEE operations (NaN kept, +-inf clipped to 1 and 0) without numpy's
+        per-call cost on a d-element vector."""
+        lam = self.lam
+        q = []
+        for s_k in s.tolist():
+            x = lam * s_k / lam + 0.5
+            q.append(0.0 if x < 0.0 else 1.0 if x > 1.0 else x)
+        return self.pay_table @ np.array(q)
 
     def value_matrix(self, s: np.ndarray) -> np.ndarray:
-        pay = self.portfolios @ self._prices(s)  # (m,)
+        pay = self._pay(s)
         return (self.valuations - pay[None, :]) / (2.0 * self.d)
 
     def values_for_player(self, i: int, s: np.ndarray) -> np.ndarray:
-        pay = self.portfolios @ self._prices(s)
+        pay = self._pay(s)
         return (self.valuations[i] - pay) / (2.0 * self.d)
 
     def validate_for_game(self, game: AggregativeGame) -> None:

@@ -85,7 +85,11 @@ def sampling_deviation_bound(n: int, gamma: float, k: int, beta: float) -> float
     n, k = as_count("n", n), as_count("k", k)
     check_range("positive", gamma=gamma)
     check_range("unit", beta=beta)
-    return math.sqrt(n * gamma**2 / 2.0 * math.log(k / beta))
+    try:
+        spread = n * gamma**2
+    except OverflowError:
+        raise ParameterError(f"gamma^2 leaves the float range at gamma = {gamma}") from None
+    return math.sqrt(spread / 2.0 * math.log(k / beta))
 
 
 def presl_e1(game: AggregativeGame, epsilon: float, beta: float) -> float:

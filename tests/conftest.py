@@ -21,7 +21,7 @@ from privagg.game_core import (
     utility_matrix, utility_values,
 )
 from privagg.lp_core import DistMWResult, _mw_iterate, build_slack_lp, most_violated
-from privagg.market import hinge_price
+from privagg.market import hinge_price, imbalance
 from privagg.onedim import _accuracy_floor
 
 
@@ -155,6 +155,26 @@ def trader_utility(game, i, a, s):
     q = hinge_price(game.lam * s, game.lam)
     pay = float(game.portfolios[int(a)] @ q)
     return (float(game.valuations[int(i), int(a)]) - pay) / (2.0 * game.d)
+
+
+def market_regret(game, x):
+    """Per-trader deviation gains of a ``MarketGame`` at pure profile x, each
+    payoff read through ``trader_utility``. Trader i's move from x_i to a
+    shifts the aggregator imbalance / lambda by (portfolio_a - portfolio_x_i)
+    / lambda, formed in the order ``regret`` forms it."""
+    x = np.asarray(x)
+    gamma = 1.0 / game.lam
+    s = gamma * imbalance(game, x)
+    per = np.empty(game.n)
+    for i, x_i in enumerate(x.tolist()):
+        base = trader_utility(game, i, x_i, s)
+        best = base
+        for a in range(game.m):
+            if a != x_i:
+                moved = (game.portfolios[a] - game.portfolios[x_i]).astype(float)
+                best = max(best, trader_utility(game, i, a, s + moved * gamma))
+        per[i] = best - base
+    return per
 
 
 def materialised_walk(hi, lo):

@@ -116,6 +116,9 @@ def test_error_paths_exit_one(tmp_path, threshold_game, capsys):
         (*psumm, "--epsilon", 1e12, "--alpha", 1e-7),
         (*select, "--epsilon", 1e12, "--alpha", 1e-7),
         ("npresl", "--game", linear_game, "--zeta", 1.0, "--alpha", 1e-320),
+        # a finite certificate whose LP tolerance (1.2e200) overflowed when squared
+        ("presl", "--game", linear_game, "--zeta", 3, "--epsilon", 1e-200,
+         "--delta", 0.05, "--beta", 0.3),
         ("bench", "--config", malformed),
         *(("bench", "--config", tmp_path / f"{name}.json") for name in configs),
         ("distmw-solve", "--lp", no_cons_f, *lp_flags),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -494,6 +495,31 @@ def test_every_bound_refuses_a_non_finite_argument(name, key, bad):
     assert math.isfinite(formula(**kwargs))
     with pytest.raises(ParameterError, match=f"^{key} must be"):
         formula(**{**kwargs, key: bad})
+
+
+@pytest.mark.parametrize("formula, kwargs, message", [
+    (mw_accuracy_bound, dict(n=10, m=2, gamma=1e200, epsilon=1.0, delta=0.05,
+                             n_constraints=3, beta=0.1), "gamma^2 leaves the float range"),
+    (sampling_deviation_bound, dict(n=10, gamma=1e200, k=2, beta=0.1),
+     "gamma^2 leaves the float range"),
+    (FORMULAS["exact_lp_min"][0], dict(tol=1e200), "at tol = 1e+200"),
+    (FORMULAS["exact_lp_min"][0], dict(tol=1e-200), "at tol = 1e-200"),  # tol^2 is 0
+])
+def test_squares_past_the_float_range_are_refused(formula, kwargs, message):
+    # each once ended in an OverflowError (or ZeroDivisionError) traceback
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        formula(**kwargs)
+
+
+def test_squared_bounds_keep_their_operation_order():
+    rng = np.random.Generator(np.random.PCG64(7))
+    for _ in range(200):
+        n, gamma, eps, delta, beta = 10, *rng.uniform(1e-3, 10.0, 2), *rng.uniform(0.01, 0.9, 2)
+        inner = ((n * gamma**2 / eps) * math.log(3 / beta) * math.log(n)
+                 * math.sqrt(math.log(2) * math.log(1.0 / delta)))
+        assert mw_accuracy_bound(n, 2, gamma, eps, delta, 3, beta) == 100.0 * math.sqrt(inner)
+        assert sampling_deviation_bound(n, gamma, 2, beta) == math.sqrt(
+            n * gamma**2 / 2.0 * math.log(2 / beta))
 
 
 def test_sparse_accuracy_bound_frozen_value():

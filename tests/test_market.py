@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from privagg import market
-from privagg.game_core import ParameterError, aggregator, utility_values
+from privagg.game_core import ParameterError, abr_profile, aggregator, regret, utility_values
 from privagg.harness import generate
 from privagg.market import (
     MarketGame,
@@ -21,7 +21,7 @@ from privagg.market import (
     to_aggregative,
 )
 
-from conftest import trader_utility
+from conftest import market_regret, trader_utility
 
 
 def small_market(n=4, d=2, lam=8.0, seed=0):
@@ -235,6 +235,59 @@ def test_portfolios_built_once(monkeypatch):
     imbalance(g, np.zeros(g.n, dtype=int))
     trader_utility(g, 0, 4, np.zeros(2))
     assert calls == []
+
+
+def same_bits_or_nan(got, want):
+    """Equal bit for bit, except that a NaN matches any NaN."""
+    nan = np.isnan(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+def pricing_points(d, rng):
+    """Aggregator values inside the band, past both kinks, exactly on them
+    (lambda s / lambda + 1/2 is 0 or 1), and with +-inf and NaN entries."""
+    inside = rng.uniform(-0.5, 0.5, size=(3, d))
+    past = rng.choice([-1.0, 1.0], size=(3, d)) * rng.uniform(0.5, 40.0, size=(3, d))
+    kinks = rng.choice([-0.5, 0.5], size=(2, d))
+    mixed = np.concatenate([inside, past, kinks]).reshape(-1)[rng.permutation(8 * d)]
+    odd = rng.choice([np.inf, -np.inf, np.nan, 0.25, -2.0], size=(4, d))
+    return list(inside) + list(past) + list(kinks) + list(mixed.reshape(8, d)) + list(odd)
+
+
+@pytest.mark.parametrize("d", range(1, market.MAX_D + 1))
+def test_both_evaluators_price_like_the_int_table_at_every_d(d):
+    rng = np.random.Generator(np.random.PCG64(100 + d))
+    lam = float(np.exp(rng.uniform(-3.0, 9.0)))
+    u = MarketUtility(lam=lam, d=d, valuations=rng.uniform(-d, d, size=(2, 3**d)))
+    for s in pricing_points(d, rng):
+        pay = portfolio_matrix(d) @ hinge_price(lam * s, lam)
+        matrix = u.value_matrix(s)
+        for i in range(2):
+            want = (u.valuations[i] - pay) / (2.0 * d)
+            assert same_bits_or_nan(u.values_for_player(i, s), want)
+            assert same_bits_or_nan(matrix[i], want)
+
+
+@pytest.mark.parametrize("d, n", [(1, 300), (2, 60)])
+def test_market_regret_matches_the_trader_reference(d, n):
+    g = generate("market", 40 + d, n=n, d=d, lam=float(n) / 3.0)
+    agg = to_aggregative(g)
+    rng = np.random.Generator(np.random.PCG64(41))
+    profiles = [rng.integers(0, g.m, size=n) for _ in range(3)]
+    profiles += [abr_profile(agg, aggregator(agg, x)) for x in profiles[:2]]
+    for x in profiles:
+        assert regret(agg, x).per_player.tobytes() == market_regret(g, x).tobytes()
+
+
+def test_markets_of_one_d_share_one_read_only_float_table():
+    a, b = small_market(n=3, d=3, seed=1), small_market(n=5, d=3, lam=2.0, seed=2)
+    table = a.utility.pay_table
+    assert table is b.utility.pay_table
+    assert table.dtype == np.float64 and np.array_equal(table, portfolio_matrix(3))
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 7.0
+    assert small_market(n=3, d=2).utility.pay_table is not table
 
 
 def test_generated_market_chain_builds_its_portfolios_once():
