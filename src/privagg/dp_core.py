@@ -30,6 +30,7 @@ sensitivity must be positive in both noise modes.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -420,15 +421,17 @@ def exponential_mechanism(scores, sensitivity: float, epsilon: float, src: Noise
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 1 or scores.size == 0:
         raise ParameterError("scores must be a nonempty 1-D array")
-    top = scores.max()  # NaN if any score is NaN
-    if not (math.isfinite(top) and math.isfinite(scores.min())):
+    values = scores.tolist()  # checked as Python floats: cheaper than numpy on a few scores
+    if not all(map(math.isfinite, values)):
         raise ParameterError("scores must be finite")
+    top = max(values)
     check_range("positive", sensitivity=sensitivity, epsilon=epsilon)
     if src.noise_off:
-        return int(np.argmax(scores))
-    with np.errstate(over="ignore"):
-        scale = epsilon / (2.0 * sensitivity)
-        check_finite(score_scale=scale)  # an infinite scale gives 0 * inf = NaN
+        return values.index(top)
+    scale = float(epsilon) / (2.0 * float(sensitivity))
+    check_finite(score_scale=scale)  # an infinite scale gives 0 * inf = NaN
+    overflow = not math.isfinite((top - min(values)) * scale)  # else no logit can overflow
+    with np.errstate(over="ignore") if overflow else contextlib.nullcontext():
         logits = scores - top
         logits *= scale
     cdf = np.exp(logits, out=logits).cumsum()

@@ -14,11 +14,11 @@ Multiplicative Weights Update Method", 2012):
   the selected facet joins every player's cumulative loss, and the average
   iterate is returned. Players with identical constraint rows and supports
   share one MW row, so after one grouping pass a round costs O(C K m) for C
-  such classes, not O(n K m); with shared facets C is at most the number of
-  distinct support masks. The per-round selections are the public
-  transcript, so any player can replay their own rows with
-  ``replay_mw_player``: O(T m) numpy work and O(T m) memory, with no Python
-  loop over rounds.
+  such classes, not O(n K m), in a fixed number of numpy calls while C < m;
+  with shared facets C is at most the number of distinct support masks. The
+  per-round selections are the public transcript, so any player can replay
+  their own rows with ``replay_mw_player``: O(T m) numpy work and O(T m)
+  memory, with no Python loop over rounds.
 
 * ``exact_lp_min`` is the deterministic counterpart used on the query side:
   the adversary picks the exactly most violated constraint and the dynamics
@@ -66,6 +66,20 @@ class DegenerateError(ValueError):
     """Raised when a support set is empty."""
 
 
+def _mw_inputs(rows, mask, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """The one rule for MW loss rows and support masks, shared by the LP and
+    a player's replay: every row entry finite and in [-1, 1] (a NaN row gives
+    a NaN iterate, which sampling reads as action 0) and every mask entry
+    0/1 or true/false (``bool`` reads 2 or -1 as allowed). Returns them as
+    float and bool arrays; a ParameterError names the field from ``names``."""
+    rows, mask = np.asarray(rows, dtype=float), np.asarray(mask)
+    if not np.all(np.abs(rows) <= 1.0 + 1e-12):
+        raise ParameterError(f"{names[0]} entries must be finite and lie in [-1, 1]")
+    if mask.dtype != bool and not ((mask == 0) | (mask == 1)).all():
+        raise ParameterError(f"{names[1]} entries must be 0/1 or true/false")
+    return rows, mask.astype(bool, copy=False)
+
+
 @dataclass(frozen=True)
 class FeasibilityLP:
     """K constraints gamma * <F_k, p> <= b_k over supported simplices."""
@@ -76,17 +90,14 @@ class FeasibilityLP:
     supports: np.ndarray  # (n, m) boolean, each row nonempty
 
     def __post_init__(self):
-        cf = np.asarray(self.cons_f, dtype=float)
+        cf, sup = _mw_inputs(self.cons_f, self.supports, ("cons_f", "supports"))
         cb = np.asarray(self.cons_b, dtype=float)
-        sup = np.asarray(self.supports, dtype=bool)
         if cf.ndim != 3 or cb.shape != (cf.shape[0],):
             raise ParameterError("constraint tensors must be (K, n, m) with K offsets")
         if cf.shape[0] < 1:
             raise ParameterError("at least one constraint required")
         if sup.shape != cf.shape[1:]:
             raise ParameterError("supports must be (n, m) matching the constraints")
-        if not np.all(np.abs(cf) <= 1.0 + 1e-12):
-            raise ParameterError("constraint facet entries must be finite and lie in [-1, 1]")
         if not np.all(np.isfinite(cb)):
             raise ParameterError("constraint offsets must be finite")
         if not sup.any(axis=1).all():
@@ -162,20 +173,32 @@ def _mw_iterate(cum: np.ndarray, eta: float) -> np.ndarray:
 
     ``cum`` holds each row's summed losses, +inf off the support. Shifting by
     the row minimum keeps every weight in [0, 1] for any eta * T, and off
-    the support the weight is exactly 0. The sum over actions runs in a fixed
-    order, one action at a time, so a row's bits do not depend on the
-    array's shape or memory order: full-LP rounds and one player's replay
-    agree exactly.
+    the support the weight is exactly 0. The sum over actions is sequential
+    in action order, so a row's bits do not depend on the array's shape or
+    memory order: full-LP rounds and one player's replay agree exactly.
+    A block with fewer rows than actions (a round on the class rows) takes
+    a fixed number of numpy calls: one ``min`` (exact in any order) and one
+    ``cumsum``, whose last column is that sequential sum. A taller block (a
+    replay's (T, m), the exact LP's n rows) runs the same sum one action
+    column at a time, which is faster there.
     """
-    low = cum[..., 0].copy()
-    for a in range(1, cum.shape[-1]):
-        np.minimum(low, cum[..., a], out=low)
+    m = cum.shape[-1]
+    wide = cum.size < m * m
+    if wide:
+        low = cum.min(axis=-1)
+    else:
+        low = cum[..., 0].copy()
+        for a in range(1, m):
+            np.minimum(low, cum[..., a], out=low)
     w = np.subtract(cum, low[..., None])
     w *= -eta
     np.exp(w, out=w)
-    total = w[..., 0].copy()
-    for a in range(1, w.shape[-1]):
-        total += w[..., a]
+    if wide:
+        total = w.cumsum(axis=-1)[..., -1]
+    else:
+        total = w[..., 0].copy()
+        for a in range(1, m):
+            total += w[..., a]
     w /= total[..., None]
     return w
 
@@ -216,15 +239,27 @@ def _player_classes(lp: FeasibilityLP) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     Returns (first, inverse, counts): each class's first player, each
     player's class and the class sizes, classes in order of first
-    appearance, so n singleton classes give ``first == arange(n)``. Labels
-    start from the support masks and split one constraint at a time; a
-    constraint whose rows every player shares is skipped, and the splitting
-    stops once every player stands alone, so the tensor is never copied
-    whole.
+    appearance, so n singleton classes give ``first == arange(n)``. When
+    every player's rows carry player 0's bits (a market at full support),
+    one O(n K m) comparison returns the single class without sorting;
+    otherwise ``_grouped_classes`` sorts.
     """
     n = lp.shape[0]
-    label = _row_labels(lp.supports)
-    for block in lp.cons_f.view(np.int64):  # bit patterns: -0.0 differs from 0.0
+    bits = lp.cons_f.view(np.int64)  # bit patterns: -0.0 differs from 0.0
+    if (lp.supports == lp.supports[0]).all() and (bits == bits[:, :1]).all():
+        return np.zeros(1, np.intp), np.zeros(n, np.intp), np.array([n], np.intp)
+    return _grouped_classes(lp.supports, bits)
+
+
+def _grouped_classes(supports: np.ndarray, bits: np.ndarray) -> tuple:
+    """``_player_classes`` by sorting, from the (n, m) masks and the (K, n, m)
+    rows' int64 bits. Labels start from the support masks and split one
+    constraint at a time; a constraint whose rows every player shares is
+    skipped, and the splitting stops once every player stands alone, so the
+    tensor is never copied whole."""
+    n = supports.shape[0]
+    label = _row_labels(supports)
+    for block in bits:
         if label.max() == n - 1:
             break
         if not (block == block[0]).all():
@@ -253,7 +288,10 @@ def distmw_solve(lp: FeasibilityLP, params: DistMWParams, src: NoiseSource) -> D
     O(C K m) work per round instead of O(n K m). Margins are linear in p, so
     each class row counts once per member. When every player shares the
     facets (markets, anonymous games), C is at most the number of distinct
-    support masks.
+    support masks. While C < m, a round is a fixed number of numpy calls,
+    whatever m is: the iterate's sum over actions is one ``cumsum``, still
+    sequential in action order, so replays of (T, m) blocks agree bit for
+    bit. The ledger holds one equal charge of eps0 per round.
     """
     if lp.shape != (params.n, params.m) or lp.gamma != params.gamma:
         raise ParameterError("params were derived for a different LP shape or gamma")
@@ -269,14 +307,15 @@ def distmw_solve(lp: FeasibilityLP, params: DistMWParams, src: NoiseSource) -> D
     cum = np.where(classes.supports, 0.0, np.inf)
     accum = np.zeros(classes.shape)
     transcript: list[int] = []
-    ledger = PrivacyLedger()
     for _ in range(params.T):
         p = _mw_iterate(cum, params.eta)
         accum += p
         k, _ = most_violated(classes, sizes * p, params.eps0, src)
-        ledger.add("constraint-select", params.eps0, 0.0)
         transcript.append(k)
         cum += classes.cons_f[k]
+    ledger = PrivacyLedger()
+    ledger.add("constraint-select", params.eps0, 0.0)
+    ledger.entries *= params.T  # one equal charge per round
     return DistMWResult(
         p_bar=(accum / params.T)[inverse], transcript=transcript, params=params, ledger=ledger,
     )
@@ -295,8 +334,7 @@ def replay_mw_player(
     and memory. Bit-identical to the matching row of
     ``distmw_solve(...).p_bar``.
     """
-    mask = np.asarray(support_row, dtype=bool)
-    rows = np.asarray(cons_rows, dtype=float)
+    rows, mask = _mw_inputs(cons_rows, support_row, ("cons_rows", "support_row"))
     ks = np.asarray(transcript)
     if mask.shape != (params.m,) or rows.ndim != 2 or rows.shape[1:] != mask.shape:
         raise ParameterError(f"need (K, {params.m}) constraint rows and a ({params.m},) support")

@@ -15,12 +15,12 @@ import warnings
 import numpy as np
 import pytest
 
-from privagg.dp_core import ParameterError, PrivacyLedger, check_finite
+from privagg.dp_core import ParameterError, PrivacyLedger, check_finite, check_range
 from privagg.game_core import (
     AggregativeGame, LinearUtility, RegretReport, abr_set, aggregator, as_pure_profile,
     utility_matrix, utility_values,
 )
-from privagg.lp_core import DistMWResult, _mw_iterate, build_slack_lp, most_violated
+from privagg.lp_core import DistMWResult, build_slack_lp, most_violated
 from privagg.market import hinge_price, imbalance
 from privagg.onedim import _accuracy_floor
 
@@ -333,10 +333,52 @@ def n_queries(params):
     return params.x_count_per_axis**params.d * params.y_count
 
 
+def reference_mw_iterate(cum, eta):
+    """``_mw_iterate`` with the row minimum and the row total taken one
+    action column at a time, in action order, whatever the block's shape:
+    the library's faster paths must agree with it bit for bit."""
+    low = cum[..., 0].copy()
+    for a in range(1, cum.shape[-1]):
+        np.minimum(low, cum[..., a], out=low)
+    w = np.subtract(cum, low[..., None])
+    w *= -eta
+    np.exp(w, out=w)
+    total = w[..., 0].copy()
+    for a in range(1, w.shape[-1]):
+        total += w[..., a]
+    w /= total[..., None]
+    return w
+
+
+def reference_exponential_mechanism(scores, sensitivity, epsilon, src):
+    """``exponential_mechanism`` with its checks on numpy reductions and the
+    shift and scaling always under ``np.errstate``: the library's scalar
+    checks must give the same index and leave the stream at the same place."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 1 or scores.size == 0:
+        raise ParameterError("scores must be a nonempty 1-D array")
+    top = scores.max()  # NaN if any score is NaN
+    if not (math.isfinite(top) and math.isfinite(scores.min())):
+        raise ParameterError("scores must be finite")
+    check_range("positive", sensitivity=sensitivity, epsilon=epsilon)
+    if src.noise_off:
+        return int(np.argmax(scores))
+    with np.errstate(over="ignore"):
+        scale = epsilon / (2.0 * sensitivity)
+        check_finite(score_scale=scale)
+        logits = scores - top
+        logits *= scale
+    cdf = np.exp(logits, out=logits).cumsum()
+    u = src.uniform() * cdf[-1]
+    idx = int(cdf.searchsorted(u, side="left"))
+    return min(idx, len(scores) - 1)
+
+
 def reference_distmw_solve(lp, params, src):
     """``distmw_solve`` with one MW row per player: every round evaluates
-    the full (n, m) iterate and the margins over all n players, with no
-    grouping of identical players. Same checks, selections and ledger."""
+    the full (n, m) iterate by ``reference_mw_iterate`` and the margins over
+    all n players, with no grouping of identical players and one ledger
+    charge added per round. Same checks and selections."""
     check_finite(scaled_margin=params.eps0 / (2.0 * lp.gamma)
                  * (params.n * lp.gamma + float(np.max(np.abs(lp.cons_b)))))
     cum = np.where(lp.supports, 0.0, np.inf)
@@ -344,7 +386,7 @@ def reference_distmw_solve(lp, params, src):
     transcript = []
     ledger = PrivacyLedger()
     for _ in range(params.T):
-        p = _mw_iterate(cum, params.eta)
+        p = reference_mw_iterate(cum, params.eta)
         accum += p
         k, _ = most_violated(lp, p, params.eps0, src)
         ledger.add("constraint-select", params.eps0, 0.0)

@@ -207,6 +207,16 @@ def test_non_integral_count_fields_exit_one(tmp_path, capsys, caplog):
         assert message in caplog.text
 
 
+def test_distmw_solve_refuses_support_entries_other_than_zero_one(tmp_path, capsys, caplog):
+    # each ran to exit 0 with the action read as allowed
+    for j, value in enumerate((0.5, -3, 2)):
+        lp = write_with(tmp_path / f"lp{j}.json", SMALL_LP, value, "supports", 1, 0)
+        caplog.clear()
+        assert run_cli("distmw-solve", "--lp", lp, *LP_FLAGS) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert "supports entries must be 0/1 or true/false" in caplog.text
+
+
 def test_bench_params_the_solver_does_not_read_exit_one(tmp_path, capsys, caplog):
     # each ran and ignored the key: distmw's xi is the constant DISTMW_XI,
     # and psummnash reads neither zeta nor delta

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,10 @@ from privagg.market import corollary_eta, market_zeta
 from privagg.onedim import PSummResult, SelectResult
 from privagg.presl import PreslResult, existence_bound, presl_e1, sampling_deviation_bound
 
-from conftest import compose_adaptive, laplace_sample, sparse_accuracy_bound, total_simple
+from conftest import (
+    compose_adaptive, laplace_sample, reference_exponential_mechanism, sparse_accuracy_bound,
+    total_simple,
+)
 
 
 class FixedUniform:
@@ -597,6 +601,45 @@ def test_exp_mechanism_validation():
         exponential_mechanism([1.0], 0.0, 1.0, NoiseSource(0))
     with pytest.raises(ParameterError):
         exponential_mechanism([1.0], 1.0, 0.0, NoiseSource(0))
+
+
+def random_scores(rng, case):
+    """A 1- to 12-score vector: plain, with ties and signed zeros, or with a
+    span whose shift or scaling leaves the float range."""
+    k = int(rng.integers(1, 13))
+    if case == "plain":
+        return rng.uniform(-1.0, 1.0, size=k) * 10.0 ** rng.integers(-3, 4)
+    if case == "ties":
+        pool = np.array([0.0, -0.0, 0.25, -0.25, 1.0])
+        return rng.choice(pool, size=k)
+    return rng.choice([1.7e308, -1.7e308, 1e300, -1e305, 0.0, -0.0, 3.0], size=k)
+
+
+@pytest.mark.parametrize("mode", [NoiseSource.NOISY, NoiseSource.NOISE_OFF])
+@pytest.mark.parametrize("case", ["plain", "ties", "overflow"])
+def test_exp_mechanism_matches_the_numpy_reference(case, mode):
+    # the same index and the same stream position as checks made with numpy
+    # reductions under np.errstate, and no overflow warning on the way
+    rng = np.random.Generator(np.random.PCG64(["plain", "ties", "overflow"].index(case)))
+    ours, theirs = NoiseSource(31, mode), NoiseSource(31, mode)
+    for _ in range(300):
+        scores = random_scores(rng, case)
+        sensitivity = float(10.0 ** rng.uniform(-6.0, 2.0))
+        epsilon = float(10.0 ** rng.uniform(-2.0, 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exponential_mechanism(scores, sensitivity, epsilon, ours)
+        assert got == reference_exponential_mechanism(scores, sensitivity, epsilon, theirs)
+        assert ours._gen.bit_generator.state == theirs._gen.bit_generator.state
+
+
+@pytest.mark.parametrize("scores", [[0.0, math.nan], [math.inf, 1.0], [], [[1.0]]])
+def test_exp_mechanism_refuses_what_the_reference_refuses(scores):
+    for mode in (NoiseSource.NOISY, NoiseSource.NOISE_OFF):
+        with pytest.raises(ParameterError) as ref:
+            reference_exponential_mechanism(scores, 1.0, 1.0, NoiseSource(0, mode))
+        with pytest.raises(ParameterError, match=re.escape(str(ref.value))):
+            exponential_mechanism(scores, 1.0, 1.0, NoiseSource(0, mode))
 
 
 def test_exp_mechanism_frozen_draws():

@@ -25,7 +25,9 @@ from privagg.lp_core import (
 
 from privagg.market import to_aggregative
 
-from conftest import compose_adaptive, recurrence_exact_lp_min, reference_distmw_solve
+from conftest import (
+    compose_adaptive, recurrence_exact_lp_min, reference_distmw_solve, reference_mw_iterate,
+)
 
 
 def single_constraint_lp(gamma=0.3, seed=0, n=2, m=2):
@@ -311,6 +313,46 @@ def test_replay_rejects_malformed_inputs(case):
         replay_mw_player(params=prm, **args)
 
 
+BAD_ROWS = {"nan": math.nan, "inf": math.inf, "past-one": 1.5, "below-minus-one": -1.01}
+BAD_MASKS = {"two": [2, 0, -1], "half": [0.5, 1, 1], "negative": [1, -3, 0],
+             "nan": [1.0, math.nan, 0.0]}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+def test_mw_rows_outside_the_unit_range_are_refused(bad):
+    # a NaN row gave a NaN replay row, which sampling read as action 0
+    rows = np.zeros((2, 3))
+    rows[1, 2] = BAD_ROWS[bad]
+    lp, prm = replay_lp(1, 3, 5, seed=9, K=2)
+    with pytest.raises(ParameterError, match="cons_rows entries must be finite"):
+        replay_mw_player(rows, np.ones(3, dtype=bool), prm, [0] * prm.T)
+    with pytest.raises(ParameterError, match="cons_f entries must be finite"):
+        FeasibilityLP(gamma=0.1, cons_f=rows[:, None, :], cons_b=np.zeros(2),
+                      supports=np.ones((1, 3), dtype=bool))
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_MASKS))
+def test_mw_masks_other_than_zero_one_are_refused(bad):
+    # bool() read [2, 0, -1] as [True, False, True]
+    lp, prm = replay_lp(1, 3, 5, seed=9, K=2)
+    with pytest.raises(ParameterError, match="support_row entries must be 0/1"):
+        replay_mw_player(lp.cons_f[:, 0, :], BAD_MASKS[bad], prm, [0] * prm.T)
+    with pytest.raises(ParameterError, match="supports entries must be 0/1"):
+        FeasibilityLP(gamma=lp.gamma, cons_f=lp.cons_f, cons_b=lp.cons_b,
+                      supports=[BAD_MASKS[bad]])
+
+
+def test_zero_one_masks_read_as_their_booleans():
+    lp, prm = replay_lp(2, 3, 40, seed=12)
+    res = distmw_solve(lp, prm, NoiseSource(4))
+    for mask in (lp.supports.astype(np.int64), lp.supports.astype(float)):
+        same = FeasibilityLP(gamma=lp.gamma, cons_f=lp.cons_f, cons_b=lp.cons_b, supports=mask)
+        assert same.supports.dtype == bool and np.array_equal(same.supports, lp.supports)
+        for i in range(2):
+            row = replay_mw_player(lp.cons_f[:, i, :], mask[i], prm, res.transcript)
+            assert np.array_equal(row, res.p_bar[i])
+
+
 def uniform_slack_lp(game, xi, alpha=1.0):
     """The slack LP around the uniform profile's aggregator, no loss row, with
     the dynamics' parameters, as the "distmw" solver builds them."""
@@ -341,6 +383,10 @@ def class_family(name):
     if name == "market-d2":
         lp, prm = uniform_slack_lp(to_aggregative(generate("market", 62, n=400, d=2)), 2.0)
         return lp, prm, 1
+    if name in ("market-d3", "market-d4"):  # m = 27 and 81: class rows wider than tall
+        d = int(name[-1])
+        lp, prm = uniform_slack_lp(to_aggregative(generate("market", 60 + d, n=60, d=d)), 2.0)
+        return lp, prm, 1
     if name == "anonymous":
         lp, prm = uniform_slack_lp(generate("anonymous", 63, n=40, m=3), 0.05, alpha=0.3)
         return lp, prm, len(np.unique(lp.supports, axis=0))
@@ -351,8 +397,17 @@ def class_family(name):
     return lp, prm, 2
 
 
-@pytest.mark.parametrize("mode", ["noisy", "noise_off"])
-@pytest.mark.parametrize("family", ["market-d1", "market-d2", "anonymous", "linear", "two-class"])
+# the class margins count one row n times, the per-player loop sums n rows:
+# the two round apart, and at this market's exact noise_off ties the
+# lowest-index argmax follows the rounding (the parent commit did the same)
+TIE_ROUNDING = pytest.mark.xfail(strict=True, reason="noise_off tie follows margin rounding")
+
+
+@pytest.mark.parametrize("family,mode", [
+    (family, mode)
+    for family in ("market-d1", "market-d2", "market-d3", "anonymous", "linear", "two-class")
+    for mode in ("noisy", "noise_off")
+] + [("market-d4", "noisy"), pytest.param("market-d4", "noise_off", marks=TIE_ROUNDING)])
 def test_distmw_classes_match_the_per_player_loop(family, mode):
     lp, prm, n_classes = class_family(family)
     first, inverse, counts = lp_core._player_classes(lp)
@@ -384,6 +439,76 @@ def test_player_classes_split_on_bits_not_values():
     first, inverse, counts = lp_core._player_classes(lp)
     assert first.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0]
     assert counts.tolist() == [2, 1]
+
+
+def shared_rows_lp(n=6, m=4, K=3):
+    """n players with one random (K, m) row block and full supports, every
+    row with a 0.0 entry at action 1, so a -0.0 there changes only bits."""
+    rng = np.random.Generator(np.random.PCG64(88))
+    rows = rng.uniform(-1.0, 1.0, size=(K, m))
+    rows[:, 1] = 0.0
+    return FeasibilityLP(gamma=0.1, cons_f=np.repeat(rows[:, None, :], n, axis=1),
+                         cons_b=np.zeros(K), supports=np.ones((n, m), dtype=bool))
+
+
+def test_player_classes_shortcut_matches_the_grouping_path():
+    lp = shared_rows_lp()
+    fast = lp_core._player_classes(lp)
+    grouped = lp_core._grouped_classes(lp.supports, lp.cons_f.view(np.int64))
+    for a, b in zip(fast, grouped):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert [a.tolist() for a in fast] == [[0], [0] * 6, [6]]
+
+
+@pytest.mark.parametrize("player", [0, 3, 5])
+@pytest.mark.parametrize("change", ["negative-zero", "support"])
+def test_player_classes_split_off_one_player(change, player):
+    lp = shared_rows_lp()
+    cons_f, supports = lp.cons_f.copy(), lp.supports.copy()
+    if change == "negative-zero":
+        cons_f[2, player, 1] = -0.0
+    else:
+        supports[player, 2] = False
+    lp = FeasibilityLP(gamma=lp.gamma, cons_f=cons_f, cons_b=lp.cons_b, supports=supports)
+    first, inverse, counts = lp_core._player_classes(lp)
+    alone = np.arange(6) == player
+    assert first.tolist() == ([0, 1] if player == 0 else [0, player])
+    assert inverse.tolist() == (alone if player else ~alone).astype(int).tolist()
+    assert sorted(counts.tolist()) == [1, 5]
+
+
+def random_cum_block(rng, rows, m):
+    """A (rows, m) block of cumulative losses: sums of up to 2,000 facet
+    rows, +inf off a random support that keeps at least one action."""
+    T = int(rng.integers(0, 2000))
+    cum = rng.uniform(-1.0, 1.0, size=(rows, m)) * T
+    off = rng.random((rows, m)) < rng.uniform(0.0, 0.8)
+    off[np.arange(rows), rng.integers(0, m, size=rows)] = False
+    cum[off] = np.inf
+    return cum
+
+
+@pytest.mark.parametrize("tall", [False, True])
+def test_mw_iterate_matches_the_per_action_loop(tall):
+    # both branches of _mw_iterate, against the loop that sums one action at
+    # a time; every row must also match the same row iterated alone
+    rng = np.random.Generator(np.random.PCG64(2024 + tall))
+    for _ in range(150):
+        m = int(np.exp(rng.uniform(0.0, math.log(729.0))).round())
+        top = min(300, m - 1) if not tall else 300
+        low = 1 if not tall else min(m, 300)
+        if top < low:
+            continue
+        rows = int(rng.integers(low, top + 1))
+        eta = float(np.exp(rng.uniform(math.log(1e-3), math.log(5.0))))
+        cum = random_cum_block(rng, rows, m)
+        want = reference_mw_iterate(cum, eta)
+        for block in (cum, np.asfortranarray(cum)):
+            got = lp_core._mw_iterate(block, eta)
+            assert got.tobytes() == want.tobytes()
+            i = int(rng.integers(0, rows))
+            for row in (block[i], block[i : i + 1]):
+                assert lp_core._mw_iterate(row, eta).tobytes() == want[i].tobytes()
 
 
 def test_distmw_iterates_on_one_row_per_class(monkeypatch):
