@@ -471,7 +471,7 @@ def test_player_classes_split_off_one_player(change, player):
         supports[player, 2] = False
     lp = FeasibilityLP(gamma=lp.gamma, cons_f=cons_f, cons_b=lp.cons_b, supports=supports)
     first, inverse, counts = lp_core._player_classes(lp)
-    alone = np.arange(6) == player
+    alone = np.arange(6) == player  # classes are numbered by first appearance
     assert first.tolist() == ([0, 1] if player == 0 else [0, player])
     assert inverse.tolist() == (alone if player else ~alone).astype(int).tolist()
     assert sorted(counts.tolist()) == [1, 5]
@@ -488,24 +488,29 @@ def random_cum_block(rng, rows, m):
     return cum
 
 
+def log_uniform_int(rng, low, high):
+    return int(round(math.exp(rng.uniform(math.log(low), math.log(high)))))
+
+
 @pytest.mark.parametrize("tall", [False, True])
 def test_mw_iterate_matches_the_per_action_loop(tall):
-    # both branches of _mw_iterate, against the loop that sums one action at
-    # a time; every row must also match the same row iterated alone
+    # each branch of _mw_iterate (fewer rows than actions, or not) against
+    # the loop that sums one action at a time; every row must also match
+    # the same row iterated alone, as a 1-D row and as a one-row slice
     rng = np.random.Generator(np.random.PCG64(2024 + tall))
     for _ in range(150):
-        m = int(np.exp(rng.uniform(0.0, math.log(729.0))).round())
-        top = min(300, m - 1) if not tall else 300
-        low = 1 if not tall else min(m, 300)
-        if top < low:
-            continue
-        rows = int(rng.integers(low, top + 1))
-        eta = float(np.exp(rng.uniform(math.log(1e-3), math.log(5.0))))
+        if tall:
+            m = log_uniform_int(rng, 1, 300)
+            rows = int(rng.integers(m, 301))
+        else:
+            m = log_uniform_int(rng, 2, 729)
+            rows = int(rng.integers(1, min(300, m - 1) + 1))
+        assert (rows < m) != tall
+        eta = math.exp(rng.uniform(math.log(1e-3), math.log(5.0)))
         cum = random_cum_block(rng, rows, m)
         want = reference_mw_iterate(cum, eta)
         for block in (cum, np.asfortranarray(cum)):
-            got = lp_core._mw_iterate(block, eta)
-            assert got.tobytes() == want.tobytes()
+            assert lp_core._mw_iterate(block, eta).tobytes() == want.tobytes()
             i = int(rng.integers(0, rows))
             for row in (block[i], block[i : i + 1]):
                 assert lp_core._mw_iterate(row, eta).tobytes() == want[i].tobytes()
