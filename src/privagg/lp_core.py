@@ -427,19 +427,24 @@ def build_slack_lp(
 
 @dataclass
 class ExactLPResult:
-    """Certified estimate of min_p max_k margin over the supported simplices."""
+    """Certified estimate of min_p max_k margin over the supported simplices.
 
-    value: float
+    For one (d,) point ``value``, ``upper`` and ``lower`` are floats and
+    ``witness`` is (n, m); for a (G, d) stack they are (G,) arrays and a
+    (G, n, m) block. ``rounds`` is the round at which the last point closed.
+    """
+
+    value: float | np.ndarray
     witness: np.ndarray
-    upper: float
-    lower: float
+    upper: float | np.ndarray
+    lower: float | np.ndarray
     rounds: int
 
 
 def exact_lp_min(
     game: AggregativeGame,
     s_hat,
-    y_hat: Optional[float],
+    y_hat,
     xi: float,
     tol: float,
 ) -> ExactLPResult:
@@ -452,10 +457,34 @@ def exact_lp_min(
     value lies in [Q - tol, Q] for the true optimum Q, and the witness's
     worst margin is at most value + tol. ``y_hat=None`` drops the loss
     term.
+
+    ``s_hat`` is one (d,) point with a scalar ``y_hat``, or a (G, d) stack
+    of points with a (G,) ``y_hat``. The step size, horizon, cap and the
+    check every 16 rounds depend only on (game, tol), so the G loops run in
+    lockstep on (G, n, m) blocks; each point retires at its own check round
+    and the stack shrinks to the points still open. Every step is row-wise,
+    so each point's fields equal its solo call's bit for bit.
     """
     check_range("positive", tol=tol)
-    lp = build_slack_lp(game, s_hat, y_hat, xi, slack=0.0)
-    n, m = lp.shape
+    points = np.asarray(s_hat, dtype=float)
+    solo = points.ndim == 1
+    if points.ndim not in (1, 2):
+        raise ParameterError(f"s_hat must have shape ({game.d},) or (G, {game.d})")
+    points = np.atleast_2d(points)
+    if len(points) == 0:
+        raise ParameterError("s_hat must hold at least one point")
+    if y_hat is None:
+        levels = [None] * len(points)
+    elif np.shape(y_hat) != (() if solo else (len(points),)):
+        raise ParameterError(
+            "y_hat must be one level for a (d,) s_hat, or one per point of a (G, d) stack"
+        )
+    else:
+        levels = [y_hat] if solo else list(y_hat)
+    lps = [build_slack_lp(game, s, y, xi, slack=0.0) for s, y in zip(points, levels)]
+    cons_f = lps[0].cons_f  # the facet and loss rows are the same at every point
+    cons_b = np.stack([lp.cons_b for lp in lps])
+    n, m = lps[0].shape
     log_m = math.log(m) if m > 1 else 1.0
     # horizon from the no-regret gap bound gamma*n*sqrt(2 ln m / T) <= tol,
     # floored so the step size stays in (0, 1]
@@ -470,30 +499,55 @@ def exact_lp_min(
     cap = 8 * t_theory
     eta = math.sqrt(2.0 * log_m / t_theory)
 
-    # +inf off the support: zero weight there, and no row minimum lands there
-    cum = np.where(lp.supports, 0.0, np.inf)
-    accum = np.zeros(lp.shape)
-    b_sum = 0.0
-    best_lower = -math.inf
-    check_every = 16
-    t = 0
-    while t < cap:
-        t += 1
-        p = _mw_iterate(cum, eta)
-        accum += p
-        k = int(np.argmax(lp.margins(p)))
-        cum += lp.cons_f[k]
-        b_sum += float(lp.cons_b[k])
-        if t % check_every == 0 or t == 1 or t >= cap:
-            upper = float(np.max(lp.margins(accum / t)))
-            lower = game.gamma * float((cum.min(axis=1) / t).sum()) - b_sum / t
-            best_lower = max(best_lower, lower)
-            if upper - best_lower <= tol:
-                break
+    gamma = game.gamma
 
-    p_bar = accum / t
-    upper = float(np.max(lp.margins(p_bar)))
-    # the dual bound never exceeds Q, and Q >= 0 because the aggregator
-    # constraints come in absolute-value pairs
-    value = max(best_lower, 0.0)
-    return ExactLPResult(value=value, witness=p_bar, upper=upper, lower=best_lower, rounds=t)
+    def margins(p):  # FeasibilityLP.margins, one row per point
+        return gamma * np.einsum("knm,gnm->gk", cons_f, p) - cons_b
+
+    # +inf off the support: zero weight there, and no row minimum lands there
+    cum = np.where(np.stack([lp.supports for lp in lps]), 0.0, np.inf)
+    rows, shape = cum.reshape(-1, m), cum.shape  # the iterate runs faster on 2-D rows
+    accum = np.zeros(cum.shape)
+    b_sum = np.zeros(len(points))
+    best_lower = np.full(len(points), -math.inf)
+    check_every = 16
+    picks = np.empty((check_every, len(points)), np.intp)  # choices since the last check
+    live = np.arange(len(points))  # each open row's point
+    value, upper, lower = (np.empty(len(points)) for _ in range(3))
+    witness = np.empty((len(points), n, m))
+    t = j = 0
+    while len(live):
+        t += 1
+        p = _mw_iterate(rows, eta).reshape(shape)
+        accum += p
+        k = margins(p).argmax(axis=1, out=picks[j])
+        cum += cons_f.take(k, axis=0)
+        j += 1
+        if t % check_every == 0 or t == 1 or t >= cap:
+            # the offsets chosen since the last check join b_sum in round
+            # order, as one scalar add per round would
+            chosen = cons_b[np.arange(len(live)), picks[:j]]
+            b_sum = np.concatenate((b_sum[None], chosen)).cumsum(axis=0)[-1]
+            j = 0
+            top = margins(accum / t).max(axis=1)
+            low = gamma * (cum.min(axis=2) / t).sum(axis=1) - b_sum / t
+            best_lower = np.where(low > best_lower, low, best_lower)
+            done = top - best_lower <= tol
+            if t >= cap:
+                done[:] = True
+            if np.count_nonzero(done):
+                idx = live[done]
+                # the dual bound never exceeds Q, and Q >= 0 because the
+                # aggregator constraints come in absolute-value pairs
+                value[idx] = np.where(0.0 > best_lower[done], 0.0, best_lower[done])
+                witness[idx] = accum[done] / t
+                upper[idx] = top[done]
+                lower[idx] = best_lower[done]
+                keep = ~done
+                live, cum, accum, cons_b = live[keep], cum[keep], accum[keep], cons_b[keep]
+                rows, shape = cum.reshape(-1, m), cum.shape
+                b_sum, best_lower, picks = b_sum[keep], best_lower[keep], picks[:, keep]
+    if solo:
+        return ExactLPResult(value=float(value[0]), witness=witness[0], upper=float(upper[0]),
+                             lower=float(lower[0]), rounds=t)
+    return ExactLPResult(value=value, witness=witness, upper=upper, lower=lower, rounds=t)

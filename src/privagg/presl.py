@@ -319,6 +319,12 @@ def npresl(
     level to resolution alpha/10, and keeps the lowest-loss witness across
     the grid. The final profile is sampled per player, which is the only
     randomness consumed.
+
+    The exact LPs go to ``exact_lp_min`` as stacks, one call per stage: the
+    probes at every grid point, the zero loss level at every feasible point,
+    one call per bisection step over the points still bisecting, and one for
+    the points that found no witness. Each point's fields equal those of its
+    own solo calls, so the stacks change no output.
     """
     if game.loss is None:
         raise ParameterError("the sweep minimizes game.loss, which this game lacks")
@@ -329,36 +335,34 @@ def npresl(
     xi = support_width(zeta, game.gamma, alpha)
     K = grid_steps(game.W, alpha, game.d)
     axis = np.arange(2 * K) * alpha - alpha * K
-    loss_cap = game.n * game.gamma
-
+    grid = np.array(list(itertools.product(axis, repeat=game.d)))
+    probe = exact_lp_min(game, grid, None, xi, tol)
+    points = grid[~(probe.value > alpha)]
     best = None  # (witness_loss, s_hat, y_star, witness)
-    feasible = 0
-    for combo in itertools.product(axis, repeat=game.d):
-        s_hat = np.asarray(combo)
-        probe = exact_lp_min(game, s_hat, None, xi, tol)
-        if probe.value > alpha:
-            continue
-        feasible += 1
-        lo, hi = 0.0, loss_cap
-        witness_hi = None
-        zero = exact_lp_min(game, s_hat, 0.0, xi, tol)
-        if zero.value <= alpha:
-            hi = 0.0
-            witness_hi = zero.witness
-        else:
-            while hi - lo > alpha / 10.0:
-                mid = 0.5 * (lo + hi)
-                trial = exact_lp_min(game, s_hat, mid, xi, tol)
-                if trial.value <= alpha:
-                    hi = mid
-                    witness_hi = trial.witness
-                else:
-                    lo = mid
-            if witness_hi is None:
-                witness_hi = exact_lp_min(game, s_hat, hi, xi, tol).witness
-        w_loss = game.gamma * float((game.loss * witness_hi).sum())
-        if best is None or w_loss < best[0]:
-            best = (w_loss, s_hat, hi, witness_hi)
+    if len(points):
+        lo, hi = np.zeros(len(points)), np.full(len(points), game.n * game.gamma)
+        zero = exact_lp_min(game, points, lo, xi, tol)
+        found = zero.value <= alpha  # which points hold a witness at hi
+        hi[found] = 0.0
+        witness = zero.witness  # rows of points without a witness are overwritten
+        # each point bisects on its own test: the halved widths can round apart
+        open_ = ~found & (hi - lo > alpha / 10.0)
+        while open_.any():
+            idx = np.flatnonzero(open_)
+            mid = 0.5 * (lo[idx] + hi[idx])
+            trial = exact_lp_min(game, points[idx], mid, xi, tol)
+            ok = trial.value <= alpha
+            hi[idx[ok]] = mid[ok]
+            lo[idx[~ok]] = mid[~ok]
+            witness[idx[ok]] = trial.witness[ok]
+            found[idx[ok]] = True
+            open_[idx] = hi[idx] - lo[idx] > alpha / 10.0
+        if not found.all():
+            witness[~found] = exact_lp_min(game, points[~found], hi[~found], xi, tol).witness
+        for s_hat, y_star, w in zip(points, hi, witness):
+            w_loss = game.gamma * float((game.loss * w).sum())
+            if best is None or w_loss < best[0]:
+                best = (w_loss, s_hat, y_star, w)
 
     slack = sampling_deviation_bound(game.n, game.gamma, 2 * game.d + 2, beta)
     # Every sampled action lies within xi of its best response to s_hat. The
@@ -384,6 +388,6 @@ def npresl(
         s_hat=s_hat,
         y_star=float(y_star),
         witness_loss=w_loss,
-        feasible_points=feasible,
+        feasible_points=len(points),
         sampling_slack=slack,
     )

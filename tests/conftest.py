@@ -9,6 +9,7 @@ walk provably misses (the only honest way to reach the abort outcome without
 noise).
 """
 
+import itertools
 import math
 import warnings
 
@@ -18,11 +19,12 @@ import pytest
 from privagg.dp_core import ParameterError, PrivacyLedger, check_finite, check_range
 from privagg.game_core import (
     AggregativeGame, LinearUtility, RegretReport, abr_set, aggregator, as_pure_profile,
-    utility_matrix, utility_values,
+    grid_steps, sample_profile, support_width, utility_matrix, utility_values,
 )
-from privagg.lp_core import DistMWResult, build_slack_lp, most_violated
+from privagg.lp_core import DistMWResult, build_slack_lp, exact_lp_min, most_violated
 from privagg.market import hinge_price, imbalance
 from privagg.onedim import _accuracy_floor
+from privagg.presl import NpreslResult, sampling_deviation_bound
 
 
 def build_quiet(*args, **kwargs):
@@ -237,6 +239,57 @@ def recurrence_exact_lp_min(game, s_hat, y_hat, xi, tol):
         w = p * np.exp(-eta * lp.cons_f[k]) * mask
         p = w / w.sum(axis=1, keepdims=True)
     return max(best_lower, 0.0), accum / t, t
+
+
+def reference_npresl(game, zeta, alpha, beta, src, lp=exact_lp_min):
+    """``npresl`` as one solo call of ``lp`` (``exact_lp_min``) per grid
+    point and loss level: probe, zero level, bisection and the fallback
+    witness point by point in grid order, best witness by strict ``<``. The
+    stacked sweep must publish the same fields bit for bit."""
+    tol = alpha / 10.0
+    xi = support_width(zeta, game.gamma, alpha)
+    K = grid_steps(game.W, alpha, game.d)
+    axis = np.arange(2 * K) * alpha - alpha * K
+    loss_cap = game.n * game.gamma
+    best = None  # (witness_loss, s_hat, y_star, witness)
+    feasible = 0
+    for combo in itertools.product(axis, repeat=game.d):
+        s_hat = np.asarray(combo)
+        if lp(game, s_hat, None, xi, tol).value > alpha:
+            continue
+        feasible += 1
+        lo, hi = 0.0, loss_cap
+        witness_hi = None
+        zero = lp(game, s_hat, 0.0, xi, tol)
+        if zero.value <= alpha:
+            hi = 0.0
+            witness_hi = zero.witness
+        else:
+            while hi - lo > alpha / 10.0:
+                mid = 0.5 * (lo + hi)
+                trial = lp(game, s_hat, mid, xi, tol)
+                if trial.value <= alpha:
+                    hi = mid
+                    witness_hi = trial.witness
+                else:
+                    lo = mid
+            if witness_hi is None:
+                witness_hi = lp(game, s_hat, hi, xi, tol).witness
+        w_loss = game.gamma * float((game.loss * witness_hi).sum())
+        if best is None or w_loss < best[0]:
+            best = (w_loss, s_hat, hi, witness_hi)
+    slack = sampling_deviation_bound(game.n, game.gamma, 2 * game.d + 2, beta)
+    bound = xi + 2.0 * (alpha + tol + slack) + game.gamma_eff
+    if best is None:
+        return NpreslResult(aborted=True, alpha=alpha, zeta=zeta, beta=beta,
+                            nash_bound=bound, sampling_slack=slack)
+    w_loss, s_hat, y_star, witness = best
+    return NpreslResult(
+        aborted=False, alpha=alpha, zeta=zeta, beta=beta, nash_bound=bound,
+        profile=sample_profile(game, witness, src.child("sample")), p_bar=witness,
+        s_hat=s_hat, y_star=float(y_star), witness_loss=w_loss, feasible_points=feasible,
+        sampling_slack=slack,
+    )
 
 
 def laplace_sample(b, src):

@@ -26,7 +26,7 @@ from privagg.lp_core import (
 from privagg.market import to_aggregative
 
 from conftest import (
-    compose_adaptive, recurrence_exact_lp_min, reference_distmw_solve, reference_mw_iterate,
+    build_quiet, compose_adaptive, recurrence_exact_lp_min, reference_distmw_solve, reference_mw_iterate,
 )
 
 
@@ -671,6 +671,9 @@ def test_non_finite_y_hat_is_refused_not_dropped(bad):
         build_slack_lp(g, s_hat, bad, xi=0.5, slack=0.0)
     with pytest.raises(ParameterError, match="y_hat must be finite"):
         exact_lp_min(g, s_hat, bad, xi=0.5, tol=0.01)
+    # one bad level in a stack refuses the whole call
+    with pytest.raises(ParameterError, match="y_hat must be finite"):
+        exact_lp_min(g, np.zeros((3, 1)), np.array([0.0, bad, 0.1]), xi=0.5, tol=0.01)
 
 
 def test_slack_rows_layout_shared_by_lp_and_player():
@@ -776,7 +779,67 @@ def test_exact_lp_min_matches_the_plain_recurrence(d, m, y_hat):
     assert partial >= 3 and ran >= 3
 
 
+def stack_against_solo_calls(game, points, levels, xi, tol):
+    """Assert that one stacked ``exact_lp_min`` call gives each point's solo
+    fields bit for bit and the largest solo round count; returns the solo
+    round counts and the cap."""
+    stack = exact_lp_min(game, points, levels, xi, tol)
+    solo = [exact_lp_min(game, s, None if levels is None else y, xi, tol)
+            for s, y in zip(points, [None] * len(points) if levels is None else levels)]
+    for field in ("value", "upper", "lower"):
+        assert np.array([getattr(r, field) for r in solo]).tobytes() == \
+            getattr(stack, field).tobytes()
+    assert np.stack([r.witness for r in solo]).tobytes() == stack.witness.tobytes()
+    rounds = [r.rounds for r in solo]
+    assert stack.rounds == max(rounds)
+    log_m, scale = math.log(game.m), game.gamma * game.n
+    cap = 8 * max(math.ceil(2 * log_m), math.ceil(2 * scale**2 * log_m / tol**2))
+    return rounds, cap
+
+
+@pytest.mark.parametrize("with_loss", [False, True])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_exact_lp_min_stack_equals_solo_calls(d, m, with_loss):
+    # xi = 0.1 leaves many players a partial support, and tol = 0.05 gamma n
+    # closes the points of one stack at different check rounds
+    rng = np.random.Generator(np.random.PCG64(10 * d + m))
+    partial = staggered = 0
+    for n in range(2, 13):
+        g = generate("linear", 950 + 40 * d + 20 * m + n, n=n, m=m, d=d, gamma=0.1)
+        points = rng.uniform(-0.8, 0.8, size=(5, d)) * g.W
+        levels = rng.uniform(0.0, 0.3, size=5) if with_loss else None
+        rounds, _ = stack_against_solo_calls(g, points, levels, 0.1, 0.05 * g.gamma * n)
+        staggered += len(set(rounds)) > 1
+        partial += sum(not build_slack_lp(g, s, None, 0.1, 0.0).supports.all() for s in points)
+    assert partial >= 25 and staggered >= 5, (partial, staggered)
+
+
+def test_exact_lp_min_stack_carries_points_to_the_cap():
+    # facets of +-1 at full support and tol = 0.9 gamma n: the horizon floor
+    # 2 ln m sets the cap at 16 rounds, which some points reach while the
+    # rest of the stack closes at round 1
+    g = generate("linear", 4, n=3, m=2, d=2, gamma=0.1)
+    sign = build_quiet(n=3, m=2, d=2, gamma=0.1, W=g.W, f=np.where(g.f < 0, -1.0, 1.0),
+                       utility=g.utility, loss=g.loss)
+    axis = np.linspace(-g.W, g.W, 5)
+    points = np.array([(a, b) for a in axis for b in axis])
+    for levels in (None, np.linspace(-0.03, 0.09, len(points))):
+        rounds, cap = stack_against_solo_calls(sign, points, levels, 2.0, 0.27)
+        assert cap == 16 and cap in rounds and 1 in rounds
+
+
 def test_exact_lp_min_rejects_bad_tolerance():
     g = generate("linear", 91, n=2, m=2, d=1)
     with pytest.raises(ParameterError):
         exact_lp_min(g, np.zeros(1), None, xi=0.1, tol=0.0)
+    # stacks: empty, levels that do not match the points, and a level array
+    # given with one (d,) point
+    for s_hat, y_hat, name in ((np.zeros((0, 1)), None, "s_hat"),
+                               (np.zeros((3, 1)), np.zeros(2), "y_hat"),
+                               (np.zeros((3, 1)), 0.0, "y_hat"),
+                               (np.zeros(1), np.zeros(3), "y_hat"),
+                               (np.zeros(1), np.zeros(1), "y_hat"),
+                               (np.zeros((2, 2, 1)), None, "s_hat")):
+        with pytest.raises(ParameterError, match=name):
+            exact_lp_min(g, s_hat, y_hat, xi=0.1, tol=0.01)

@@ -25,7 +25,7 @@ from privagg.presl import (
     sampling_deviation_bound,
 )
 
-from conftest import build_quiet, n_queries, total_simple
+from conftest import build_quiet, n_queries, reference_npresl, total_simple
 
 
 def reference_game(n=200):
@@ -354,6 +354,71 @@ def test_npresl_loss_is_monotone_in_zeta():
     assert hi.witness_loss <= lo.witness_loss + 0.21 * alpha
 
 
+def assert_same_npresl(res, ref):
+    """Every published npresl field equal bit for bit (dtype, shape, bytes;
+    floats by repr, so -0.0 differs from 0.0)."""
+    assert res.aborted == ref.aborted
+    for name in ("profile", "p_bar", "s_hat"):
+        a, b = getattr(res, name), getattr(ref, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    for name in ("y_star", "witness_loss", "feasible_points", "nash_bound", "sampling_slack"):
+        assert repr(getattr(res, name)) == repr(getattr(ref, name)), name
+
+
+def test_npresl_matches_the_per_point_reference():
+    # d = 1 games at n = 4-6 and one d = 2 game; the stacked sweep publishes
+    # what one solo LP per point and level gives, with best witnesses found
+    # at the zero level (y_star = 0) and by bisection
+    zero_level = set()
+    for seed, n, d, alpha in ((40, 4, 1, 0.12), (41, 5, 1, 0.12), (42, 6, 1, 0.12),
+                              (43, 4, 1, 0.12), (3, 4, 2, 0.15)):
+        g = generate("linear", seed, n=n, m=2, d=d, gamma=0.1)
+        zeta = existence_bound(n, 2, 0.1)
+        res = npresl(g, zeta=zeta, alpha=alpha, beta=0.1, src=NoiseSource(seed))
+        assert not res.aborted
+        assert_same_npresl(res, reference_npresl(g, zeta, alpha, 0.1, NoiseSource(seed)))
+        zero_level.add(res.y_star == 0.0)
+    assert zero_level == {True, False}
+
+
+def test_npresl_abort_and_final_witness_paths_match_the_reference(monkeypatch):
+    # no valid game reaches these two paths: a point that passes its probe
+    # passes the bisection's last level, whose loss row never binds. So the
+    # same wrapped oracle drives npresl and the per-point reference
+    g = generate("linear", 41, n=4, gamma=0.1)
+    zeta, alpha, cap = existence_bound(4, 2, 0.1), 0.12, g.n * g.gamma
+    levels = []
+
+    def no_inner_level(game, s_hat, y_hat, xi, tol):
+        # a loss level strictly inside (0, n gamma) reads infeasible, so every
+        # point that misses the zero level falls through to the final solve
+        res = exact_lp_min(game, s_hat, y_hat, xi, tol)
+        if y_hat is not None:
+            y = np.asarray(y_hat)
+            levels.append(y)
+            res.value = np.where((y > 0.0) & (y < cap), np.inf, res.value)
+        return res
+
+    def nothing_feasible(game, s_hat, y_hat, xi, tol):
+        res = exact_lp_min(game, s_hat, y_hat, xi, tol)
+        res.value = res.value + 1.0
+        return res
+
+    runs = []
+    for oracle in (no_inner_level, nothing_feasible):
+        monkeypatch.setattr(presl_mod, "exact_lp_min", oracle)
+        runs.append(npresl(g, zeta=zeta, alpha=alpha, beta=0.1, src=NoiseSource(5)))
+        assert_same_npresl(runs[-1], reference_npresl(g, zeta, alpha, 0.1, NoiseSource(5), oracle))
+    final, aborted = runs
+    # the final solve ran as one stacked call at the top level n gamma
+    assert not final.aborted and final.y_star == cap
+    assert any(y.ndim == 1 and (y == cap).all() for y in levels)
+    assert aborted.aborted and aborted.feasible_points == 0 and aborted.profile is None
+
+
 def test_submodule_patch_reaches_the_solver(monkeypatch):
     # the package namespace holds only submodules and __version__, so
     # privagg.presl is the module and a name patched on it is the one npresl reads
@@ -363,14 +428,25 @@ def test_submodule_patch_reaches_the_solver(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(np.atleast_2d(args[1])[:, 0])  # the stacked points' first axis
         return exact_lp_min(*args, **kwargs)
 
     monkeypatch.setattr(presl_mod, "exact_lp_min", counting)
     g = generate("linear", 70, n=4, m=2, d=1, gamma=0.1)  # W = 0.4: 4 grid points
-    res = presl_mod.npresl(g, zeta=1.0, alpha=0.2, beta=0.1, src=NoiseSource(0))
+    alpha = 0.2
+    res = presl_mod.npresl(g, zeta=1.0, alpha=alpha, beta=0.1, src=NoiseSource(0))
     assert not res.aborted
-    assert len({float(s[0]) for s in calls}) == 4 and len(calls) > 4
+    assert len({float(s) for c in calls for s in c}) == 4
+    # probes, zero level, one call per bisection step, final witnesses: the
+    # count does not grow with the grid
+    for alpha in (0.2, 0.05):
+        calls.clear()
+        presl_mod.npresl(g, zeta=1.0, alpha=alpha, beta=0.1, src=NoiseSource(0))
+        width, steps = g.n * g.gamma, 0
+        while width > alpha / 10.0:
+            width, steps = width / 2.0, steps + 1
+        assert len(calls[0]) == len(np.unique(np.concatenate(calls)))
+        assert len(calls) <= 2 + steps + 1
 
 
 def test_npresl_validation():
