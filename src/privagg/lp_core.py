@@ -23,7 +23,9 @@ Multiplicative Weights Update Method", 2012):
 * ``exact_lp_min`` is the deterministic counterpart used on the query side:
   the adversary picks the exactly most violated constraint and the dynamics
   run until a measured primal-dual certificate closes to the requested
-  tolerance, yielding a two-sided estimate of min_p max_k margin.
+  tolerance, yielding a two-sided estimate of min_p max_k margin. A (G, d)
+  stack of points runs its G loops in lockstep, each point bit for bit its
+  solo call, which is how npresl solves its whole grid in a few calls.
 """
 
 from __future__ import annotations
