@@ -10,6 +10,13 @@ along for objective-aware solvers.
 Pure profiles are int arrays of shape (n,), mixed profiles row-stochastic
 float arrays of shape (n, m).
 
+``game.f`` always reads as an (n, d, m) array. When every player's facet
+block carries player 0's bits (markets, anonymous and threshold games), the
+game keeps that (d, m) block once, and ``f`` is a read-only zero-stride
+view of it; ``shared_facets`` returns the block, and the readers here and in
+``lp_core`` work on it instead of an (n, d, m) or (n, K, m) copy, with the
+bits of the per-player path. Per-player facets stay one C-ordered array.
+
 A utility evaluator is any object with two methods, each taking a float
 aggregator value s of shape (d,) and returning u_i(a, s) for every action a:
 
@@ -53,6 +60,7 @@ __all__ = [
     "TranslationReport",
     "aggregator",
     "expected_aggregator",
+    "shared_facets",
     "GRID_BUDGET",
     "grid_steps",
     "support_width",
@@ -329,14 +337,25 @@ class AggregativeGame:
         check_range("positive", gamma=self.gamma)
         if not 0 < 2.0 * self.W < math.inf:  # [-W, W] spans 2W
             raise ParameterError("W must be positive, with 2W finite")
-        f = np.asarray(self.f, dtype=float, order="C")  # ``aggregator`` reads it flat
+        f = np.asarray(self.f, dtype=float)
         if f.shape != (self.n, self.d, self.m):
             raise ParameterError(f"f has shape {f.shape}, expected {(self.n, self.d, self.m)}")
-        if not np.all(np.isfinite(f)) or np.max(np.abs(f)) > 1.0 + _ROW_SUM_TOL:
+        if f.strides[0] != 0:  # a zero stride is one block that every player shares
+            f = np.ascontiguousarray(f)  # ``aggregator`` reads per-player facets flat
+            bits = f.view(np.int64)  # bit patterns: -0.0 differs from 0.0
+        if f.strides[0] == 0 or (bits == bits[0]).all():
+            block = np.array(f[0], order="C")  # the game's own copy, never the caller's
+            block.flags.writeable = False
+            f = np.broadcast_to(block, f.shape)
+        rows = f[:1] if f.strides[0] == 0 else f  # the checks read a shared block once
+        if not np.all(np.isfinite(rows)) or np.max(np.abs(rows)) > 1.0 + _ROW_SUM_TOL:
             raise ParameterError("facet values must be finite and lie in [-1, 1]")
         object.__setattr__(self, "f", f)
+        reach = np.abs(rows).max(axis=2)  # (n, d) facet reach, summed over players below
+        if len(reach) < self.n:  # the same (n, d) array and sum as per-player facets give
+            reach = np.repeat(reach, self.n, axis=0)
         with np.errstate(over="ignore"):  # an infinite reach is refused below
-            reach = self.gamma * np.abs(f).max(axis=2).sum(axis=0)  # (d,)
+            reach = self.gamma * reach.sum(axis=0)  # (d,)
         if np.max(reach) > self.W * (1.0 + _RANGE_TOL) + 1e-12:
             raise ParameterError("aggregator can leave [-W, W]^d; increase W")
         if self.loss is not None:
@@ -346,7 +365,7 @@ class AggregativeGame:
             if not np.all((loss >= -_RANGE_TOL) & (loss <= 1.0 + _RANGE_TOL)):
                 raise ParameterError("loss entries must be finite and lie in [0, 1]")
             object.__setattr__(self, "loss", loss)
-        spread = self.gamma * float((f.max(axis=2) - f.min(axis=2)).max())
+        spread = self.gamma * float((rows.max(axis=2) - rows.min(axis=2)).max())
         object.__setattr__(self, "_gamma_eff", spread)
         missing = [m for m in _EVALUATOR_METHODS if not callable(getattr(self.utility, m, None))]
         if missing:
@@ -368,15 +387,23 @@ class AggregativeGame:
         rng = np.random.Generator(np.random.PCG64(0x5EED))
         pts = rng.uniform(-self.W, self.W, size=(12, self.d))
         pts = np.vstack([pts, np.zeros(self.d), np.full(self.d, self.W), np.full(self.d, -self.W)])
-        vals = [np.asarray(self.utility.value_matrix(s), dtype=float) for s in pts]
-        for s, v in zip(pts, vals):
+        # range at every point first, then Lipschitz over the pairs (0, 1), (2, 3), ...;
+        # each pair's largest move is kept as it passes, not the (n, m) matrices
+        moves = []
+        prev = None
+        for j, s in enumerate(pts):
+            v = np.asarray(self.utility.value_matrix(s), dtype=float)
             if v.shape != (self.n, self.m):
                 raise ParameterError("utility value_matrix must return shape (n, m)")
             if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > 1.0 + _RANGE_TOL:
                 raise ParameterError(f"utility leaves [-1, 1] at aggregator {s}")
-        for a in range(0, len(pts) - 1, 2):
+            if j % 2:
+                diff = np.subtract(prev, v)
+                moves.append(np.max(np.abs(diff, out=diff)))
+            prev = v
+        for a, move in zip(range(0, len(pts) - 1, 2), moves):
             gap = float(np.max(np.abs(pts[a] - pts[a + 1])))
-            if np.max(np.abs(vals[a] - vals[a + 1])) > gap + _RANGE_TOL:
+            if move > gap + _RANGE_TOL:
                 raise ParameterError("utility violates 1-Lipschitz continuity in the aggregator")
 
     @property
@@ -431,22 +458,46 @@ def as_mixed_profile(game: AggregativeGame, p) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def shared_facets(game: AggregativeGame) -> Optional[np.ndarray]:
+    """The read-only (d, m) facet block that every player of ``game`` shares,
+    which ``game.f`` views; None when the facets are per player."""
+    return game.f[0] if game.f.strides[0] == 0 else None
+
+
 def aggregator(game: AggregativeGame, x) -> np.ndarray:
     """S(x) = gamma * sum_i f_i(x_i), a point in [-W, W]^d. f_i(x_i)[k] sits
-    at flat offset (i d + k) m + x_i of the C-ordered (n, d, m) facet tensor;
-    one ``take`` gathers the (n, d) block in C order."""
+    at flat offset (i d + k) m + x_i of the C-ordered (n, d, m) facet tensor,
+    or at k m + x_i of a shared (d, m) block; one ``take`` gathers the (n, d)
+    block in C order, which is summed in player order."""
     x = as_pure_profile(game, x)
     n, d, m = game.f.shape
-    offsets = np.arange(0, n * d * m, m).reshape(n, d)
-    offsets += x[:, None]
-    chosen = game.f.reshape(-1).take(offsets)  # (n, d)
+    block = shared_facets(game)
+    if block is None:
+        offsets = np.arange(0, n * d * m, m).reshape(n, d)
+        offsets += x[:, None]
+        chosen = game.f.reshape(-1).take(offsets)  # (n, d)
+    else:
+        chosen = block.reshape(-1).take(np.arange(0, d * m, m) + x[:, None])
     return game.gamma * chosen.sum(axis=0)
 
 
 def expected_aggregator(game: AggregativeGame, p) -> np.ndarray:
-    """S(p) = gamma * sum_i <f_i, p_i>, linear in the mixed profile."""
+    """S(p) = gamma * sum_i <f_i, p_i>, linear in the mixed profile.
+
+    ``np.einsum`` on the C-ordered (n, d, m) tensor takes one dot per
+    (player, axis) over the actions, added in player order; at d = 1 the
+    tensor is one run of n m facets and it takes a single dot over all of
+    them. A shared block at d = 1 is copied to that tensor, which is p's
+    size; at d > 1 the same per-player dots run on the block, with no
+    (n, d, m) copy, and a player-order sum keeps the bits.
+    """
     p = as_mixed_profile(game, p)
-    return game.gamma * np.einsum("ikj,ij->k", game.f, p)
+    block = shared_facets(game)
+    if block is None or game.d == 1:
+        return game.gamma * np.einsum("ikj,ij->k", np.ascontiguousarray(game.f), p)
+    dots = np.zeros((game.n + 1, game.d))  # row 0 is the zero the player sum starts from
+    np.einsum("kj,ij->ik", block, p, out=dots[1:])
+    return game.gamma * dots.cumsum(axis=0)[-1]
 
 
 # most grid points (presl: points times loss levels) a solver may enumerate

@@ -265,7 +265,7 @@ def generate(kind: str, seed: int, **params):
         if kind == "linear":
             f = rng.uniform(-1.0, 1.0, size=(n, d, m))
         else:
-            f = np.broadcast_to(np.eye(m), (n, m, m)).copy()
+            f = np.broadcast_to(np.eye(m), (n, m, m))  # one block, shared by every player
         utility = _random_linear_utility(rng, n, m, d, W)
         loss = rng.uniform(0.0, 1.0, size=(n, m)) if params.get("with_loss", True) else None
         return AggregativeGame(n=n, m=m, d=d, gamma=gamma, W=W, f=f, utility=utility, loss=loss)

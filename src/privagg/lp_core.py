@@ -15,7 +15,8 @@ Multiplicative Weights Update Method", 2012):
   iterate is returned. Players with identical constraint rows and supports
   share one MW row, so after one grouping pass a round costs O(C K m) for C
   such classes, not O(n K m), in a fixed number of numpy calls while C < m;
-  with shared facets C is at most the number of distinct support masks. The
+  with shared facets C is at most the number of distinct support masks, and
+  the slack LP's (K, n, m) tensor is a read-only view of its (K, m) rows. The
   per-round selections are the public transcript, so any player can replay
   their own rows with ``replay_mw_player``: O(T m) numpy work and O(T m)
   memory, with no Python loop over rounds.
@@ -46,7 +47,9 @@ from .dp_core import (
     check_range,
     exponential_mechanism,
 )
-from .game_core import GRID_BUDGET, AggregativeGame, best_response_support, utility_matrix
+from .game_core import (
+    GRID_BUDGET, AggregativeGame, best_response_support, shared_facets, utility_matrix,
+)
 
 __all__ = [
     "DegenerateError",
@@ -73,13 +76,21 @@ def _mw_inputs(rows, mask, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarr
     a player's replay: every row entry finite and in [-1, 1] (a NaN row gives
     a NaN iterate, which sampling reads as action 0) and every mask entry
     0/1 or true/false (``bool`` reads 2 or -1 as allowed). Returns them as
-    float and bool arrays; a ParameterError names the field from ``names``."""
+    float and bool arrays; a ParameterError names the field from ``names``.
+    The row test is two reductions, which a NaN fails and which read a
+    shared view without copying it."""
     rows, mask = np.asarray(rows, dtype=float), np.asarray(mask)
-    if not np.all(np.abs(rows) <= 1.0 + 1e-12):
+    if not (rows.max(initial=-1.0) <= 1.0 + 1e-12 and rows.min(initial=1.0) >= -1.0 - 1e-12):
         raise ParameterError(f"{names[0]} entries must be finite and lie in [-1, 1]")
     if mask.dtype != bool and not ((mask == 0) | (mask == 1)).all():
         raise ParameterError(f"{names[1]} entries must be 0/1 or true/false")
     return rows, mask.astype(bool, copy=False)
+
+
+def _rows_shared(cons_f: np.ndarray) -> bool:
+    """Whether a (K, n, m) constraint tensor views (K, m) rows that every
+    player shares, as ``build_slack_lp`` builds it from shared facets."""
+    return cons_f.strides[1] == 0
 
 
 @dataclass(frozen=True)
@@ -118,8 +129,11 @@ class FeasibilityLP:
         return self.cons_f.shape[1:]
 
     def margins(self, p: np.ndarray) -> np.ndarray:
-        """gamma * <F_k, p> - b_k for every k; feasible iff all <= 0."""
-        return self.gamma * np.einsum("knm,nm->k", self.cons_f, p) - self.cons_b
+        """gamma * <F_k, p> - b_k for every k; feasible iff all <= 0. Rows
+        that every player shares are summed as the C-ordered (K, n, m) tensor
+        they view, since ``np.einsum``'s order follows the layout."""
+        cons_f = np.ascontiguousarray(self.cons_f) if _rows_shared(self.cons_f) else self.cons_f
+        return self.gamma * np.einsum("knm,nm->k", cons_f, p) - self.cons_b
 
 
 @dataclass(frozen=True)
@@ -241,24 +255,26 @@ def _player_classes(lp: FeasibilityLP) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     Returns (first, inverse, counts): each class's first player, each
     player's class and the class sizes, classes in order of first
-    appearance, so n singleton classes give ``first == arange(n)``. When
-    every player's rows carry player 0's bits (a market at full support),
-    one O(n K m) comparison returns the single class without sorting;
-    otherwise ``_grouped_classes`` sorts.
+    appearance, so n singleton classes give ``first == arange(n)``. Rows
+    stored once for every player (the slack LP of shared facets) leave the
+    support masks to tell players apart, with no O(n K m) comparison: one
+    mask comparison finds a single class (a market at full support) without
+    sorting; otherwise ``_grouped_classes`` sorts.
     """
     n = lp.shape[0]
-    bits = lp.cons_f.view(np.int64)  # bit patterns: -0.0 differs from 0.0
-    if (lp.supports == lp.supports[0]).all() and (bits == bits[:, :1]).all():
+    shared = _rows_shared(lp.cons_f)
+    if shared and (lp.supports == lp.supports[0]).all():
         return np.zeros(1, np.intp), np.zeros(n, np.intp), np.array([n], np.intp)
-    return _grouped_classes(lp.supports, bits)
+    # bit patterns: -0.0 differs from 0.0
+    return _grouped_classes(lp.supports, () if shared else lp.cons_f.view(np.int64))
 
 
-def _grouped_classes(supports: np.ndarray, bits: np.ndarray) -> tuple:
+def _grouped_classes(supports: np.ndarray, bits) -> tuple:
     """``_player_classes`` by sorting, from the (n, m) masks and the (K, n, m)
-    rows' int64 bits. Labels start from the support masks and split one
-    constraint at a time; a constraint whose rows every player shares is
-    skipped, and the splitting stops once every player stands alone, so the
-    tensor is never copied whole."""
+    rows' int64 bits (empty when every player shares the rows). Labels start
+    from the support masks and split one constraint at a time; a constraint
+    whose rows every player shares is skipped, and the splitting stops once
+    every player stands alone, so the tensor is never copied whole."""
     n = supports.shape[0]
     label = _row_labels(supports)
     for block in bits:
@@ -301,7 +317,8 @@ def distmw_solve(lp: FeasibilityLP, params: DistMWParams, src: NoiseSource) -> D
     check_finite(scaled_margin=params.eps0 / (2.0 * lp.gamma)
                  * (params.n * lp.gamma + float(np.max(np.abs(lp.cons_b)))))
     first, inverse, counts = _player_classes(lp)
-    classes = lp if len(first) == params.n else FeasibilityLP(
+    # shared rows are gathered into a C-ordered block, whose margins keep their bits
+    classes = lp if len(first) == params.n and not _rows_shared(lp.cons_f) else FeasibilityLP(
         gamma=lp.gamma, cons_f=lp.cons_f[:, first], cons_b=lp.cons_b,
         supports=lp.supports[first],
     )
@@ -408,7 +425,9 @@ def build_slack_lp(
 ) -> FeasibilityLP:
     """Assemble |S(p) - s_hat| <= slack (and L(p) <= y_hat + slack) over
     the xi-best-response supports at s_hat. ``y_hat=None`` is the only way
-    to drop the loss row; a NaN or infinite y_hat is refused."""
+    to drop the loss row; a NaN or infinite y_hat is refused. Without a
+    loss row, shared facets give (K, m) rows that the (K, n, m) constraint
+    tensor views read-only for every player."""
     s_hat = np.asarray(s_hat, dtype=float)
     if s_hat.shape != (game.d,):
         raise ParameterError(f"s_hat must have shape ({game.d},)")
@@ -419,9 +438,15 @@ def build_slack_lp(
         if game.loss is None:
             raise ParameterError("loss objective requested but the game declares no loss")
         loss, y = game.loss, float(y_hat)
+    block = shared_facets(game)
+    if block is None or loss is not None:
+        cons_f = slack_rows(game.f.transpose(1, 0, 2), loss)
+    else:
+        rows = slack_rows(block)
+        cons_f = np.broadcast_to(rows[:, None, :], (len(rows), game.n, game.m))
     return FeasibilityLP(
         gamma=game.gamma,
-        cons_f=slack_rows(game.f.transpose(1, 0, 2), loss),
+        cons_f=cons_f,
         cons_b=slack_rows(s_hat, y) + slack,
         supports=supports,
     )
@@ -484,7 +509,9 @@ def exact_lp_min(
     else:
         levels = [y_hat] if solo else list(y_hat)
     lps = [build_slack_lp(game, s, y, xi, slack=0.0) for s, y in zip(points, levels)]
-    cons_f = lps[0].cons_f  # the facet and loss rows are the same at every point
+    # the facet and loss rows are the same at every point; the margins below
+    # read them C-ordered, as ``FeasibilityLP.margins`` does
+    cons_f = np.ascontiguousarray(lps[0].cons_f)
     cons_b = np.stack([lp.cons_b for lp in lps])
     n, m = lps[0].shape
     log_m = math.log(m) if m > 1 else 1.0

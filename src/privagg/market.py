@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dp_core import ParameterError, as_count, as_real, check_finite, check_range
-from .game_core import AggregativeGame, as_array
+from .game_core import AggregativeGame, as_array, shared_facets
 
 __all__ = [
     "MarketGame",
@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 _RANGE_TOL = 1e-9
-# most securities a market lists: 3^10 = 59,049 portfolios, so the (n, d, 3^d)
-# facet tensor of the aggregative view stays near 4.7 MB per trader
+# most securities a market lists: 3^10 = 59,049 portfolios, so the (d, 3^d)
+# facet block that every trader of the aggregative view shares stays near 4.7 MB
 MAX_D = 10
 
 
@@ -184,8 +184,18 @@ class MarketUtility:
         return (self.valuations[i] - pay) / (2.0 * self.d)
 
     def validate_for_game(self, game: AggregativeGame) -> None:
+        """A market prices the aggregate imbalance / lambda: the game must give
+        every trader the portfolio facets (a shared (d, 3^d) block, checked in
+        O(d 3^d)) and gamma = 1 / lambda, or its aggregator is not the market's."""
         if self.valuations.shape != (game.n, game.m) or game.d != self.d:
             raise ParameterError("market utility dimensions do not match the game")
+        block = shared_facets(game)
+        if block is None or not np.array_equal(block, self.pay_table.T):
+            raise ParameterError("a market game's facets must be the portfolios, for every trader")
+        if game.gamma != 1.0 / self.lam:
+            raise ParameterError(
+                f"a market game's gamma must be 1 / lambda = {1.0 / self.lam!r}, got {game.gamma!r}"
+            )
 
     def to_params(self) -> dict:
         return {"lambda": self.lam, "d": self.d, "valuations": self.valuations.tolist()}
@@ -199,9 +209,10 @@ class MarketUtility:
 
 
 def to_aggregative(game: MarketGame) -> AggregativeGame:
-    """View the market as an aggregative game with S = imbalance / lambda."""
-    A = game.portfolios  # (m, d)
-    f = np.broadcast_to(A.T.astype(float), (game.n, game.d, game.m)).copy()
+    """View the market as an aggregative game with S = imbalance / lambda.
+    Every trader's facets are the (d, 3^d) portfolio block, which the game
+    stores once; its ``f`` is a read-only (n, d, 3^d) view of that block."""
+    f = np.broadcast_to(game.utility.pay_table.T, (game.n, game.d, game.m))
     return AggregativeGame(
         n=game.n,
         m=game.m,

@@ -840,8 +840,7 @@ def make_optin_game(
         raise ParameterError("thresholds must lie in [0, 1]")
     if gamma is None:
         gamma = 1.0 / n
-    f = np.zeros((n, 1, 2))
-    f[:, 0, 0] = 1.0
+    f = np.broadcast_to([[1.0, 0.0]], (n, 1, 2))  # one block, shared by every player
     base = AggregativeGame(
         n=n, m=2, d=1, gamma=gamma, W=max(1.0, gamma * n), f=f,
         utility=ThresholdUtility(thresholds=thresholds),

@@ -286,6 +286,12 @@ def replay_presl_player(
     return sample_action(p_row, src.child("sample").child(i))
 
 
+# most grid points npresl hands to one stack of exact LPs: it runs its whole
+# pipeline one slice of the grid at a time, so its LP state stays
+# O(_NPRESL_SLICE n m) floats however fine the grid is
+_NPRESL_SLICE = 256
+
+
 @dataclass
 class NpreslResult:
     """Outcome of the exact grid sweep: best witness or an abort."""
@@ -320,11 +326,13 @@ def npresl(
     the grid. The final profile is sampled per player, which is the only
     randomness consumed.
 
-    The exact LPs go to ``exact_lp_min`` as stacks, one call per stage: the
-    probes at every grid point, the zero loss level at every feasible point,
-    one call per bisection step over the points still bisecting, and one for
-    the points that found no witness. Each point's fields equal those of its
-    own solo calls, so the stacks change no output.
+    The exact LPs go to ``exact_lp_min`` as stacks, over slices of at most
+    ``_NPRESL_SLICE`` grid points in grid order, one call per stage of each
+    slice: the probes, the zero loss level at every feasible point, one call
+    per bisection step over the points still bisecting, and one for the
+    points that found no witness. Each point's fields equal those of its own
+    solo calls, so neither the stacks nor the slices change an output; the
+    best witness is kept across slices by the same strict ``<`` in grid order.
     """
     if game.loss is None:
         raise ParameterError("the sweep minimizes game.loss, which this game lacks")
@@ -335,11 +343,16 @@ def npresl(
     xi = support_width(zeta, game.gamma, alpha)
     K = grid_steps(game.W, alpha, game.d)
     axis = np.arange(2 * K) * alpha - alpha * K
-    grid = np.array(list(itertools.product(axis, repeat=game.d)))
-    probe = exact_lp_min(game, grid, None, xi, tol)
-    points = grid[~(probe.value > alpha)]
+    combos = itertools.product(axis, repeat=game.d)
     best = None  # (witness_loss, s_hat, y_star, witness)
-    if len(points):
+    feasible = 0
+    for _ in range(0, (2 * K) ** game.d, _NPRESL_SLICE):
+        grid = np.array(list(itertools.islice(combos, _NPRESL_SLICE)))
+        probe = exact_lp_min(game, grid, None, xi, tol)
+        points = grid[~(probe.value > alpha)]
+        feasible += len(points)
+        if not len(points):
+            continue
         lo, hi = np.zeros(len(points)), np.full(len(points), game.n * game.gamma)
         zero = exact_lp_min(game, points, lo, xi, tol)
         found = zero.value <= alpha  # which points hold a witness at hi
@@ -388,6 +401,6 @@ def npresl(
         s_hat=s_hat,
         y_star=float(y_star),
         witness_loss=w_loss,
-        feasible_points=len(points),
+        feasible_points=feasible,
         sampling_slack=slack,
     )

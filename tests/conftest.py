@@ -9,8 +9,11 @@ walk provably misses (the only honest way to reach the abort outcome without
 noise).
 """
 
+import dataclasses
 import itertools
 import math
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -53,6 +56,40 @@ def reference_aggregator(game, x):
     order like ``aggregator``: the two must agree bit for bit."""
     x = np.asarray(x, dtype=np.int64)
     return game.gamma * game.f[np.arange(game.n), :, x].sum(axis=0)
+
+
+def flat_take_aggregator(f, gamma, x):
+    """S(x) from a C-ordered (n, d, m) facet tensor by one flat ``take`` of
+    the (n, d) chosen facets at offsets (i d + k) m + x_i, summed in player
+    order: ``aggregator``'s per-player path, which a shared block must match
+    bit for bit."""
+    n, d, m = f.shape
+    offsets = np.arange(0, n * d * m, m).reshape(n, d)
+    offsets += np.asarray(x, dtype=np.int64)[:, None]
+    return gamma * f.reshape(-1).take(offsets).sum(axis=0)
+
+
+def dense_twin(game):
+    """The game's fields with ``f`` as a C-ordered (n, d, m) copy, left
+    outside ``AggregativeGame``, which would store the copy's identical
+    player blocks once again. Every library reader takes its per-player path
+    on the twin, so its outputs are the references for the shared block.
+    (``np.array`` of a zero-stride view keeps the view's axis order, so the
+    copy is made C-ordered explicitly.)"""
+    values = {field.name: getattr(game, field.name) for field in dataclasses.fields(game)}
+    values["f"] = np.ascontiguousarray(game.f)
+    return types.SimpleNamespace(**values, gamma_eff=game.gamma_eff)
+
+
+def peak_traced_bytes(fn, *args):
+    """(fn(*args), the peak of the Python-allocated bytes traced while it
+    ran); tracing stops even when fn raises."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_abr_profile(game, s):

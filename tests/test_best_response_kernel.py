@@ -13,7 +13,6 @@ match the one-deviation-at-a-time loop in conftest bit for bit, with one
 block or many.
 """
 
-import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from privagg.market import to_aggregative
 from privagg.onedim import QuasiAggregativeGame, V, make_optin_game, s_extremes
 
 from conftest import (
-    build_quiet, reference_abr_profile, reference_aggregator, reference_regret,
+    build_quiet, peak_traced_bytes, reference_abr_profile, reference_aggregator, reference_regret,
 )
 
 
@@ -248,12 +247,7 @@ def test_regret_works_in_blocks_and_never_copies_the_facets():
     x = rng.integers(0, m, size=n)
     block_bytes = game_core._REGRET_BLOCK_CELLS * 8
     assert g.f.nbytes > 6 * block_bytes  # 32 blocks of 32 players
-    tracemalloc.start()
-    try:
-        rep = regret(g, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = peak_traced_bytes(regret, g, x)
     assert peak < 1.5 * block_bytes
     # deviations do not move a flat payoff: the gain is the best row entry
     assert same_bits(rep.per_player, c.max(axis=1) - c[np.arange(n), x])

@@ -442,19 +442,22 @@ def test_player_classes_split_on_bits_not_values():
 
 
 def shared_rows_lp(n=6, m=4, K=3):
-    """n players with one random (K, m) row block and full supports, every
-    row with a 0.0 entry at action 1, so a -0.0 there changes only bits."""
+    """n players viewing one random (K, m) row block, stored once, with full
+    supports; every row has a 0.0 entry at action 1, so a -0.0 there changes
+    only bits."""
     rng = np.random.Generator(np.random.PCG64(88))
     rows = rng.uniform(-1.0, 1.0, size=(K, m))
     rows[:, 1] = 0.0
-    return FeasibilityLP(gamma=0.1, cons_f=np.repeat(rows[:, None, :], n, axis=1),
+    return FeasibilityLP(gamma=0.1, cons_f=np.broadcast_to(rows[:, None, :], (K, n, m)),
                          cons_b=np.zeros(K), supports=np.ones((n, m), dtype=bool))
 
 
 def test_player_classes_shortcut_matches_the_grouping_path():
     lp = shared_rows_lp()
+    assert lp.cons_f.strides[1] == 0  # the shortcut's premise
     fast = lp_core._player_classes(lp)
-    grouped = lp_core._grouped_classes(lp.supports, lp.cons_f.view(np.int64))
+    dense = np.ascontiguousarray(lp.cons_f)
+    grouped = lp_core._grouped_classes(lp.supports, dense.view(np.int64))
     for a, b in zip(fast, grouped):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert [a.tolist() for a in fast] == [[0], [0] * 6, [6]]

@@ -9,7 +9,6 @@ alpha it provably cannot, which pins down the abort branches.
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +49,7 @@ from conftest import (
     materialised_walk,
     max_quality,
     naive_utility,
+    peak_traced_bytes,
     per_player_extremes,
     quality_penalty,
     selection_accuracy_floor,
@@ -220,12 +220,7 @@ def test_walk_branch_memory_is_linear_in_n():
     prm = SelectionParams.for_game(
         q, zeta=0.4, epsilon=3000.0, alpha=0.05, beta=0.05, quality=QualitySpec.linear(1.0),
     )
-    tracemalloc.start()
-    try:
-        res = select_equilibrium(q, prm, NoiseSource(0, OFF))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = peak_traced_bytes(select_equilibrium, q, prm, NoiseSource(0, OFF))
     assert res.branch == "walk"
     assert peak < 2_000 * n
 
@@ -423,15 +418,13 @@ def test_scalar_solvers_refuse_grids_over_budget(monkeypatch):
     monkeypatch.setattr(onedim, "V", untouchable)
     with pytest.raises(BudgetError):
         psummnash(q, epsilon=1e12, alpha=alpha, beta=0.05, src=NoiseSource(0))
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(BudgetError):
             SelectionParams(zeta=0.4, epsilon=1e12, alpha=alpha, beta=0.05,
                             quality=QualitySpec(fn=untouchable, lam=1.0),
                             gamma=q.gamma, W=q.W, n=q.n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = peak_traced_bytes(refused)
     assert peak < 1_000_000
 
 

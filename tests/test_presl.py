@@ -419,6 +419,33 @@ def test_npresl_abort_and_final_witness_paths_match_the_reference(monkeypatch):
     assert aborted.aborted and aborted.feasible_points == 0 and aborted.profile is None
 
 
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_npresl_slices_of_its_grid_publish_the_unsliced_result(monkeypatch, cap):
+    # npresl holds the LP state of one slice of its grid at a time; with
+    # slices of 1-3 points, every field still equals the one-slice run's, and
+    # no stack of exact LPs exceeds the slice. The d = 1 game finds its best
+    # witness by bisection, the d = 2 game at the zero level.
+    for seed, n, d, alpha in ((41, 5, 1, 0.12), (3, 4, 2, 0.15)):
+        g = generate("linear", seed, n=n, m=2, d=d, gamma=0.1)
+        zeta = existence_bound(n, 2, 0.1)
+        cells = (2 * math.ceil(g.W / alpha - 1e-12)) ** d
+        assert cap < cells <= presl_mod._NPRESL_SLICE
+        whole = npresl(g, zeta=zeta, alpha=alpha, beta=0.1, src=NoiseSource(seed))
+        stacks = []
+
+        def counted(game, s_hat, *args):
+            stacks.append(len(np.atleast_2d(s_hat)))
+            return exact_lp_min(game, s_hat, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(presl_mod, "exact_lp_min", counted)
+            patch.setattr(presl_mod, "_NPRESL_SLICE", cap)
+            sliced = npresl(g, zeta=zeta, alpha=alpha, beta=0.1, src=NoiseSource(seed))
+        assert not whole.aborted
+        assert_same_npresl(sliced, whole)
+        assert max(stacks) <= cap and len(stacks) > cells // cap
+
+
 def test_submodule_patch_reaches_the_solver(monkeypatch):
     # the package namespace holds only submodules and __version__, so
     # privagg.presl is the module and a name patched on it is the one npresl reads
