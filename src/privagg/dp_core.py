@@ -17,15 +17,15 @@ One rule, ``check_range``, admits every privacy or accuracy argument and
 names the one it refuses; no other module decides those ranges.
 ``check_finite`` is left for values with no range, such as thresholds.
 
-Every private scan in the solvers is ``first_below(session, blocks)``: it
-streams blocks of query values through a one-shot SparseSession and stops at
-the first below answer (AboveThreshold, Dwork & Roth 2014, Alg. 1). Only the
-hit's position leaves the session, never a noisy query value. Blocks are
-pulled lazily, so no block past the hit's is built or evaluated. Each block
-is compared with one array of noise, whose draws are those a scan asking one
-query at a time would take, so the answers equal that scan's. A session owns
-its noise stream and leaves it at the end of the hit's block. Its
-sensitivity must be positive in both noise modes.
+Each solver declares its private stages once, in a table of ``Stage``
+records, and ``PrivacyLedger`` is the one place a stage is charged. Every
+private scan is ``PrivacyLedger.scan``: a one-shot SparseSession on the
+stage's own child stream, asked blocks of queries in one doubling schedule
+(``_blocks``) until the first below answer (AboveThreshold, Dwork & Roth
+2014, Alg. 1). Only the hit's position leaves the ledger, never a noisy value
+or the session, and no block past the hit's is built. Each block is compared
+with one array of noise, whose draws are those of a scan asking one query at
+a time, so the answers equal that scan's.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import contextlib
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "NoiseSource",
     "SparseSession",
     "SparseAnswer",
+    "Stage",
     "PrivacyLedger",
     "check_finite",
     "check_range",
@@ -54,7 +55,6 @@ __all__ = [
     "seed_bits",
     "seeded_generator",
     "laplace_samples",
-    "first_below",
     "exponential_mechanism",
 ]
 
@@ -356,23 +356,15 @@ class SparseSession:
     nothing else may draw from it.
     """
 
-    def __init__(
-        self,
-        sensitivity: float,
-        threshold: float,
-        epsilon: float,
-        src: NoiseSource,
-    ):
+    def __init__(self, sensitivity: float, threshold: float, epsilon: float, src: NoiseSource):
         check_range("positive", sensitivity=sensitivity, epsilon=epsilon)
         check_finite(threshold=threshold)
-        self.sensitivity = float(sensitivity)
-        self.threshold = float(threshold)
-        self.epsilon = float(epsilon)
         self._src = src
         self.halted = False
         self.asked = 0
-        self.query_scale = 2.0 * self.sensitivity / self.epsilon
-        self.noisy_threshold = self.threshold + float(laplace_samples(self.query_scale, src, 1)[0])
+        self.query_scale = 2.0 * float(sensitivity) / float(epsilon)
+        noise = laplace_samples(self.query_scale, src, 1)[0]
+        self.noisy_threshold = float(threshold) + float(noise)
 
     def answer(self, query_values) -> SparseAnswer:
         """Below if any value of a query or a 1-D block of them falls below
@@ -394,18 +386,6 @@ class SparseSession:
         self.halted = True
         self.asked += int(below[0]) + 1
         return SparseAnswer(below=True)
-
-
-def first_below(session: SparseSession, blocks: Iterable) -> tuple:
-    """(position, asked) of the first below answer in a stream of query-value
-    blocks, or (None, asked) after every block was asked without one.
-    Positions count queries from 0 across the blocks. A block is pulled only
-    when every query before it was above, so a lazy stream builds nothing
-    past the hit's block."""
-    for block in blocks:
-        if session.answer(block).below:
-            return session.asked - 1, session.asked
-    return None, session.asked
 
 
 def exponential_mechanism(scores, sensitivity: float, epsilon: float, src: NoiseSource) -> int:
@@ -440,23 +420,57 @@ def exponential_mechanism(scores, sensitivity: float, epsilon: float, src: Noise
     return min(idx, len(scores) - 1)
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One private stage as its solver's table declares it: the ledger label,
+    the child stream its mechanism draws from, the declared sensitivity, its
+    epsilon share and delta, and for a sparse scan its threshold."""
+
+    label: str
+    stream: str
+    sensitivity: float
+    epsilon: float
+    delta: float = 0.0
+    threshold: Optional[float] = None
+
+
+# queries in a scan's first block; each later block is as long as all before
+# it, so a hit at position j >= _FIRST_BLOCK is asked in at most
+# 2 + log2(j / _FIRST_BLOCK) blocks and a scan builds at most max(_FIRST_BLOCK, 2j)
+_FIRST_BLOCK = 16
+
+
+def _blocks(total: int):
+    """[lo, hi) ranges over positions 0..total-1 in the doubling schedule."""
+    lo = 0
+    while lo < total:
+        hi = min(total, lo + max(lo, _FIRST_BLOCK))
+        yield lo, hi
+        lo = hi
+
+
 @dataclass
 class PrivacyLedger:
-    """Running list of (label, eps, delta) charges. Accounting only: every
-    sparse stage opens its session through ``open_session``, which charges it."""
+    """Running list of (label, eps, delta) charges, one per stage run: ``scan``
+    charges a sparse scan and ``charge`` any other stage."""
 
     entries: list = field(default_factory=list)
 
-    def add(self, label: str, epsilon: float, delta: float = 0.0) -> None:
-        check_range("nonnegative", epsilon=epsilon, delta=delta)
-        self.entries.append((str(label), float(epsilon), float(delta)))
+    def charge(self, stage: Stage) -> None:
+        check_range("nonnegative", epsilon=stage.epsilon, delta=stage.delta)
+        self.entries.append((str(stage.label), float(stage.epsilon), float(stage.delta)))
 
-    def open_session(
-        self, label: str, sensitivity: float, threshold: float, epsilon: float, src: NoiseSource
-    ) -> SparseSession:
-        """A new one-shot SparseSession, with its epsilon charged under
-        ``label``. ``src`` must be the session's own stream, one that nothing
-        else draws from (a fresh ``child``)."""
-        session = SparseSession(sensitivity, threshold, epsilon, src)
-        self.add(label, session.epsilon)
-        return session
+    def scan(self, stage: Stage, src: NoiseSource, query: Callable, total: int) -> tuple:
+        """Charge a sparse stage, open its session on ``src.child(stage.stream)``
+        and ask ``query(lo, hi)``, the values of queries lo..hi-1, over
+        ``_blocks(total)`` until the first below answer: (position, asked) of
+        the hit, or (None, total). A block is asked only when all before it
+        were above. A session refused at construction is not charged."""
+        session = SparseSession(
+            stage.sensitivity, stage.threshold, stage.epsilon, src.child(stage.stream)
+        )
+        self.charge(stage)
+        for lo, hi in _blocks(total):
+            if session.answer(query(lo, hi)).below:
+                return session.asked - 1, session.asked
+        return None, session.asked

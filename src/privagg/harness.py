@@ -540,10 +540,15 @@ def _make_trial_game(config: ExperimentConfig, trial_seed: int):
 
         if not isinstance(config.game["path"], str):
             raise ParameterError("game path must be a string")
+        extra = sorted(set(config.game) - {"path"})
+        if extra:
+            raise ParameterError(f"a game 'path' reads no other key, got {extra}")
         return load_game(config.game["path"])
     spec = dict(config.game)
     if "kind" not in spec:
         raise ParameterError("game needs a 'kind' or a 'path'")
+    if "seed" in spec:
+        raise ParameterError("game spec must not hold 'seed': each trial has its own")
     kind = spec.pop("kind")
     return generate(kind, seed=trial_seed, **spec)
 

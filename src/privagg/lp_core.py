@@ -26,7 +26,7 @@ Multiplicative Weights Update Method", 2012):
   run until a measured primal-dual certificate closes to the requested
   tolerance, yielding a two-sided estimate of min_p max_k margin. A (G, d)
   stack of points runs its G loops in lockstep, each point bit for bit its
-  solo call, which is how npresl solves its whole grid in a few calls.
+  solo call, which is how npresl and presl's scan solve a grid in few calls.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .dp_core import (
     NoiseSource,
     ParameterError,
     PrivacyLedger,
+    Stage,
     as_count,
     check_finite,
     check_range,
@@ -182,6 +183,12 @@ class DistMWParams:
             epsilon=epsilon, delta=delta, alpha=alpha, beta=beta,
             n=game.n, m=game.m, gamma=game.gamma,
         )
+
+
+def _distmw_stages(params: DistMWParams) -> tuple:
+    """distmw's one private stage, run each round: the exponential mechanism
+    picks a constraint at eps0 from the stream it is given (presl's "mw")."""
+    return (Stage("constraint-select", "mw", params.gamma, params.eps0),)
 
 
 def _mw_iterate(cum: np.ndarray, eta: float) -> np.ndarray:
@@ -332,8 +339,9 @@ def distmw_solve(lp: FeasibilityLP, params: DistMWParams, src: NoiseSource) -> D
         k, _ = most_violated(classes, sizes * p, params.eps0, src)
         transcript.append(k)
         cum += classes.cons_f[k]
+    (select,) = _distmw_stages(params)
     ledger = PrivacyLedger()
-    ledger.add("constraint-select", params.eps0, 0.0)
+    ledger.charge(select)
     ledger.entries *= params.T  # one equal charge per round
     return DistMWResult(
         p_bar=(accum / params.T)[inverse], transcript=transcript, params=params, ledger=ledger,
@@ -428,6 +436,19 @@ def build_slack_lp(
     to drop the loss row; a NaN or infinite y_hat is refused. Without a
     loss row, shared facets give (K, m) rows that the (K, n, m) constraint
     tensor views read-only for every player."""
+    supports, cons_b, loss = _slack_point(game, s_hat, y_hat, xi, slack)
+    block = shared_facets(game)
+    if block is None or loss is not None:
+        cons_f = slack_rows(game.f.transpose(1, 0, 2), loss)
+    else:
+        rows = slack_rows(block)
+        cons_f = np.broadcast_to(rows[:, None, :], (len(rows), game.n, game.m))
+    return FeasibilityLP(gamma=game.gamma, cons_f=cons_f, cons_b=cons_b, supports=supports)
+
+
+def _slack_point(game: AggregativeGame, s_hat, y_hat, xi: float, slack: float) -> tuple:
+    """(supports, offsets, loss rows or None) of the slack LP at one point,
+    the part of ``build_slack_lp`` that depends on (s_hat, y_hat)."""
     s_hat = np.asarray(s_hat, dtype=float)
     if s_hat.shape != (game.d,):
         raise ParameterError(f"s_hat must have shape ({game.d},)")
@@ -438,18 +459,7 @@ def build_slack_lp(
         if game.loss is None:
             raise ParameterError("loss objective requested but the game declares no loss")
         loss, y = game.loss, float(y_hat)
-    block = shared_facets(game)
-    if block is None or loss is not None:
-        cons_f = slack_rows(game.f.transpose(1, 0, 2), loss)
-    else:
-        rows = slack_rows(block)
-        cons_f = np.broadcast_to(rows[:, None, :], (len(rows), game.n, game.m))
-    return FeasibilityLP(
-        gamma=game.gamma,
-        cons_f=cons_f,
-        cons_b=slack_rows(s_hat, y) + slack,
-        supports=supports,
-    )
+    return supports, slack_rows(s_hat, y) + slack, loss
 
 
 @dataclass
@@ -508,9 +518,12 @@ def exact_lp_min(
         )
     else:
         levels = [y_hat] if solo else list(y_hat)
-    lps = [build_slack_lp(game, s, y, xi, slack=0.0) for s, y in zip(points, levels)]
-    # the facet and loss rows are the same at every point; the margins below
-    # read them C-ordered, as ``FeasibilityLP.margins`` does
+    lps = [build_slack_lp(game, points[0], levels[0], xi, slack=0.0)]
+    # the facet and loss rows are the same at every point, so all share one
+    # tensor; the margins below read it C-ordered, as ``FeasibilityLP.margins``
+    for s, y in zip(points[1:], levels[1:]):
+        supports, offsets, _ = _slack_point(game, s, y, xi, 0.0)
+        lps.append(FeasibilityLP(game.gamma, lps[0].cons_f, offsets, supports))
     cons_f = np.ascontiguousarray(lps[0].cons_f)
     cons_b = np.stack([lp.cons_b for lp in lps])
     n, m = lps[0].shape

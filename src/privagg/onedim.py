@@ -23,10 +23,10 @@ same sweep makes its choice in full at every point. ``V`` at a float s is
 a sweep over one point; ``s_extremes`` at a float s returns the composite
 profiles themselves.
 
-Every private scan here asks its sparse session a block of queries at a
-time (``first_below``), in one doubling schedule (``_FIRST_BLOCK``). psummnash
-reads ``V`` over its grid blocks, and the walks slice their aggregator
-arrays.
+Each solver's sparse scans are one table (``_PSUMMNASH_STAGES``,
+``_SELECT_STAGES``), whose rows its accuracy floor counts. Every scan runs
+through ``PrivacyLedger.scan`` in the ledger's doubling blocks: psummnash
+reads ``V`` over its grid blocks, and the walks slice their aggregator arrays.
 
 Selection adds a public quality score over aggregator values and visits the
 grid in quality order, so the first sparse hit doubles as an approximate
@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,12 +48,11 @@ from .dp_core import (
     NoiseSource,
     ParameterError,
     PrivacyLedger,
-    SparseSession,
+    Stage,
     as_real,
     check_certificate,
     check_finite,
     check_range,
-    first_below,
 )
 from .game_core import (
     AggregativeGame,
@@ -358,35 +357,35 @@ def _walk_aggregators(qgame: QuasiAggregativeGame, walk: SmoothWalk) -> np.ndarr
     return np.add.accumulate(s)
 
 
-# queries in the first block of every scan here; each later block is as long
-# as all before it, so a hit at position j >= _FIRST_BLOCK is asked in at
-# most 2 + log2(j / _FIRST_BLOCK) blocks, and no scan builds more than
-# max(_FIRST_BLOCK, 2j) queries
-_FIRST_BLOCK = 16
-
-
-def _blocks(total: int):
-    """[lo, hi) ranges over positions 0..total-1 in the scans' doubling
-    schedule."""
-    lo = 0
-    while lo < total:
-        hi = min(total, lo + max(lo, _FIRST_BLOCK))
-        yield lo, hi
-        lo = hi
-
-
-def _scan(session: SparseSession, queries: np.ndarray) -> tuple:
-    """``first_below`` over an array of query values, in doubling blocks."""
-    return first_below(session, (queries[lo:hi] for lo, hi in _blocks(len(queries))))
-
-
-def _walk_scan(qgame: QuasiAggregativeGame, session: SparseSession, hi, lo, target: float):
-    """The first composite of the walk from lo to hi whose aggregator lands
-    within the session's threshold of ``target``: (j, queries asked, x^j),
-    with j and x^j None on a miss."""
+def _walk(qgame: QuasiAggregativeGame, hi, lo, target: float) -> tuple:
+    """The walk from lo to hi and its scan's query values: how far each
+    composite's aggregator lands from ``target``."""
     walk = smooth_walk(qgame, hi, lo)
-    j, asked = _scan(session, np.abs(_walk_aggregators(qgame, walk) - target))
-    return j, asked, None if j is None else walk[j]
+    return walk, np.abs(_walk_aggregators(qgame, walk) - target)
+
+
+# The private stages of the scalar solvers, in the order they run. Each row
+# is a sparse scan (label, stream, a, b) at threshold a alpha + b gamma that
+# declares sensitivity gamma and spends an equal share of epsilon.
+_PSUMMNASH_STAGES = (
+    ("grid-fixed-point", "stage1", 4.0, 0.0),
+    ("crossing-scan", "stage2", -4.0, 0.0),
+    ("walk-scan", "stage3", 1.0, 0.5),
+)
+_SELECT_STAGES = (
+    ("optimistic-scan", "optimistic", 3.0, 0.0),
+    ("pessimistic-scan", "pessimistic", 3.0, 0.0),
+    ("straddle-scan", "straddle", -3.0, 0.0),
+    ("walk-scan", "walk", 1.0, 0.5),
+)
+
+
+def _stages(table: tuple, epsilon: float, alpha: float, gamma: float) -> tuple:
+    """The ``Stage`` records of a scalar solver's table."""
+    return tuple(
+        Stage(label, stream, gamma, epsilon / len(table), threshold=a * alpha + b * gamma)
+        for label, stream, a, b in table
+    )
 
 
 def _psummnash_bound(alpha: float, gamma: float) -> float:
@@ -396,20 +395,16 @@ def _psummnash_bound(alpha: float, gamma: float) -> float:
 
 def _accuracy_floor(qgame: QuasiAggregativeGame, epsilon: float, beta: float, sessions: int):
     """Smallest admissible grid step of a solver that splits epsilon over
-    ``sessions`` sparse sessions: 100 gamma (ln(2Wn) + ln(2 sessions/beta)) / eps."""
-    return (
-        100.0
-        * qgame.gamma
-        * (math.log(2.0 * qgame.W * qgame.n) + math.log(2.0 * sessions / beta))
-        / epsilon
-    )
+    ``sessions`` sparse scans: 100 gamma (ln(2Wn) + ln(2 sessions/beta)) / eps."""
+    spread = math.log(2.0 * qgame.W * qgame.n) + math.log(2.0 * sessions / beta)
+    return 100.0 * qgame.gamma * spread / epsilon
 
 
 def _check_floor(
     qgame: QuasiAggregativeGame, epsilon: float, alpha: float, beta: float, sessions: int
 ) -> None:
     """Refuse a budget out of range, then an alpha below the accuracy floor
-    of a solver with ``sessions`` sparse sessions on this game."""
+    of a solver with ``sessions`` sparse scans on this game."""
     check_range("positive", epsilon=epsilon, alpha=alpha)
     check_range("unit", beta=beta)
     floor = _accuracy_floor(qgame, epsilon, beta, sessions)
@@ -421,9 +416,9 @@ def _check_floor(
 
 
 def psummnash_accuracy_floor(qgame: QuasiAggregativeGame, epsilon: float, beta: float) -> float:
-    """Smallest admissible psummnash grid step (three sessions):
+    """Smallest admissible psummnash grid step (three sparse scans):
     100 gamma (ln(2Wn) + ln(6/beta)) / eps."""
-    return _accuracy_floor(qgame, epsilon, beta, 3)
+    return _accuracy_floor(qgame, epsilon, beta, len(_PSUMMNASH_STAGES))
 
 
 @dataclass
@@ -461,34 +456,31 @@ def psummnash(
     sum of two clamped one-sided gaps, nonpositive and at least -5 alpha,
     against threshold -4 alpha). Stage 3 walks between the two best-response
     profiles bracketing the crossing until the aggregator lands within
-    alpha + gamma/2 of the crossing point. Each stage spends epsilon/3
-    through its own one-shot sparse session.
+    alpha + gamma/2 of the crossing point. Each stage is a row of
+    ``_PSUMMNASH_STAGES``, a sparse scan at epsilon/3.
 
-    Stage 1 reads V over the grid in the scans' doubling blocks (see
-    ``_FIRST_BLOCK``), so a stage-1 hit at scan position j has V evaluated at
-    no more than max(``_FIRST_BLOCK``, 2j + 2) points. Stages 2 and 3 only
-    run after stage 1 asked every point, and stage 2 reuses those values.
+    Stage 1 reads V over the grid in the ledger's doubling blocks, so a
+    stage-1 hit at scan position j has V evaluated at no more than
+    max(16, 2j + 2) points. Stages 2 and 3 only run after stage 1 asked every
+    point, and stage 2 reuses those values.
     """
-    _check_floor(qgame, epsilon, alpha, beta, 3)
+    _check_floor(qgame, epsilon, alpha, beta, len(_PSUMMNASH_STAGES))
     # callers evaluate the bound at gamma or at the tighter gamma_eff
     check_certificate(_psummnash_bound(alpha, max(qgame.gamma, qgame.base.gamma_eff)), "lower alpha")
-    gamma = qgame.gamma
     K = grid_steps(qgame.W, alpha)
     ledger = PrivacyLedger()
     result = partial(PSummResult, alpha=alpha, epsilon=epsilon, beta=beta, ledger=ledger)
-    eps3 = epsilon / 3.0
+    fixed_point, crossing, walk = _stages(_PSUMMNASH_STAGES, epsilon, alpha, qgame.gamma)
 
     values = []  # V over each block stage 1 asked
 
-    def fixed_point_gaps():
-        for lo, hi in _blocks(2 * K):
-            points = np.arange(lo - K, hi - K) * alpha
-            values.append(V(qgame, points))
-            yield np.abs(values[-1] - points)
+    def fixed_point_gaps(lo: int, hi: int) -> np.ndarray:
+        points = np.arange(lo - K, hi - K) * alpha
+        values.append(V(qgame, points))
+        return np.abs(values[-1] - points)
 
     # stage 1: grid points that already summarize themselves
-    s1 = ledger.open_session("grid-fixed-point", gamma, 4.0 * alpha, eps3, src.child("stage1"))
-    j, asked1 = first_below(s1, fixed_point_gaps())
+    j, asked1 = ledger.scan(fixed_point, src, fixed_point_gaps, 2 * K)
     if j is not None:
         k = j - K
         profile = abr_profile(qgame.base, np.array([k * alpha]))
@@ -502,8 +494,8 @@ def psummnash(
     points = np.arange(-K + 1, K) * alpha
     gap_hi = np.maximum(np.minimum(0.0, points - v[:-1]), -2.0 * alpha)
     gap_lo = np.maximum(np.minimum(0.0, v[1:] - points), -3.0 * alpha)
-    s2 = ledger.open_session("crossing-scan", gamma, -4.0 * alpha, eps3, src.child("stage2"))
-    j, asked2 = _scan(s2, gap_hi + gap_lo)
+    gaps = gap_hi + gap_lo
+    j, asked2 = ledger.scan(crossing, src, lambda a, b: gaps[a:b], len(gaps))
     if j is None:
         return result(aborted=True, stage=None, queries=(asked1, asked2, 0))
     bracket = j - K + 1
@@ -511,12 +503,12 @@ def psummnash(
     # stage 3: walk between the bracketing best-response profiles
     hi = abr_profile(qgame.base, np.array([bracket * alpha]))
     lo = abr_profile(qgame.base, np.array([(bracket - 1) * alpha]))
-    s3 = ledger.open_session("walk-scan", gamma, alpha + gamma / 2.0, eps3, src.child("stage3"))
-    j, asked3, profile = _walk_scan(qgame, s3, hi, lo, bracket * alpha)
+    composites, walk_gaps = _walk(qgame, hi, lo, bracket * alpha)
+    j, asked3 = ledger.scan(walk, src, lambda a, b: walk_gaps[a:b], len(walk_gaps))
     if j is None:
         return result(aborted=True, stage=None, bracket=bracket, queries=(asked1, asked2, asked3))
     return result(
-        aborted=False, stage=3, profile=profile, bracket=bracket, walk_j=j,
+        aborted=False, stage=3, profile=composites[j], bracket=bracket, walk_j=j,
         queries=(asked1, asked2, asked3),
     )
 
@@ -645,7 +637,7 @@ class SelectionParams:
         quality: QualitySpec,
     ) -> "SelectionParams":
         # refused here too, before the grid is built
-        _check_floor(qgame, epsilon, alpha, beta, 4)
+        _check_floor(qgame, epsilon, alpha, beta, len(_SELECT_STAGES))
         return cls(
             zeta=zeta, epsilon=epsilon, alpha=alpha, beta=beta, quality=quality,
             gamma=qgame.gamma, W=qgame.W, n=qgame.n,
@@ -730,12 +722,13 @@ def select_equilibrium(
 ) -> SelectResult:
     """Pick an approximate equilibrium of near-best public quality.
 
-    Visits the grid in quality order four times, each visit a one-shot
-    sparse session at budget epsilon/4: (a) points whose optimistic composite
-    sits within 3 alpha, (b) same for the pessimistic composite, (c) points
-    whose xi-ABR region straddles them (a clamped two-sided gap against
-    threshold -3 alpha), resolved by (d) a walk between the two composites.
-    The best-ranked hit across branches wins.
+    Runs the four sparse scans of ``_SELECT_STAGES``, each at epsilon/4:
+    three visits of the grid in quality order, for (a) points whose
+    optimistic composite sits within 3 alpha, (b) same for the pessimistic
+    composite, (c) points whose xi-ABR region straddles them (a clamped
+    two-sided gap against threshold -3 alpha), resolved by (d) a walk
+    between the two composites, charged whether or not it runs. The
+    best-ranked hit across branches wins.
 
     The three grid scans share one ``s_extremes`` sweep per doubling block
     of the quality order, made when a scan first asks the block; the hits'
@@ -743,46 +736,29 @@ def select_equilibrium(
     """
     if (params.gamma, params.W, params.n) != (qgame.gamma, qgame.W, qgame.n):
         raise ParameterError("params were derived for a different game")
-    _check_floor(qgame, params.epsilon, params.alpha, params.beta, 4)
-    gamma = params.gamma
+    _check_floor(qgame, params.epsilon, params.alpha, params.beta, len(_SELECT_STAGES))
     alpha = params.alpha
-    eps4 = params.epsilon / 4.0
     ledger = PrivacyLedger()
     grid = params.grid
-    blocks = list(_blocks(len(grid)))
-    swept = []  # (points, s_min, s_max) of each block a scan has asked
-
-    def extremes(b: int) -> tuple:
-        while len(swept) <= b:
-            lo, hi = blocks[len(swept)]
-            points = grid[lo:hi]
-            order = np.argsort(points)  # s_extremes sweeps ascending points
-            s_min, s_max = np.empty_like(points), np.empty_like(points)
-            s_min[order], s_max[order] = s_extremes(qgame, points[order], params.xi)
-            swept.append((points, s_min, s_max))
-        return swept[b]
-
-    def scan(session: SparseSession, query) -> tuple:
-        """``first_below`` over the grid in quality order, each block's
-        query values computed from its points and extremes."""
-        return first_below(session, (query(*extremes(b)) for b in range(len(blocks))))
-
-    sess = ledger.open_session("optimistic-scan", gamma, 3.0 * alpha, eps4, src.child("optimistic"))
-    idx_a, asked_a = scan(sess, lambda s, s_min, s_max: np.abs(s_max - s))
-    sess = ledger.open_session(
-        "pessimistic-scan", gamma, 3.0 * alpha, eps4, src.child("pessimistic")
+    optimistic, pessimistic, straddle, walk = _stages(
+        _SELECT_STAGES, params.epsilon, alpha, params.gamma
     )
-    idx_b, asked_b = scan(sess, lambda s, s_min, s_max: np.abs(s_min - s))
 
-    def straddle_gap(s, s_min, s_max):
+    @cache
+    def gaps(lo: int, hi: int) -> tuple:
+        """The three grid scans' query values over one block of the quality
+        order, from one ``s_extremes`` sweep of its points."""
+        s = grid[lo:hi]
+        order = np.argsort(s)  # s_extremes sweeps ascending points
+        s_min, s_max = np.empty_like(s), np.empty_like(s)
+        s_min[order], s_max[order] = s_extremes(qgame, s[order], params.xi)
         gap_lo = np.maximum(np.minimum(s_min - s, 0.0), -2.0 * alpha)
         gap_hi = np.maximum(np.minimum(s - s_max, 0.0), -2.0 * alpha)
-        return gap_lo + gap_hi
+        return np.abs(s_max - s), np.abs(s_min - s), gap_lo + gap_hi
 
-    # the walk is charged up front, whether or not it runs
-    sess_c = ledger.open_session("straddle-scan", gamma, -3.0 * alpha, eps4, src.child("straddle"))
-    sess_d = ledger.open_session("walk-scan", gamma, alpha + gamma / 2.0, eps4, src.child("walk"))
-    idx_c, asked_c = scan(sess_c, straddle_gap)
+    idx_a, asked_a = ledger.scan(optimistic, src, lambda a, b: gaps(a, b)[0], len(grid))
+    idx_b, asked_b = ledger.scan(pessimistic, src, lambda a, b: gaps(a, b)[1], len(grid))
+    idx_c, asked_c = ledger.scan(straddle, src, lambda a, b: gaps(a, b)[2], len(grid))
 
     # the composites at each point a scan hit, one s_extremes call per point
     ext = {i: s_extremes(qgame, float(grid[i]), params.xi) for i in {idx_a, idx_b, idx_c} - {None}}
@@ -791,12 +767,12 @@ def select_equilibrium(
         hits.append((idx_a, ext[idx_a].x_max, "optimistic", None))
     if idx_b is not None:
         hits.append((idx_b, ext[idx_b].x_min, "pessimistic", None))
-    asked_d = 0
+    composites, walk_gaps = None, np.empty(0)  # no straddle hit: a walk of no queries
     if idx_c is not None:
-        hi, lo = ext[idx_c].x_max, ext[idx_c].x_min
-        j, asked_d, profile = _walk_scan(qgame, sess_d, hi, lo, float(grid[idx_c]))
-        if j is not None:
-            hits.append((idx_c, profile, "walk", j))
+        composites, walk_gaps = _walk(qgame, ext[idx_c].x_max, ext[idx_c].x_min, float(grid[idx_c]))
+    j, asked_d = ledger.scan(walk, src, lambda a, b: walk_gaps[a:b], len(walk_gaps))
+    if j is not None:
+        hits.append((idx_c, composites[j], "walk", j))
 
     queries = (asked_a, asked_b, asked_c, asked_d)
     if not hits:

@@ -3,9 +3,10 @@
 The private solver grids candidate aggregator values and loss levels, finds
 the first plausibly-feasible pair with one sparse-vector hit, solves the
 relaxed feasibility LP with the private no-regret dynamics, and samples a
-pure profile from the averaged mixed profile. Its non-private twin solves
-the exact LP at every grid point, bisects the loss level, and keeps the best
-witness; it is the yardstick the private path is measured against.
+pure profile from the averaged mixed profile; its two private stages are one
+table, ``_presl_stages``. Its non-private twin solves the exact LP at every
+grid point, bisects the loss level, and keeps the best witness; it is the
+yardstick the private path is measured against.
 
 Accuracy constants follow the solver's analysis and are evaluated literally;
 at small n they exceed the payoff range, which just means the guarantees are
@@ -26,10 +27,10 @@ from .dp_core import (
     NoiseSource,
     ParameterError,
     PrivacyLedger,
+    Stage,
     as_count,
     check_certificate,
     check_range,
-    first_below,
 )
 from .game_core import (
     AggregativeGame,
@@ -170,25 +171,35 @@ class PreslParams:
             has_loss=game.loss is not None,
         )
 
-    def x_axis(self) -> np.ndarray:
-        return np.arange(self.x_count_per_axis) * self.alpha - self.w_snap
-
-    def y_axis(self) -> np.ndarray:
-        return np.arange(self.y_count) * self.alpha
-
     @property
     def nash_bound(self) -> float:
         """Regret level certified for non-aborting runs: zeta + 12 alpha."""
         return self.zeta + 12.0 * self.alpha
 
 
+# most grid points in one stack of exact LPs: presl's scan blocks are cut to
+# it, and npresl runs its pipeline one slice of the grid at a time, so their
+# LP state stays O(_NPRESL_SLICE n m) floats however fine the grid is
+_NPRESL_SLICE = 256
+
+
 def query_order(params: PreslParams) -> Iterator[tuple[float, np.ndarray]]:
     """The exact (loss level, aggregator point) stream the first stage asks:
     loss levels ascending, grid points lexicographic within each level."""
-    xs = params.x_axis()
-    for y in params.y_axis():
+    xs = np.arange(params.x_count_per_axis) * params.alpha - params.w_snap
+    for y in np.arange(params.y_count) * params.alpha:
         for combo in itertools.product(xs, repeat=params.d):
             yield float(y), np.asarray(combo)
+
+
+def _presl_stages(params: PreslParams) -> tuple:
+    """presl's private stages in the order they run, each of sensitivity
+    gamma: the grid scan, then the LP dynamics on the "mw" stream."""
+    return (
+        Stage("grid-scan", "sparse", params.gamma, params.epsilon,
+              threshold=params.alpha + params.e1),
+        Stage("lp-dynamics", "mw", params.gamma, params.epsilon, params.delta),
+    )
 
 
 @dataclass
@@ -215,12 +226,13 @@ class PreslResult:
 def presl(game: AggregativeGame, params: PreslParams, src: NoiseSource) -> PreslResult:
     """Private grid search, relaxed-LP solve, and per-player sampling.
 
-    Stage 1 streams every (loss level, grid point) query value through one
-    below-threshold session at threshold alpha + e1; the first hit fixes the
-    target pair. Stage 2 solves the LP relaxed by alpha + 2 e1 over the
-    xi-best-response supports with the private dynamics, and each player
-    samples their action from their own row of the averaged profile. A run
-    with no stage-1 hit aborts (a declared outcome, not an exception).
+    Stage 1 scans the (loss level, grid point) queries of ``query_order``
+    at threshold alpha + e1, each block's exact LPs in stacks of at most
+    ``_NPRESL_SLICE`` points; the first hit fixes the target pair. Stage 2
+    solves the LP relaxed by alpha + 2 e1 over the xi-best-response supports
+    with the private dynamics, and each player samples their action from
+    their own row of the averaged profile. A run with no stage-1 hit aborts
+    (a declared outcome, not an exception).
     """
     if (params.n, params.m, params.d, params.gamma, params.W) != (
         game.n, game.m, game.d, game.gamma, game.W
@@ -229,16 +241,18 @@ def presl(game: AggregativeGame, params: PreslParams, src: NoiseSource) -> Presl
     if params.has_loss != (game.loss is not None):
         raise ParameterError("params disagree with the game about the loss objective")
     ledger = PrivacyLedger()
-    session = ledger.open_session(
-        "grid-scan", game.gamma, params.alpha + params.e1, params.epsilon, src.child("sparse")
-    )
+    grid_scan, dynamics = _presl_stages(params)
+    queries = query_order(params)
 
-    def lp_values():  # one query per block: each is an exact LP solve
-        for y, s in query_order(params):
-            y_arg = y if params.has_loss else None
-            yield exact_lp_min(game, s, y_arg, params.xi, params.lp_tol).value
+    def lp_values(lo: int, hi: int) -> np.ndarray:  # the scan asks its blocks in order
+        levels, points = map(np.array, zip(*itertools.islice(queries, hi - lo)))
+        cuts = [slice(k, k + _NPRESL_SLICE) for k in range(0, hi - lo, _NPRESL_SLICE)]
+        return np.concatenate([exact_lp_min(
+            game, points[cut], levels[cut] if params.has_loss else None, params.xi, params.lp_tol
+        ).value for cut in cuts])
 
-    hit_index, asked = first_below(session, lp_values())
+    total = params.y_count * params.x_count_per_axis**params.d
+    hit_index, asked = ledger.scan(grid_scan, src, lp_values, total)
     if hit_index is None:
         return PreslResult(aborted=True, params=params, ledger=ledger, queries_asked=asked)
     hit_y, hit_s = next(itertools.islice(query_order(params), hit_index, None))
@@ -249,21 +263,13 @@ def presl(game: AggregativeGame, params: PreslParams, src: NoiseSource) -> Presl
         game, epsilon=params.epsilon, delta=params.delta,
         alpha=params.alpha, beta=params.beta / 3.0,
     )
-    mw = distmw_solve(lp, mw_params, src.child("mw"))
-    ledger.add("lp-dynamics", params.epsilon, params.delta)
+    mw = distmw_solve(lp, mw_params, src.child(dynamics.stream))
+    ledger.charge(dynamics)
     profile = sample_profile(game, mw.p_bar, src.child("sample"))
     return PreslResult(
-        aborted=False,
-        params=params,
-        ledger=ledger,
-        queries_asked=asked,
-        profile=profile,
-        p_bar=mw.p_bar,
-        hit_y=hit_y,
-        hit_s=hit_s,
-        hit_index=hit_index,
-        mw_transcript=mw.transcript,
-        mw_params=mw_params,
+        aborted=False, params=params, ledger=ledger, queries_asked=asked, profile=profile,
+        p_bar=mw.p_bar, hit_y=hit_y, hit_s=hit_s, hit_index=hit_index,
+        mw_transcript=mw.transcript, mw_params=mw_params,
     )
 
 
@@ -284,12 +290,6 @@ def replay_presl_player(
     support_row = best_response_support(utility_values(game, i, result.hit_s), params.xi)
     p_row = replay_mw_player(rows, support_row, result.mw_params, result.mw_transcript)
     return sample_action(p_row, src.child("sample").child(i))
-
-
-# most grid points npresl hands to one stack of exact LPs: it runs its whole
-# pipeline one slice of the grid at a time, so its LP state stays
-# O(_NPRESL_SLICE n m) floats however fine the grid is
-_NPRESL_SLICE = 256
 
 
 @dataclass
@@ -391,16 +391,7 @@ def npresl(
     w_loss, s_hat, y_star, witness = best
     profile = sample_profile(game, witness, src.child("sample"))
     return NpreslResult(
-        aborted=False,
-        alpha=alpha,
-        zeta=zeta,
-        beta=beta,
-        nash_bound=bound,
-        profile=profile,
-        p_bar=witness,
-        s_hat=s_hat,
-        y_star=float(y_star),
-        witness_loss=w_loss,
-        feasible_points=feasible,
-        sampling_slack=slack,
+        aborted=False, alpha=alpha, zeta=zeta, beta=beta, nash_bound=bound, profile=profile,
+        p_bar=witness, s_hat=s_hat, y_star=float(y_star), witness_loss=w_loss,
+        feasible_points=feasible, sampling_slack=slack,
     )

@@ -19,7 +19,9 @@ import warnings
 import numpy as np
 import pytest
 
-from privagg.dp_core import ParameterError, PrivacyLedger, check_finite, check_range
+from privagg.dp_core import (
+    ParameterError, PrivacyLedger, SparseSession, Stage, check_finite, check_range,
+)
 from privagg.game_core import (
     AggregativeGame, LinearUtility, RegretReport, abr_set, aggregator, as_pure_profile,
     grid_steps, sample_profile, support_width, utility_matrix, utility_values,
@@ -27,7 +29,7 @@ from privagg.game_core import (
 from privagg.lp_core import DistMWResult, build_slack_lp, exact_lp_min, most_violated
 from privagg.market import hinge_price, imbalance
 from privagg.onedim import _accuracy_floor
-from privagg.presl import NpreslResult, sampling_deviation_bound
+from privagg.presl import NpreslResult, query_order, sampling_deviation_bound
 
 
 def build_quiet(*args, **kwargs):
@@ -278,6 +280,22 @@ def recurrence_exact_lp_min(game, s_hat, y_hat, xi, tol):
     return max(best_lower, 0.0), accum / t, t
 
 
+def reference_presl_scan(game, params, src, lp=exact_lp_min):
+    """presl's grid scan one query at a time: a session on the "sparse"
+    child at threshold alpha + e1, and one solo call of ``lp``
+    (``exact_lp_min``) per (loss level, point) in ``query_order`` until the
+    first below answer. Returns (hit or None, queries asked, the values
+    asked); the blocked scan must give the same."""
+    session = SparseSession(game.gamma, params.alpha + params.e1, params.epsilon,
+                            src.child("sparse"))
+    values = []
+    for y, s in query_order(params):
+        values.append(lp(game, s, y if params.has_loss else None, params.xi, params.lp_tol).value)
+        if session.answer(values[-1]).below:
+            return len(values) - 1, len(values), values
+    return None, len(values), values
+
+
 def reference_npresl(game, zeta, alpha, beta, src, lp=exact_lp_min):
     """``npresl`` as one solo call of ``lp`` (``exact_lp_min``) per grid
     point and loss level: probe, zero level, bisection and the fallback
@@ -479,7 +497,7 @@ def reference_distmw_solve(lp, params, src):
         p = reference_mw_iterate(cum, params.eta)
         accum += p
         k, _ = most_violated(lp, p, params.eps0, src)
-        ledger.add("constraint-select", params.eps0, 0.0)
+        ledger.charge(Stage("constraint-select", "mw", params.gamma, params.eps0))
         transcript.append(k)
         cum += lp.cons_f[k]
     return DistMWResult(p_bar=accum / params.T, transcript=transcript, params=params, ledger=ledger)

@@ -976,6 +976,8 @@ def test_fuzz_bench_config_never_tracebacks(fuzz_dir, data):
     game = odd_some(data.draw, data.draw(st.sampled_from([
         {"kind": "threshold", "n": 25}, {"kind": "market", "n": 25, "d": 1},
         {"path": str(fuzz_dir / "game.json")}, {"n": 25},
+        {"kind": "threshold", "n": 20, "seed": 3},
+        {"path": str(fuzz_dir / "game.json"), "kind": "market", "n": 25},
     ])))
     config = {"algorithm": algorithm, "game": game, "params": drop_some(data.draw, params),
               "trials": 1, "seed": 0, "noise": data.draw(st.booleans()), "label": "fuzz"}
@@ -984,6 +986,24 @@ def test_fuzz_bench_config_never_tracebacks(fuzz_dir, data):
     path = fuzz_dir / "cfg.json"
     path.write_text(json.dumps(config))
     assert exit_code(["bench", "--config", path]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("game, named", [
+    ({"kind": "threshold", "n": 20, "seed": 3}, "'seed'"),
+    ({"kind": "market", "n": 5000, "path": "game.json"}, "['kind', 'n']"),
+])
+def test_bench_refuses_game_keys_it_would_not_read(fuzz_dir, capsys, caplog, game, named):
+    # a "seed" clashed with the trial's own seed in a TypeError traceback,
+    # and a "path" spec ran its file's game, dropping the other keys
+    if "path" in game:
+        game["path"] = str(fuzz_dir / game["path"])
+    cfg = fuzz_dir / "refused.json"
+    cfg.write_text(json.dumps({"algorithm": "psummnash", "game": game, "trials": 1,
+                               "params": {"epsilon": 500.0, "alpha": 0.3, "beta": 0.05},
+                               "out_dir": str(fuzz_dir)}))
+    assert run_cli("bench", "--config", cfg) == 1
+    assert named in caplog.text
+    assert "Traceback" not in capsys.readouterr().err + caplog.text
 
 
 # fields of a game, LP or profile file that hold an object, a string, a

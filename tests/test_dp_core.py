@@ -18,12 +18,12 @@ from privagg.dp_core import (
     PrivacyLedger,
     SparseAnswer,
     SparseSession,
+    Stage,
     StateError,
     check_certificate,
     check_finite,
     check_range,
     exponential_mechanism,
-    first_below,
     laplace_samples,
 )
 from privagg.harness import generate
@@ -228,17 +228,51 @@ def test_sparse_constructor_validation():
             SparseSession(1.0, 0.0, 0.0, src)
 
 
-def test_ledger_open_session_charges_the_session_it_opens():
+def scan_stage(sensitivity=1.0, epsilon=1.0, threshold=0.0):
+    """A sparse stage on the child stream "scan"."""
+    return Stage("scan", "scan", sensitivity, epsilon, threshold=threshold)
+
+
+def scan_values(values, src, stage=None, asked=None):
+    """``PrivacyLedger.scan`` over an array of query values; each block's
+    (lo, hi) is appended to ``asked`` when given."""
+    values = np.asarray(values, dtype=float)
+
+    def query(lo, hi):
+        if asked is not None:
+            asked.append((lo, hi))
+        return values[lo:hi]
+
+    return PrivacyLedger().scan(stage or scan_stage(), src, query, len(values))
+
+
+def answer_blocks(session, blocks):
+    """A session asked the given blocks in order until its first below
+    answer: (position, asked), or (None, asked) after a miss."""
+    for block in blocks:
+        if session.answer(block).below:
+            return session.asked - 1, session.asked
+    return None, session.asked
+
+
+def test_ledger_scan_charges_the_stage_it_scans():
     ledger = PrivacyLedger()
-    sess = ledger.open_session("scan", 1.0, 0.5, 0.25, NoiseSource(3))
-    ref = SparseSession(1.0, 0.5, 0.25, NoiseSource(3))
-    assert sess.noisy_threshold == ref.noisy_threshold
-    assert sess.answer(0.7).below == ref.answer(0.7).below
-    assert ledger.entries == [("scan", 0.25, 0.0)]
+    stage = Stage("grid", "own", 1.0, 0.25, threshold=0.5)
+    for seed in range(20):
+        hit = ledger.scan(stage, NoiseSource(seed), lambda lo, hi: np.full(hi - lo, 0.7), 1)
+        # the session runs on the stage's own child stream
+        ref = SparseSession(1.0, 0.5, 0.25, NoiseSource(seed).child("own"))
+        assert hit == ((0, 1) if ref.answer(0.7).below else (None, 1))
+    assert ledger.entries == [("grid", 0.25, 0.0)] * 20
     # a session refused at construction is not charged
+    refused = Stage("refused", "own", 1.0, 0.0, threshold=0.5)
     with pytest.raises(ParameterError):
-        ledger.open_session("refused", 1.0, 0.5, 0.0, NoiseSource(3))
-    assert ledger.entries == [("scan", 0.25, 0.0)]
+        ledger.scan(refused, NoiseSource(3), lambda lo, hi: np.zeros(hi - lo), 1)
+    # a scan of no queries is charged and asks nothing
+    assert ledger.scan(stage, NoiseSource(3), None, 0) == (None, 0)
+    # a stage that runs no scan is charged its epsilon and delta
+    ledger.charge(Stage("dynamics", "mw", 1.0, 0.5, 0.01))
+    assert ledger.entries[20:] == [("grid", 0.25, 0.0), ("dynamics", 0.5, 0.01)]
 
 
 def test_sparse_below_rate_at_threshold_is_half():
@@ -256,57 +290,47 @@ def test_sparse_below_rate_at_threshold_is_half():
 
 def test_first_below_returns_the_first_hit():
     src = NoiseSource(0, NoiseSource.NOISE_OFF)
-    sess = SparseSession(1.0, 0.0, 1.0, src)
     items = ["a", "b", "c", "d"]
     values = {"a": 2.0, "b": 1.0, "c": -1.0, "d": -5.0}
-    blocks = ([values[x] for x in items[:1]], [values[x] for x in items[1:]])
-    hit, asked = first_below(sess, blocks)
+    hit, asked = scan_values([values[x] for x in items], src)
     assert (items[hit], asked) == ("c", 3)
-    assert sess.halted
 
 
 def test_first_below_miss_asks_every_query():
+    # every query in the ledger's doubling schedule: 16, then as many as
+    # all before, cut at the total
     src = NoiseSource(0, NoiseSource.NOISE_OFF)
-    sess = SparseSession(1.0, 0.0, 1.0, src)
-    asked_values = []
-
-    def blocks(items):
-        for lo, hi in ((0, 1), (1, 3), (3, 4)):
-            asked_values.extend(items[lo:hi])
-            yield np.array(items[lo:hi])
-
-    items = [3.0, 1.0, 0.5, 2.0]
-    assert first_below(sess, blocks(items)) == (None, len(items))
-    assert asked_values == items
-    assert not sess.halted
+    for total, blocks in [(4, [(0, 4)]), (16, [(0, 16)]), (40, [(0, 16), (16, 32), (32, 40)]),
+                          (64, [(0, 16), (16, 32), (32, 64)])]:
+        asked = []
+        assert scan_values(np.linspace(3.0, 0.5, total), src, asked=asked) == (None, total)
+        assert asked == blocks
 
 
 def test_first_below_is_lazy():
-    # the block stream raises once advanced past the hit's block, and the
-    # stream records every value it builds: an eager scan trips either check
+    # the query raises if asked past the hit's block, and records every
+    # block it builds: an eager scan trips either check
     src = NoiseSource(0, NoiseSource.NOISE_OFF)
-    sess = SparseSession(1.0, 0.0, 1.0, src)
-    queried = []
+    values = np.full(100, 4.0)
+    values[20] = -1.0
+    asked = []
 
-    def blocks():
-        for block in ([4.0, 3.0], [-1.0]):
-            queried.extend(block)
-            yield block
-        raise AssertionError("advanced past the hit")
+    def query(lo, hi):
+        assert lo < 32, "advanced past the hit"
+        asked.append((lo, hi))
+        return values[lo:hi]
 
-    hit, asked = first_below(sess, blocks())
-    assert (queried[hit], asked) == (-1.0, 3)
-    assert queried == [4.0, 3.0, -1.0]
+    assert PrivacyLedger().scan(scan_stage(), src, query, len(values)) == (20, 21)
+    assert asked == [(0, 16), (16, 32)]
 
 
 def test_first_below_matches_a_hand_loop_under_noise():
     root = NoiseSource(77)
     values = np.linspace(3.0, -3.0, 25)
+    stage = scan_stage(epsilon=2.0)
     for t in range(50):
-        sess = SparseSession(1.0, 0.0, 2.0, root.child(t))
-        cuts = [0, 1, 3, 7, 15, 25]  # doubling blocks, as the solvers pass them
-        hit = first_below(sess, (values[lo:hi] for lo, hi in zip(cuts, cuts[1:])))
-        ref = SparseSession(1.0, 0.0, 2.0, root.child(t))
+        hit = scan_values(values, root.child(t), stage)
+        ref = SparseSession(1.0, 0.0, 2.0, root.child(t).child("scan"))
         for j, v in enumerate(values):
             if ref.answer(v).below:
                 assert hit == (j, j + 1)
@@ -384,9 +408,13 @@ def test_block_scan_matches_the_one_at_a_time_loop(case):
     ref_src, src = NoiseSource(seed, mode), NoiseSource(seed, mode)
     want = hand_scan(sensitivity, 0.0, 1.0, ref_src, values)
     sess = SparseSession(sensitivity, 0.0, 1.0, src)
-    assert first_below(sess, blocks) == want
+    assert answer_blocks(sess, blocks) == want
     assert sess.asked == want[1]
     assert sess.halted == (want[0] is not None)
+    # the ledger's doubling blocks, on the stage's child stream
+    ref = NoiseSource(seed, mode).child("scan")
+    got = scan_values(values, NoiseSource(seed, mode), scan_stage(sensitivity))
+    assert got == hand_scan(sensitivity, 0.0, 1.0, ref, values)
 
 
 def test_block_scan_hits_mid_block_last_entry_and_misses():
@@ -397,16 +425,15 @@ def test_block_scan_hits_mid_block_last_entry_and_misses():
     with pytest.raises(StateError):  # halted partway through its block
         mid.answer([-1.0])
     last = SparseSession(1.0, 0.0, 1.0, src)
-    assert first_below(last, ([1.0, 2.0], [3.0, 0.0])) == (3, 4)
+    assert answer_blocks(last, ([1.0, 2.0], [3.0, 0.0])) == (3, 4)
     miss = SparseSession(1.0, 0.0, 1.0, src)
-    assert first_below(miss, ([1.0, 2.0], [], [3.0])) == (None, 3)
+    assert answer_blocks(miss, ([1.0, 2.0], [], [3.0])) == (None, 3)
     assert not miss.halted
     # under noise, a hit on a block's last entry
     for seed in range(20):
         ref, src = NoiseSource(seed), NoiseSource(seed)
-        want = hand_scan(1.0, 0.0, 1.0, ref, [50.0, 50.0, -50.0])
-        sess = SparseSession(1.0, 0.0, 1.0, src)
-        assert first_below(sess, ([50.0, 50.0, -50.0],)) == want == (2, 3)
+        want = hand_scan(1.0, 0.0, 1.0, ref.child("scan"), [50.0] * 15 + [-50.0])
+        assert scan_values([50.0] * 15 + [-50.0], src) == want == (15, 16)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -423,7 +450,7 @@ def test_non_finite_queries_are_refused_before_any_draw(bad, mode):
         assert src.uniform() == ref.uniform()  # the refused block drew nothing
         assert (sess.asked, sess.halted) == (0, False)
         with pytest.raises(ParameterError):
-            first_below(SparseSession(1.0, 0.0, 1.0, NoiseSource(3, mode)), ([3.0], block))
+            scan_values([3.0, *block], NoiseSource(3, mode))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -656,9 +683,13 @@ def test_exp_mechanism_frozen_draws():
 # ---------------------------------------------------------------------------
 
 
+def charge(ledger, label, epsilon, delta=0.0):
+    ledger.charge(Stage(label, label, 1.0, epsilon, delta))
+
+
 def test_compose_adaptive_frozen_single_entry():
     ledger = PrivacyLedger()
-    ledger.add("only", 0.1, 0.0)
+    charge(ledger, "only", 0.1)
     eps, delta = compose_adaptive(ledger, 0.01)
     assert eps == pytest.approx(0.3140025176845941, rel=1e-15)
     assert delta == pytest.approx(0.01)
@@ -667,7 +698,7 @@ def test_compose_adaptive_frozen_single_entry():
 def test_compose_adaptive_zero_budget_stays_zero():
     ledger = PrivacyLedger()
     for _ in range(10):
-        ledger.add("noop", 0.0, 0.0)
+        charge(ledger, "noop", 0.0)
     eps, delta = compose_adaptive(ledger, 0.2)
     assert eps == 0.0
     assert delta == pytest.approx(0.2)
@@ -675,8 +706,8 @@ def test_compose_adaptive_zero_budget_stays_zero():
 
 def test_compose_heterogeneous_falls_back_to_sums():
     ledger = PrivacyLedger()
-    ledger.add("a", 0.1, 0.0)
-    ledger.add("b", 0.2, 0.0)
+    charge(ledger, "a", 0.1)
+    charge(ledger, "b", 0.2)
     eps, delta = compose_adaptive(ledger, 0.01)
     assert eps == pytest.approx(0.3)
     assert delta == 0.0
@@ -689,7 +720,7 @@ def test_compose_empty_and_validation():
         compose_adaptive(PrivacyLedger(), 0.0)
     bad = PrivacyLedger()
     with pytest.raises(ParameterError):
-        bad.add("neg", -0.1)
+        charge(bad, "neg", -0.1)
 
 
 @pytest.mark.parametrize("epsilon, delta", [
@@ -698,9 +729,9 @@ def test_compose_empty_and_validation():
 def test_ledger_refuses_non_finite_charges(epsilon, delta):
     # NaN passed the nonnegativity test and was recorded as a charge
     ledger = PrivacyLedger()
-    ledger.add("ok", 0.1)
+    charge(ledger, "ok", 0.1)
     with pytest.raises(ParameterError):
-        ledger.add("bad", epsilon, delta)
+        charge(ledger, "bad", epsilon, delta)
     assert ledger.entries == [("ok", 0.1, 0.0)]
 
 
@@ -708,10 +739,10 @@ def test_ledger_refuses_non_finite_charges(epsilon, delta):
 @given(st.integers(min_value=1, max_value=50), st.floats(min_value=0.001, max_value=0.5))
 def test_compose_adaptive_grows_with_rounds(extra, eps):
     base = PrivacyLedger()
-    base.add("x", eps, 0.0)
+    charge(base, "x", eps)
     bigger = PrivacyLedger()
     for _ in range(1 + extra):
-        bigger.add("x", eps, 0.0)
+        charge(bigger, "x", eps)
     small, _ = compose_adaptive(base, 0.01)
     large, _ = compose_adaptive(bigger, 0.01)
     assert large > small

@@ -26,7 +26,8 @@ from privagg.lp_core import (
 from privagg.market import to_aggregative
 
 from conftest import (
-    build_quiet, compose_adaptive, recurrence_exact_lp_min, reference_distmw_solve, reference_mw_iterate,
+    build_quiet, compose_adaptive, peak_traced_bytes, recurrence_exact_lp_min, reference_distmw_solve,
+    reference_mw_iterate,
 )
 
 
@@ -830,6 +831,39 @@ def test_exact_lp_min_stack_carries_points_to_the_cap():
     for levels in (None, np.linspace(-0.03, 0.09, len(points))):
         rounds, cap = stack_against_solo_calls(sign, points, levels, 2.0, 0.27)
         assert cap == 16 and cap in rounds and 1 in rounds
+
+
+def test_exact_lp_min_keeps_one_constraint_tensor_for_a_stack(monkeypatch):
+    # the stack's points share one (K, n, m) tensor and keep only their own
+    # supports and offsets: 256 points of an n = 200, m = 3 game with loss
+    # once held 256 tensors (3.7 MB) beside the loop's (G, n, m) blocks
+    g = generate("linear", 5, n=200, m=3)
+    points = np.random.Generator(np.random.PCG64(0)).uniform(-0.5, 0.5, size=(256, 1))
+    res, peak = peak_traced_bytes(exact_lp_min, g, points, np.full(256, 0.3), 0.5, 0.05)
+    assert res.value.shape == (256,)
+    block = 256 * g.n * g.m * 8
+    assert peak < 7 * block, peak / block
+    # each refusal is the one the point's own LP gives, wherever it stands
+    refusals = [
+        (g, [[0.0], [math.nan]], [0.0, 0.1], "constraint offsets must be finite"),
+        (g, [[0.0], [0.1]], [0.0, math.nan], "y_hat must be finite"),
+        (generate("linear", 52, n=2, m=2, d=1, with_loss=False), [[0.0], [0.1]], [0.0, 0.1],
+         "the game declares no loss"),
+    ]
+    for game, stack, levels, message in refusals:
+        with pytest.raises(ParameterError, match=message):
+            exact_lp_min(game, np.array(stack), np.array(levels), xi=0.5, tol=0.01)
+    support = lp_core.best_response_support
+    calls = []
+
+    def empty_second(values, xi):
+        calls.append(1)
+        rows = support(values, xi)
+        return np.zeros_like(rows) if len(calls) == 2 else rows
+
+    monkeypatch.setattr(lp_core, "best_response_support", empty_second)
+    with pytest.raises(DegenerateError, match="nonempty support"):
+        exact_lp_min(g, np.zeros((3, 1)), None, xi=0.5, tol=0.01)
 
 
 def test_exact_lp_min_rejects_bad_tolerance():

@@ -627,17 +627,16 @@ def test_no_session_stream_is_shared_or_drawn_from_after_its_hit(monkeypatch):
     # a sparse session leaves its stream at the end of the hit's block, not
     # just past the hit: that is invisible only while each session owns its
     # stream and nothing draws from that stream once the session has halted
-    streams = []  # every session's stream, held so that no id() is reused
-    spent = set()  # ids of the streams whose session answered below
+    spent = {}  # the streams whose session answered below, by id (held, so no id is reused)
     seeds = set()  # the seeds of the current solve's session streams
-    open_session, answer = PrivacyLedger.open_session, SparseSession.answer
+    scan, answer = PrivacyLedger.scan, SparseSession.answer
 
-    def opened(self, label, sensitivity, threshold, epsilon, src):
-        assert all(src is not other for other in streams), f"{label} reuses a stream"
-        assert src.seed not in seeds, f"{label} repeats another session's stream"
-        streams.append(src)
-        seeds.add(src.seed)
-        return open_session(self, label, sensitivity, threshold, epsilon, src)
+    def scanned(self, stage, src, query, total):
+        seed = src.child(stage.stream).seed
+        assert seed not in seeds, f"{stage.label} repeats another session's stream"
+        assert stage.stream not in ("mw", "sample"), f"{stage.label} shares a solver stream"
+        seeds.add(seed)
+        return scan(self, stage, src, query, total)
 
     def solve(solver, *args):
         seeds.clear()
@@ -646,7 +645,7 @@ def test_no_session_stream_is_shared_or_drawn_from_after_its_hit(monkeypatch):
     def answered(self, query_values):
         out = answer(self, query_values)
         if out.below:
-            spent.add(id(self._src))
+            spent[id(self._src)] = self._src
         return out
 
     def guarded(draw):
@@ -655,7 +654,7 @@ def test_no_session_stream_is_shared_or_drawn_from_after_its_hit(monkeypatch):
             return draw(self, *args)
         return method
 
-    monkeypatch.setattr(PrivacyLedger, "open_session", opened)
+    monkeypatch.setattr(PrivacyLedger, "scan", scanned)
     monkeypatch.setattr(SparseSession, "answer", answered)
     monkeypatch.setattr(NoiseSource, "uniform", guarded(NoiseSource.uniform))
     monkeypatch.setattr(NoiseSource, "uniforms", guarded(NoiseSource.uniforms))

@@ -171,7 +171,7 @@ def test_query_order_stream():
 def test_presl_noise_off_hits_first_admissible_query(monkeypatch):
     g = positive_flow_game()
     prm = fast_params(g)
-    blocks = []  # each query is an LP solve, so the scan asks one per block
+    blocks = []  # the scan asks the grid in the ledger's doubling blocks
     answer = SparseSession.answer
     monkeypatch.setattr(SparseSession, "answer",
                         lambda sess, v: blocks.append(np.size(v)) or answer(sess, v))
@@ -180,7 +180,7 @@ def test_presl_noise_off_hits_first_admissible_query(monkeypatch):
     # the far-left grid point sits w_snap + min S away, above the threshold
     assert res.hit_index == 1
     assert res.queries_asked == 2
-    assert blocks == [1, 1]
+    assert blocks == [2]  # the whole two-point grid is the first block
     assert res.hit_y == 0.0
     assert np.array_equal(res.hit_s, [0.0])
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from privagg import onedim
+from privagg import dp_core, onedim
 from privagg.dp_core import NoiseSource, ParameterError, SparseSession
 from privagg.game_core import LinearUtility, TableUtility, ThresholdUtility, grid_steps
 from privagg.harness import generate
@@ -421,13 +421,13 @@ def test_early_stage_one_hits_evaluate_few_points(v0, monkeypatch):
     assert res.stage == 1
     j = res.k_hit + K  # the hit's position in the scan
     assert abs(res.k_hit * alpha - v0) <= 4 * alpha + 1e-12
-    assert sum(passed) <= 2 * j + onedim._FIRST_BLOCK
-    assert len(passed) <= 2 + max(0, math.ceil(math.log2((j + 1) / onedim._FIRST_BLOCK)))
+    assert sum(passed) <= 2 * j + dp_core._FIRST_BLOCK
+    assert len(passed) <= 2 + max(0, math.ceil(math.log2((j + 1) / dp_core._FIRST_BLOCK)))
 
 
 def scan_blocks(asked):
     """How many doubling blocks a scan that asked ``asked`` queries passed."""
-    return len(list(onedim._blocks(asked)))
+    return len(list(dp_core._blocks(asked)))
 
 
 @pytest.mark.parametrize("noise", [NoiseSource(3), NoiseSource(3, NoiseSource.NOISE_OFF)])
@@ -453,5 +453,5 @@ def test_every_scan_asks_a_doubling_block_at_a_time(noise, monkeypatch):
     res = select_equilibrium(q, params, noise)
     assert len(answers) == sum(scan_blocks(asked) for asked in res.queries)
     deepest = max(res.queries[:3])
-    assert swept == [hi - lo for lo, hi in onedim._blocks(deepest)]
+    assert swept == [hi - lo for lo, hi in dp_core._blocks(deepest)]
     assert len(single) <= 3
